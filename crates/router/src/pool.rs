@@ -4,21 +4,23 @@
 //! used for exactly one request/response exchange and published back
 //! when the reply arrived cleanly. The pool is codec-agnostic: frames
 //! move through it as raw bytes — a JSON line with its newline, or a
-//! length-prefixed binary frame — so proxying never re-parses or copies
-//! a body. A [`PooledConn`] survives read timeouts mid-reply — the
-//! partial frame stays buffered, so a hedged request can keep waiting
-//! on the primary after its hedge fired — but any connection whose
-//! exchange ended in an error is dropped, not repooled, so a
-//! desynchronised stream can never serve a stale reply to a later
-//! request.
+//! length-prefixed binary frame — so proxying never re-parses a body.
+//! Replies are framed by the same [`FrameReader`] that frames requests
+//! on the serving side; the newline or length header it strips is put
+//! back, so the relayed bytes are the upstream's own. A [`PooledConn`]
+//! survives read timeouts mid-reply — the partial frame stays buffered
+//! in the reader, so a hedged request can keep waiting on the primary
+//! after its hedge fired — but any connection whose exchange ended in
+//! an error is dropped, not repooled, so a desynchronised stream can
+//! never serve a stale reply to a later request.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use gb_service::fault::{IoShim, ShimStream};
-use gb_service::proto::{BIN_HDR, MAGIC, MAX_FRAME};
+use gb_service::proto::{Frame, FrameError, FrameReader, BIN_HDR, MAGIC};
 
 /// Shim connection-id base for upstream-side sockets. Client
 /// connections use their accept order (`0, 1, 2, ...`) exactly like the
@@ -27,46 +29,17 @@ use gb_service::proto::{BIN_HDR, MAGIC, MAX_FRAME};
 /// router→upstream link without touching client traffic.
 pub const UPSTREAM_CONN_BASE: u64 = 1 << 32;
 
-/// Where one buffered reply frame ends, sniffing the first byte for the
-/// codec. `Ok(Some(end))` when `buf[..end]` is a complete frame
-/// (newline included for JSON, header included for binary), `Ok(None)`
-/// when more bytes are needed, `Err` when the declared binary length is
-/// corrupt — the stream can never resync inside a request/response
-/// exchange, so the connection must be dropped.
-fn frame_end(buf: &[u8]) -> io::Result<Option<usize>> {
-    match buf.first() {
-        None => Ok(None),
-        Some(&MAGIC) => {
-            if buf.len() < BIN_HDR {
-                return Ok(None);
-            }
-            let len = u32::from_le_bytes(buf[1..BIN_HDR].try_into().unwrap()) as usize;
-            if len > MAX_FRAME {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "upstream binary frame length is corrupt",
-                ));
-            }
-            if buf.len() >= BIN_HDR + len {
-                Ok(Some(BIN_HDR + len))
-            } else {
-                Ok(None)
-            }
-        }
-        _ => Ok(buf.iter().position(|&b| b == b'\n').map(|p| p + 1)),
-    }
-}
-
 /// One persistent connection to an upstream, owned by whoever checked
 /// it out of the pool.
 pub struct PooledConn {
     /// Raw handle kept for timeout changes (`set_read_timeout`).
     sock: TcpStream,
     writer: ShimStream,
-    reader: ShimStream,
-    /// Bytes of a reply frame that arrived before a read timeout; the
-    /// next [`read_reply`](PooledConn::read_reply) resumes from here.
-    partial: Vec<u8>,
+    /// Frames replies; bytes of a reply that arrived before a read
+    /// timeout stay buffered here and the next
+    /// [`read_reply`](PooledConn::read_reply) resumes from them. `None`
+    /// once an exchange failed: the stream is out of frame sync.
+    reader: Option<FrameReader<ShimStream>>,
     /// Last timeout applied to the socket; skips the `setsockopt` pair
     /// on the hot path when the deadline has not changed.
     read_timeout: Option<Duration>,
@@ -76,7 +49,7 @@ impl std::fmt::Debug for PooledConn {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PooledConn")
             .field("sock", &self.sock)
-            .field("partial_len", &self.partial.len())
+            .field("partial", &self.has_partial())
             .finish_non_exhaustive()
     }
 }
@@ -97,8 +70,7 @@ impl PooledConn {
         Ok(PooledConn {
             sock,
             writer,
-            reader,
-            partial: Vec::new(),
+            reader: Some(FrameReader::new(reader)),
             read_timeout: None,
         })
     }
@@ -107,7 +79,7 @@ impl PooledConn {
     /// timed out mid-frame). Such a connection must finish its read
     /// before it can carry another request.
     pub fn has_partial(&self) -> bool {
-        !self.partial.is_empty()
+        self.reader.as_ref().is_some_and(|r| r.buffered_len() > 0)
     }
 
     /// Writes one complete pre-framed request (newline or length prefix
@@ -131,55 +103,47 @@ impl PooledConn {
             self.sock.set_read_timeout(Some(timeout))?;
             self.read_timeout = Some(timeout);
         }
-        let mut chunk = [0u8; 4096];
-        loop {
-            match frame_end(&self.partial) {
-                Ok(Some(end)) if end == self.partial.len() => {
-                    return Ok(std::mem::take(&mut self.partial));
-                }
-                Ok(Some(_)) => {
-                    // Bytes beyond one reply on a one-request-in-flight
-                    // stream: frame sync is gone.
-                    self.partial.clear();
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "upstream reply overran its frame",
-                    ));
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    self.partial.clear();
-                    return Err(e);
-                }
-            }
-            if self.partial.len() > BIN_HDR + MAX_FRAME {
-                self.partial.clear();
+        let Some(reader) = self.reader.as_mut() else {
+            return Err(invalid("upstream connection lost frame sync"));
+        };
+        let reply = match reader.poll_line() {
+            Ok(Frame::Pending) => {
                 return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "upstream reply torn or oversized",
-                ));
+                    io::ErrorKind::TimedOut,
+                    "upstream reply pending",
+                ))
             }
-            match self.reader.read(&mut chunk) {
-                Ok(0) => {
-                    self.partial.clear();
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "upstream closed the connection",
-                    ));
-                }
-                Ok(k) => self.partial.extend_from_slice(&chunk[..k]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    return Err(e);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
+            Ok(Frame::Line(line)) => {
+                let mut frame = line.into_bytes();
+                frame.push(b'\n');
+                Ok(frame)
             }
+            Ok(Frame::Binary(payload)) => {
+                let mut frame = Vec::with_capacity(BIN_HDR + payload.len());
+                frame.push(MAGIC);
+                frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                frame.extend_from_slice(&payload);
+                Ok(frame)
+            }
+            Ok(Frame::Eof) | Err(FrameError::Torn) => Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "upstream closed the connection",
+            )),
+            Err(FrameError::Corrupt) => Err(invalid("upstream binary frame length is corrupt")),
+            Err(FrameError::TooLong) => Err(invalid("upstream reply oversized")),
+            Err(FrameError::NotUtf8) => Err(invalid("upstream reply is not UTF-8")),
+            Err(FrameError::Io(e)) => Err(e),
+        };
+        // Bytes beyond one reply on a one-request-in-flight stream mean
+        // frame sync is gone.
+        let reply = reply.and_then(|frame| match reader.buffered_len() {
+            0 => Ok(frame),
+            _ => Err(invalid("upstream reply overran its frame")),
+        });
+        if reply.is_err() {
+            self.reader = None;
         }
+        reply
     }
 
     /// One full request/response exchange over pre-framed bytes.
@@ -187,6 +151,10 @@ impl PooledConn {
         self.send_frame(frame)?;
         self.read_reply(timeout)
     }
+}
+
+fn invalid(message: &'static str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message)
 }
 
 /// A bounded pool of idle [`PooledConn`]s to one upstream address.
@@ -282,10 +250,10 @@ impl UpstreamPool {
     }
 
     /// Returns a connection after a clean exchange. Connections with a
-    /// partial reply pending are dropped (out of frame sync), as are
-    /// any beyond the idle cap.
+    /// partial reply pending or a failed exchange behind them are
+    /// dropped (out of frame sync), as are any beyond the idle cap.
     pub fn publish(&self, conn: PooledConn) {
-        if conn.has_partial() {
+        if conn.has_partial() || conn.reader.is_none() {
             return;
         }
         let mut idle = self.idle_guard();
@@ -309,7 +277,7 @@ impl UpstreamPool {
 mod tests {
     use super::*;
     use gb_service::fault::Passthrough;
-    use std::io::{BufRead, BufReader, Write};
+    use std::io::{BufRead, BufReader, Read, Write};
     use std::net::TcpListener;
     use std::thread;
 

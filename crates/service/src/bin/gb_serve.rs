@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! gb-serve [--addr HOST:PORT] [--workers K] [--queue-cap Q]
-//!          [--cache-cap C] [--pool-threads T]
-//!          [--engine event|epoll|threaded] [--io-threads I]
+//!          [--cache-cap C] [--pool-threads T] [--io-threads I]
 //!          [--max-conns N] [--cache-shards S] [--admission on|off]
 //!          [--backends N] [--backend-vnodes V]
 //!          [--rebalance-ms MS] [--rebalance-trigger R] [--rebalance-budget B]
@@ -16,12 +15,14 @@
 //! Prints the bound address on stdout (useful with `--addr 127.0.0.1:0`)
 //! and serves until a client sends a `shutdown` frame.
 //!
-//! `--engine epoll` (Linux only) swaps the sweep-everything event
-//! pollers for `epoll_wait` readiness: idle connections cost nothing,
-//! so tens of thousands of mostly-idle peers leave the pollers near
-//! 0% CPU. `--max-conns N` caps live connections; peers past the cap
-//! get a best-effort `overloaded` reply and an immediate close instead
-//! of driving the process into fd exhaustion.
+//! On Linux the I/O pollers block in `epoll_wait`: idle connections
+//! cost nothing, so tens of thousands of mostly-idle peers leave the
+//! pollers near 0% CPU. Where epoll is unavailable (setup fails, or a
+//! non-Linux target) they fall back to sweeping every connection; the
+//! startup line and `stats.engine` name the backend in use.
+//! `--max-conns N` caps live connections; peers past the cap get a
+//! best-effort `overloaded` reply and an immediate close instead of
+//! driving the process into fd exhaustion.
 //!
 //! `--backends N` shards the server into N independent backend pools
 //! behind a consistent-hash router: each backend owns its queue, worker
@@ -55,13 +56,13 @@ use std::time::Duration;
 use gb_rebal::RebalanceSettings;
 use gb_service::fault::ScriptedShim;
 use gb_service::persist::StoreSettings;
-use gb_service::server::{Engine, Server, ServerConfig, Tuning};
+use gb_service::server::{Server, ServerConfig, Tuning};
 
 fn usage() -> ! {
     eprintln!(
         "usage: gb-serve [--addr HOST:PORT] [--workers K] [--queue-cap Q] \
-         [--cache-cap C] [--pool-threads T] [--engine event|epoll|threaded] \
-         [--io-threads I] [--max-conns N] [--cache-shards S] [--admission on|off] \
+         [--cache-cap C] [--pool-threads T] [--io-threads I] \
+         [--max-conns N] [--cache-shards S] [--admission on|off] \
          [--backends N] [--backend-vnodes V] \
          [--rebalance-ms MS] [--rebalance-trigger R] [--rebalance-budget B] \
          [--reply-timeout-ms MS] [--poll-interval-ms MS] [--write-stall-ms MS] \
@@ -97,17 +98,6 @@ fn parse_args() -> (ServerConfig, Tuning) {
             }
             "--pool-threads" => {
                 config.pool_threads = parse_usize(&value("--pool-threads"), "--pool-threads")
-            }
-            "--engine" => {
-                tuning.engine = match value("--engine").as_str() {
-                    "event" => Engine::Event,
-                    "epoll" => Engine::Epoll,
-                    "threaded" => Engine::Threaded,
-                    other => {
-                        eprintln!("--engine expects event|epoll|threaded, got {other:?}");
-                        usage()
-                    }
-                }
             }
             "--max-conns" => tuning.max_conns = parse_usize(&value("--max-conns"), "--max-conns"),
             "--io-threads" => {
@@ -245,7 +235,6 @@ fn parse_usize(text: &str, flag: &str) -> usize {
 
 fn main() -> ExitCode {
     let (config, tuning) = parse_args();
-    let engine = tuning.engine;
     let server = match Server::start_tuned(config, tuning) {
         Ok(s) => s,
         Err(e) => {
@@ -256,7 +245,7 @@ fn main() -> ExitCode {
     println!(
         "gb-serve listening on {} ({} engine)",
         server.local_addr(),
-        engine.name()
+        server.engine()
     );
     // Serve until a client asks us to stop (the `shutdown` frame); join()
     // drains queued work before returning.

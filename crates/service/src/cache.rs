@@ -456,6 +456,13 @@ impl LruCache {
         self.map.contains_key(key)
     }
 
+    /// Looks up a key without touching recency, stats, or the admission
+    /// sketch — for a second look at a key whose access was already
+    /// counted.
+    pub fn peek(&self, key: &CacheKey) -> Option<CachedResult> {
+        self.map.get(key).map(|&idx| self.slab[idx].value.clone())
+    }
+
     /// Warm-loads a recovered entry: records one sighting in the
     /// admission sketch (so replayed entries arrive with non-zero
     /// frequency rather than as strangers the filter would reject) and
@@ -631,6 +638,12 @@ impl ShardedCache {
     /// Membership probe that leaves recency/stats untouched.
     pub fn contains(&self, key: &CacheKey) -> bool {
         self.shard(key).lock().contains(key)
+    }
+
+    /// Lookup that leaves recency/stats untouched (see
+    /// [`LruCache::peek`]).
+    pub fn peek(&self, key: &CacheKey) -> Option<CachedResult> {
+        self.shard(key).lock().peek(key)
     }
 
     /// Warm-loads a recovered entry into its shard (see

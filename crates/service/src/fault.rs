@@ -2,7 +2,8 @@
 //!
 //! The server threads every socket read and write through an [`IoShim`]
 //! so tests can script failures — torn writes, `WouldBlock` storms,
-//! connection resets, stalled workers, accept-time refusals — without
+//! connection resets, stalled workers, accept-time refusals, readiness
+//! setup failures — without
 //! patching the kernel or racing wall-clock timing. Production servers
 //! use [`Passthrough`], which compiles down to the plain syscalls.
 //!
@@ -38,6 +39,15 @@ pub trait IoShim: Send + Sync {
     /// without touching the real listener, so tests can starve the
     /// accept path while existing connections keep running clean.
     fn accept_result(&self) -> io::Result<()> {
+        Ok(())
+    }
+
+    /// Called once at startup, before the epoll instances and eventfd
+    /// wakeups are opened. Returning `Err(e)` makes the server treat
+    /// readiness setup as having failed with `e` — e.g. `epoll_create1`
+    /// or `eventfd` hitting `EMFILE` — so the pollers run the sweep
+    /// fallback, exactly as on a platform without epoll.
+    fn readiness_setup(&self) -> io::Result<()> {
         Ok(())
     }
 
@@ -180,6 +190,8 @@ struct ScriptState {
     /// While set, every `accept()` attempt fails with this raw errno
     /// (the fd-exhaustion script).
     fail_accepts: Option<i32>,
+    /// While set, readiness setup fails with this raw errno.
+    fail_readiness: Option<i32>,
 }
 
 /// An [`IoShim`] driven by a per-connection script.
@@ -237,6 +249,14 @@ impl ScriptedShim {
         self.state.lock().unwrap().fail_accepts = None;
     }
 
+    /// Makes readiness setup fail with `errno` (24 = `EMFILE`) for any
+    /// server started with this shim, the way `epoll_create1` or
+    /// `eventfd` fail when the process is out of descriptors. The
+    /// server then runs the sweep fallback.
+    pub fn fail_readiness(&self, errno: i32) {
+        self.state.lock().unwrap().fail_readiness = Some(errno);
+    }
+
     /// Total shimmed write calls observed (all connections).
     pub fn write_calls(&self) -> u64 {
         self.write_calls.load(Ordering::Relaxed)
@@ -250,6 +270,13 @@ impl IoShim for ScriptedShim {
 
     fn accept_result(&self) -> io::Result<()> {
         match self.state.lock().unwrap().fail_accepts {
+            Some(errno) => Err(io::Error::from_raw_os_error(errno)),
+            None => Ok(()),
+        }
+    }
+
+    fn readiness_setup(&self) -> io::Result<()> {
+        match self.state.lock().unwrap().fail_readiness {
             Some(errno) => Err(io::Error::from_raw_os_error(errno)),
             None => Ok(()),
         }
@@ -418,5 +445,10 @@ mod tests {
         assert_eq!(shim.before_execute(0), Some(Duration::from_millis(5)));
         shim.clear_stall();
         assert_eq!(shim.before_execute(0), None);
+
+        assert!(shim.readiness_setup().is_ok());
+        shim.fail_readiness(24);
+        let err = shim.readiness_setup().unwrap_err();
+        assert_eq!(err.raw_os_error(), Some(24));
     }
 }

@@ -11,13 +11,11 @@
 //!
 //! * newline-delimited JSON protocol with explicit frame limits
 //!   ([`proto`]),
-//! * bounded admission with load shedding, either through one global
-//!   queue or per-worker stealing deques with an aggregate cap
-//!   ([`shed`]),
-//! * two serving engines ([`server`]): the default *event* engine — a
-//!   nonblocking poll acceptor, I/O poller sweeps, and an inline cache
-//!   fast path — and the legacy thread-per-connection engine kept as a
-//!   benchmark baseline,
+//! * bounded admission with load shedding through per-worker stealing
+//!   deques with an aggregate cap ([`shed`]),
+//! * one serving engine ([`server`]): nonblocking accept, I/O pollers
+//!   on epoll readiness (a portable sweep loop where epoll is
+//!   unavailable), and an inline cache fast path,
 //! * deadline enforcement and graceful drain on shutdown ([`server`]),
 //! * a sharded, exact LRU result cache with optional TinyLFU admission,
 //!   keyed by deterministic problem fingerprints ([`cache`],
@@ -81,5 +79,5 @@ pub use fault::{IoShim, Passthrough, ReadOp, ScriptedShim, WriteOp};
 pub use persist::StoreSettings;
 pub use proto::{Algorithm, ErrorCode, Request, Response};
 pub use route::{FailoverRing, Router};
-pub use server::{Engine, Server, ServerConfig, Tuning};
+pub use server::{Server, ServerConfig, Tuning};
 pub use spec::ProblemSpec;

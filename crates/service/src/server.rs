@@ -1,11 +1,11 @@
 //! The partition-serving daemon.
 //!
-//! Two serving engines share one worker/cache/metrics core:
+//! One serving engine: nonblocking accept, I/O pollers that frame and
+//! dispatch requests, and worker threads behind a per-backend steal
+//! queue.
 //!
 //! ```text
-//!            event engine (default) — contention-free hot path
-//!
-//!  clients ──TCP──▶ nonblocking accept ─▶ I/O pollers (FrameReader sweep)
+//!  clients ──TCP──▶ nonblocking accept ─▶ I/O pollers (FrameReader)
 //!                                           │ cache hit? ─▶ reply inline
 //!                                           │   (fast path, no hand-off)
 //!                                           ▼ miss: try_push (shed if full)
@@ -20,29 +20,34 @@
 //!                                           ▼ write reply to socket
 //! ```
 //!
-//! The legacy **threaded engine** ([`Engine::Threaded`]) keeps the
-//! original shape — a blocking acceptor, one thread per connection, and
-//! a single [`BoundedQueue`] — and survives as the benchmark baseline
-//! (`loadgen --bench` measures both) and as a fallback.
+//! The readiness backend under the pollers is a platform decision, not
+//! an option. On Linux each poller blocks in `epoll_wait` (`epoll_loop`)
+//! and services only the connections the kernel (or a worker's eventfd
+//! wakeup) reports, so idle connections cost nothing. When the epoll or
+//! eventfd setup fails at startup — and on every non-Linux target, where
+//! `gb-sys` reports it as unsupported — the pollers run the portable
+//! sweep loop (`event_loop`) instead, which probes every connection
+//! each pass. Everything above the readiness layer is shared: the same
+//! `sweep_conn` services a connection either way. `stats.engine`
+//! names the backend the pollers actually run (`"epoll"` or `"sweep"`).
 //!
-//! * **Admission** — each balance request is pushed to a bounded queue;
-//!   when it is full the connection answers `overloaded` immediately
-//!   ([`crate::shed`]). The steal queue sheds on its *aggregate* depth,
-//!   so the contract is identical across engines.
+//! * **Admission** — each cache miss is pushed to a bounded queue; when
+//!   it is full the connection answers `overloaded` immediately
+//!   ([`crate::shed`]). The steal queue sheds on its *aggregate* depth.
 //! * **Deadlines** — `deadline_ms` is checked at dispatch and again when
 //!   a worker dequeues the job; an expired request gets a `timeout`
 //!   error instead of burning a core on an answer nobody is waiting for.
 //! * **Caching** — results are cached by
 //!   `(problem fingerprint, algorithm, N, θ)` in a sharded LRU with
 //!   optional TinyLFU admission; specs are deterministic so a hit is
-//!   exact ([`crate::cache`]). On the event engine a hit is answered on
-//!   the poller itself — no queue round trip, no context switch.
+//!   exact ([`crate::cache`]). A hit is answered on the poller itself —
+//!   no queue round trip, no context switch.
 //! * **Shutdown** — [`Server::shutdown`] (or a client `shutdown` frame)
 //!   closes the queue: queued work drains, new work is refused with
 //!   `shutting_down`, then all threads are joined.
 //!
 //! Control frames (`ping`, `stats`, `shutdown`) are answered directly on
-//! the I/O thread — they must stay responsive even when the queue is
+//! the poller — they must stay responsive even when the queue is
 //! saturated, that is the whole point of having them. The `shutdown`
 //! frame is acknowledged with a `pong` before draining begins.
 
@@ -50,7 +55,7 @@ use std::fmt;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, RwLock};
+use std::sync::{Arc, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -70,9 +75,7 @@ use crate::proto::{
     WireCodec,
 };
 use crate::route::{Router, DEFAULT_VNODES};
-use crate::shed::{
-    AggregateCap, BoundedQueue, FullCause, PushError, SlotGauge, SlotToken, StealQueue,
-};
+use crate::shed::{AggregateCap, FullCause, PushError, SlotGauge, SlotToken, StealQueue};
 
 /// Smallest α used for bound computation, so bounds stay finite even for
 /// degenerate empirical measurements.
@@ -85,38 +88,6 @@ const MAX_LINES_PER_SWEEP: usize = 32;
 /// Compaction threshold for a connection's output buffer: once this many
 /// written bytes accumulate at the front, the buffer is shifted down.
 const OUT_BUF_COMPACT: usize = 64 * 1024;
-
-/// Which connection/queue architecture the server runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// Blocking acceptor, one thread per connection, single
-    /// [`BoundedQueue`]. The PR-1 design; baseline for benchmarks.
-    Threaded,
-    /// Nonblocking accept + I/O pollers, per-worker [`StealQueue`],
-    /// inline cache fast path. Connections cost a file descriptor, not
-    /// a thread — but every poller iteration probes every connection,
-    /// so an idle fleet still costs O(conns) read syscalls per sweep.
-    Event,
-    /// The event engine's connection semantics behind OS readiness
-    /// (Linux epoll via `gb-sys`): pollers wait for ready descriptors
-    /// instead of sweeping, so mostly-idle fleets cost no steady-state
-    /// CPU. Everything above the readiness layer — `FrameReader`,
-    /// `ConnWriter`, the inline cache fast path, the fault shim, the
-    /// write-stall and reply-timeout accounting — is shared with
-    /// [`Engine::Event`], which remains the portable fallback.
-    Epoll,
-}
-
-impl Engine {
-    /// Stable lowercase name used in stats and CLI flags.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Engine::Threaded => "threaded",
-            Engine::Event => "event",
-            Engine::Epoll => "epoll",
-        }
-    }
-}
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -147,7 +118,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// Hot-path tuning: engine choice, cache sharding/admission, and the
+/// Hot-path tuning: poller count, cache sharding/admission, and the
 /// timeouts that used to be hard-coded consts (`REPLY_TIMEOUT`,
 /// `POLL_INTERVAL`) — hoisted into configuration with the old values as
 /// defaults so fault-injection tests can tighten them.
@@ -157,9 +128,7 @@ impl Default for ServerConfig {
 /// [`Server::start_tuned`]. [`Server::start`] uses the defaults.
 #[derive(Clone)]
 pub struct Tuning {
-    /// Serving engine (default [`Engine::Event`]).
-    pub engine: Engine,
-    /// I/O poller threads for the event engine (0 = 1). One is right for
+    /// I/O poller threads (0 = 1). One is right for
     /// anything up to a few thousand connections; parsing is cheap.
     pub io_threads: usize,
     /// Cache shard count, rounded up to a power of two (0 = 8).
@@ -170,9 +139,10 @@ pub struct Tuning {
     /// one job before giving up with an `internal` error (a worker
     /// died). Was the `REPLY_TIMEOUT` const; default 120 s.
     pub reply_timeout: Duration,
-    /// How often blocked threaded-engine connection threads wake to poll
-    /// the shutdown flag, and the ceiling on event-poller idle backoff.
-    /// Was the `POLL_INTERVAL` const; default 100 ms.
+    /// Timer granularity of the pollers: how often in-flight and
+    /// write-stalled connections are re-checked, the accept backoff
+    /// after fd exhaustion, and the ceiling on the sweep loop's idle
+    /// backoff. Was the `POLL_INTERVAL` const; default 100 ms.
     pub poll_interval: Duration,
     /// How long a socket may refuse bytes (`WouldBlock` with output
     /// pending) before the connection is declared dead — the client
@@ -214,7 +184,6 @@ pub struct Tuning {
 impl Default for Tuning {
     fn default() -> Self {
         Self {
-            engine: Engine::Event,
             io_threads: 0,
             cache_shards: 0,
             admission: true,
@@ -234,7 +203,6 @@ impl Default for Tuning {
 impl fmt::Debug for Tuning {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Tuning")
-            .field("engine", &self.engine)
             .field("io_threads", &self.io_threads)
             .field("cache_shards", &self.cache_shards)
             .field("admission", &self.admission)
@@ -251,72 +219,10 @@ impl fmt::Debug for Tuning {
 }
 
 // ---------------------------------------------------------------------------
-// Queue and reply plumbing shared by both engines
+// Connection and reply plumbing
 // ---------------------------------------------------------------------------
 
-/// The queue behind whichever engine is running, with one shedding
-/// contract: `try_push` fails `Full` at (aggregate) capacity and
-/// `Closed` after shutdown.
-enum QueueKind {
-    Bounded(BoundedQueue<Job>),
-    Steal(StealQueue<Job>),
-}
-
-impl QueueKind {
-    // Handing the job back on failure is the point of the API: the shed
-    // paths reuse the request for the error reply without a clone.
-    #[allow(clippy::result_large_err)]
-    fn try_push(&self, job: Job) -> Result<(), (Job, PushError)> {
-        match self {
-            QueueKind::Bounded(q) => q.try_push(job),
-            QueueKind::Steal(q) => q.try_push(job),
-        }
-    }
-
-    fn pop(&self, worker: usize) -> Option<Job> {
-        match self {
-            QueueKind::Bounded(q) => q.pop(),
-            QueueKind::Steal(q) => q.pop(worker),
-        }
-    }
-
-    fn close(&self) {
-        match self {
-            QueueKind::Bounded(q) => q.close(),
-            QueueKind::Steal(q) => q.close(),
-        }
-    }
-
-    fn depth(&self) -> usize {
-        match self {
-            QueueKind::Bounded(q) => q.depth(),
-            QueueKind::Steal(q) => q.depth(),
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        match self {
-            QueueKind::Bounded(q) => q.capacity(),
-            QueueKind::Steal(q) => q.capacity(),
-        }
-    }
-
-    fn shards(&self) -> usize {
-        match self {
-            QueueKind::Bounded(_) => 1,
-            QueueKind::Steal(q) => q.workers(),
-        }
-    }
-
-    fn steals(&self) -> u64 {
-        match self {
-            QueueKind::Bounded(_) => 0,
-            QueueKind::Steal(q) => q.steals(),
-        }
-    }
-}
-
-/// Write half of an event-engine connection: the nonblocking socket plus
+/// Write half of a connection: the nonblocking socket plus
 /// the output buffer that survives `WouldBlock` mid-frame.
 ///
 /// Every writer (poller inline replies, worker replies, timeout errors)
@@ -363,8 +269,8 @@ struct ConnShared {
     dead: AtomicBool,
     /// Wakes the owning epoll poller when worker-side state changes
     /// (reply delivered, connection marked dead) — a blocked
-    /// `epoll_wait` cannot see an `AtomicBool` flip. `None` on the
-    /// sweep engine, whose pollers rediscover state by sweeping.
+    /// `epoll_wait` cannot see an `AtomicBool` flip. `None` under the
+    /// sweep fallback, whose pollers rediscover state by sweeping.
     waker: Option<Arc<sys::EventFd>>,
 }
 
@@ -377,31 +283,20 @@ impl ConnShared {
     }
 }
 
-/// Where a worker delivers a finished response.
-enum ReplyTo {
-    /// Threaded engine: the blocked connection thread's channel.
-    Channel(mpsc::SyncSender<Response>),
-    /// Event engine: write straight to the socket. `answered` arbitrates
-    /// between the worker and a poller-side reply timeout — whoever
-    /// flips it first owns the reply.
-    Socket {
-        conn: Arc<ConnShared>,
-        answered: Arc<AtomicBool>,
-    },
-}
-
 struct Job {
     req: BalanceRequest,
     received: Instant,
     /// Codec of the request frame; the reply goes out in the same one.
     codec: WireCodec,
-    /// Accept-order id of the submitting connection (fault-shim key).
-    conn_id: u64,
     /// Index of the backend the router homed this job's key to.
     backend: usize,
     /// Ring vnode owning this job's key, for per-vnode load accounting.
     vnode: usize,
-    reply: ReplyTo,
+    /// The connection the worker writes the reply to.
+    conn: Arc<ConnShared>,
+    /// Arbitrates between the worker and a poller-side reply timeout —
+    /// whoever flips it first owns the reply.
+    answered: Arc<AtomicBool>,
     /// RAII in-flight slot: released when the job is dropped, wherever
     /// that happens — worker reply, dead-connection skip, shed hand-back
     /// or shutdown drain — so the gauge cannot leak.
@@ -415,7 +310,7 @@ struct Job {
 /// exactly one backend, so a hot problem class fills its own queue (and
 /// sheds at its local capacity) without starving the siblings.
 struct Backend {
-    queue: QueueKind,
+    queue: StealQueue<Job>,
     cache: ShardedCache,
     /// Balance jobs between submission and reply on this backend.
     inflight: SlotGauge,
@@ -446,19 +341,17 @@ struct Shared {
     shutdown: AtomicBool,
     local_addr: SocketAddr,
     tuning: Tuning,
-    /// Accept-order connection ids, shared by both engines.
+    /// Accept-order connection ids (the fault shim's addressing).
     next_conn: AtomicU64,
     /// Live connections (open sockets holding a token).
     open_conns: SlotGauge,
-    /// Balance jobs between submission and reply (both engines).
+    /// Balance jobs between submission and reply.
     inflight_jobs: SlotGauge,
-    /// Threaded engine: per-connection thread handles.
-    connections: Mutex<Vec<thread::JoinHandle<()>>>,
-    /// Event engine: accepted connections in transit to their poller.
+    /// Accepted connections in transit to their poller.
     inboxes: Vec<Mutex<Vec<Conn>>>,
-    /// Epoll backend: one wakeup channel per poller. Workers signal the
-    /// owning poller after finishing a reply so it can re-arm read
-    /// interest; empty on the sweep and threaded engines.
+    /// One epoll wakeup channel per poller. Workers signal the owning
+    /// poller after finishing a reply so it can re-arm read interest.
+    /// Empty exactly when the pollers run the sweep fallback.
     wakers: Vec<Arc<sys::EventFd>>,
     /// Write-behind persistence. Dropped with the last `Shared` ref,
     /// which drains the spill queue to disk before the writer joins —
@@ -476,6 +369,16 @@ struct Shared {
 }
 
 impl Shared {
+    /// The readiness backend the pollers run, as reported in
+    /// `stats.engine`.
+    fn engine(&self) -> &'static str {
+        if self.wakers.is_empty() {
+            "sweep"
+        } else {
+            "epoll"
+        }
+    }
+
     /// The vnode and backend that own `key` under the assignment in
     /// effect (the hash ring's table until a rebalance tick moves it).
     fn backend_for(&self, key: &CacheKey) -> (usize, usize, &Backend) {
@@ -511,7 +414,6 @@ fn split_budget(total: usize, parts: usize, min: usize) -> Vec<usize> {
 /// A running daemon. Dropping the handle shuts the server down.
 pub struct Server {
     shared: Arc<Shared>,
-    acceptor: Option<thread::JoinHandle<()>>,
     pollers: Vec<thread::JoinHandle<()>>,
     workers: Vec<thread::JoinHandle<()>>,
     rebal: Option<thread::JoinHandle<()>>,
@@ -527,6 +429,7 @@ impl Server {
     /// Binds and spawns with explicit hot-path tuning.
     pub fn start_tuned(config: ServerConfig, tuning: Tuning) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
+        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let workers = if config.workers == 0 {
             (thread::available_parallelism().map_or(4, |n| n.get()) / 2).max(2)
@@ -582,17 +485,11 @@ impl Server {
         };
         let backends: Vec<Backend> = (0..backend_count)
             .map(|b| Backend {
-                queue: match tuning.engine {
-                    Engine::Threaded => QueueKind::Bounded(BoundedQueue::with_cap(
-                        local_capacities[b],
-                        Arc::clone(&queue_cap),
-                    )),
-                    Engine::Event | Engine::Epoll => QueueKind::Steal(StealQueue::with_cap(
-                        worker_shares[b],
-                        local_capacities[b],
-                        Arc::clone(&queue_cap),
-                    )),
-                },
+                queue: StealQueue::with_cap(
+                    worker_shares[b],
+                    local_capacities[b],
+                    Arc::clone(&queue_cap),
+                ),
                 cache: ShardedCache::new(cache_shares[b], cache_shards, tuning.admission),
                 inflight: SlotGauge::new(),
                 spill: None,
@@ -629,17 +526,16 @@ impl Server {
                 backend.spill = Some(spill.sender());
             }
         }
-        // The epoll backend needs a wakeup channel per poller before the
-        // pollers exist (workers hold them through `ConnShared`). Off
-        // Linux this is where `--engine epoll` fails, with an
-        // `Unsupported` error naming the sweep engine as the fallback.
-        let wakers = if tuning.engine == Engine::Epoll {
-            (0..io_threads)
-                .map(|_| sys::EventFd::new().map(Arc::new))
-                .collect::<std::io::Result<Vec<_>>>()?
-        } else {
-            Vec::new()
-        };
+        // The readiness backend is decided here, once, for every
+        // poller: epoll where the kernel provides it, the sweep loop
+        // when setup fails (always, off Linux). Workers hold the
+        // wakeup channels through `ConnShared`, so they must exist
+        // before the pollers do.
+        let (epolls, wakers): (Vec<_>, Vec<_>) =
+            open_readiness(&*tuning.shim, &listener, io_threads)
+                .unwrap_or_default()
+                .into_iter()
+                .unzip();
         let vnode_count = router.vnode_count();
         let default_owners = router.default_owners();
         let shared = Arc::new(Shared {
@@ -654,7 +550,6 @@ impl Server {
             next_conn: AtomicU64::new(0),
             open_conns: SlotGauge::new(),
             inflight_jobs: SlotGauge::new(),
-            connections: Mutex::new(Vec::new()),
             inboxes: (0..io_threads).map(|_| Mutex::new(Vec::new())).collect(),
             wakers,
             spill,
@@ -691,60 +586,27 @@ impl Server {
             })
             .collect();
 
-        let (acceptor, pollers) = match tuning.engine {
-            Engine::Threaded => {
-                let shared2 = Arc::clone(&shared);
-                let acceptor = thread::Builder::new()
-                    .name("gb-serve-acceptor".into())
-                    .spawn(move || acceptor_loop(&shared2, listener))
-                    .expect("spawn acceptor");
-                (Some(acceptor), Vec::new())
-            }
-            Engine::Event => {
-                listener.set_nonblocking(true)?;
-                let mut listener = Some(listener);
-                let pollers = (0..io_threads)
-                    .map(|p| {
-                        let shared = Arc::clone(&shared);
-                        let listener = listener.take(); // poller 0 accepts
-                        thread::Builder::new()
-                            .name(format!("gb-serve-io-{p}"))
-                            .spawn(move || event_loop(&shared, p, listener))
-                            .expect("spawn io poller")
+        // Poller 0 accepts; with epoll the listener is already
+        // registered on its instance.
+        let mut listener = Some(listener);
+        let mut epolls = epolls.into_iter();
+        let pollers = (0..io_threads)
+            .map(|p| {
+                let shared = Arc::clone(&shared);
+                let listener = listener.take();
+                let ep = epolls.next();
+                thread::Builder::new()
+                    .name(format!("gb-serve-io-{p}"))
+                    .spawn(move || match ep {
+                        Some(ep) => epoll_loop(&shared, p, listener, ep),
+                        None => event_loop(&shared, p, listener),
                     })
-                    .collect();
-                (None, pollers)
-            }
-            #[cfg(target_os = "linux")]
-            Engine::Epoll => {
-                listener.set_nonblocking(true)?;
-                let mut listener = Some(listener);
-                let pollers = (0..io_threads)
-                    .map(|p| {
-                        let shared = Arc::clone(&shared);
-                        let listener = listener.take(); // poller 0 accepts
-                        thread::Builder::new()
-                            .name(format!("gb-serve-io-{p}"))
-                            .spawn(move || epoll_loop(&shared, p, listener))
-                            .expect("spawn io poller")
-                    })
-                    .collect();
-                (None, pollers)
-            }
-            #[cfg(not(target_os = "linux"))]
-            Engine::Epoll => {
-                // Unreachable in practice: EventFd::new above already
-                // failed with Unsupported. Kept as a typed guard.
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::Unsupported,
-                    "--engine epoll requires Linux; use the portable event engine",
-                ));
-            }
-        };
+                    .expect("spawn io poller")
+            })
+            .collect();
 
         Ok(Server {
             shared,
-            acceptor,
             pollers,
             workers: worker_handles,
             rebal,
@@ -756,8 +618,14 @@ impl Server {
         self.shared.local_addr
     }
 
+    /// The readiness backend the pollers run: `"epoll"`, or `"sweep"`
+    /// when epoll setup failed or the platform has none.
+    pub fn engine(&self) -> &'static str {
+        self.shared.engine()
+    }
+
     /// Initiates shutdown without blocking: refuses new work, wakes the
-    /// acceptor. Safe to call more than once.
+    /// pollers. Safe to call more than once.
     pub fn trigger_shutdown(&self) {
         trigger_shutdown(&self.shared);
     }
@@ -776,13 +644,9 @@ impl Server {
     }
 
     fn join_all(&mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
         // The pollers exit once shutdown is set and their in-flight
-        // replies have been written; the acceptor exits only on
-        // shutdown. Either way the queue is closed by now, so workers
-        // drain and stop.
+        // replies have been written. The queue is closed by now, so
+        // workers drain and stop.
         for p in self.pollers.drain(..) {
             let _ = p.join();
         }
@@ -791,10 +655,6 @@ impl Server {
         }
         if let Some(rebal) = self.rebal.take() {
             let _ = rebal.join();
-        }
-        let connections = std::mem::take(&mut *self.shared.connections.lock());
-        for c in connections {
-            let _ = c.join();
         }
     }
 }
@@ -818,9 +678,6 @@ fn trigger_shutdown(shared: &Shared) {
     for waker in &shared.wakers {
         waker.signal();
     }
-    // Unblock the threaded engine's blocking accept() with a dummy
-    // connection (harmless no-op for the event engine, which polls).
-    let _ = TcpStream::connect(shared.local_addr);
 }
 
 // ---------------------------------------------------------------------------
@@ -867,219 +724,12 @@ fn rebalance_loop(shared: &Arc<Shared>, settings: &RebalanceSettings) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Threaded engine: blocking acceptor + thread per connection
-// ---------------------------------------------------------------------------
-
-fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        // The shim can turn a successful accept into a scripted failure
-        // (the fd-exhaustion shape); `.and(stream)` drops the stream in
-        // that case, which is exactly what a failed accept looks like.
-        let stream = match shared.tuning.shim.accept_result().and(stream) {
-            Ok(s) => s,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::Interrupted | std::io::ErrorKind::WouldBlock
-                ) =>
-            {
-                continue
-            }
-            Err(e) => {
-                // EMFILE/ENFILE and friends: nothing frees an fd by
-                // retrying hot, so count it and back off for one poll
-                // interval. Other accept errors (aborted handshakes)
-                // are counted too but retried immediately.
-                shared.metrics.record_accept_error();
-                if sys::is_resource_exhaustion(&e) {
-                    thread::sleep(shared.tuning.poll_interval);
-                }
-                continue;
-            }
-        };
-        let conn_id = shared.next_conn.fetch_add(1, Ordering::SeqCst);
-        if !shared.tuning.shim.allow_accept(conn_id) {
-            shared.metrics.record_conn_reset();
-            continue;
-        }
-        let max = shared.tuning.max_conns;
-        if max > 0 && shared.open_conns.occupied() >= max {
-            shed_accept(shared, stream, max);
-            continue;
-        }
-        // Acquire the gauge slot here, not in the connection thread, so
-        // the cap check above cannot over-admit during thread spawn.
-        let open = shared.open_conns.acquire();
-        let shared2 = Arc::clone(shared);
-        let handle = thread::Builder::new()
-            .name("gb-serve-conn".into())
-            .spawn(move || handle_connection(&shared2, stream, conn_id, open))
-            .expect("spawn connection thread");
-        shared.connections.lock().push(handle);
-    }
-}
-
-fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, conn_id: u64, _open: SlotToken) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.tuning.poll_interval));
-    let Ok(read_half) = stream.try_clone() else {
-        // A connected client vanishing at setup is a connection death,
-        // not a silent non-event.
-        shared.metrics.record_conn_reset();
-        return;
-    };
-    let shim = &shared.tuning.shim;
-    let mut writer = ShimStream::new(stream, Arc::clone(shim), conn_id);
-    let mut reader = FrameReader::new(ShimStream::new(read_half, Arc::clone(shim), conn_id));
-    loop {
-        match reader.poll_line() {
-            Ok(Frame::Pending) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Ok(Frame::Eof) => return,
-            Ok(Frame::Line(line)) => {
-                let request = Request::decode(&line);
-                if dispatch_line(shared, WireCodec::Json, request, &mut writer, conn_id).is_err() {
-                    return;
-                }
-            }
-            Ok(Frame::Binary(payload)) => {
-                let request = WireCodec::Binary.decode_request(&payload);
-                if dispatch_line(shared, WireCodec::Binary, request, &mut writer, conn_id).is_err()
-                {
-                    return;
-                }
-            }
-            Err(FrameError::TooLong) => {
-                let resp = protocol_error(shared, "frame exceeds the maximum length");
-                if write_response(shared, &mut writer, reader.codec(), &resp).is_err() {
-                    return;
-                }
-            }
-            Err(FrameError::NotUtf8) => {
-                let resp = protocol_error(shared, "frame is not valid UTF-8");
-                if write_response(shared, &mut writer, reader.codec(), &resp).is_err() {
-                    return;
-                }
-            }
-            Err(FrameError::Corrupt) => {
-                // A corrupt binary length tears the stream the same way
-                // a torn frame does, but the reader resynchronises, so
-                // the connection survives.
-                shared.metrics.record_torn_frame();
-                let resp = protocol_error(shared, "binary frame length is corrupt");
-                if write_response(shared, &mut writer, reader.codec(), &resp).is_err() {
-                    return;
-                }
-            }
-            Err(FrameError::Torn) => {
-                // The peer closed its write half mid-frame. Best-effort
-                // error reply — a half-closed client may still be
-                // reading — then drop the connection.
-                shared.metrics.record_torn_frame();
-                let resp = protocol_error(shared, "frame torn by EOF mid-line");
-                let _ = write_response(shared, &mut writer, reader.codec(), &resp);
-                return;
-            }
-            Err(FrameError::Io(_)) => {
-                shared.metrics.record_conn_reset();
-                return;
-            }
-        }
-    }
-}
-
 fn protocol_error(shared: &Shared, message: &str) -> Response {
     shared.metrics.record_error(ErrorCode::BadRequest);
     Response::Error {
         id: None,
         code: ErrorCode::BadRequest,
         message: message.into(),
-    }
-}
-
-/// Writes one frame on the threaded engine, retrying short writes and
-/// `WouldBlock` (a fault shim or a full socket buffer) until
-/// `tuning.write_stall` elapses, after which the peer is considered
-/// gone. No byte is ever dropped or rewritten: the slice only advances
-/// by what the socket accepted.
-fn write_response(
-    shared: &Shared,
-    writer: &mut ShimStream,
-    codec: WireCodec,
-    resp: &Response,
-) -> std::io::Result<()> {
-    let mut frame = Vec::new();
-    codec.encode_response(resp, &mut frame);
-    let mut buf = frame.as_slice();
-    let deadline = Instant::now() + shared.tuning.write_stall;
-    while !buf.is_empty() {
-        match writer.write(buf) {
-            Ok(0) => {
-                shared.metrics.record_conn_reset();
-                return Err(std::io::ErrorKind::WriteZero.into());
-            }
-            Ok(k) => buf = &buf[k..],
-            Err(e) if would_block(&e) => {
-                if Instant::now() >= deadline {
-                    shared.metrics.record_conn_reset();
-                    return Err(e);
-                }
-                thread::sleep(Duration::from_millis(1));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                shared.metrics.record_conn_reset();
-                return Err(e);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Handles one decoded request frame. `Err(())` means the connection
-/// should close.
-fn dispatch_line(
-    shared: &Arc<Shared>,
-    codec: WireCodec,
-    request: Result<Request, crate::proto::ProtoError>,
-    writer: &mut ShimStream,
-    conn_id: u64,
-) -> Result<(), ()> {
-    let request = match request {
-        Ok(r) => r,
-        Err(e) => {
-            let resp = protocol_error(shared, &e.message);
-            return write_response(shared, writer, codec, &resp).map_err(|_| ());
-        }
-    };
-    match request {
-        Request::Ping => {
-            shared.metrics.record_control();
-            write_response(shared, writer, codec, &Response::Pong).map_err(|_| ())
-        }
-        Request::Stats => {
-            shared.metrics.record_control();
-            let resp = Response::Stats(stats_json(shared));
-            write_response(shared, writer, codec, &resp).map_err(|_| ())
-        }
-        Request::Shutdown => {
-            shared.metrics.record_control();
-            // Acknowledge before draining so the client gets an answer.
-            let result = write_response(shared, writer, codec, &Response::Pong).map_err(|_| ());
-            trigger_shutdown(shared);
-            result
-        }
-        Request::Balance(req) => {
-            let resp = submit_balance(shared, req, conn_id);
-            write_response(shared, writer, codec, &resp).map_err(|_| ())
-        }
     }
 }
 
@@ -1094,59 +744,8 @@ fn overload_message(shared: &Shared, backend: &Backend, cause: FullCause) -> Str
     }
 }
 
-/// Queues a balance request on the backend that owns its key and waits
-/// for the worker-produced response.
-fn submit_balance(shared: &Shared, req: BalanceRequest, conn_id: u64) -> Response {
-    let id = req.id;
-    let key = CacheKey::new(req.problem.fingerprint(), req.algorithm, req.n, req.theta);
-    let (vnode, backend_index, backend) = shared.backend_for(&key);
-    let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-    let job = Job {
-        req,
-        received: Instant::now(),
-        // Channel replies are encoded by the connection thread, which
-        // knows the frame's codec; the job-side codec is unused there.
-        codec: WireCodec::Json,
-        conn_id,
-        backend: backend_index,
-        vnode,
-        reply: ReplyTo::Channel(reply_tx),
-        _slot: shared.inflight_jobs.acquire(),
-        _backend_slot: backend.inflight.acquire(),
-    };
-    match backend.queue.try_push(job) {
-        Ok(()) => match reply_rx.recv_timeout(shared.tuning.reply_timeout) {
-            Ok(resp) => resp,
-            Err(_) => {
-                shared.metrics.record_error(ErrorCode::Internal);
-                Response::Error {
-                    id,
-                    code: ErrorCode::Internal,
-                    message: "worker did not answer".into(),
-                }
-            }
-        },
-        Err((_, PushError::Full(cause))) => {
-            shared.metrics.record_error(ErrorCode::Overloaded);
-            Response::Error {
-                id,
-                code: ErrorCode::Overloaded,
-                message: overload_message(shared, backend, cause),
-            }
-        }
-        Err((_, PushError::Closed)) => {
-            shared.metrics.record_error(ErrorCode::ShuttingDown);
-            Response::Error {
-                id,
-                code: ErrorCode::ShuttingDown,
-                message: "server is draining".into(),
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Event engine: nonblocking accept + poller sweep + direct worker writes
+// Pollers: nonblocking accept, connection sweep, direct worker writes
 // ---------------------------------------------------------------------------
 
 /// One connection owned by an I/O poller.
@@ -1231,8 +830,7 @@ fn drain_accepts(
     }
     let mut progress = false;
     loop {
-        // Accept first, shim second — same order as the threaded
-        // acceptor's `.and(stream)`. The scripted seam only fires once
+        // Accept first, shim second: the scripted seam only fires once
         // a real connection is pending, so an idle sweep iteration is a
         // plain `WouldBlock` and never consumes a scripted verdict.
         let attempt = match listener.accept() {
@@ -1451,34 +1049,66 @@ fn event_loop(shared: &Arc<Shared>, index: usize, mut listener: Option<TcpListen
 }
 
 // ---------------------------------------------------------------------------
-// Epoll engine (Linux): readiness wakeups over the same sweep logic
+// Epoll readiness: wakeups over the same per-connection logic
 // ---------------------------------------------------------------------------
 
 /// Registration token for the accept listener.
-#[cfg(target_os = "linux")]
 const LISTENER_TOKEN: u64 = u64::MAX;
 /// Registration token for the poller's eventfd wakeup channel.
-#[cfg(target_os = "linux")]
 const WAKER_TOKEN: u64 = u64::MAX - 1;
 
-/// A connection owned by an epoll poller: the sweep engine's [`Conn`]
+/// The descriptor epoll registers for a socket.
+#[cfg(unix)]
+fn raw_fd(sock: &impl std::os::fd::AsRawFd) -> sys::RawFd {
+    sock.as_raw_fd()
+}
+
+/// Off unix there is no epoll: [`open_readiness`] fails before any
+/// descriptor is registered, so this value is never used.
+#[cfg(not(unix))]
+fn raw_fd<T>(_sock: &T) -> sys::RawFd {
+    -1
+}
+
+/// Opens one epoll instance and wakeup channel per poller, with the
+/// listener registered on poller 0's instance. Any failure — the fault
+/// shim's scripted [`IoShim::readiness_setup`] error, `epoll_create1`
+/// or `eventfd` refusing under fd exhaustion, or `Unsupported` off
+/// Linux — sends every poller to the sweep loop instead: readiness is
+/// an optimisation, not a correctness requirement.
+fn open_readiness(
+    shim: &dyn IoShim,
+    listener: &TcpListener,
+    pollers: usize,
+) -> std::io::Result<Vec<(sys::Epoll, Arc<sys::EventFd>)>> {
+    shim.readiness_setup()?;
+    (0..pollers)
+        .map(|p| {
+            let ep = sys::Epoll::new()?;
+            let waker = Arc::new(sys::EventFd::new()?);
+            ep.add(waker.raw_fd(), WAKER_TOKEN, sys::Interest::READ)?;
+            if p == 0 {
+                ep.add(raw_fd(listener), LISTENER_TOKEN, sys::Interest::READ)?;
+            }
+            Ok((ep, waker))
+        })
+        .collect()
+}
+
+/// A connection owned by an epoll poller: the sweep loop's [`Conn`]
 /// plus the interest currently registered with the kernel.
-#[cfg(target_os = "linux")]
 struct EpollConn {
     conn: Conn,
     armed: sys::Interest,
 }
 
-#[cfg(target_os = "linux")]
 fn conn_fd(conn: &Conn) -> sys::RawFd {
-    use std::os::fd::AsRawFd;
-    conn.reader.get_ref().get_ref().as_raw_fd()
+    raw_fd(conn.reader.get_ref().get_ref())
 }
 
 /// Adds a connection to the poller's slab and registers its socket for
 /// read readiness. `None` (with `conn_reset` recorded) if the kernel
 /// refuses the registration — the socket died between accept and here.
-#[cfg(target_os = "linux")]
 fn epoll_insert(
     ep: &sys::Epoll,
     slots: &mut Vec<Option<EpollConn>>,
@@ -1511,40 +1141,24 @@ fn epoll_insert(
 /// shared — but instead of sweeping every connection every iteration
 /// the poller blocks in `epoll_wait` and services only what the kernel
 /// (or a worker's eventfd wakeup) reports. Idle connections therefore
-/// cost nothing per iteration; that is the whole point of the engine.
+/// cost nothing per iteration; that is the whole point of readiness.
 ///
 /// Level-triggered interest is deliberate: the fault shim may answer a
 /// readable wakeup with an injected `WouldBlock`, and level semantics
 /// re-deliver the event on the next wait instead of losing it.
 ///
-/// Falls back to [`event_loop`] if the epoll instance cannot be set up
-/// — readiness is an optimisation, not a correctness requirement.
-#[cfg(target_os = "linux")]
-fn epoll_loop(shared: &Arc<Shared>, index: usize, mut listener: Option<TcpListener>) {
+/// `ep` comes from [`open_readiness`], with this poller's waker (and,
+/// on the accepting poller, the listener) already registered.
+fn epoll_loop(
+    shared: &Arc<Shared>,
+    index: usize,
+    mut listener: Option<TcpListener>,
+    mut ep: sys::Epoll,
+) {
     use std::collections::HashSet;
-    use std::os::fd::AsRawFd;
 
     let waker = Arc::clone(&shared.wakers[index]);
-    let mut ep = match sys::Epoll::new() {
-        Ok(ep)
-            if ep
-                .add(waker.raw_fd(), WAKER_TOKEN, sys::Interest::READ)
-                .is_ok() =>
-        {
-            ep
-        }
-        _ => return event_loop(shared, index, listener),
-    };
-    let mut listener_armed = false;
-    if let Some(l) = &listener {
-        if ep
-            .add(l.as_raw_fd(), LISTENER_TOKEN, sys::Interest::READ)
-            .is_err()
-        {
-            return event_loop(shared, index, listener);
-        }
-        listener_armed = true;
-    }
+    let mut listener_armed = listener.is_some();
 
     // Owned connections; the epoll token is the slot index.
     let mut slots: Vec<Option<EpollConn>> = Vec::new();
@@ -1552,7 +1166,7 @@ fn epoll_loop(shared: &Arc<Shared>, index: usize, mut listener: Option<TcpListen
     let mut live = 0usize;
     // Slots needing periodic timer sweeps (job in flight, buffered
     // output, or closing): `reply_timeout` and `write_stall` fire at
-    // poll-interval granularity, exactly like the sweep engine.
+    // poll-interval granularity, exactly like the sweep loop.
     let mut watched: HashSet<usize> = HashSet::new();
     // Slots with complete frames buffered in the reader while the
     // socket itself is drained: readiness will never fire for those
@@ -1569,7 +1183,7 @@ fn epoll_loop(shared: &Arc<Shared>, index: usize, mut listener: Option<TcpListen
         if draining {
             if let Some(l) = listener.take() {
                 // Dropping the listener refuses new connections now.
-                let _ = ep.delete(l.as_raw_fd());
+                let _ = ep.delete(raw_fd(&l));
                 listener_armed = false;
             }
         }
@@ -1644,9 +1258,9 @@ fn epoll_loop(shared: &Arc<Shared>, index: usize, mut listener: Option<TcpListen
                 let want = accepts.backoff_until.is_none();
                 if want != listener_armed {
                     let done = if want {
-                        ep.add(l.as_raw_fd(), LISTENER_TOKEN, sys::Interest::READ)
+                        ep.add(raw_fd(l), LISTENER_TOKEN, sys::Interest::READ)
                     } else {
-                        ep.delete(l.as_raw_fd())
+                        ep.delete(raw_fd(l))
                     };
                     if done.is_ok() {
                         listener_armed = want;
@@ -1700,7 +1314,7 @@ fn epoll_loop(shared: &Arc<Shared>, index: usize, mut listener: Option<TcpListen
             // readiness would spin for the whole compute — and
             // restored by the worker's wake; write interest mirrors
             // buffered output, so `EPOLLOUT` re-arming flows through
-            // the same write-stall accounting as the sweep engine.
+            // the same write-stall accounting as the sweep loop.
             let desired = sys::Interest {
                 readable: !draining && !ec.conn.closing && ec.conn.inflight_since.is_none(),
                 writable: ec.conn.shared.writer.lock().has_pending(),
@@ -1747,10 +1361,7 @@ fn sweep_conn(
                 return !conn.shared.dead.load(Ordering::Acquire);
             }
             // The worker never answered; claim the reply ourselves.
-            if answered
-                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
+            if claim_reply(answered) {
                 shared.metrics.record_error(ErrorCode::Internal);
                 write_frame(
                     shared,
@@ -1972,13 +1583,10 @@ fn dispatch_event_line(
                 req,
                 received,
                 codec,
-                conn_id: conn.conn_id,
                 backend: backend_index,
                 vnode,
-                reply: ReplyTo::Socket {
-                    conn: Arc::clone(conn),
-                    answered: Arc::clone(&answered),
-                },
+                conn: Arc::clone(conn),
+                answered: Arc::clone(&answered),
                 _slot: shared.inflight_jobs.acquire(),
                 _backend_slot: backend.inflight.acquire(),
             };
@@ -2066,60 +1674,50 @@ fn encode_hit(
 }
 
 // ---------------------------------------------------------------------------
-// Workers (shared by both engines)
+// Workers
 // ---------------------------------------------------------------------------
 
 fn worker_loop(shared: &Shared, backend: usize, index: usize) {
     let queue = &shared.backends[backend].queue;
     while let Some(job) = queue.pop(index) {
         // Fault injection: a scripted stall models a wedged worker.
-        if let Some(stall) = shared.tuning.shim.before_execute(job.conn_id) {
+        if let Some(stall) = shared.tuning.shim.before_execute(job.conn.conn_id) {
             thread::sleep(stall);
         }
-        if let ReplyTo::Socket { conn, answered } = &job.reply {
-            if conn.dead.load(Ordering::Acquire) {
-                // The client died while the job sat in the queue: skip
-                // the compute, but settle the gate so accounting stays
-                // exact (dropping the job releases its slot token).
-                if answered
-                    .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
-                    conn.inflight.store(false, Ordering::Release);
-                    conn.wake();
-                }
-                shared.metrics.record_reply_dropped();
-                continue;
+        let conn = &job.conn;
+        if conn.dead.load(Ordering::Acquire) {
+            // The client died while the job sat in the queue: skip the
+            // compute, but settle the gate so accounting stays exact
+            // (dropping the job releases its slot token).
+            if claim_reply(&job.answered) {
+                conn.inflight.store(false, Ordering::Release);
+                conn.wake();
             }
+            shared.metrics.record_reply_dropped();
+            continue;
         }
         let resp = execute(shared, &job);
-        match job.reply {
-            // A disconnected client is fine — drop the response.
-            ReplyTo::Channel(ref tx) => {
-                let _ = tx.send(resp);
-            }
-            ReplyTo::Socket {
-                ref conn,
-                ref answered,
-            } => {
-                // Lose the race against a poller-side timeout and the
-                // reply (and the in-flight token) is no longer ours.
-                if answered
-                    .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
-                    write_frame(shared, conn, job.codec, &resp);
-                    conn.inflight.store(false, Ordering::Release);
-                    // Wake the owning epoll poller: it dropped read
-                    // interest while the job was in flight, and a
-                    // blocked `epoll_wait` cannot see the atomic flip.
-                    conn.wake();
-                } else {
-                    shared.metrics.record_reply_dropped();
-                }
-            }
+        // Lose the race against a poller-side timeout and the reply (and
+        // the in-flight token) is no longer ours.
+        if claim_reply(&job.answered) {
+            write_frame(shared, conn, job.codec, &resp);
+            conn.inflight.store(false, Ordering::Release);
+            // Wake the owning epoll poller: it dropped read interest
+            // while the job was in flight, and a blocked `epoll_wait`
+            // cannot see the atomic flip.
+            conn.wake();
+        } else {
+            shared.metrics.record_reply_dropped();
         }
     }
+}
+
+/// Takes ownership of a job's reply; `false` if the other side (worker
+/// or poller-side reply timeout) already has it.
+fn claim_reply(answered: &AtomicBool) -> bool {
+    answered
+        .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+        .is_ok()
 }
 
 fn execute(shared: &Shared, job: &Job) -> Response {
@@ -2137,7 +1735,10 @@ fn execute(shared: &Shared, job: &Job) -> Response {
 
     let backend = &shared.backends[job.backend];
     let key = CacheKey::new(req.problem.fingerprint(), req.algorithm, req.n, req.theta);
-    if let Some(hit) = backend.cache.get(&key) {
+    // The poller already probed (and counted) this key as a miss. A
+    // second look only dedupes concurrent misses for the same key — a
+    // sibling job may have computed it since — so it must not count.
+    if let Some(hit) = backend.cache.peek(&key) {
         let latency = job.received.elapsed();
         shared.record_load(job.vnode, job.backend, 0);
         shared.metrics.record_ok(req.algorithm, true, latency);
@@ -2207,10 +1808,7 @@ fn ok_response(
 fn stats_json(shared: &Shared) -> Json {
     let mut json = shared.metrics.to_json();
     if let Json::Obj(entries) = &mut json {
-        entries.push((
-            "engine".into(),
-            Json::Str(shared.tuning.engine.name().into()),
-        ));
+        entries.push(("engine".into(), Json::Str(shared.engine().into())));
         // Cache rollup: the per-backend caches summed, so the section
         // reads exactly as it did with one backend.
         let per_cache: Vec<_> = shared.backends.iter().map(|b| b.cache.stats()).collect();
@@ -2267,7 +1865,7 @@ fn stats_json(shared: &Shared) -> Json {
                         shared
                             .backends
                             .iter()
-                            .map(|b| b.queue.shards())
+                            .map(|b| b.queue.workers())
                             .sum::<usize>() as i64,
                     ),
                 ),
@@ -2559,47 +2157,6 @@ mod tests {
         assert!(refused, "server still answering after shutdown");
     }
 
-    #[test]
-    fn threaded_engine_still_serves() {
-        let server = Server::start_tuned(
-            ServerConfig {
-                workers: 2,
-                queue_capacity: 64,
-                cache_capacity: 64,
-                pool_threads: 2,
-                ..ServerConfig::default()
-            },
-            Tuning {
-                engine: Engine::Threaded,
-                cache_shards: 1,
-                admission: false,
-                ..Tuning::default()
-            },
-        )
-        .expect("bind ephemeral port");
-        let mut client = Client::connect(server.local_addr()).unwrap();
-        let first = match client.call(&balance(3, Algorithm::Hf)).unwrap() {
-            Response::Ok(r) => r,
-            other => panic!("expected ok, got {other:?}"),
-        };
-        assert!(!first.cached);
-        let second = match client.call(&balance(3, Algorithm::Hf)).unwrap() {
-            Response::Ok(r) => r,
-            other => panic!("expected ok, got {other:?}"),
-        };
-        assert!(second.cached);
-        match client.call(&Request::Stats).unwrap() {
-            Response::Stats(stats) => {
-                assert_eq!(
-                    stats.get("engine").and_then(|e| e.as_str()),
-                    Some("threaded")
-                );
-            }
-            other => panic!("expected stats, got {other:?}"),
-        }
-        server.shutdown();
-    }
-
     /// The sharded configuration must serve correctly (routing is
     /// deterministic, so repeats hit the same backend's cache) and the
     /// stats rollup must expose the per-backend gauges.
@@ -2670,7 +2227,7 @@ mod tests {
     }
 
     #[test]
-    fn event_engine_reports_fast_path_hits() {
+    fn fast_path_hits_are_reported() {
         let server = test_server();
         let mut client = Client::connect(server.local_addr()).unwrap();
         for _ in 0..3 {
@@ -2681,7 +2238,12 @@ mod tests {
         }
         match client.call(&Request::Stats).unwrap() {
             Response::Stats(stats) => {
-                assert_eq!(stats.get("engine").and_then(|e| e.as_str()), Some("event"));
+                let engine = if cfg!(target_os = "linux") {
+                    "epoll"
+                } else {
+                    "sweep"
+                };
+                assert_eq!(stats.get("engine").and_then(|e| e.as_str()), Some(engine));
                 let fast = stats
                     .get("requests")
                     .and_then(|r| r.get("fast_path"))

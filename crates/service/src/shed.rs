@@ -8,19 +8,12 @@
 //! how graceful shutdown lets in-flight requests finish while refusing
 //! new ones.
 //!
-//! Two implementations share those semantics:
-//!
-//! * [`BoundedQueue`] — one mutex-guarded `VecDeque`, the original
-//!   single-choke-point design, kept as the `threaded` engine's queue
-//!   and as the benchmark baseline. A push wakes exactly **one** sleeping
-//!   consumer (`notify_one`); waking all of them just to have N−1 lose
-//!   the race reacquiring the lock is the classic thundering herd.
-//! * [`StealQueue`] — one bounded deque *per worker* plus stealing, in
-//!   the idiom of `gb_parlb::pool`: producers round-robin across shards,
-//!   a worker pops its own shard first and steals from siblings when
-//!   empty. Capacity is enforced by a single aggregate depth counter, so
-//!   `overloaded` and `shutting_down` behave exactly as with the global
-//!   queue — only the lock hand-off contention is gone.
+//! [`StealQueue`] keeps one bounded deque *per worker* plus stealing, in
+//! the idiom of `gb_parlb::pool`: producers round-robin across shards, a
+//! worker pops its own shard first and steals from siblings when empty.
+//! Capacity is enforced by a single aggregate depth counter, so
+//! `overloaded` and `shutting_down` behave exactly as with one global
+//! queue — only the lock hand-off contention is gone.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -161,120 +154,6 @@ impl AggregateCap {
 }
 
 // ---------------------------------------------------------------------------
-// BoundedQueue: the single-lock MPMC queue
-// ---------------------------------------------------------------------------
-
-struct State<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// A bounded multi-producer/multi-consumer queue behind one mutex.
-pub struct BoundedQueue<T> {
-    state: Mutex<State<T>>,
-    available: Condvar,
-    capacity: usize,
-    aggregate: Arc<AggregateCap>,
-    /// Times a blocked `pop` returned from its condvar wait — with
-    /// `notify_one` a push wakes exactly one sleeper, so this tracks
-    /// pushes-while-contended rather than `N × pushes`.
-    wakeups: AtomicU64,
-}
-
-impl<T> BoundedQueue<T> {
-    /// Creates a queue admitting at most `capacity` pending items, with
-    /// a private aggregate budget of the same size (so the cap never
-    /// binds before the local limit does).
-    pub fn new(capacity: usize) -> Self {
-        Self::with_cap(capacity, AggregateCap::new(capacity.max(1)))
-    }
-
-    /// Creates a queue with a local `capacity` that also reserves from a
-    /// shared `aggregate` budget on every push.
-    pub fn with_cap(capacity: usize, aggregate: Arc<AggregateCap>) -> Self {
-        assert!(capacity > 0, "queue capacity must be positive");
-        Self {
-            state: Mutex::new(State {
-                items: VecDeque::with_capacity(capacity),
-                closed: false,
-            }),
-            available: Condvar::new(),
-            capacity,
-            aggregate,
-            wakeups: AtomicU64::new(0),
-        }
-    }
-
-    /// Attempts to enqueue without blocking. On `Err` the item is handed
-    /// back so the caller can respond to the client.
-    pub fn try_push(&self, item: T) -> Result<(), (T, PushError)> {
-        let mut state = self.state.lock();
-        if state.closed {
-            return Err((item, PushError::Closed));
-        }
-        if state.items.len() >= self.capacity {
-            return Err((item, PushError::Full(FullCause::Local)));
-        }
-        if !self.aggregate.try_reserve() {
-            return Err((item, PushError::Full(FullCause::Aggregate)));
-        }
-        state.items.push_back(item);
-        drop(state);
-        // One item became available: wake exactly one consumer.
-        self.available.notify_one();
-        Ok(())
-    }
-
-    /// Blocks until an item is available or the queue is closed *and*
-    /// drained (then returns `None` — the consumer should exit).
-    pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock();
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                self.aggregate.release();
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            self.available.wait(&mut state);
-            self.wakeups.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Closes the queue: future pushes fail with [`PushError::Closed`],
-    /// consumers drain what is left and then observe `None`.
-    pub fn close(&self) {
-        let mut state = self.state.lock();
-        state.closed = true;
-        drop(state);
-        self.available.notify_all();
-    }
-
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().closed
-    }
-
-    /// Number of items currently queued.
-    pub fn depth(&self) -> usize {
-        self.state.lock().items.len()
-    }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// How many times a blocked consumer woke from its condvar wait.
-    /// Diagnostic: with `notify_one` semantics, a push into an idle
-    /// N-consumer queue accounts for exactly one wakeup, not N.
-    pub fn wakeups(&self) -> u64 {
-        self.wakeups.load(Ordering::Relaxed)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // StealQueue: per-worker deques + stealing
 // ---------------------------------------------------------------------------
 
@@ -285,7 +164,7 @@ impl<T> BoundedQueue<T> {
 /// siblings otherwise, mirroring `gb_parlb::pool`'s worker/stealer
 /// split. A single aggregate [`depth`](Self::depth) counter preserves
 /// the *global* load-shedding contract: `try_push` sheds when the sum
-/// across all shards reaches capacity, exactly like [`BoundedQueue`].
+/// across all shards reaches capacity.
 ///
 /// Sleeping consumers use a short timed condvar wait (the `pool.rs`
 /// idiom): a lost wakeup costs at most one tick of latency instead of
@@ -481,106 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn sheds_when_full() {
-        let q = BoundedQueue::new(2);
-        assert!(q.try_push(1).is_ok());
-        assert!(q.try_push(2).is_ok());
-        match q.try_push(3) {
-            Err((item, PushError::Full(FullCause::Local))) => assert_eq!(item, 3),
-            other => panic!("expected local Full, got {other:?}"),
-        }
-        assert_eq!(q.depth(), 2);
-        assert_eq!(q.capacity(), 2);
-    }
-
-    #[test]
-    fn close_drains_then_stops_consumers() {
-        let q = BoundedQueue::new(8);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        q.close();
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
-        match q.try_push(3) {
-            Err((_, PushError::Closed)) => {}
-            other => panic!("expected Closed, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn pop_blocks_until_item_arrives() {
-        let q = Arc::new(BoundedQueue::new(4));
-        let q2 = Arc::clone(&q);
-        let consumer = thread::spawn(move || q2.pop());
-        thread::sleep(Duration::from_millis(30));
-        q.try_push(42).unwrap();
-        assert_eq!(consumer.join().unwrap(), Some(42));
-    }
-
-    #[test]
-    fn many_producers_one_consumer() {
-        let q = Arc::new(BoundedQueue::new(1024));
-        let mut producers = Vec::new();
-        for t in 0..4 {
-            let q = Arc::clone(&q);
-            producers.push(thread::spawn(move || {
-                for i in 0..100 {
-                    while q.try_push(t * 100 + i).is_err() {
-                        thread::yield_now();
-                    }
-                }
-            }));
-        }
-        for p in producers {
-            p.join().unwrap();
-        }
-        q.close();
-        let mut got = Vec::new();
-        while let Some(x) = q.pop() {
-            got.push(x);
-        }
-        assert_eq!(got.len(), 400);
-    }
-
-    /// Regression: a push into a queue with N sleeping consumers must
-    /// wake exactly one of them, not broadcast to all N. The wakeup
-    /// counter increments once per wait-return, so a broadcast would
-    /// count N wakeups for one push.
-    #[test]
-    fn push_wakes_exactly_one_sleeping_consumer() {
-        const SLEEPERS: usize = 4;
-        let q = Arc::new(BoundedQueue::new(16));
-        let popped = Arc::new(AtomicUsize::new(0));
-        let consumers: Vec<_> = (0..SLEEPERS)
-            .map(|_| {
-                let q = Arc::clone(&q);
-                let popped = Arc::clone(&popped);
-                thread::spawn(move || {
-                    while q.pop().is_some() {
-                        popped.fetch_add(1, Ordering::SeqCst);
-                    }
-                })
-            })
-            .collect();
-        // Let all consumers reach their condvar wait.
-        thread::sleep(Duration::from_millis(60));
-        let wakeups_before = q.wakeups();
-        q.try_push(7).unwrap();
-        thread::sleep(Duration::from_millis(60));
-        assert_eq!(popped.load(Ordering::SeqCst), 1, "one item, one pop");
-        let woken = q.wakeups() - wakeups_before;
-        assert_eq!(
-            woken, 1,
-            "a push with {SLEEPERS} sleepers must wake exactly one, woke {woken}"
-        );
-        q.close();
-        for c in consumers {
-            c.join().unwrap();
-        }
-    }
-
-    #[test]
     fn steal_queue_sheds_on_aggregate_depth() {
         let q = StealQueue::new(4, 3);
         assert!(q.try_push(1).is_ok());
@@ -626,23 +405,6 @@ mod tests {
         assert_eq!(a.pop(0), Some(0));
         b.try_push(11).unwrap();
         assert_eq!(cap.depth(), 4);
-    }
-
-    /// The threaded engine's queue honors a shared budget the same way.
-    #[test]
-    fn bounded_queue_respects_a_shared_cap() {
-        let cap = AggregateCap::new(2);
-        let a = BoundedQueue::with_cap(8, Arc::clone(&cap));
-        let b = BoundedQueue::with_cap(8, Arc::clone(&cap));
-        a.try_push(1).unwrap();
-        b.try_push(2).unwrap();
-        match a.try_push(3) {
-            Err((_, PushError::Full(FullCause::Aggregate))) => {}
-            other => panic!("expected aggregate Full, got {other:?}"),
-        }
-        assert_eq!(b.pop(), Some(2));
-        a.try_push(3).unwrap();
-        assert_eq!(cap.depth(), 2);
     }
 
     #[test]

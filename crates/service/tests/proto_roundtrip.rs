@@ -241,7 +241,7 @@ proptest! {
     ) {
         let stats = Json::Obj(vec![
             ("requests".into(), Json::Int(id as i64 % 100_000)),
-            ("engine".into(), Json::Str("event".into())),
+            ("engine".into(), Json::Str("epoll".into())),
             ("rate".into(), Json::Num(ratio_m as f64 / 7.0)),
         ]);
         for resp in [

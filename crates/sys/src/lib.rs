@@ -1,6 +1,6 @@
 //! # gb-sys — Linux readiness syscalls behind a safe API
 //!
-//! The event engine's epoll backend needs `epoll_create1` / `epoll_ctl` /
+//! The serving engine's epoll backend needs `epoll_create1` / `epoll_ctl` /
 //! `epoll_wait` plus an `eventfd` wakeup, and the connection soak needs
 //! `setrlimit(RLIMIT_NOFILE)` and per-thread CPU readings from
 //! `/proc`. The workspace builds in hermetic, network-less containers

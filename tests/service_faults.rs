@@ -1,11 +1,12 @@
 //! Fault-injection matrix for the serving path.
 //!
-//! Every scenario runs against three server shapes — the `event` and
-//! `threaded` engines single-backend, plus the `event` engine sharded
-//! across two backends — and, on Linux, the same two shapes again under
-//! the `epoll` readiness engine (the fault shim intercepts reads and
-//! writes identically there, so every injected fault exercises both
-//! readiness backends). Each scenario ends with the same "never wedges" invariant
+//! Every scenario runs against four server shapes: the default `epoll`
+//! readiness backend single-backend and sharded across two backends,
+//! and the same two again with readiness setup scripted to fail
+//! (`ScriptedShim::fail_readiness(EMFILE)`), so the pollers run the
+//! sweep fallback. The fault shim intercepts reads and writes
+//! identically on both, so every injected fault exercises both
+//! readiness backends. Each scenario ends with the same "never wedges" invariant
 //! check: the queue depth and the in-flight gauge drain to zero (per
 //! backend as well as in aggregate, when sharded), the expected fault
 //! counters moved, and a fresh well-behaved client still gets a correct
@@ -13,7 +14,8 @@
 //! on real sockets (torn frames, garbage, oversized lines, abrupt
 //! closes) and a scripted [`ScriptedShim`] inside the server (short
 //! writes, `WouldBlock` storms on either side, read/write resets and
-//! errors, stalled workers, accept-time refusals).
+//! errors, stalled workers, accept-time refusals, readiness setup
+//! failures).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -27,8 +29,11 @@ use gb_service::proto::{
     Algorithm, BalanceRequest, Codec, ErrorCode, Json, Request, Response, WireCodec, BIN_HDR,
     MAGIC, MAX_FRAME,
 };
-use gb_service::server::{Engine, Server, ServerConfig, Tuning};
+use gb_service::server::{Server, ServerConfig, Tuning};
 use gb_service::spec::ProblemSpec;
+
+/// `EMFILE`, the per-process fd limit: the errno fault scripts inject.
+const EMFILE: i32 = 24;
 
 /// Unique cold seeds so "must reach a worker" requests never hit the
 /// cache, across every test in this binary.
@@ -55,17 +60,38 @@ fn balance_request(seed: u64, deadline_ms: Option<u64>) -> Request {
     })
 }
 
-/// One server shape the matrix runs under: which engine, and how many
+/// One server shape the matrix runs under: whether readiness setup is
+/// scripted to fail (forcing the sweep fallback), and how many
 /// consistent-hash backends.
 #[derive(Clone, Copy)]
 struct Setup {
-    engine: Engine,
+    sweep_fallback: bool,
     backends: usize,
 }
 
 impl Setup {
+    const EPOLL: Setup = Setup {
+        sweep_fallback: false,
+        backends: 1,
+    };
+
     fn name(&self) -> String {
-        format!("{}/backends={}", self.engine.name(), self.backends)
+        let engine = if self.sweep_fallback {
+            "sweep-fallback"
+        } else {
+            "epoll"
+        };
+        format!("{engine}/backends={}", self.backends)
+    }
+
+    /// The readiness backend the server must report: epoll unless the
+    /// fallback is forced or the platform has no epoll.
+    fn engine(&self) -> &'static str {
+        if self.sweep_fallback || !cfg!(target_os = "linux") {
+            "sweep"
+        } else {
+            "epoll"
+        }
     }
 }
 
@@ -83,8 +109,10 @@ impl Harness {
 
     fn start_with(setup: Setup, tune: impl FnOnce(&mut Tuning)) -> Harness {
         let shim = ScriptedShim::new();
+        if setup.sweep_fallback {
+            shim.fail_readiness(EMFILE);
+        }
         let mut tuning = Tuning {
-            engine: setup.engine,
             backends: setup.backends,
             shim: Arc::new(shim.clone()),
             ..Tuning::default()
@@ -101,6 +129,7 @@ impl Harness {
             tuning,
         )
         .expect("bind ephemeral port");
+        assert_eq!(server.engine(), setup.engine(), "[{}]", setup.name());
         Harness {
             server: Some(server),
             shim,
@@ -314,34 +343,16 @@ fn request_line(request: &Request) -> Vec<u8> {
 }
 
 fn for_all(scenario: impl Fn(Setup)) {
-    scenario(Setup {
-        engine: Engine::Event,
-        backends: 1,
-    });
-    scenario(Setup {
-        engine: Engine::Threaded,
-        backends: 1,
-    });
-    // The sharded shape: every fault scenario must also hold when jobs
-    // fan out across per-backend queues, caches and worker sets.
-    scenario(Setup {
-        engine: Engine::Event,
-        backends: 2,
-    });
-    // The epoll readiness backend (Linux only): same sweep logic driven
-    // by epoll_wait wakeups instead of full sweeps. Every scenario must
-    // hold there too — the shim's injected faults arrive through
-    // readiness-reported sockets.
-    #[cfg(target_os = "linux")]
-    {
-        scenario(Setup {
-            engine: Engine::Epoll,
-            backends: 1,
-        });
-        scenario(Setup {
-            engine: Engine::Epoll,
-            backends: 2,
-        });
+    for sweep_fallback in [false, true] {
+        // The sharded shape: every fault scenario must also hold when
+        // jobs fan out across per-backend queues, caches and worker
+        // sets.
+        for backends in [1, 2] {
+            scenario(Setup {
+                sweep_fallback,
+                backends,
+            });
+        }
     }
 }
 
@@ -586,8 +597,8 @@ fn stalled_worker_turns_deadline_into_timeout() {
 
 /// Scenario 9: the worker outlives `reply_timeout` — the connection gets
 /// an `internal` error instead of wedging, and the worker's late reply
-/// is dropped (and counted, on the event engine, where the reply races a
-/// poller-side timeout).
+/// is dropped and counted (`reply_dropped`: the reply raced the
+/// poller-side timeout and lost).
 #[test]
 fn slow_worker_triggers_reply_timeout() {
     for_all(|setup| {
@@ -608,9 +619,7 @@ fn slow_worker_triggers_reply_timeout() {
             }
         }
         h.shim.clear_stall();
-        if setup.engine == Engine::Event {
-            h.await_fault_counter("reply_dropped", 1);
-        }
+        h.await_fault_counter("reply_dropped", 1);
         h.assert_never_wedged();
         h.shutdown();
     });
@@ -749,9 +758,8 @@ fn read_wouldblock_storm_connection_survives() {
 
 /// Scenario 17 (fd-pressure regression): every `accept()` fails with
 /// `EMFILE` — the per-process fd limit — while a burst of newcomers
-/// knocks. Pre-fix the event poller treated any accept error as "stop
-/// accepting this sweep" without counting it, and the threaded acceptor
-/// could spin hot on the error. Post-fix: `faults.accept_errors` moves,
+/// knocks. Pre-fix the poller treated any accept error as "stop
+/// accepting this sweep" without counting it. Post-fix: `faults.accept_errors` moves,
 /// accepts back off for a poll interval instead of spinning, the
 /// connections that already exist keep getting answers throughout, and
 /// once fds are "freed" fresh clients are served again.
@@ -768,11 +776,11 @@ fn fd_exhaustion_backs_off_counts_and_recovers() {
             setup.name()
         );
 
-        h.shim.fail_accepts(24); // EMFILE
-                                 // Newcomers during the outage. The kernel may still complete
-                                 // the TCP handshake (listen backlog); what matters is that the
-                                 // server-side accept failure is triaged, not that these sockets
-                                 // get served.
+        h.shim.fail_accepts(EMFILE);
+        // Newcomers during the outage. The kernel may still complete
+        // the TCP handshake (listen backlog); what matters is that the
+        // server-side accept failure is triaged, not that these sockets
+        // get served.
         let pressured: Vec<TcpStream> = (0..5)
             .map(|i| {
                 TcpStream::connect(h.addr()).unwrap_or_else(|e| {
@@ -891,7 +899,7 @@ fn max_conns_cap_sheds_with_overloaded_reply() {
     });
 }
 
-/// Scenario 19 (binary codec): one full fault-matrix shape (`event`,
+/// Scenario 19 (binary codec): one full fault-matrix shape (`epoll`,
 /// single backend) exercised end-to-end over the binary codec — control
 /// frames, a cold compute, a cached hit served from the encoded-reply
 /// cache, per-frame codec switching on one connection, a corrupt length
@@ -899,12 +907,8 @@ fn max_conns_cap_sheds_with_overloaded_reply() {
 /// The closing invariant check runs over JSON, proving both codecs share
 /// the port.
 #[test]
-fn binary_codec_event_shape_end_to_end() {
-    let setup = Setup {
-        engine: Engine::Event,
-        backends: 1,
-    };
-    let h = Harness::start(setup);
+fn binary_codec_shape_end_to_end() {
+    let h = Harness::start(Setup::EPOLL);
     let mut client = Client::connect(h.addr()).expect("connect");
     client.set_codec(WireCodec::Binary);
     assert!(matches!(
@@ -1298,8 +1302,8 @@ fn router_answers_the_request_in_flight_at_the_kill() {
 fn rebalance_under_churn_never_wedges() {
     use gb_rebal::RebalanceSettings;
     let setup = Setup {
-        engine: Engine::Event,
         backends: 2,
+        ..Setup::EPOLL
     };
     let h = Harness::start_with(setup, |t| {
         // trigger 1.0: any measurable skew plans, so assignment swaps

@@ -1,16 +1,18 @@
-//! Contract tests for the contention-free serving hot path: the event
+//! Contract tests for the contention-free serving hot path: the serving
 //! engine (nonblocking pollers + per-worker stealing queues + sharded
-//! TinyLFU cache) must preserve the wire-visible semantics the threaded
-//! engine established — `overloaded` at capacity, `timeout` on expired
-//! deadlines, graceful drain on shutdown — while exposing its new
-//! machinery (steal counters, fast-path hits) through `stats`.
+//! TinyLFU cache) must keep the wire-visible semantics — `overloaded`
+//! at capacity, `timeout` on expired deadlines, graceful drain on
+//! shutdown — on both readiness backends, while exposing its machinery
+//! (steal counters, fast-path hits, the backend in use, cache counters
+//! that mean what they say) through `stats`.
 
 use std::thread;
 use std::time::Duration;
 
 use gb_service::client::Client;
+use gb_service::fault::ScriptedShim;
 use gb_service::proto::{Algorithm, BalanceRequest, ErrorCode, Request, Response};
-use gb_service::server::{Engine, Server, ServerConfig, Tuning};
+use gb_service::server::{Server, ServerConfig, Tuning};
 use gb_service::spec::ProblemSpec;
 
 fn heavy_problem(seed: u64) -> ProblemSpec {
@@ -49,7 +51,7 @@ fn sharded_queue_sheds_overloaded_at_aggregate_capacity() {
             cache_capacity: 0, // force real work on every request
             pool_threads: 1,
         },
-        Tuning::default(), // event engine + StealQueue
+        Tuning::default(),
     )
     .expect("bind");
     let addr = server.local_addr();
@@ -255,7 +257,14 @@ fn stats_expose_fast_path_steals_and_shard_layout() {
         Response::Stats(stats) => stats,
         other => panic!("unexpected {other:?}"),
     };
-    assert_eq!(stats.get("engine").and_then(|e| e.as_str()), Some("event"));
+    // The backend the pollers really run: epoll wherever the kernel has
+    // it, the sweep loop elsewhere.
+    let engine = if cfg!(target_os = "linux") {
+        "epoll"
+    } else {
+        "sweep"
+    };
+    assert_eq!(stats.get("engine").and_then(|e| e.as_str()), Some(engine));
     let queue = stats.get("queue").expect("queue section");
     assert_eq!(
         queue.get("shards").and_then(|v| v.as_u64()),
@@ -282,10 +291,21 @@ fn stats_expose_fast_path_steals_and_shard_layout() {
     server.shutdown();
 }
 
+/// Tuning whose fault shim makes readiness setup fail with `EMFILE`, so
+/// the pollers run the sweep fallback.
+fn sweep_fallback() -> Tuning {
+    let shim = ScriptedShim::new();
+    shim.fail_readiness(24);
+    Tuning {
+        shim: std::sync::Arc::new(shim),
+        ..Tuning::default()
+    }
+}
+
 #[test]
-fn threaded_engine_matches_wire_semantics() {
-    // The baseline engine stays wire-compatible: same shed + drain
-    // behavior through the single BoundedQueue.
+fn sweep_fallback_matches_wire_semantics() {
+    // When epoll setup fails the sweep loop takes over, says so in
+    // `stats.engine`, and keeps the same shed behavior.
     let server = Server::start_tuned(
         ServerConfig {
             addr: "127.0.0.1:0".into(),
@@ -294,15 +314,20 @@ fn threaded_engine_matches_wire_semantics() {
             cache_capacity: 0,
             pool_threads: 1,
         },
-        Tuning {
-            engine: Engine::Threaded,
-            cache_shards: 1,
-            admission: false,
-            ..Tuning::default()
-        },
+        sweep_fallback(),
     )
     .expect("bind");
     let addr = server.local_addr();
+    assert_eq!(server.engine(), "sweep");
+    match Client::connect(addr)
+        .and_then(|mut c| c.call(&Request::Stats))
+        .expect("stats")
+    {
+        Response::Stats(stats) => {
+            assert_eq!(stats.get("engine").and_then(|e| e.as_str()), Some("sweep"));
+        }
+        other => panic!("unexpected {other:?}"),
+    }
     let outcomes: Vec<_> = (0..8u64)
         .map(|i| {
             thread::spawn(move || {
@@ -325,4 +350,46 @@ fn threaded_engine_matches_wire_semantics() {
     )));
     assert!(outcomes.iter().any(|r| matches!(r, Response::Ok(_))));
     server.shutdown();
+}
+
+/// A cold key is one cache miss, not two: the worker's second look at
+/// the cache only dedupes concurrent misses and leaves the counters
+/// alone. The repeat is then exactly one hit.
+#[test]
+fn cold_request_counts_one_miss_and_repeat_one_hit() {
+    for tuning in [Tuning::default(), sweep_fallback()] {
+        let server = Server::start_tuned(
+            ServerConfig {
+                addr: "127.0.0.1:0".into(),
+                workers: 2,
+                queue_capacity: 16,
+                cache_capacity: 64,
+                pool_threads: 1,
+            },
+            tuning,
+        )
+        .expect("bind");
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        let cache_counts = |client: &mut Client| match client.call(&Request::Stats).expect("stats")
+        {
+            Response::Stats(stats) => {
+                let cache = stats.get("cache").expect("cache section");
+                let count = |name: &str| cache.get(name).and_then(|v| v.as_u64()).unwrap();
+                (count("hits"), count("misses"))
+            }
+            other => panic!("unexpected {other:?}"),
+        };
+        let request = heavy_request(7);
+        match client.call(&request).expect("cold") {
+            Response::Ok(ok) => assert!(!ok.cached),
+            other => panic!("expected ok, got {other:?}"),
+        }
+        assert_eq!(cache_counts(&mut client), (0, 1), "[{}]", server.engine());
+        match client.call(&request).expect("repeat") {
+            Response::Ok(ok) => assert!(ok.cached),
+            other => panic!("expected ok, got {other:?}"),
+        }
+        assert_eq!(cache_counts(&mut client), (1, 1), "[{}]", server.engine());
+        server.shutdown();
+    }
 }
