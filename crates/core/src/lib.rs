@@ -75,4 +75,4 @@ pub use error::{Error, Result};
 pub use hf::{hf, hf_traced};
 pub use partition::Partition;
 pub use problem::{AlphaBisectable, Bisectable};
-pub use tree::{BisectionTree, NodeId};
+pub use tree::{AlphaRecorder, BisectionTree, NodeId};

@@ -13,6 +13,7 @@
 //! (depth statistics, α verification, weight conservation).
 
 use crate::error::{Error, Result};
+use crate::problem::AlphaObserver;
 
 /// Identifier of a node inside a [`BisectionTree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -74,6 +75,43 @@ impl Recorder for NoRecord {
     #[inline]
     fn record(&mut self, _parent: NodeId, _w1: f64, _w2: f64) -> (NodeId, NodeId) {
         (NodeId::DUMMY, NodeId::DUMMY)
+    }
+}
+
+/// A recorder that keeps only what the run's `α̂` needs — each node's
+/// weight and the running worst split fraction — so a run can measure its
+/// own `α̂` without building a [`BisectionTree`]. Reports exactly what
+/// [`BisectionTree::observed_alpha`] would for the same run.
+#[derive(Debug, Clone, Default)]
+pub struct AlphaRecorder {
+    weights: Vec<f64>,
+    observer: AlphaObserver,
+}
+
+impl AlphaRecorder {
+    /// The worst (smallest) realised split fraction so far, or `None` if
+    /// nothing was bisected.
+    pub fn alpha(&self) -> Option<f64> {
+        self.observer.alpha()
+    }
+}
+
+impl Recorder for AlphaRecorder {
+    fn root(&mut self, weight: f64) -> NodeId {
+        assert!(
+            self.weights.is_empty(),
+            "root registered twice on the same recorder"
+        );
+        self.weights.push(weight);
+        NodeId(0)
+    }
+
+    fn record(&mut self, parent: NodeId, w_left: f64, w_right: f64) -> (NodeId, NodeId) {
+        self.observer
+            .record(self.weights[parent.index()], w_left, w_right);
+        let l = NodeId(self.weights.len() as u32);
+        self.weights.extend([w_left, w_right]);
+        (l, NodeId(l.0 + 1))
     }
 }
 
@@ -223,7 +261,7 @@ impl BisectionTree {
     /// The worst (smallest) realised split fraction over all bisections,
     /// or `None` if the tree has no internal node.
     pub fn observed_alpha(&self) -> Option<f64> {
-        let mut obs = crate::problem::AlphaObserver::new();
+        let mut obs = AlphaObserver::new();
         for node in &self.nodes {
             if let Some((l, r)) = node.children {
                 obs.record(
@@ -372,6 +410,23 @@ mod tests {
         let id = r.root(1.0);
         assert_eq!(id, NodeId::DUMMY);
         assert_eq!(r.record(id, 0.5, 0.5), (NodeId::DUMMY, NodeId::DUMMY));
+    }
+
+    #[test]
+    fn alpha_recorder_matches_the_tree() {
+        use crate::hf::{hf_rec, hf_traced};
+        use crate::synthetic_alpha::CycleAlpha;
+        for n in [1usize, 2, 7, 64, 333] {
+            let p = CycleAlpha::new(3.0, &[0.31, 0.5, 0.07, 0.44]);
+            let mut rec = AlphaRecorder::default();
+            let part = hf_rec(p.clone(), n, &mut rec);
+            let (traced, tree) = hf_traced(p, n);
+            assert_eq!(
+                rec.alpha().map(f64::to_bits),
+                tree.observed_alpha().map(f64::to_bits)
+            );
+            assert!(part.same_weights_as(&traced), "n = {n}");
+        }
     }
 
     #[test]

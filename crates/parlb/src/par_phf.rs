@@ -18,7 +18,9 @@
 //! The result is bit-identical to [`gb_core::hf::hf`] for the same
 //! reasons PHF's is (Theorem 3), which the tests verify.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use gb_core::bounds::phf_phase1_threshold;
 use gb_core::error::check_alpha;
@@ -87,24 +89,7 @@ where
         }
         debug_assert!(!batch.is_empty());
         count += batch.len();
-
-        // Bisect the whole batch in parallel.
-        let children: Arc<Mutex<Vec<(P, P)>>> =
-            Arc::new(Mutex::new(Vec::with_capacity(batch.len())));
-        let wg = Arc::new(WaitGroup::new());
-        wg.add(batch.len());
-        let handle = pool.handle();
-        for q in batch {
-            let children = Arc::clone(&children);
-            let wg = Arc::clone(&wg);
-            handle.spawn(move || {
-                let pair = q.bisect();
-                children.lock().push(pair);
-                wg.done();
-            });
-        }
-        wg.wait();
-        for (a, b) in std::mem::take(&mut *children.lock()) {
+        for (a, b) in bisect_round(pool, batch) {
             for q in [a, b] {
                 if q.can_bisect() {
                     heap.push(q.weight(), q);
@@ -118,6 +103,90 @@ where
     let mut pieces = atomic_pieces;
     pieces.extend(heap.into_sorted_vec().into_iter().map(|(_, q)| q));
     Partition::new(pieces, total, n)
+}
+
+/// A round whose bisections should take less than this in total runs
+/// inline: handing work to a pool worker costs a wake-up of about this
+/// order, so for cheap bisectors the pool only adds latency.
+const INLINE_ROUND: Duration = Duration::from_micros(50);
+
+/// Bisects every piece of one phase-2 round, returning the pairs in batch
+/// order. The first bisection, timed, prices the rest: a cheap round runs
+/// inline on the coordinator. Otherwise the rest is cut into at most
+/// `workers + 1` chunks that the coordinator and `chunks − 1` pool tasks
+/// claim one at a time, so a round costs a few tasks however wide it is,
+/// and a worker that wakes late finds its share already done instead of
+/// holding the round up.
+fn bisect_round<P>(pool: &ThreadPool, mut batch: Vec<P>) -> Vec<(P, P)>
+where
+    P: Bisectable + Send + 'static,
+{
+    let mut pairs = Vec::with_capacity(batch.len());
+    let started = Instant::now();
+    pairs.push(batch[0].bisect());
+    // One piece left gains nothing from a helper: the coordinator is idle.
+    let left = batch.len() - 1;
+    let estimate = started
+        .elapsed()
+        .saturating_mul(u32::try_from(left).unwrap_or(u32::MAX));
+    if left < 2 || estimate < INLINE_ROUND {
+        pairs.extend(batch[1..].iter().map(Bisectable::bisect));
+        return pairs;
+    }
+    let size = left.div_ceil(left.min(pool.workers() + 1));
+    let mut rest = batch.split_off(1);
+    let mut chunks = Vec::new();
+    while !rest.is_empty() {
+        let tail = rest.split_off(size.min(rest.len()));
+        chunks.push(Mutex::new(Chunk {
+            pieces: std::mem::replace(&mut rest, tail),
+            pairs: Vec::new(),
+        }));
+    }
+    let round = Arc::new(Round {
+        chunks,
+        next: AtomicUsize::new(0),
+        finished: WaitGroup::new(),
+    });
+    round.finished.add(round.chunks.len());
+    let handle = pool.handle();
+    for _ in 1..round.chunks.len() {
+        let round = Arc::clone(&round);
+        handle.spawn(move || round.run());
+    }
+    round.run();
+    round.finished.wait();
+    for chunk in &round.chunks {
+        pairs.append(&mut chunk.lock().pairs);
+    }
+    pairs
+}
+
+/// One phase-2 round, cut into claimable chunks.
+struct Round<P> {
+    chunks: Vec<Mutex<Chunk<P>>>,
+    /// Index of the next unclaimed chunk. It only hands out indices; the
+    /// chunk's mutex and `finished` carry the data between threads.
+    next: AtomicUsize,
+    finished: WaitGroup,
+}
+
+/// Some pieces of a round and, once bisected, their pairs.
+struct Chunk<P> {
+    pieces: Vec<P>,
+    pairs: Vec<(P, P)>,
+}
+
+impl<P: Bisectable> Round<P> {
+    /// Claims and bisects chunks until none is left.
+    fn run(&self) {
+        while let Some(chunk) = self.chunks.get(self.next.fetch_add(1, Ordering::Relaxed)) {
+            let mut chunk = chunk.lock();
+            chunk.pairs = chunk.pieces.iter().map(Bisectable::bisect).collect();
+            drop(chunk);
+            self.finished.done();
+        }
+    }
 }
 
 /// Phase 1: recursively bisect everything heavier than `threshold`,
@@ -228,6 +297,50 @@ mod tests {
         for _ in 0..4 {
             assert!(first.same_weights_as(&par_phf(&pool, p, 333, 0.1)));
         }
+    }
+
+    /// A bisector slow enough that every round of three or more pieces
+    /// goes to the pool.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Slow(FixedAlpha);
+
+    impl Bisectable for Slow {
+        fn weight(&self) -> f64 {
+            self.0.weight()
+        }
+
+        fn bisect(&self) -> (Self, Self) {
+            std::thread::sleep(INLINE_ROUND);
+            let (a, b) = self.0.bisect();
+            (Slow(a), Slow(b))
+        }
+    }
+
+    #[test]
+    fn rounds_return_every_pair_in_batch_order() {
+        for workers in [1, 2, 3] {
+            let pool = ThreadPool::new(workers);
+            for len in 1..12 {
+                let batch: Vec<FixedAlpha> =
+                    (1..=len).map(|i| FixedAlpha::new(i as f64, 0.3)).collect();
+                let expected: Vec<_> = batch.iter().map(Bisectable::bisect).collect();
+                assert_eq!(bisect_round(&pool, batch.clone()), expected);
+                let slow: Vec<Slow> = batch.into_iter().map(Slow).collect();
+                let expected: Vec<_> = slow.iter().map(Bisectable::bisect).collect();
+                assert_eq!(
+                    bisect_round(&pool, slow),
+                    expected,
+                    "workers={workers} len={len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn slow_bisectors_still_match_hf() {
+        let pool = ThreadPool::new(2);
+        let p = Slow(FixedAlpha::new(1.0, 0.3));
+        assert!(par_phf(&pool, p, 40, 0.3).approx_same_weights_as(&hf(p, 40), 1e-12));
     }
 
     #[test]

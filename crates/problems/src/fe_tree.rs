@@ -24,17 +24,13 @@ use std::sync::Arc;
 use gb_core::problem::Bisectable;
 use gb_core::rng::Xoshiro256StarStar;
 
+use crate::fragment::{Fragment, Tour};
+
 /// An immutable FE-tree shared by all problems derived from it.
 #[derive(Debug)]
 pub struct FeTree {
-    cost: Vec<f64>,
     parent: Vec<Option<u32>>,
-    children: Vec<Option<(u32, u32)>>,
-    subtree_cost: Vec<f64>,
-    subtree_size: Vec<u32>,
-    /// Euler-tour entry index; `tin[v]..tout[v]` spans v's subtree.
-    tin: Vec<u32>,
-    tout: Vec<u32>,
+    tour: Tour,
 }
 
 impl FeTree {
@@ -124,8 +120,8 @@ impl FeTree {
         Arc::new(Self::finish(cost, parent, children))
     }
 
-    /// Completes derived data (subtree sums, Euler tour) from the raw
-    /// structure.
+    /// Completes derived data (subtree sums, Euler tour and its inverse)
+    /// from the raw structure.
     fn finish(cost: Vec<f64>, parent: Vec<Option<u32>>, children: Vec<Option<(u32, u32)>>) -> Self {
         let n = cost.len();
         let mut subtree_cost = vec![0.0; n];
@@ -157,35 +153,29 @@ impl FeTree {
             }
         }
         Self {
-            cost,
             parent,
-            children,
-            subtree_cost,
-            subtree_size,
-            tin,
-            tout,
+            tour: Tour::new(cost, subtree_cost, subtree_size, tin, tout),
         }
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.cost.len()
+        self.tour.cost.len()
     }
 
     /// `true` if the tree has no nodes (never, by construction).
     pub fn is_empty(&self) -> bool {
-        self.cost.is_empty()
+        self.tour.cost.is_empty()
     }
 
     /// Total cost of all nodes.
     pub fn total_cost(&self) -> f64 {
-        self.subtree_cost[0]
+        self.tour.subtree_cost[0]
     }
 
     /// `true` iff `a` is an ancestor of `b` or equal to it.
     pub fn in_subtree(&self, b: u32, a: u32) -> bool {
-        self.tin[a as usize] <= self.tin[b as usize]
-            && self.tout[b as usize] <= self.tout[a as usize]
+        self.tour.in_subtree(b, a)
     }
 
     /// The parent of `v`, if any.
@@ -197,154 +187,72 @@ impl FeTree {
     pub fn root_problem(self: &Arc<Self>) -> FeTreeProblem {
         FeTreeProblem {
             tree: Arc::clone(self),
-            root: 0,
-            cut: Vec::new(),
+            frag: Fragment::new(&self.tour, 0, Vec::new()),
         }
     }
 }
 
 /// A connected tree fragment: `subtree(root)` minus the subtrees rooted at
-/// the (disjoint) `cut` nodes. The problem type of the FE-tree class.
+/// the (disjoint) cut nodes. The problem type of the FE-tree class.
 #[derive(Debug, Clone)]
 pub struct FeTreeProblem {
     tree: Arc<FeTree>,
-    root: u32,
-    /// Roots of cut-away subtrees, each strictly inside `subtree(root)`,
-    /// pairwise disjoint, kept sorted for deterministic arithmetic.
-    cut: Vec<u32>,
+    frag: Fragment,
 }
 
 impl FeTreeProblem {
     /// The root node of this fragment.
     pub fn fragment_root(&self) -> u32 {
-        self.root
+        self.frag.root()
     }
 
     /// Number of nodes in this fragment.
     pub fn node_count(&self) -> u32 {
-        let mut n = self.tree.subtree_size[self.root as usize];
-        for &c in &self.cut {
-            n -= self.tree.subtree_size[c as usize];
-        }
-        n
+        self.frag.nodes()
     }
 
     /// Visits every active node of the fragment, calling `f(node)`;
     /// traversal is depth-first from the fragment root, skipping cut
     /// subtrees.
-    pub fn for_each_node<F: FnMut(u32)>(&self, mut f: F) {
-        let mut stack = vec![self.root];
-        while let Some(v) = stack.pop() {
-            if self.cut.contains(&v) {
-                continue;
-            }
-            f(v);
-            if let Some((l, r)) = self.tree.children[v as usize] {
-                stack.push(r);
-                stack.push(l);
-            }
-        }
-    }
-
-    /// Effective subtree cost of every active node (cut subtrees excluded),
-    /// as `(node, cost)` pairs in post-order.
-    fn effective_costs(&self) -> Vec<(u32, f64)> {
-        let mut out = Vec::new();
-        let mut acc: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
-        let mut stack: Vec<(u32, bool)> = vec![(self.root, false)];
-        while let Some((v, expanded)) = stack.pop() {
-            if self.cut.contains(&v) {
-                continue;
-            }
-            if expanded {
-                let mut c = self.tree.cost[v as usize];
-                if let Some((l, r)) = self.tree.children[v as usize] {
-                    c += acc.get(&l).copied().unwrap_or(0.0);
-                    c += acc.get(&r).copied().unwrap_or(0.0);
-                }
-                acc.insert(v, c);
-                out.push((v, c));
-            } else {
-                stack.push((v, true));
-                if let Some((l, r)) = self.tree.children[v as usize] {
-                    stack.push((r, false));
-                    stack.push((l, false));
-                }
-            }
-        }
-        out
+    pub fn for_each_node<F: FnMut(u32)>(&self, f: F) {
+        self.frag.for_each_node(&self.tree.tour, f)
     }
 
     /// The edge-cut node the next bisection will split at (for tests):
     /// the non-root active node whose effective subtree cost is closest to
     /// half the fragment weight (ties: smallest Euler index).
     pub fn best_cut(&self) -> Option<u32> {
-        let w = self.weight();
-        let half = w / 2.0;
-        let mut best: Option<(f64, u32, u32)> = None; // (|eff-half|, tin, node)
-        for (v, eff) in self.effective_costs() {
-            if v == self.root {
-                continue;
-            }
-            let key = (eff - half).abs();
-            let tin = self.tree.tin[v as usize];
-            match best {
-                Some((bk, bt, _)) if (bk, bt) <= (key, tin) => {}
-                _ => best = Some((key, tin, v)),
-            }
-        }
-        best.map(|(_, _, v)| v)
+        self.frag.best_split(&self.tree.tour)
     }
 }
 
 impl PartialEq for FeTreeProblem {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.tree, &other.tree) && self.root == other.root && self.cut == other.cut
+        Arc::ptr_eq(&self.tree, &other.tree) && self.frag == other.frag
     }
 }
 
 impl Bisectable for FeTreeProblem {
     fn weight(&self) -> f64 {
-        let mut w = self.tree.subtree_cost[self.root as usize];
-        for &c in &self.cut {
-            w -= self.tree.subtree_cost[c as usize];
-        }
-        w
+        self.frag.weight()
     }
 
     fn bisect(&self) -> (Self, Self) {
         let v = self
             .best_cut()
             .expect("bisect called on an atomic FE-tree fragment");
-        // Fragment 1: subtree(v) minus the cut roots inside it.
-        let mut cut_in = Vec::new();
-        let mut cut_out = Vec::new();
-        for &c in &self.cut {
-            if self.tree.in_subtree(c, v) {
-                cut_in.push(c);
-            } else {
-                cut_out.push(c);
-            }
-        }
-        let p1 = Self {
+        // Fragment 1: subtree(v) minus the cut roots inside it; fragment
+        // 2: the remainder — same root, v added to the cut.
+        let (below, rest) = self.frag.split_at(&self.tree.tour, v);
+        let wrap = |frag| Self {
             tree: Arc::clone(&self.tree),
-            root: v,
-            cut: cut_in,
+            frag,
         };
-        // Fragment 2: the remainder — same root, v added to the cut.
-        let mut cut2 = cut_out;
-        cut2.push(v);
-        cut2.sort_unstable();
-        let p2 = Self {
-            tree: Arc::clone(&self.tree),
-            root: self.root,
-            cut: cut2,
-        };
-        (p1, p2)
+        (wrap(below), wrap(rest))
     }
 
     fn can_bisect(&self) -> bool {
-        self.node_count() >= 2
+        self.frag.nodes() >= 2
     }
 }
 
@@ -361,7 +269,7 @@ mod tests {
         assert_eq!(t.len(), 201);
         assert!(t.total_cost() > 0.0);
         // Subtree sizes are consistent: root covers everything.
-        assert_eq!(t.subtree_size[0] as usize, t.len());
+        assert_eq!(t.tour.subtree_size[0] as usize, t.len());
     }
 
     #[test]
@@ -474,6 +382,75 @@ mod tests {
         }
         assert_eq!(counted as usize, t.len());
         assert!(seen.iter().all(|&s| s));
+    }
+}
+
+#[cfg(test)]
+mod oracle_tests {
+    use super::*;
+    use crate::fragment::oracle::{self, TreeFragment};
+    use gb_parlb::pool::ThreadPool;
+    use proptest::prelude::*;
+
+    impl TreeFragment for FeTreeProblem {
+        fn tour(&self) -> &Tour {
+            &self.tree.tour
+        }
+
+        fn fragment(&self) -> &Fragment {
+            &self.frag
+        }
+
+        fn with_fragment(&self, frag: Fragment) -> Self {
+            Self {
+                tree: Arc::clone(&self.tree),
+                frag,
+            }
+        }
+    }
+
+    /// The FE-trees `miss-mixed`-style requests build at `n` pieces.
+    fn served_tree(n: usize, seed: u64) -> Arc<FeTree> {
+        FeTree::adaptive(2 * n, 0.5 + 0.4 * (seed % 5) as f64 / 5.0, seed)
+    }
+
+    #[test]
+    fn partitions_match_the_oracle() {
+        let pool = ThreadPool::new(2);
+        for n in [64, 256, 1024] {
+            oracle::assert_partitions_match(&served_tree(n, n as u64).root_problem(), n, &pool);
+        }
+        let caterpillar = FeTree::caterpillar(300, 3).root_problem();
+        oracle::assert_partitions_match(&caterpillar, 64, &pool);
+        oracle::assert_partitions_match(&FeTree::balanced(9).root_problem(), 256, &pool);
+    }
+
+    #[test]
+    #[ignore = "n = 4096 oracle runs; release-mode CI step"]
+    fn partitions_match_the_oracle_at_4096() {
+        let pool = ThreadPool::new(2);
+        for seed in 0..3 {
+            oracle::assert_partitions_match(&served_tree(4096, seed).root_problem(), 4096, &pool);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn prop_random_bisections_match_the_oracle(
+            shape in 0u32..3,
+            size in 1usize..200,
+            bias in 0.0f64..=1.0,
+            seed in any::<u64>(),
+            picks in proptest::collection::vec(any::<u64>(), 1..120),
+        ) {
+            let tree = match shape {
+                0 => FeTree::adaptive(size, bias, seed),
+                1 => FeTree::caterpillar(size, seed),
+                _ => FeTree::balanced(1 + size as u32 % 8),
+            };
+            oracle::assert_random_bisections_match(tree.root_problem(), &picks);
+        }
     }
 }
 

@@ -28,6 +28,7 @@
 #![warn(missing_docs)]
 
 pub mod fe_tree;
+mod fragment;
 pub mod grid;
 pub mod quadrature;
 pub mod search_tree;
@@ -48,8 +49,10 @@ use gb_core::problem::Bisectable;
 /// `min(w1, w2)/w` over all of them (`None` if nothing was bisectable).
 ///
 /// This is the per-instance `α̂` that connects the concrete classes back to
-/// the abstract α-bisector model.
+/// the abstract α-bisector model. A caller that runs HF anyway can read the
+/// same value off its own run with a [`gb_core::tree::AlphaRecorder`].
 pub fn empirical_alpha<P: Bisectable + Clone>(p: &P, n: usize) -> Option<f64> {
-    let (_, tree) = gb_core::hf::hf_traced(p.clone(), n);
-    tree.observed_alpha()
+    let mut rec = gb_core::tree::AlphaRecorder::default();
+    gb_core::hf::hf_rec(p.clone(), n, &mut rec);
+    rec.alpha()
 }

@@ -12,23 +12,21 @@
 //!
 //! Unlike the binary FE-trees of [`crate::fe_tree`], search trees have
 //! irregular branching (0–`max_branch` children per node, seeded), which
-//! exercises the load balancers on bushier, more skewed shapes. The
-//! fragment/cut machinery mirrors the FE-tree class.
+//! exercises the load balancers on bushier, more skewed shapes. Both
+//! classes share one fragment type and one bisector (the non-public
+//! `fragment` module).
 
 use std::sync::Arc;
 
 use gb_core::problem::Bisectable;
 use gb_core::rng::Xoshiro256StarStar;
 
+use crate::fragment::{Fragment, Tour};
+
 /// An immutable search tree shared by all problems derived from it.
 #[derive(Debug)]
 pub struct SearchTree {
-    cost: Vec<f64>,
-    children: Vec<Vec<u32>>,
-    subtree_cost: Vec<f64>,
-    subtree_size: Vec<u32>,
-    tin: Vec<u32>,
-    tout: Vec<u32>,
+    tour: Tour,
 }
 
 impl SearchTree {
@@ -101,159 +99,85 @@ impl SearchTree {
             }
         }
         Self {
-            cost,
-            children,
-            subtree_cost,
-            subtree_size,
-            tin,
-            tout,
+            tour: Tour::new(cost, subtree_cost, subtree_size, tin, tout),
         }
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.cost.len()
+        self.tour.cost.len()
     }
 
     /// `true` if the tree has no nodes (never, by construction).
     pub fn is_empty(&self) -> bool {
-        self.cost.is_empty()
+        self.tour.cost.is_empty()
     }
 
     /// Total expansion cost.
     pub fn total_cost(&self) -> f64 {
-        self.subtree_cost[0]
+        self.tour.subtree_cost[0]
     }
 
     /// `true` iff `b` lies in the subtree rooted at `a`.
     pub fn in_subtree(&self, b: u32, a: u32) -> bool {
-        self.tin[a as usize] <= self.tin[b as usize]
-            && self.tout[b as usize] <= self.tout[a as usize]
+        self.tour.in_subtree(b, a)
     }
 
     /// Wraps the whole space into the root problem.
     pub fn root_problem(self: &Arc<Self>) -> SearchTreeProblem {
         SearchTreeProblem {
             tree: Arc::clone(self),
-            root: 0,
-            cut: Vec::new(),
+            frag: Fragment::new(&self.tour, 0, Vec::new()),
         }
     }
 }
 
 /// A connected fragment of a [`SearchTree`]: `subtree(root)` minus the
-/// subtrees rooted at the `cut` nodes.
+/// subtrees rooted at the cut nodes.
 #[derive(Debug, Clone)]
 pub struct SearchTreeProblem {
     tree: Arc<SearchTree>,
-    root: u32,
-    cut: Vec<u32>,
+    frag: Fragment,
 }
 
 impl SearchTreeProblem {
     /// Number of nodes in this fragment.
     pub fn node_count(&self) -> u32 {
-        let mut s = self.tree.subtree_size[self.root as usize];
-        for &c in &self.cut {
-            s -= self.tree.subtree_size[c as usize];
-        }
-        s
-    }
-
-    /// Effective (fragment-restricted) subtree cost of every active node,
-    /// post-order.
-    fn effective_costs(&self) -> Vec<(u32, f64)> {
-        let mut out = Vec::new();
-        let mut acc: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
-        let mut stack: Vec<(u32, bool)> = vec![(self.root, false)];
-        while let Some((v, expanded)) = stack.pop() {
-            if self.cut.contains(&v) {
-                continue;
-            }
-            let vi = v as usize;
-            if expanded {
-                let mut c = self.tree.cost[vi];
-                for ch in &self.tree.children[vi] {
-                    c += acc.get(ch).copied().unwrap_or(0.0);
-                }
-                acc.insert(v, c);
-                out.push((v, c));
-            } else {
-                stack.push((v, true));
-                for &ch in self.tree.children[vi].iter().rev() {
-                    stack.push((ch, false));
-                }
-            }
-        }
-        out
+        self.frag.nodes()
     }
 
     /// The donation the next bisection makes: the non-root active node
     /// whose effective cost is closest to half the fragment weight.
     pub fn best_donation(&self) -> Option<u32> {
-        let half = self.weight() / 2.0;
-        let mut best: Option<(f64, u32, u32)> = None;
-        for (v, eff) in self.effective_costs() {
-            if v == self.root {
-                continue;
-            }
-            let key = (eff - half).abs();
-            let tin = self.tree.tin[v as usize];
-            match best {
-                Some((bk, bt, _)) if (bk, bt) <= (key, tin) => {}
-                _ => best = Some((key, tin, v)),
-            }
-        }
-        best.map(|(_, _, v)| v)
+        self.frag.best_split(&self.tree.tour)
     }
 }
 
 impl PartialEq for SearchTreeProblem {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.tree, &other.tree) && self.root == other.root && self.cut == other.cut
+        Arc::ptr_eq(&self.tree, &other.tree) && self.frag == other.frag
     }
 }
 
 impl Bisectable for SearchTreeProblem {
     fn weight(&self) -> f64 {
-        let mut w = self.tree.subtree_cost[self.root as usize];
-        for &c in &self.cut {
-            w -= self.tree.subtree_cost[c as usize];
-        }
-        w
+        self.frag.weight()
     }
 
     fn bisect(&self) -> (Self, Self) {
         let v = self
             .best_donation()
             .expect("bisect called on an atomic fragment");
-        let mut cut_in = Vec::new();
-        let mut cut_out = Vec::new();
-        for &c in &self.cut {
-            if self.tree.in_subtree(c, v) {
-                cut_in.push(c);
-            } else {
-                cut_out.push(c);
-            }
-        }
-        let donated = Self {
+        let (donated, rest) = self.frag.split_at(&self.tree.tour, v);
+        let wrap = |frag| Self {
             tree: Arc::clone(&self.tree),
-            root: v,
-            cut: cut_in,
+            frag,
         };
-        let mut cut2 = cut_out;
-        cut2.push(v);
-        cut2.sort_unstable();
-        let rest = Self {
-            tree: Arc::clone(&self.tree),
-            root: self.root,
-            cut: cut2,
-        };
-        (donated, rest)
+        (wrap(donated), wrap(rest))
     }
 
     fn can_bisect(&self) -> bool {
-        self.node_count() >= 2
+        self.frag.nodes() >= 2
     }
 }
 
@@ -268,7 +192,7 @@ mod tests {
     fn generator_hits_the_budget() {
         let t = SearchTree::random(5000, 4, 7);
         assert!(t.len() >= 4000 && t.len() <= 5003, "{} nodes", t.len());
-        assert_eq!(t.subtree_size[0] as usize, t.len());
+        assert_eq!(t.tour.subtree_size[0] as usize, t.len());
         assert!(t.total_cost() > 0.0);
     }
 
@@ -314,5 +238,68 @@ mod tests {
         let t = SearchTree::random(1, 2, 3);
         assert_eq!(t.len(), 1);
         assert!(!t.root_problem().can_bisect());
+    }
+}
+
+#[cfg(test)]
+mod oracle_tests {
+    use super::*;
+    use crate::fragment::oracle::{self, TreeFragment};
+    use gb_parlb::pool::ThreadPool;
+    use proptest::prelude::*;
+
+    impl TreeFragment for SearchTreeProblem {
+        fn tour(&self) -> &Tour {
+            &self.tree.tour
+        }
+
+        fn fragment(&self) -> &Fragment {
+            &self.frag
+        }
+
+        fn with_fragment(&self, frag: Fragment) -> Self {
+            Self {
+                tree: Arc::clone(&self.tree),
+                frag,
+            }
+        }
+    }
+
+    /// The search trees `miss-mixed`-style requests build at `n` pieces.
+    fn served_tree(n: usize, seed: u64) -> Arc<SearchTree> {
+        SearchTree::random(4 * n, 8 + (seed % 9) as usize, seed)
+    }
+
+    #[test]
+    fn partitions_match_the_oracle() {
+        let pool = ThreadPool::new(2);
+        for n in [64, 256, 1024] {
+            oracle::assert_partitions_match(&served_tree(n, n as u64).root_problem(), n, &pool);
+        }
+        // Sparse branching: long chains and deep fragments.
+        oracle::assert_partitions_match(&SearchTree::random(800, 2, 5).root_problem(), 64, &pool);
+    }
+
+    #[test]
+    #[ignore = "n = 4096 oracle runs; release-mode CI step"]
+    fn partitions_match_the_oracle_at_4096() {
+        let pool = ThreadPool::new(2);
+        for seed in 0..3 {
+            oracle::assert_partitions_match(&served_tree(4096, seed).root_problem(), 4096, &pool);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn prop_random_bisections_match_the_oracle(
+            nodes in 1usize..400,
+            branch in 2usize..12,
+            seed in any::<u64>(),
+            picks in proptest::collection::vec(any::<u64>(), 1..120),
+        ) {
+            let tree = SearchTree::random(nodes, branch, seed);
+            oracle::assert_random_bisections_match(tree.root_problem(), &picks);
+        }
     }
 }

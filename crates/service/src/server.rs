@@ -59,6 +59,7 @@ use std::sync::{Arc, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use gb_core::tree::AlphaRecorder;
 use gb_parlb::ThreadPool;
 use gb_rebal::{EwmaTracker, RebalanceCounters, RebalanceSettings, VnodeLoad};
 use gb_store::{SpillHandle, SpillSender, Store};
@@ -76,6 +77,7 @@ use crate::proto::{
 };
 use crate::route::{Router, DEFAULT_VNODES};
 use crate::shed::{AggregateCap, FullCause, PushError, SlotGauge, SlotToken, StealQueue};
+use crate::spec::ServiceProblem;
 
 /// Smallest α used for bound computation, so bounds stay finite even for
 /// degenerate empirical measurements.
@@ -472,17 +474,6 @@ impl Server {
         } else {
             split_budget(config.cache_capacity, backend_count, 0)
         };
-        // The shared store: one writer thread; each backend gets its own
-        // SpillSender multiplexed onto it. Recovery re-homes every
-        // record to the backend the router picks *today*, so records
-        // written under a different backend count land correctly.
-        let mut store_open = match &tuning.store {
-            Some(settings) => {
-                let (store, recovered) = Store::open(settings.to_config())?;
-                Some((store, recovered, settings.queue_capacity.max(1)))
-            }
-            None => None,
-        };
         let backends: Vec<Backend> = (0..backend_count)
             .map(|b| Backend {
                 queue: StealQueue::with_cap(
@@ -498,25 +489,29 @@ impl Server {
                 load_micros: AtomicU64::new(0),
             })
             .collect();
-        // Warm restart: replay persisted records through the owning
-        // backend's cache (and its admission sketch) before serving,
-        // then hand the store to its writer thread.
-        let spill = match store_open.take() {
-            Some((store, recovered, spill_capacity)) => {
-                for record in recovered {
-                    match (
-                        persist::decode_key(&record.key),
-                        persist::decode_value(&record.value),
-                    ) {
+        // The shared store: one writer thread; each backend gets its own
+        // SpillSender multiplexed onto it. Warm restart: recovery replays
+        // each persisted record, as it is read, through the cache (and
+        // admission sketch) of the backend the router picks *today*, so
+        // records written under a different backend count land correctly;
+        // then the store goes to its writer thread.
+        let spill = match &tuning.store {
+            Some(settings) => {
+                let mut undecodable = 0;
+                let store = Store::open_with(settings.to_config(), |key, value| {
+                    match (persist::decode_key(key), persist::decode_value(value)) {
                         (Some(key), Some(value)) => {
                             let home = router.route(key.mix()) as usize;
                             backends[home].cache.warm(key, value);
                         }
                         // Checksum-valid but undecodable: codec skew.
-                        _ => store.note_corrupt(),
+                        _ => undecodable += 1,
                     }
+                })?;
+                for _ in 0..undecodable {
+                    store.note_corrupt();
                 }
-                Some(SpillHandle::spawn(store, spill_capacity))
+                Some(SpillHandle::spawn(store, settings.queue_capacity.max(1)))
             }
             None => None,
         };
@@ -1750,18 +1745,37 @@ fn execute(shared: &Shared, job: &Job) -> Response {
     // the rebalancer is trying to remove.
     let compute_started = Instant::now();
     let problem = req.problem.build();
-    let alpha = req
+    let known = req
         .problem
         .alpha_hint()
-        .or_else(|| problem.analytic_alpha())
-        .or_else(|| gb_problems::empirical_alpha(&problem, req.n))
-        .unwrap_or(0.25)
-        .clamp(MIN_ALPHA, 0.5);
-    let partition = match req.algorithm {
-        Algorithm::Hf => gb_core::hf::hf(problem, req.n),
-        Algorithm::Ba => gb_parlb::par_ba(&shared.pool, problem, req.n),
-        Algorithm::BaHf => gb_parlb::par_ba_hf(&shared.pool, problem, req.n, alpha, req.theta),
-        Algorithm::Phf => gb_parlb::par_phf(&shared.pool, problem, req.n, alpha),
+        .or_else(|| problem.analytic_alpha());
+    let settle = |alpha: Option<f64>| alpha.unwrap_or(0.25).clamp(MIN_ALPHA, 0.5);
+    // Without a known α, HF measures α̂ in its own run; the other
+    // algorithms need α first and get it from a separate HF pass.
+    let estimate =
+        |p: &ServiceProblem| settle(known.or_else(|| gb_problems::empirical_alpha(p, req.n)));
+    let (partition, alpha) = match req.algorithm {
+        Algorithm::Hf => {
+            let mut rec = AlphaRecorder::default();
+            let partition = gb_core::hf::hf_rec(problem, req.n, &mut rec);
+            (partition, settle(known.or(rec.alpha())))
+        }
+        Algorithm::Ba => {
+            let alpha = estimate(&problem);
+            (gb_parlb::par_ba(&shared.pool, problem, req.n), alpha)
+        }
+        Algorithm::BaHf => {
+            let alpha = estimate(&problem);
+            let partition = gb_parlb::par_ba_hf(&shared.pool, problem, req.n, alpha, req.theta);
+            (partition, alpha)
+        }
+        Algorithm::Phf => {
+            let alpha = estimate(&problem);
+            (
+                gb_parlb::par_phf(&shared.pool, problem, req.n, alpha),
+                alpha,
+            )
+        }
     };
     let bound = match req.algorithm {
         Algorithm::Hf | Algorithm::Phf => gb_core::hf_upper_bound(alpha, req.n),

@@ -223,6 +223,23 @@ impl Store {
     /// scan order — the caller applies them "latest wins". Torn or
     /// corrupt tails are skipped and counted, never an error.
     pub fn open(config: StoreConfig) -> io::Result<(Store, Vec<RecoveredRecord>)> {
+        let mut recovered = Vec::new();
+        let store = Self::open_with(config, |key, value| {
+            recovered.push(RecoveredRecord {
+                key: key.to_vec(),
+                value: value.to_vec(),
+            })
+        })?;
+        Ok((store, recovered))
+    }
+
+    /// [`open`](Self::open) that hands each recovered record to `replay`
+    /// as it is read, in scan order, instead of collecting them all:
+    /// recovery then holds one segment in memory, not every record.
+    pub fn open_with(
+        config: StoreConfig,
+        mut replay: impl FnMut(&[u8], &[u8]),
+    ) -> io::Result<Store> {
         let config = StoreConfig {
             segment_bytes: config.segment_bytes.max(MIN_SEGMENT_BYTES),
             ..config
@@ -239,7 +256,6 @@ impl Store {
         let mut index: HashMap<Vec<u8>, RecordLoc> = HashMap::new();
         let mut sealed = BTreeMap::new();
         let mut bytes_live = 0u64;
-        let mut recovered = Vec::new();
         for &id in &ids {
             let bytes = fs::read(segment_path(&config.dir, id))?;
             sealed.insert(id, bytes.len() as u64);
@@ -260,10 +276,7 @@ impl Store {
                             bytes_live -= old.frame_len;
                         }
                         bytes_live += loc.frame_len;
-                        recovered.push(RecoveredRecord {
-                            key: rec.key.to_vec(),
-                            value: rec.value.to_vec(),
-                        });
+                        replay(rec.key, rec.value);
                         offset += rec.frame_len;
                     }
                     Err(_) => {
@@ -301,7 +314,7 @@ impl Store {
         // waiting for the next rotation.
         store.maybe_compact()?;
         store.sync_gauges();
-        Ok((store, recovered))
+        Ok(store)
     }
 
     /// The store directory.
@@ -600,6 +613,16 @@ mod tests {
         let (_, recovered) = Store::open(StoreConfig::new(&dir.0)).unwrap();
         // Scan order: the caller replays both; the later one wins.
         assert_eq!(recovered.last().unwrap().value, val(1, "new"));
+        // Streaming recovery hands over the same records in the same order.
+        let mut replayed = Vec::new();
+        Store::open_with(StoreConfig::new(&dir.0), |k, v| {
+            replayed.push(RecoveredRecord {
+                key: k.to_vec(),
+                value: v.to_vec(),
+            })
+        })
+        .unwrap();
+        assert_eq!(replayed, recovered);
     }
 
     #[test]

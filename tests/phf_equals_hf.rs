@@ -1,7 +1,10 @@
-//! Theorem 3, end to end: PHF on the simulated machine computes exactly
-//! the partition of sequential HF — across problem classes, sizes and
-//! machine cost models.
+//! Theorem 3, end to end: PHF on the simulated machine and on real
+//! threads computes exactly the partition of sequential HF — across
+//! problem classes, sizes, machine cost models and pool widths.
 
+mod common;
+
+use gb_parlb::par_phf::par_phf;
 use gb_parlb::phf::phf;
 use gb_pram::cost::CostModel;
 use gb_pram::machine::Machine;
@@ -140,6 +143,41 @@ fn alpha_parameter_may_be_conservative() {
         let (par, _) = phf(&mut m, p, n, alpha);
         assert!(par.same_weights_as(&seq), "alpha={alpha}");
     }
+}
+
+/// `par_phf` on pools of 1, 2 and 4 workers, for every served class at
+/// `n` pieces with the α a cold miss would estimate, against sequential HF.
+fn par_phf_matches_hf_on_every_class(n: usize) {
+    let pools: Vec<ThreadPool> = [1, 2, 4].into_iter().map(ThreadPool::new).collect();
+    for spec in common::served_specs(n, n as u64 + 3) {
+        let p = spec.build();
+        let alpha = gb_problems::empirical_alpha(&p, n)
+            .unwrap_or(0.25)
+            .clamp(1e-3, 0.5);
+        let seq = hf(p.clone(), n);
+        for pool in &pools {
+            let par = par_phf(pool, p.clone(), n, alpha);
+            assert!(
+                par.same_weights_as(&seq),
+                "{} n={n} workers={}",
+                spec.class(),
+                pool.workers()
+            );
+        }
+    }
+}
+
+#[test]
+fn real_threads_match_hf_on_every_class() {
+    for n in [64, 256, 1024] {
+        par_phf_matches_hf_on_every_class(n);
+    }
+}
+
+#[test]
+#[ignore = "n = 4096; release-mode CI step"]
+fn real_threads_match_hf_on_every_class_at_4096() {
+    par_phf_matches_hf_on_every_class(4096);
 }
 
 proptest! {

@@ -2,9 +2,12 @@
 //! ephemeral port, hammered by concurrent clients running every
 //! algorithm, with the paper's guarantees checked on every response.
 
+mod common;
+
 use std::thread;
 use std::time::Duration;
 
+use gb_parlb::ThreadPool;
 use gb_service::client::Client;
 use gb_service::proto::{Algorithm, BalanceRequest, Request, Response};
 use gb_service::server::{Server, ServerConfig};
@@ -18,6 +21,8 @@ const HI: f64 = 0.5;
 /// Distinct problem seeds — small enough that the run repeats requests
 /// and must produce cache hits.
 const DISTINCT_SEEDS: u64 = 8;
+/// gb-serve clamps α into `[MIN_ALPHA, 0.5]` before computing a bound.
+const MIN_ALPHA: f64 = 1e-3;
 
 fn spawn_server() -> Server {
     Server::start(ServerConfig {
@@ -206,6 +211,69 @@ fn load_shedding_answers_overloaded_instead_of_queueing_forever() {
     );
     assert!(ok > 0, "at least the queued requests must succeed");
 
+    server.shutdown();
+}
+
+/// The reply contract: a cold miss answers with the `ratio`, `bound` and
+/// `alpha` of the two-pass reference — α from the hint, the class or a
+/// separate HF run, then the algorithm, then its worst-case bound — bit
+/// for bit, whichever way the server arrives at them.
+#[test]
+fn cold_misses_match_the_two_pass_reference() {
+    let server = spawn_server();
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let pool = ThreadPool::new(2);
+    let mut id = 0;
+    for n in [64, 256] {
+        for spec in common::served_specs(n, 11) {
+            let p = spec.build();
+            let alpha = spec
+                .alpha_hint()
+                .or_else(|| p.analytic_alpha())
+                .or_else(|| gb_problems::empirical_alpha(&p, n))
+                .unwrap_or(0.25)
+                .clamp(MIN_ALPHA, 0.5);
+            for algorithm in Algorithm::ALL {
+                let (partition, bound) = match algorithm {
+                    Algorithm::Hf => (
+                        gb_core::hf::hf(p.clone(), n),
+                        gb_core::hf_upper_bound(alpha, n),
+                    ),
+                    Algorithm::Ba => (
+                        gb_parlb::par_ba(&pool, p.clone(), n),
+                        gb_core::ba_upper_bound(alpha, n),
+                    ),
+                    Algorithm::BaHf => (
+                        gb_parlb::par_ba_hf(&pool, p.clone(), n, alpha, 1.0),
+                        gb_core::bahf_upper_bound(alpha, 1.0, n),
+                    ),
+                    Algorithm::Phf => (
+                        gb_parlb::par_phf(&pool, p.clone(), n, alpha),
+                        gb_core::hf_upper_bound(alpha, n),
+                    ),
+                };
+                id += 1;
+                let request = Request::Balance(BalanceRequest {
+                    id: Some(id),
+                    algorithm,
+                    n,
+                    theta: 1.0,
+                    deadline_ms: None,
+                    want_pieces: false,
+                    problem: spec.clone(),
+                });
+                let ok = match client.call(&request).expect("call") {
+                    Response::Ok(ok) => ok,
+                    other => panic!("unexpected {other:?}"),
+                };
+                let what = format!("{} {algorithm:?} n={n}", spec.class());
+                assert!(!ok.cached, "{what}: not a cold miss");
+                assert_eq!(ok.ratio.to_bits(), partition.ratio().to_bits(), "{what}");
+                assert_eq!(ok.bound.to_bits(), bound.to_bits(), "{what}");
+                assert_eq!(ok.alpha.to_bits(), alpha.to_bits(), "{what}");
+            }
+        }
+    }
     server.shutdown();
 }
 
