@@ -3,7 +3,7 @@
 //! Both integration points (`gb-serve`'s in-process tick and
 //! `gb-router`'s cross-process tick) keep one [`RebalanceCounters`] and
 //! expose its [`snapshot`](RebalanceCounters::snapshot) under their
-//! `stats` frames, so tests and `loadgen --skew-bench` read the same
+//! `stats` frames, so tests and `loadgen bench skew` read the same
 //! shape from either tier.
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -573,7 +573,7 @@ fn fetch_upstream_stats(shared: &Arc<Shared>, id: u32) -> Option<Json> {
 }
 
 /// Tick-loop bookkeeping for the `stats` rollup — the same shape
-/// `gb-serve` emits under `stats.rebal`, so `loadgen --skew-bench`
+/// `gb-serve` emits under `stats.rebal`, so `loadgen bench skew`
 /// reads either tier identically.
 fn rebal_json(shared: &Arc<Shared>) -> Json {
     let settings = shared.config.rebalance.as_ref();

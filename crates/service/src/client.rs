@@ -1,12 +1,13 @@
 //! A minimal blocking client for the gb-service protocol.
 //!
-//! One request in flight per connection: [`Client::call`] writes a frame
-//! and blocks until the matching response arrives. That is exactly the
-//! shape the load generator and tests need; pipelining clients can speak
-//! the protocol directly — it is lines of JSON, or length-prefixed
-//! binary frames after [`Client::set_codec`].
+//! [`Client::call`] writes a frame and blocks until the matching
+//! response arrives. Pipelining callers split it: any number of
+//! [`Client::send`]s are buffered, and each [`Client::recv`] flushes them
+//! and reads the next reply. Replies come back in request order; the
+//! codec is lines of JSON, or length-prefixed binary frames after
+//! [`Client::set_codec`].
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -22,9 +23,10 @@ pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
 /// A blocking request/response connection to a gb-service server.
 #[derive(Debug)]
 pub struct Client {
-    writer: TcpStream,
+    writer: BufWriter<TcpStream>,
     reader: BufReader<TcpStream>,
     codec: WireCodec,
+    frame: Vec<u8>,
 }
 
 impl Client {
@@ -54,9 +56,10 @@ impl Client {
         stream.set_write_timeout(write_timeout)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Client {
-            writer: stream,
+            writer: BufWriter::new(stream),
             reader,
             codec: WireCodec::Json,
+            frame: Vec::new(),
         })
     }
 
@@ -73,14 +76,31 @@ impl Client {
 
     /// Sends a request and waits for its response.
     pub fn call(&mut self, request: &Request) -> io::Result<Response> {
+        self.send(request)?;
+        self.recv()
+    }
+
+    /// Buffers one request frame in the current codec. Nothing reaches
+    /// the socket until the buffer fills or the next [`Client::recv`].
+    pub fn send(&mut self, request: &Request) -> io::Result<()> {
+        self.frame.clear();
         match self.codec {
-            WireCodec::Json => self.call_raw(&request.encode()),
-            WireCodec::Binary => {
-                let mut frame = Vec::new();
-                WireCodec::Binary.encode_request(request, &mut frame);
-                self.writer.write_all(&frame)?;
-                self.read_binary_response()
+            WireCodec::Json => {
+                self.frame.extend_from_slice(request.encode().as_bytes());
+                self.frame.push(b'\n');
             }
+            WireCodec::Binary => WireCodec::Binary.encode_request(request, &mut self.frame),
+        }
+        self.writer.write_all(&self.frame)
+    }
+
+    /// Flushes buffered requests, then reads the next response frame in
+    /// the current codec.
+    pub fn recv(&mut self) -> io::Result<Response> {
+        self.writer.flush()?;
+        match self.codec {
+            WireCodec::Json => self.read_json_response(),
+            WireCodec::Binary => self.read_binary_response(),
         }
     }
 
@@ -101,10 +121,10 @@ impl Client {
                 format!("binary frame declares {len} bytes (cap {MAX_FRAME})"),
             ));
         }
-        let mut payload = vec![0u8; len];
-        self.reader.read_exact(&mut payload)?;
+        self.frame.resize(len, 0);
+        self.reader.read_exact(&mut self.frame)?;
         WireCodec::Binary
-            .decode_response(&payload)
+            .decode_response(&self.frame)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad response: {e}")))
     }
 
@@ -123,9 +143,14 @@ impl Client {
     /// Sends a raw line (no newline) and decodes the response — lets
     /// tests exercise the server's handling of malformed input.
     pub fn call_raw(&mut self, line: &str) -> io::Result<Response> {
-        let mut frame = line.to_string();
-        frame.push('\n');
-        self.writer.write_all(frame.as_bytes())?;
+        self.writer.write_all(line.as_bytes())?;
+        self.writer.write_all(b"\n")?;
+        self.writer.flush()?;
+        self.read_json_response()
+    }
+
+    /// Reads one newline-terminated JSON response.
+    fn read_json_response(&mut self) -> io::Result<Response> {
         let mut reply = String::new();
         // take() guards against an endless line from a broken server.
         let n = (&mut self.reader)
@@ -248,6 +273,47 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn pipelined_replies_come_back_in_order_in_both_codecs() {
+        use crate::proto::{Algorithm, BalanceRequest};
+        use crate::server::{Server, ServerConfig};
+        use crate::spec::ProblemSpec;
+
+        let server = Server::start(ServerConfig::default()).expect("start server");
+        for codec in [WireCodec::Json, WireCodec::Binary] {
+            let mut client = Client::connect(server.local_addr()).expect("connect");
+            client.set_codec(codec);
+            for id in 0..16u64 {
+                client
+                    .send(&Request::Balance(BalanceRequest {
+                        id: Some(id),
+                        algorithm: Algorithm::ALL[id as usize % 4],
+                        n: 8,
+                        theta: 1.0,
+                        deadline_ms: None,
+                        want_pieces: false,
+                        problem: ProblemSpec::Synthetic {
+                            weight: 1.0,
+                            lo: 0.2,
+                            hi: 0.5,
+                            seed: id % 5,
+                        },
+                    }))
+                    .expect("send");
+            }
+            for id in 0..16u64 {
+                match client.recv().expect("recv") {
+                    Response::Ok(ok) => {
+                        assert_eq!(ok.id, Some(id), "{codec:?} reply out of order");
+                        assert_eq!(ok.algorithm, Algorithm::ALL[id as usize % 4]);
+                    }
+                    other => panic!("{codec:?}: unexpected {other:?}"),
+                }
+            }
+        }
+        server.shutdown();
+    }
 
     #[test]
     fn backoff_doubles_and_caps() {

@@ -31,10 +31,11 @@
 //!   torn tails skipped, never trusted — into the cache on the next
 //!   boot, so a restarted daemon serves its hot set warm ([`persist`],
 //!   `gb_store`),
-//! * a blocking [`client`] plus two binaries: `gb-serve` (the daemon) and
-//!   `loadgen` (a concurrent load generator printing throughput and the
-//!   latency distribution, with a `--bench` mode emitting
-//!   `BENCH_serving.json`).
+//! * a blocking, pipelining-capable [`client`] plus two binaries:
+//!   `gb-serve` (the daemon) and `loadgen` (a concurrent load generator
+//!   printing throughput and the latency distribution, whose
+//!   `loadgen bench <scenario>` runs write one `gb-bench/v2` report per
+//!   scenario to `results/BENCH_<scenario>.json`).
 //!
 //! ```no_run
 //! use gb_service::proto::{Algorithm, BalanceRequest, Request, Response};
