@@ -166,6 +166,7 @@ def check_router_stats(path):
     with open(path) as f:
         stats = json.load(f)
     router = stats["router"]
+    assert router["engine"] == "epoll", router
     assert router["alive"] == 1, router
     assert router["failovers"] >= 1, router
     assert len(stats["upstreams"]) == 2, stats

@@ -35,5 +35,5 @@ pub mod plan;
 pub mod stats;
 
 pub use load::{EwmaTracker, VnodeLoad, HIT_COST_MICROS};
-pub use plan::{plan, Plan, RebalanceSettings};
+pub use plan::{plan, run_ticks, Plan, RebalanceSettings};
 pub use stats::{RebalanceCounters, RebalanceSnapshot};

@@ -18,11 +18,14 @@
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use gb_core::bounds::hf_upper_bound;
 use gb_core::hf::hf;
 use gb_core::problem::Bisectable;
+
+use crate::load::{EwmaTracker, VnodeLoad};
+use crate::stats::RebalanceCounters;
 
 /// Knobs for a rebalance tick loop.
 #[derive(Clone, Debug, PartialEq)]
@@ -284,6 +287,50 @@ pub fn plan(
         imbalance_after,
         alpha,
         bound: hf_upper_bound(alpha, alive.len()).max(atomic_floor),
+    }
+}
+
+/// Runs a tier's rebalance tick loop until `stopped()` says so.
+///
+/// Every `settings.interval` it folds the per-vnode counters into an
+/// EWMA, asks `state()` for the assignment in effect and the alive owner
+/// ids, plans with [`plan`], records the tick, and hands a plan that
+/// moves anything to `apply`. Owners missing from the alive set are
+/// dead: their vnodes re-home as forced moves, exempt from the budget.
+/// The stop flag is polled at least every 20 ms, so a long interval
+/// never delays shutdown.
+pub fn run_ticks(
+    settings: &RebalanceSettings,
+    load: &VnodeLoad,
+    counters: &RebalanceCounters,
+    stopped: impl Fn() -> bool,
+    state: impl Fn() -> (Vec<u32>, Vec<u32>),
+    apply: impl Fn(Vec<u32>),
+) {
+    let interval = settings.interval.max(Duration::from_millis(1));
+    let step = interval.min(Duration::from_millis(20));
+    let mut tracker = EwmaTracker::new(load.len(), settings.decay);
+    let mut next_tick = Instant::now() + interval;
+    while !stopped() {
+        let wait = next_tick.saturating_duration_since(Instant::now());
+        if !wait.is_zero() {
+            std::thread::sleep(wait.min(step));
+            continue;
+        }
+        next_tick = Instant::now() + interval;
+        tracker.observe(load);
+        let (current, alive) = state();
+        let plan = plan(
+            &tracker.weights(),
+            &current,
+            &alive,
+            settings.trigger,
+            settings.move_budget,
+        );
+        counters.record_tick(&plan);
+        if !plan.skipped && !plan.moves.is_empty() {
+            apply(plan.owners);
+        }
     }
 }
 

@@ -23,6 +23,13 @@
 //! and `--rebalance-budget B` (default 16) bound when and how much a
 //! tick may move.
 //!
+//! `--pool-idle N` (default 8) caps the idle connections kept per
+//! upstream and sizes the fixed set of proxy workers that carry client
+//! frames upstream; `--poll-interval-ms MS` (default 100) is the timer
+//! granularity of the client connection loop. The router spawns every
+//! thread at start-up: the loop poller, the proxy workers, the health
+//! prober and, with `--rebalance-ms`, the tick.
+//!
 //! `--wait-upstreams-ms MS` blocks startup until every upstream answers
 //! a connect (with capped exponential backoff between attempts), so a
 //! launcher can start the fleet and the router in one shot without
@@ -43,7 +50,11 @@ fn usage() -> ! {
          [--health-interval-ms MS] [--probe-timeout-ms MS] \
          [--fail-threshold K] [--poll-interval-ms MS] [--pool-idle N] \
          [--no-forward-shutdown] [--rebalance-ms MS] [--rebalance-trigger R] \
-         [--rebalance-budget B] [--wait-upstreams-ms MS]"
+         [--rebalance-budget B] [--wait-upstreams-ms MS]\n\n\
+         --poll-interval-ms MS  timer granularity of the client connection loop \
+         (default 100)\n\
+         --pool-idle N          idle connections kept per upstream, and the number \
+         of proxy workers (default 8)"
     );
     std::process::exit(2);
 }
@@ -219,8 +230,8 @@ fn main() -> ExitCode {
             None => "off".into(),
         }
     );
-    // Route until a client sends a `shutdown` frame; join() drains the
-    // accept loop, every handler and the prober before returning.
+    // Route until a client sends a `shutdown` frame; join() waits for the
+    // loop to drain and for every worker and the prober to stop.
     router.join();
     println!("gb-router: drained and stopped");
     ExitCode::SUCCESS

@@ -12,6 +12,11 @@
 //! fingerprint the upstreams shard by) — and the original bytes are
 //! forwarded verbatim.
 //!
+//! Client connections run on `gb-serve`'s own event loop
+//! ([`gb_service::io_loop`]): the router is a second handler on it, and
+//! a fixed set of proxy workers carries frames upstream, so its thread
+//! count is fixed at start-up ([`server`]).
+//!
 //! What the tier adds on top of plain proxying:
 //!
 //! * **Health checks** — a prober thread pings every upstream each
@@ -24,10 +29,12 @@
 //!   pre-death mapping, so a bounced backend gets its keys (and its
 //!   warm cache) back.
 //! * **Hedged retries** — if the owning upstream has not replied within
-//!   `hedge_delay`, the router races a second attempt on the backend
-//!   that would own the key if the primary were dead, takes the first
-//!   answer, and correlates replies by request id (`hedges_sent` /
-//!   `hedges_won` counters).
+//!   `hedge_delay`, the same proxy worker sends a second attempt to the
+//!   backend that would own the key if the primary were dead and reads
+//!   both connections in turn; the first clean answer wins and the loser
+//!   is cancelled (its connection closed, no success or failure booked).
+//!   Replies are correlated by request id (`hedges_sent` / `hedges_won`
+//!   counters). A hedge spawns no thread.
 //! * **Self-balancing placement** — with [`RouterConfig::rebalance`]
 //!   set, a tick thread measures per-vnode load at the proxy point and
 //!   periodically re-partitions the vnode set across alive upstreams

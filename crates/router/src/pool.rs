@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use gb_service::fault::{IoShim, ShimStream};
-use gb_service::proto::{Frame, FrameError, FrameReader, BIN_HDR, MAGIC};
+use gb_service::proto::{Frame, FrameError, FrameReader, WireCodec, BIN_HDR, MAGIC};
 
 /// Shim connection-id base for upstream-side sockets. Client
 /// connections use their accept order (`0, 1, 2, ...`) exactly like the
@@ -31,6 +31,7 @@ pub const UPSTREAM_CONN_BASE: u64 = 1 << 32;
 
 /// One persistent connection to an upstream, owned by whoever checked
 /// it out of the pool.
+#[derive(Debug)]
 pub struct PooledConn {
     /// Raw handle kept for timeout changes (`set_read_timeout`).
     sock: TcpStream,
@@ -45,17 +46,8 @@ pub struct PooledConn {
     read_timeout: Option<Duration>,
 }
 
-impl std::fmt::Debug for PooledConn {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PooledConn")
-            .field("sock", &self.sock)
-            .field("partial", &self.has_partial())
-            .finish_non_exhaustive()
-    }
-}
-
 impl PooledConn {
-    fn connect(
+    pub(crate) fn connect(
         addr: SocketAddr,
         connect_timeout: Duration,
         write_timeout: Duration,
@@ -103,6 +95,26 @@ impl PooledConn {
             self.sock.set_read_timeout(Some(timeout))?;
             self.read_timeout = Some(timeout);
         }
+        self.next_reply()
+    }
+
+    /// Like [`read_reply`](Self::read_reply), but never waits: a reply
+    /// that has not fully arrived reads as a timeout, with its bytes so
+    /// far kept buffered. A socket read timeout is rounded up to the
+    /// kernel's timer tick (several ms), so a caller that must watch two
+    /// connections at once polls with this instead.
+    pub fn poll_reply(&mut self) -> io::Result<Vec<u8>> {
+        self.sock.set_nonblocking(true)?;
+        let reply = self.next_reply();
+        if let Err(e) = self.sock.set_nonblocking(false) {
+            // A socket stuck nonblocking must never be repooled.
+            self.reader = None;
+            return Err(e);
+        }
+        reply
+    }
+
+    fn next_reply(&mut self) -> io::Result<Vec<u8>> {
         let Some(reader) = self.reader.as_mut() else {
             return Err(invalid("upstream connection lost frame sync"));
         };
@@ -113,18 +125,8 @@ impl PooledConn {
                     "upstream reply pending",
                 ))
             }
-            Ok(Frame::Line(line)) => {
-                let mut frame = line.into_bytes();
-                frame.push(b'\n');
-                Ok(frame)
-            }
-            Ok(Frame::Binary(payload)) => {
-                let mut frame = Vec::with_capacity(BIN_HDR + payload.len());
-                frame.push(MAGIC);
-                frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                frame.extend_from_slice(&payload);
-                Ok(frame)
-            }
+            Ok(Frame::Line(line)) => Ok(reframe(WireCodec::Json, line.as_bytes())),
+            Ok(Frame::Binary(payload)) => Ok(reframe(WireCodec::Binary, &payload)),
             Ok(Frame::Eof) | Err(FrameError::Torn) => Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "upstream closed the connection",
@@ -153,11 +155,31 @@ impl PooledConn {
     }
 }
 
+/// Puts back the framing [`FrameReader`] stripped from a frame body: the
+/// newline after a JSON line, the magic byte and length before a binary
+/// payload.
+pub(crate) fn reframe(codec: WireCodec, body: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(BIN_HDR + body.len());
+    match codec {
+        WireCodec::Json => {
+            frame.extend_from_slice(body);
+            frame.push(b'\n');
+        }
+        WireCodec::Binary => {
+            frame.push(MAGIC);
+            frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            frame.extend_from_slice(body);
+        }
+    }
+    frame
+}
+
 fn invalid(message: &'static str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message)
 }
 
 /// A bounded pool of idle [`PooledConn`]s to one upstream address.
+#[derive(Debug)]
 pub struct UpstreamPool {
     addr: SocketAddr,
     conn_id: u64,
@@ -166,16 +188,6 @@ pub struct UpstreamPool {
     write_timeout: Duration,
     max_idle: usize,
     idle: Mutex<Vec<PooledConn>>,
-}
-
-impl std::fmt::Debug for UpstreamPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("UpstreamPool")
-            .field("addr", &self.addr)
-            .field("conn_id", &self.conn_id)
-            .field("idle", &self.idle_count())
-            .finish_non_exhaustive()
-    }
 }
 
 impl UpstreamPool {
@@ -205,7 +217,7 @@ impl UpstreamPool {
         self.addr
     }
 
-    /// The idle list, recovering from a poisoned lock. A handler thread
+    /// The idle list, recovering from a poisoned lock. A proxy worker
     /// that panics while holding the lock must not cascade the panic
     /// into every later checkout on this upstream; the inner state may
     /// be half-updated, so the list is cleared — dropping idle sockets
@@ -380,6 +392,23 @@ mod tests {
             "expected a timeout, got {err:?}"
         );
         assert!(conn.has_partial(), "the reply prefix must stay buffered");
+        // A non-waiting poll returns at once and keeps the prefix; the
+        // socket is blocking again for the read below, which must wait
+        // out the rest of the server's pause.
+        let polled = std::time::Instant::now();
+        let err = conn.poll_reply().unwrap_err();
+        assert!(
+            matches!(
+                err.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ),
+            "expected a pending poll, got {err:?}"
+        );
+        assert!(
+            polled.elapsed() < Duration::from_millis(20),
+            "poll_reply waited"
+        );
+        assert!(conn.has_partial(), "the prefix must survive a poll");
         // Resuming with a generous timeout completes the same frame.
         assert_eq!(
             conn.read_reply(Duration::from_secs(1)).unwrap(),

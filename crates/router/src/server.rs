@@ -1,12 +1,25 @@
-//! The routing tier: accept loop, proxy path, health prober, rollup.
+//! The routing tier: a handler on the shared connection loop, a fixed
+//! set of proxy workers, the health prober and the stats rollup.
 //!
-//! Threading model: one accept thread (nonblocking listener polled
-//! against the shutdown flag), one handler thread per client
-//! connection, one health-prober thread. Handlers serve their
-//! connection's frames sequentially, so per-connection reply order is
-//! trivially preserved; a hedged request briefly spawns two racer
-//! threads (primary continuation + hedge attempt) joined through a
-//! channel.
+//! Threading model: every thread starts with the router and none is
+//! spawned per client or per request. One loop poller
+//! ([`gb_service::io_loop`], the same loop `gb-serve` runs) accepts,
+//! frames and decodes client traffic and answers `ping` inline. Balance,
+//! `stats` and the forwarding half of `shutdown` go through a queue to
+//! `max_pool_idle` proxy workers; each worker carries one client frame
+//! at a time through blocking upstream exchanges on pooled connections
+//! and hands the reply back through the loop. One health-prober thread
+//! and, with [`RouterConfig::rebalance`] set, one rebalance tick thread
+//! complete the set. The loop stops reading a connection while its
+//! frame is with a worker, so per-connection reply order is preserved.
+//!
+//! Hedging costs no thread either: after `hedge_delay` the worker that
+//! owns the request sends the hedge on a second pooled connection and
+//! polls both in 1 ms slices, reading each without waiting (a socket
+//! read timeout rounds up to the kernel tick, several ms). A partial
+//! reply stays buffered between slices. The first clean reply wins;
+//! the loser is cancelled — its connection is closed, never repooled —
+//! and books neither success nor failure.
 //!
 //! Failure handling has an active and a passive half sharing one
 //! per-upstream consecutive-failure counter: the prober pings every
@@ -18,30 +31,36 @@
 //! exchange) marks it alive again, restoring the exact pre-death
 //! mapping.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, RwLock};
+use std::sync::{Arc, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use gb_rebal::{EwmaTracker, RebalanceCounters, RebalanceSettings, RebalanceSnapshot, VnodeLoad};
+use gb_rebal::{RebalanceCounters, RebalanceSettings, RebalanceSnapshot, VnodeLoad};
 use gb_service::cache::CacheKey;
-use gb_service::fault::{IoShim, Passthrough, ShimStream};
-use gb_service::metrics::Histogram;
+use gb_service::fault::{IoShim, Passthrough};
+use gb_service::io_loop::{Dispatch, Handler, IoLoop, LoopConfig, Reply};
+use gb_service::metrics::{rebal_json, Histogram};
 use gb_service::proto::{
-    binary_reply_id, json_reply_id, BalanceRequest, Codec, ErrorCode, Frame, FrameError,
-    FrameReader, Json, Request, Response, WireCodec, BIN_HDR, MAGIC, MAX_FRAME,
+    binary_reply_id, json_reply_id, Codec, ErrorCode, Json, Request, Response, WireCodec, BIN_HDR,
+    MAGIC,
 };
 use gb_service::route::{FailoverRing, DEFAULT_VNODES};
+use gb_service::shed::StealQueue;
 
-use crate::pool::{PooledConn, UpstreamPool, UPSTREAM_CONN_BASE};
+use crate::pool::{reframe, PooledConn, UpstreamPool, UPSTREAM_CONN_BASE};
 
 /// Failover attempts (distinct upstreams tried) per request.
 const MAX_ATTEMPTS: usize = 4;
 
+/// Polling period while a worker waits on a primary and its hedge at
+/// once.
+const HEDGE_SLICE: Duration = Duration::from_millis(1);
+
 /// Configuration for [`RouterServer::start`].
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct RouterConfig {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
@@ -65,13 +84,15 @@ pub struct RouterConfig {
     /// Consecutive failures (probe or data-path) before an upstream is
     /// declared dead.
     pub fail_threshold: u32,
-    /// How often blocked client-connection reads wake to poll the
-    /// shutdown flag.
+    /// Timer granularity of the connection loop: how often in-flight
+    /// and write-stalled client connections are re-checked.
     pub poll_interval: Duration,
     /// Forward a client `shutdown` frame to every alive upstream before
     /// draining (the whole-fleet stop switch).
     pub forward_shutdown: bool,
-    /// Idle connections kept per upstream pool.
+    /// Idle connections kept per upstream pool, and the number of proxy
+    /// workers (at least 1): each worker holds one upstream exchange at
+    /// a time, so no pool has to dial past its idle cap.
     pub max_pool_idle: usize,
     /// Self-balancing vnode placement (`gb-rebal`): when set, a tick
     /// thread periodically re-partitions the vnode set across alive
@@ -103,19 +124,6 @@ impl Default for RouterConfig {
             rebalance: None,
             shim: Arc::new(Passthrough),
         }
-    }
-}
-
-impl std::fmt::Debug for RouterConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RouterConfig")
-            .field("addr", &self.addr)
-            .field("upstreams", &self.upstreams)
-            .field("vnodes", &self.vnodes)
-            .field("hedge_delay", &self.hedge_delay)
-            .field("fail_threshold", &self.fail_threshold)
-            .field("rebalance", &self.rebalance)
-            .finish_non_exhaustive()
     }
 }
 
@@ -163,8 +171,13 @@ struct Shared {
     /// vnodes are visible.
     vnode_load: VnodeLoad,
     rebal: RebalanceCounters,
-    shutdown: AtomicBool,
     started: Instant,
+    /// The client-side connection loop.
+    io: Arc<IoLoop>,
+    /// Frames handed from the loop to the proxy workers: one shard that
+    /// every worker pops. Its capacity never binds, because the loop
+    /// defers at most one frame per connection.
+    jobs: StealQueue<Job>,
 }
 
 impl Shared {
@@ -220,8 +233,7 @@ impl Shared {
     }
 }
 
-/// RAII in-flight counter for one upstream, safe to move across the
-/// hedge racer threads.
+/// RAII in-flight counter for one upstream.
 struct InflightGuard {
     shared: Arc<Shared>,
     id: u32,
@@ -265,13 +277,6 @@ fn error_frame(codec: WireCodec, id: Option<u64>, code: ErrorCode, message: &str
         },
         &mut out,
     );
-    out
-}
-
-/// A complete reply frame in the given codec.
-fn response_frame(codec: WireCodec, resp: &Response) -> Vec<u8> {
-    let mut out = Vec::new();
-    codec.encode_response(resp, &mut out);
     out
 }
 
@@ -464,9 +469,12 @@ fn attempt_on(
     }
 }
 
-/// Races the primary's continuation against a fresh attempt on
-/// `hedge_id`; first clean reply wins. The loser finishes (or fails) on
-/// its own thread and books its outcome itself.
+/// Sends a hedge for the primary's request to `hedge_id` and polls both
+/// connections every [`HEDGE_SLICE`]; first clean reply wins. The loser
+/// is cancelled: its connection is dropped (closed, not repooled) and
+/// it books neither success nor failure. A side whose exchange fails
+/// books its failure and drops out of the race; at the deadline every
+/// side still waiting books a failure.
 #[allow(clippy::too_many_arguments)]
 fn hedged_race(
     shared: &Arc<Shared>,
@@ -480,79 +488,74 @@ fn hedged_race(
     primary_started: Instant,
 ) -> io::Result<Vec<u8>> {
     shared.counters.hedges_sent.fetch_add(1, Ordering::Relaxed);
-    let floor = Duration::from_millis(1);
-    let (tx, rx) = mpsc::channel::<(bool, io::Result<Vec<u8>>)>();
-    // Primary continuation: keep waiting for the original reply.
-    {
-        let tx = tx.clone();
-        let shared = Arc::clone(shared);
-        let mut conn = primary_conn;
-        thread::spawn(move || {
-            let _guard = primary_guard;
-            let remaining = deadline
-                .saturating_duration_since(Instant::now())
-                .max(floor);
-            let outcome = match conn.read_reply(remaining) {
-                Ok(reply) => settle_ok(&shared, primary, primary_started, conn, reply, req_id),
-                Err(e) => {
-                    shared.mark_failure(primary);
-                    Err(e)
-                }
-            };
-            let _ = tx.send((false, outcome));
-        });
-    }
-    // Hedge attempt on the backend that would own the key next.
-    {
-        let shared = Arc::clone(shared);
-        let frame = frame.to_vec();
-        thread::spawn(move || {
-            let up = &shared.upstreams[hedge_id as usize];
-            up.requests.fetch_add(1, Ordering::Relaxed);
-            let _guard = InflightGuard::new(&shared, hedge_id);
-            let started = Instant::now();
-            let remaining = deadline
-                .saturating_duration_since(Instant::now())
-                .max(floor);
-            let outcome = match up.pool.checkout() {
-                Ok(mut conn) => match conn.call(&frame, remaining) {
-                    Ok(reply) => settle_ok(&shared, hedge_id, started, conn, reply, req_id),
-                    Err(e) => {
-                        shared.mark_failure(hedge_id);
-                        Err(e)
-                    }
-                },
-                Err(e) => {
-                    shared.mark_failure(hedge_id);
-                    Err(e)
-                }
-            };
-            let _ = tx.send((true, outcome));
-        });
-    }
-    // Both senders are owned by the racer threads; rx.iter() ends when
-    // the last one hangs up.
+    let up = &shared.upstreams[hedge_id as usize];
+    up.requests.fetch_add(1, Ordering::Relaxed);
+    let hedge_guard = InflightGuard::new(shared, hedge_id);
+    let hedge_conn = up.pool.checkout().and_then(|mut conn| {
+        conn.send_frame(frame)?;
+        Ok(conn)
+    });
     let mut last_err: Option<io::Error> = None;
-    for (from_hedge, outcome) in rx.iter() {
-        match outcome {
-            Ok(reply) => {
-                if from_hedge {
-                    shared.counters.hedges_won.fetch_add(1, Ordering::Relaxed);
-                    shared.upstreams[hedge_id as usize]
-                        .hedge_wins
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                return Ok(reply);
-            }
-            Err(e) => last_err = Some(e),
+    let hedge_conn = match hedge_conn {
+        Ok(conn) => Some(conn),
+        Err(e) => {
+            shared.mark_failure(hedge_id);
+            last_err = Some(e);
+            None
         }
+    };
+    // Each side: upstream id, start time, connection, in-flight guard.
+    let mut sides = [
+        Some((primary, primary_started, primary_conn, primary_guard)),
+        hedge_conn.map(|conn| (hedge_id, Instant::now(), conn, hedge_guard)),
+    ];
+    loop {
+        let expired = Instant::now() >= deadline;
+        for (from_hedge, side) in sides.iter_mut().enumerate() {
+            let Some((id, _, conn, _)) = side.as_mut() else {
+                continue;
+            };
+            let id = *id;
+            let outcome = match conn.poll_reply() {
+                Err(e) if is_timeout(&e) && !expired => continue,
+                Err(e) => {
+                    shared.mark_failure(id);
+                    Err(e)
+                }
+                Ok(reply) => {
+                    let (_, started, conn, _guard) = side.take().expect("side checked above");
+                    settle_ok(shared, id, started, conn, reply, req_id)
+                }
+            };
+            *side = None;
+            match outcome {
+                Ok(reply) => {
+                    if from_hedge == 1 {
+                        shared.counters.hedges_won.fetch_add(1, Ordering::Relaxed);
+                        up.hedge_wins.fetch_add(1, Ordering::Relaxed);
+                    }
+                    return Ok(reply);
+                }
+                Err(e) => last_err = Some(e),
+            }
+        }
+        if sides.iter().all(Option::is_none) {
+            return Err(
+                last_err.unwrap_or_else(|| io::Error::other("hedge race produced no outcome"))
+            );
+        }
+        thread::sleep(HEDGE_SLICE);
     }
-    Err(last_err.unwrap_or_else(|| io::Error::other("hedge race produced no outcome")))
 }
 
 // ---------------------------------------------------------------------------
 // Stats rollup
 // ---------------------------------------------------------------------------
+
+/// One request as a JSON line, for the router's own upstream calls.
+fn json_frame(request: &Request) -> Vec<u8> {
+    reframe(WireCodec::Json, request.encode().as_bytes())
+}
 
 /// Fetches an upstream's own stats object over a pooled connection.
 fn fetch_upstream_stats(shared: &Arc<Shared>, id: u32) -> Option<Json> {
@@ -562,83 +565,33 @@ fn fetch_upstream_stats(shared: &Arc<Shared>, id: u32) -> Option<Json> {
     }
     let timeout = shared.config.probe_timeout.max(Duration::from_millis(250));
     let mut conn = up.pool.checkout().ok()?;
-    let mut frame = Request::Stats.encode().into_bytes();
-    frame.push(b'\n');
-    let reply = conn.call(&frame, timeout).ok()?;
-    let reply = std::str::from_utf8(&reply).ok()?;
-    let json = Json::parse(reply.trim_end()).ok()?;
+    let reply = conn.call(&json_frame(&Request::Stats), timeout).ok()?;
+    let json = Json::parse(std::str::from_utf8(&reply).ok()?.trim_end()).ok()?;
     let stats = json.get("stats")?.clone();
     up.pool.publish(conn);
     Some(stats)
 }
 
-/// Tick-loop bookkeeping for the `stats` rollup — the same shape
-/// `gb-serve` emits under `stats.rebal`, so `loadgen bench skew`
-/// reads either tier identically.
-fn rebal_json(shared: &Arc<Shared>) -> Json {
-    let settings = shared.config.rebalance.as_ref();
-    let snap = shared.rebal.snapshot();
-    Json::Obj(vec![
-        (
-            "enabled".into(),
-            Json::Bool(settings.is_some() && shared.upstreams.len() > 1),
-        ),
-        (
-            "vnode_count".into(),
-            Json::Int(shared.ring.read().unwrap().vnode_count() as i64),
-        ),
-        (
-            "interval_ms".into(),
-            Json::Int(settings.map_or(0, |s| s.interval.as_millis() as i64)),
-        ),
-        (
-            "trigger".into(),
-            Json::Num(settings.map_or(0.0, |s| s.trigger)),
-        ),
-        (
-            "move_budget".into(),
-            Json::Int(settings.map_or(0, |s| s.move_budget as i64)),
-        ),
-        ("ticks".into(), Json::Int(snap.ticks as i64)),
-        ("skipped".into(), Json::Int(snap.skipped as i64)),
-        ("moved".into(), Json::Int(snap.moved as i64)),
-        (
-            "max_tick_moves".into(),
-            Json::Int(snap.max_tick_moves as i64),
-        ),
-        ("version".into(), Json::Int(snap.version as i64)),
-        ("imbalance_before".into(), Json::Num(snap.imbalance_before)),
-        ("imbalance_after".into(), Json::Num(snap.imbalance_after)),
-        ("alpha".into(), Json::Num(snap.alpha)),
-        ("bound".into(), Json::Num(snap.bound)),
-    ])
-}
-
 fn stats_rollup(shared: &Arc<Shared>) -> Json {
-    let alive_now = shared.ring.read().unwrap().alive_count();
+    let n = |c: &AtomicU64| Json::Int(c.load(Ordering::Relaxed) as i64);
     let mut upstream_list = Vec::with_capacity(shared.upstreams.len());
     let mut loads: Vec<f64> = Vec::new();
     for up in &shared.upstreams {
         let alive = up.alive.load(Ordering::Relaxed);
         let nested = fetch_upstream_stats(shared, up.id);
-        let depth = nested
-            .as_ref()
-            .and_then(|s| s.get("queue")?.get("depth")?.as_f64())
-            .unwrap_or(0.0);
-        let upstream_inflight = nested
-            .as_ref()
-            .and_then(|s| s.get("connections")?.get("inflight")?.as_f64())
-            .unwrap_or(0.0);
-        let upstream_requests = nested
-            .as_ref()
-            .and_then(|s| s.get("requests")?.get("total")?.as_u64());
+        let nested_num = |section: &str, key: &str| {
+            nested
+                .as_ref()
+                .and_then(|s| s.get(section)?.get(key)?.as_f64())
+        };
+        let depth = nested_num("queue", "depth").unwrap_or(0.0);
+        let upstream_inflight = nested_num("connections", "inflight").unwrap_or(0.0);
+        let inflight = up.inflight.load(Ordering::Relaxed);
         if alive {
             // Load gauge per upstream: queued work plus everything the
             // router itself has in flight there (covers requests still
             // on the wire).
-            loads.push(
-                depth + upstream_inflight + up.inflight.load(Ordering::Relaxed).max(0) as f64,
-            );
+            loads.push(depth + upstream_inflight + inflight.max(0) as f64);
         }
         let mut entry = vec![
             ("id".into(), Json::Int(up.id as i64)),
@@ -648,40 +601,38 @@ fn stats_rollup(shared: &Arc<Shared>) -> Json {
                 "consecutive_failures".into(),
                 Json::Int(up.consecutive_failures.load(Ordering::Relaxed) as i64),
             ),
-            (
-                "requests".into(),
-                Json::Int(up.requests.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "errors".into(),
-                Json::Int(up.errors.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "hedge_wins".into(),
-                Json::Int(up.hedge_wins.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "inflight".into(),
-                Json::Int(up.inflight.load(Ordering::Relaxed)),
-            ),
+            ("requests".into(), n(&up.requests)),
+            ("errors".into(), n(&up.errors)),
+            ("hedge_wins".into(), n(&up.hedge_wins)),
+            ("inflight".into(), Json::Int(inflight)),
             ("pool_idle".into(), Json::Int(up.pool.idle_count() as i64)),
             ("latency".into(), up.latency.to_json()),
             ("queue_depth".into(), Json::Num(depth)),
             ("upstream_inflight".into(), Json::Num(upstream_inflight)),
         ];
-        if let Some(total) = upstream_requests {
+        if let Some(total) = nested_num("requests", "total") {
             entry.push(("upstream_requests".into(), Json::Int(total as i64)));
         }
         upstream_list.push(Json::Obj(entry));
     }
-    let (max, mean) = if loads.is_empty() {
-        (0.0, 0.0)
+    let max = loads.iter().cloned().fold(0.0f64, f64::max);
+    let mean = if loads.is_empty() {
+        0.0
     } else {
-        let max = loads.iter().cloned().fold(0.0f64, f64::max);
-        let mean = loads.iter().sum::<f64>() / loads.len() as f64;
-        (max, mean)
+        loads.iter().sum::<f64>() / loads.len() as f64
     };
     let ratio = if mean > 0.0 { max / mean } else { 1.0 };
+    let (alive, vnodes, vnode_count) = {
+        let ring = shared.ring.read().unwrap();
+        (ring.alive_count(), ring.vnodes(), ring.vnode_count())
+    };
+    let rebalance = shared.config.rebalance.as_ref();
+    let rebal = rebal_json(
+        rebalance,
+        rebalance.is_some() && shared.upstreams.len() > 1,
+        vnode_count,
+        &shared.rebal.snapshot(),
+    );
     let c = &shared.counters;
     let router = Json::Obj(vec![
         (
@@ -692,55 +643,19 @@ fn stats_rollup(shared: &Arc<Shared>) -> Json {
             "upstream_count".into(),
             Json::Int(shared.upstreams.len() as i64),
         ),
-        ("alive".into(), Json::Int(alive_now as i64)),
-        (
-            "vnodes".into(),
-            Json::Int(shared.ring.read().unwrap().vnodes() as i64),
-        ),
-        (
-            "proxied".into(),
-            Json::Int(c.proxied.load(Ordering::Relaxed) as i64),
-        ),
-        (
-            "hedges_sent".into(),
-            Json::Int(c.hedges_sent.load(Ordering::Relaxed) as i64),
-        ),
-        (
-            "hedges_won".into(),
-            Json::Int(c.hedges_won.load(Ordering::Relaxed) as i64),
-        ),
-        (
-            "failovers".into(),
-            Json::Int(c.failovers.load(Ordering::Relaxed) as i64),
-        ),
-        (
-            "recoveries".into(),
-            Json::Int(c.recoveries.load(Ordering::Relaxed) as i64),
-        ),
-        (
-            "retries".into(),
-            Json::Int(c.retries.load(Ordering::Relaxed) as i64),
-        ),
-        (
-            "stale_retries".into(),
-            Json::Int(c.stale_retries.load(Ordering::Relaxed) as i64),
-        ),
-        (
-            "bad_frames".into(),
-            Json::Int(c.bad_frames.load(Ordering::Relaxed) as i64),
-        ),
-        (
-            "no_upstream".into(),
-            Json::Int(c.no_upstream.load(Ordering::Relaxed) as i64),
-        ),
-        (
-            "probes_ok".into(),
-            Json::Int(c.probes_ok.load(Ordering::Relaxed) as i64),
-        ),
-        (
-            "probes_failed".into(),
-            Json::Int(c.probes_failed.load(Ordering::Relaxed) as i64),
-        ),
+        ("alive".into(), Json::Int(alive as i64)),
+        ("vnodes".into(), Json::Int(vnodes as i64)),
+        ("proxied".into(), n(&c.proxied)),
+        ("hedges_sent".into(), n(&c.hedges_sent)),
+        ("hedges_won".into(), n(&c.hedges_won)),
+        ("failovers".into(), n(&c.failovers)),
+        ("recoveries".into(), n(&c.recoveries)),
+        ("retries".into(), n(&c.retries)),
+        ("stale_retries".into(), n(&c.stale_retries)),
+        ("bad_frames".into(), n(&c.bad_frames)),
+        ("no_upstream".into(), n(&c.no_upstream)),
+        ("probes_ok".into(), n(&c.probes_ok)),
+        ("probes_failed".into(), n(&c.probes_failed)),
         (
             "imbalance".into(),
             Json::Obj(vec![
@@ -749,126 +664,131 @@ fn stats_rollup(shared: &Arc<Shared>) -> Json {
                 ("ratio".into(), Json::Num(ratio)),
             ]),
         ),
-        ("rebal".into(), rebal_json(shared)),
+        ("rebal".into(), rebal),
+        ("engine".into(), Json::Str(shared.io.engine().into())),
     ]);
     Json::Obj(vec![
         ("router".into(), router),
         ("upstreams".into(), Json::Arr(upstream_list)),
+        ("faults".into(), shared.io.counters().faults_json()),
+        ("connections".into(), shared.io.connections_json()),
     ])
 }
 
 // ---------------------------------------------------------------------------
-// Client connections
+// The loop handler and the proxy workers
 // ---------------------------------------------------------------------------
 
-/// Routes one balance request: derives the key, relays the pre-framed
-/// request bytes verbatim, and charges the round trip to the vnode.
-fn proxy_and_record(
-    shared: &Arc<Shared>,
-    frame: &[u8],
-    req: &BalanceRequest,
-    codec: WireCodec,
-) -> Vec<u8> {
-    shared.counters.proxied.fetch_add(1, Ordering::Relaxed);
-    let key = CacheKey::new(req.problem.fingerprint(), req.algorithm, req.n, req.theta).mix();
-    let vnode = shared.ring.read().unwrap().vnode_of(key);
-    let started = Instant::now();
-    let reply = proxy_balance(shared, frame, key, req.id, codec);
-    // Charge the full proxy round trip (queue + compute + wire) to the
-    // vnode: it is the cost a move would relocate.
-    let micros = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-    shared.vnode_load.record(vnode, micros);
-    reply
+/// Work handed from the loop to a proxy worker.
+enum Job {
+    /// One balance frame, relayed verbatim to the key's upstream.
+    Balance {
+        frame: Vec<u8>,
+        key: u64,
+        req_id: Option<u64>,
+        codec: WireCodec,
+        reply: Reply,
+    },
+    /// The stats rollup, which fetches every upstream's own stats.
+    Stats { codec: WireCodec, reply: Reply },
+    /// Forward a client `shutdown` to every alive upstream.
+    ForwardShutdown,
 }
 
-/// Handles one decoded text frame; returns the framed reply bytes and
-/// whether the connection should stop after it (shutdown acknowledged).
-fn handle_line(shared: &Arc<Shared>, line: &str) -> (Vec<u8>, bool) {
-    let codec = WireCodec::Json;
-    if line.len() > MAX_FRAME {
-        shared.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
-        return (
-            error_frame(codec, None, ErrorCode::BadRequest, "frame too long"),
-            false,
-        );
-    }
-    let json = match Json::parse(line) {
-        Ok(json) => json,
-        Err(e) => {
-            shared.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
-            return (
-                error_frame(
+impl Handler for Shared {
+    fn handle(&self, request: Request, raw: &[u8], out: &mut Dispatch<'_>) {
+        let codec = out.codec();
+        let job = match request {
+            Request::Ping => return out.reply(&Response::Pong),
+            Request::Stats => Job::Stats {
+                codec,
+                reply: out.defer(None),
+            },
+            Request::Shutdown => {
+                // Ack first and write it now, so the drain cannot race
+                // it out of the buffer; the forwarding runs on a worker,
+                // queued before the queue closes.
+                out.reply(&Response::Pong);
+                out.flush();
+                if self.config.forward_shutdown {
+                    let _ = self.jobs.try_push(Job::ForwardShutdown);
+                }
+                return trigger_shutdown(self);
+            }
+            Request::Balance(req) => {
+                self.counters.proxied.fetch_add(1, Ordering::Relaxed);
+                Job::Balance {
+                    // The client's own bytes, framing restored — the body
+                    // is never re-encoded on the way upstream.
+                    frame: reframe(codec, raw),
+                    key: CacheKey::new(req.problem.fingerprint(), req.algorithm, req.n, req.theta)
+                        .mix(),
+                    req_id: req.id,
                     codec,
-                    None,
-                    ErrorCode::BadRequest,
-                    &format!("bad frame: {e}"),
-                ),
-                false,
-            );
+                    reply: out.defer(req.id),
+                }
+            }
+        };
+        // Refused only once the router has begun draining.
+        let refused = match self.jobs.try_push(job) {
+            Err((Job::Balance { reply, req_id, .. }, _)) => Some((reply, req_id)),
+            Err((Job::Stats { reply, .. }, _)) => Some((reply, None)),
+            _ => None,
+        };
+        if let Some((reply, id)) = refused {
+            reply.send_bytes(&error_frame(
+                codec,
+                id,
+                ErrorCode::ShuttingDown,
+                "router is draining",
+            ));
         }
-    };
-    let id = json.get("id").and_then(Json::as_u64);
-    match Request::from_json(&json) {
-        Ok(Request::Ping) => (response_frame(codec, &Response::Pong), false),
-        Ok(Request::Stats) => (
-            response_frame(codec, &Response::Stats(stats_rollup(shared))),
-            false,
-        ),
-        Ok(Request::Shutdown) => {
-            // Ack first (the frame is answered even while draining),
-            // then stop: flag flips before the reply is written, and
-            // forwarding happens in the caller after the ack.
-            shared.shutdown.store(true, Ordering::SeqCst);
-            (response_frame(codec, &Response::Pong), true)
-        }
-        Ok(Request::Balance(req)) => {
-            // Relay the client's own line, newline restored — the body
-            // is never re-encoded on the way upstream.
-            let mut frame = Vec::with_capacity(line.len() + 1);
-            frame.extend_from_slice(line.as_bytes());
-            frame.push(b'\n');
-            (proxy_and_record(shared, &frame, &req, codec), false)
-        }
-        Err(e) => {
-            shared.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
-            (
-                error_frame(codec, id, ErrorCode::BadRequest, &e.message),
-                false,
-            )
+    }
+
+    fn loop_error(&self, code: ErrorCode) {
+        if code == ErrorCode::BadRequest {
+            self.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
-/// Handles one binary frame payload; same contract as [`handle_line`].
-fn handle_binary(shared: &Arc<Shared>, payload: &[u8]) -> (Vec<u8>, bool) {
-    let codec = WireCodec::Binary;
-    match codec.decode_request(payload) {
-        Ok(Request::Ping) => (response_frame(codec, &Response::Pong), false),
-        Ok(Request::Stats) => (
-            response_frame(codec, &Response::Stats(stats_rollup(shared))),
-            false,
-        ),
-        Ok(Request::Shutdown) => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            (response_frame(codec, &Response::Pong), true)
-        }
-        Ok(Request::Balance(req)) => {
-            // Re-attach the length prefix around the untouched payload;
-            // the body bytes are relayed verbatim.
-            let mut frame = Vec::with_capacity(BIN_HDR + payload.len());
-            frame.push(MAGIC);
-            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            frame.extend_from_slice(payload);
-            (proxy_and_record(shared, &frame, &req, codec), false)
-        }
-        Err(e) => {
-            shared.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
-            (
-                error_frame(codec, None, ErrorCode::BadRequest, &e.message),
-                false,
-            )
+fn worker_loop(shared: &Arc<Shared>) {
+    while let Some(job) = shared.jobs.pop(0) {
+        match job {
+            Job::Balance {
+                frame,
+                key,
+                req_id,
+                codec,
+                reply,
+            } => {
+                if reply.peer_gone() {
+                    reply.abandon();
+                    continue;
+                }
+                let vnode = shared.ring.read().unwrap().vnode_of(key);
+                let started = Instant::now();
+                let bytes = proxy_balance(shared, &frame, key, req_id, codec);
+                // Charge the full proxy round trip (queue + compute +
+                // wire) to the vnode: it is the cost a move would
+                // relocate.
+                let micros = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
+                shared.vnode_load.record(vnode, micros);
+                reply.send_bytes(&bytes);
+            }
+            Job::Stats { codec, reply } => {
+                reply.send(codec, &Response::Stats(stats_rollup(shared)));
+            }
+            Job::ForwardShutdown => forward_shutdown(shared),
         }
     }
+}
+
+/// Refuses new work and starts the loop's drain; queued frames are
+/// still served. Safe to call more than once.
+fn trigger_shutdown(shared: &Shared) {
+    shared.jobs.close();
+    shared.io.trigger_shutdown();
 }
 
 /// Forwards `shutdown` to every alive upstream, waiting briefly for
@@ -879,104 +799,9 @@ fn forward_shutdown(shared: &Arc<Shared>) {
             continue;
         }
         if let Ok(mut conn) = up.pool.checkout() {
-            let mut frame = Request::Shutdown.encode().into_bytes();
-            frame.push(b'\n');
-            let _ = conn.call(
-                &frame,
-                shared.config.probe_timeout.max(Duration::from_millis(250)),
-            );
+            let timeout = shared.config.probe_timeout.max(Duration::from_millis(250));
+            let _ = conn.call(&json_frame(&Request::Shutdown), timeout);
             // The upstream is going down; never repool.
-        }
-    }
-}
-
-fn serve_client(shared: Arc<Shared>, stream: TcpStream, conn_id: u64) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.config.poll_interval));
-    let _ = stream.set_write_timeout(Some(shared.config.reply_timeout));
-    let shim = Arc::clone(&shared.config.shim);
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut frames = FrameReader::new(ShimStream::new(read_half, Arc::clone(&shim), conn_id));
-    let mut writer = ShimStream::new(stream, shim, conn_id);
-    // Replies arrive here as complete wire frames (newline or length
-    // prefix included), so each one leaves as a single write.
-    let mut write_reply = |reply: &[u8]| -> bool { writer.write_all(reply).is_ok() };
-    loop {
-        match frames.poll_line() {
-            Ok(Frame::Line(line)) => {
-                let (reply, stop) = handle_line(&shared, &line);
-                let wrote = write_reply(&reply);
-                if stop {
-                    if shared.config.forward_shutdown {
-                        forward_shutdown(&shared);
-                    }
-                    break;
-                }
-                if !wrote {
-                    break;
-                }
-            }
-            Ok(Frame::Binary(payload)) => {
-                let (reply, stop) = handle_binary(&shared, &payload);
-                let wrote = write_reply(&reply);
-                if stop {
-                    if shared.config.forward_shutdown {
-                        forward_shutdown(&shared);
-                    }
-                    break;
-                }
-                if !wrote {
-                    break;
-                }
-            }
-            Ok(Frame::Pending) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            Ok(Frame::Eof) => break,
-            Err(FrameError::TooLong) => {
-                shared.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
-                if !write_reply(&error_frame(
-                    frames.codec(),
-                    None,
-                    ErrorCode::BadRequest,
-                    "frame too long",
-                )) {
-                    break;
-                }
-            }
-            Err(FrameError::NotUtf8) => {
-                shared.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
-                if !write_reply(&error_frame(
-                    frames.codec(),
-                    None,
-                    ErrorCode::BadRequest,
-                    "frame is not valid UTF-8",
-                )) {
-                    break;
-                }
-            }
-            Err(FrameError::Corrupt) => {
-                // The reader resyncs to the next plausible boundary; the
-                // connection itself survives.
-                shared.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
-                if !write_reply(&error_frame(
-                    frames.codec(),
-                    None,
-                    ErrorCode::BadRequest,
-                    "binary frame length is corrupt",
-                )) {
-                    break;
-                }
-            }
-            Err(FrameError::Torn) => {
-                shared.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-            Err(FrameError::Io(_)) => break,
         }
     }
 }
@@ -989,97 +814,56 @@ fn serve_client(shared: Arc<Shared>, stream: TcpStream, conn_id: u64) {
 /// assignment over the alive upstreams, and swap it into the ring under
 /// the write lock (atomic between requests — routing reads take the
 /// read lock per frame).
-fn rebalance_loop(shared: &Arc<Shared>, settings: &RebalanceSettings) {
-    let vnodes = shared.ring.read().unwrap().vnode_count();
-    let mut tracker = EwmaTracker::new(vnodes, settings.decay);
-    let step = settings
-        .interval
-        .min(Duration::from_millis(20))
-        .max(Duration::from_millis(1));
-    loop {
-        let wake = Instant::now() + settings.interval;
-        while Instant::now() < wake {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            thread::sleep(step.min(wake.saturating_duration_since(Instant::now())));
-        }
-        tracker.observe(&shared.vnode_load);
-        let (current, alive) = {
+fn rebalance_loop(shared: &Arc<Shared>) {
+    let Some(settings) = &shared.config.rebalance else {
+        return;
+    };
+    gb_rebal::run_ticks(
+        settings,
+        &shared.vnode_load,
+        &shared.rebal,
+        || shared.io.is_shutting_down(),
+        || {
             let ring = shared.ring.read().unwrap();
-            let current = match ring.assignment() {
-                Some(owners) => owners.to_vec(),
-                None => ring.default_owners(),
-            };
-            (current, ring.alive_ids())
-        };
-        // A dead upstream is excluded from the plan; its vnodes are
-        // orphans and re-home as forced moves, exempt from the budget.
-        let plan = gb_rebal::plan(
-            &tracker.weights(),
-            &current,
-            &alive,
-            settings.trigger,
-            settings.move_budget,
-        );
-        shared.rebal.record_tick(&plan);
-        if !plan.skipped && !plan.moves.is_empty() {
-            shared
-                .ring
-                .write()
-                .unwrap()
-                .set_assignment(Some(plan.owners));
-        }
-    }
+            let current = ring.assignment().map(<[u32]>::to_vec);
+            (
+                current.unwrap_or_else(|| ring.default_owners()),
+                ring.alive_ids(),
+            )
+        },
+        |owners| shared.ring.write().unwrap().set_assignment(Some(owners)),
+    );
 }
 
 // ---------------------------------------------------------------------------
 // Health prober
 // ---------------------------------------------------------------------------
 
-/// One unshimmed connect + ping round trip against `addr`.
+/// One unshimmed connect + ping round trip against `addr`: scripted
+/// upstream faults must not blind the checker that is meant to catch
+/// them.
 fn probe(addr: SocketAddr, timeout: Duration) -> bool {
-    let Ok(sock) = TcpStream::connect_timeout(&addr, timeout) else {
-        return false;
-    };
-    if sock.set_nodelay(true).is_err()
-        || sock.set_read_timeout(Some(timeout)).is_err()
-        || sock.set_write_timeout(Some(timeout)).is_err()
-    {
-        return false;
-    }
-    let Ok(read_half) = sock.try_clone() else {
-        return false;
-    };
-    let mut writer = sock;
-    let mut frame = Request::Ping.encode();
-    frame.push('\n');
-    if writer.write_all(frame.as_bytes()).is_err() {
-        return false;
-    }
-    let mut reply = String::new();
-    let mut reader = BufReader::new(read_half);
-    match (&mut reader)
-        .take(2 * MAX_FRAME as u64)
-        .read_line(&mut reply)
-    {
-        Ok(n) if n > 0 => matches!(Response::decode(reply.trim_end()), Ok(Response::Pong)),
-        _ => false,
-    }
+    let unshimmed: Arc<dyn IoShim> = Arc::new(Passthrough);
+    PooledConn::connect(addr, timeout, timeout, &unshimmed, 0)
+        .and_then(|mut conn| conn.call(&json_frame(&Request::Ping), timeout))
+        .is_ok_and(|reply| {
+            let line = String::from_utf8_lossy(&reply);
+            matches!(Response::decode(line.trim_end()), Ok(Response::Pong))
+        })
 }
 
-fn health_loop(shared: Arc<Shared>) {
+fn health_loop(shared: &Arc<Shared>) {
     let tick = shared
         .config
         .poll_interval
         .min(Duration::from_millis(25))
         .max(Duration::from_millis(1));
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.io.is_shutting_down() {
             return;
         }
         for up in &shared.upstreams {
-            if shared.shutdown.load(Ordering::SeqCst) {
+            if shared.io.is_shutting_down() {
                 return;
             }
             if probe(up.pool.addr(), shared.config.probe_timeout) {
@@ -1096,7 +880,7 @@ fn health_loop(shared: Arc<Shared>) {
         // Sleep out the interval in small ticks so shutdown stays snappy.
         let wake = Instant::now() + shared.config.health_interval;
         while Instant::now() < wake {
-            if shared.shutdown.load(Ordering::SeqCst) {
+            if shared.io.is_shutting_down() {
                 return;
             }
             thread::sleep(tick.min(wake.saturating_duration_since(Instant::now())));
@@ -1108,66 +892,26 @@ fn health_loop(shared: Arc<Shared>) {
 // The server handle
 // ---------------------------------------------------------------------------
 
-/// A running router: accept loop + health prober, stopped by
-/// [`shutdown`](RouterServer::shutdown), a client `shutdown` frame, or
-/// drop.
+/// A running router: loop pollers, proxy workers and the health prober,
+/// stopped by [`shutdown`](RouterServer::shutdown), a client `shutdown`
+/// frame, or drop.
 pub struct RouterServer {
     shared: Arc<Shared>,
-    local_addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
-    health: Option<JoinHandle<()>>,
-    rebal: Option<JoinHandle<()>>,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for RouterServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RouterServer")
-            .field("local_addr", &self.local_addr)
+            .field("local_addr", &self.local_addr())
             .field("upstreams", &self.shared.upstreams.len())
             .finish_non_exhaustive()
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let idle = shared
-        .config
-        .poll_interval
-        .min(Duration::from_millis(20))
-        .max(Duration::from_millis(1));
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    let mut next_conn: u64 = 0;
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let conn_id = next_conn;
-                next_conn += 1;
-                if !shared.config.shim.allow_accept(conn_id) {
-                    drop(stream);
-                    continue;
-                }
-                let shared = Arc::clone(&shared);
-                handlers.push(thread::spawn(move || serve_client(shared, stream, conn_id)));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(idle);
-            }
-            Err(_) => thread::sleep(idle),
-        }
-        handlers.retain(|h| !h.is_finished());
-    }
-    // Drain: handlers observe the flag at their next poll tick and
-    // finish their in-flight frame first.
-    for handle in handlers {
-        let _ = handle.join();
-    }
-}
-
 impl RouterServer {
-    /// Binds the listener and spawns the accept and health threads.
-    /// Fails fast on an empty upstream list.
+    /// Binds the listener and spawns every thread the router will ever
+    /// run. Fails fast on an empty upstream list.
     pub fn start(config: RouterConfig) -> io::Result<RouterServer> {
         if config.upstreams.is_empty() {
             return Err(io::Error::new(
@@ -1176,8 +920,19 @@ impl RouterServer {
             ));
         }
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
+        let (io, pollers) = IoLoop::new(
+            listener,
+            LoopConfig {
+                pollers: 1,
+                poll_interval: config.poll_interval,
+                write_stall: config.reply_timeout,
+                // Past the workers' own timeout reply, so the loop's
+                // `internal` error is only ever a last resort.
+                reply_timeout: config.reply_timeout + config.connect_timeout,
+                max_conns: 0,
+                shim: Arc::clone(&config.shim),
+            },
+        )?;
         let vnodes = if config.vnodes == 0 {
             DEFAULT_VNODES
         } else {
@@ -1206,6 +961,7 @@ impl RouterServer {
                 latency: Histogram::new(),
             })
             .collect();
+        let workers = config.max_pool_idle.max(1);
         let ring = FailoverRing::new(config.upstreams.len(), vnodes);
         let vnode_count = ring.vnode_count();
         let shared = Arc::new(Shared {
@@ -1214,65 +970,44 @@ impl RouterServer {
             counters: Counters::default(),
             vnode_load: VnodeLoad::new(vnode_count),
             rebal: RebalanceCounters::new(),
-            shutdown: AtomicBool::new(false),
             started: Instant::now(),
+            io,
+            jobs: StealQueue::new(1, usize::MAX),
             config,
         });
-        let health = {
+        let spawn = |name: String, run: fn(&Arc<Shared>)| {
             let shared = Arc::clone(&shared);
             thread::Builder::new()
-                .name("gb-router-health".into())
-                .spawn(move || health_loop(shared))?
+                .name(name)
+                .spawn(move || run(&shared))
         };
-        let accept = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("gb-router-accept".into())
-                .spawn(move || accept_loop(listener, shared))?
-        };
+        let mut threads = pollers.spawn(Arc::clone(&shared), "gb-router")?;
+        for index in 0..workers {
+            threads.push(spawn(format!("gb-router-proxy-{index}"), worker_loop)?);
+        }
+        threads.push(spawn("gb-router-health".into(), health_loop)?);
         // With a single upstream every assignment is the trivial one;
         // skip the tick thread entirely.
-        let rebal = match &shared.config.rebalance {
-            Some(settings) if shared.upstreams.len() > 1 => {
-                let shared = Arc::clone(&shared);
-                let settings = settings.clone();
-                Some(
-                    thread::Builder::new()
-                        .name("gb-router-rebal".into())
-                        .spawn(move || rebalance_loop(&shared, &settings))?,
-                )
-            }
-            _ => None,
-        };
-        Ok(RouterServer {
-            shared,
-            local_addr,
-            accept: Some(accept),
-            health: Some(health),
-            rebal,
-        })
+        if shared.config.rebalance.is_some() && shared.upstreams.len() > 1 {
+            threads.push(spawn("gb-router-rebal".into(), rebalance_loop)?);
+        }
+        Ok(RouterServer { shared, threads })
     }
 
     /// The bound listen address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.shared.io.local_addr()
     }
 
-    /// Requests shutdown without blocking; threads drain on their next
-    /// poll tick.
+    /// Requests shutdown without blocking: the listener closes, queued
+    /// frames are still answered.
     pub fn trigger_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        trigger_shutdown(&self.shared);
     }
 
-    /// Waits for the accept loop (and every handler) plus the prober.
+    /// Waits for every router thread to finish.
     pub fn join(&mut self) {
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.health.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.rebal.take() {
+        for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
     }

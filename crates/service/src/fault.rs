@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 /// All methods take the connection's accept-order id so a script can
 /// target one connection while its neighbours run clean. Defaults are
 /// passthrough; implementations override only the seams they need.
-pub trait IoShim: Send + Sync {
+pub trait IoShim: Send + Sync + std::fmt::Debug {
     /// Called once per accepted connection before it is registered.
     /// Returning `false` makes the server drop the socket immediately
     /// (an accept-time reset).
@@ -80,19 +80,11 @@ impl IoShim for Passthrough {}
 /// Clones share the underlying socket (via `TcpStream::try_clone`) and
 /// the same shim + id, mirroring how the server splits a connection
 /// into a reader half and a writer half.
+#[derive(Debug)]
 pub struct ShimStream {
     inner: TcpStream,
     shim: Arc<dyn IoShim>,
     conn_id: u64,
-}
-
-impl std::fmt::Debug for ShimStream {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShimStream")
-            .field("inner", &self.inner)
-            .field("conn_id", &self.conn_id)
-            .finish_non_exhaustive()
-    }
 }
 
 impl ShimStream {

@@ -13,16 +13,18 @@
 //!   ([`proto`]),
 //! * bounded admission with load shedding through per-worker stealing
 //!   deques with an aggregate cap ([`shed`]),
-//! * one serving engine ([`server`]): nonblocking accept, I/O pollers
-//!   on epoll readiness (a portable sweep loop where epoll is
-//!   unavailable), and an inline cache fast path,
+//! * one connection loop ([`io_loop`]) shared with `gb-router`:
+//!   nonblocking accept, I/O pollers on epoll readiness (a portable
+//!   sweep loop where epoll is unavailable), write buffering and the
+//!   reply timeout; `gb-serve` plugs in its inline cache fast path and
+//!   worker hand-off ([`server`]),
 //! * deadline enforcement and graceful drain on shutdown ([`server`]),
 //! * a sharded, exact LRU result cache with optional TinyLFU admission,
 //!   keyed by deterministic problem fingerprints ([`cache`],
 //!   `gb_core::fingerprint`),
 //! * live counters and log-bucketed latency histograms with p50/p95/p99
-//!   readout, including fault counters (`conn_reset`, `torn_frame`,
-//!   `reply_dropped`) ([`metrics`]),
+//!   readout ([`metrics`]); the loop's fault counters (`conn_reset`,
+//!   `torn_frame`, `reply_dropped`) live with the loop,
 //! * a deterministic fault-injection seam wrapping every accept, read
 //!   and write, used by the chaos test-suite to script torn writes,
 //!   read errors, resets and stalled workers ([`fault`]),
@@ -66,6 +68,7 @@
 pub mod cache;
 pub mod client;
 pub mod fault;
+pub mod io_loop;
 pub mod metrics;
 pub mod persist;
 pub mod proto;

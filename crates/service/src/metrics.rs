@@ -11,6 +11,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use gb_rebal::{RebalanceSettings, RebalanceSnapshot};
+
 use crate::proto::{Algorithm, ErrorCode, Json};
 
 /// Number of histogram buckets: covers `[1 µs, 2^39 µs ≈ 9 days)`.
@@ -128,22 +130,6 @@ pub struct ServiceMetrics {
     /// Cache hits answered inline on an I/O poller, skipping the queue
     /// and worker hand-off entirely.
     fast_path: AtomicU64,
-    /// Connections that died abnormally: reset by the peer, failed a
-    /// write, or stalled past the write deadline.
-    conn_reset: AtomicU64,
-    /// Frames cut off by a peer close: a non-empty partial line was
-    /// pending when EOF arrived.
-    torn_frame: AtomicU64,
-    /// Finished responses that could not be delivered — the connection
-    /// was dead or another thread had already answered for it.
-    reply_dropped: AtomicU64,
-    /// `accept()` failures other than WouldBlock/Interrupted — fd
-    /// exhaustion (`EMFILE`/`ENFILE`) and kindred resource errors. Each
-    /// one also backs the accept loop off for a poll interval.
-    accept_errors: AtomicU64,
-    /// Connections refused at accept because the `--max-conns` cap was
-    /// reached; each got a best-effort `overloaded` reply before close.
-    accept_shed: AtomicU64,
     /// Latency over all balance requests (receipt → response ready).
     latency: Histogram,
     /// Latency split per algorithm.
@@ -160,11 +146,6 @@ impl ServiceMetrics {
             errors: std::array::from_fn(|_| AtomicU64::new(0)),
             control: AtomicU64::new(0),
             fast_path: AtomicU64::new(0),
-            conn_reset: AtomicU64::new(0),
-            torn_frame: AtomicU64::new(0),
-            reply_dropped: AtomicU64::new(0),
-            accept_errors: AtomicU64::new(0),
-            accept_shed: AtomicU64::new(0),
             latency: Histogram::new(),
             latency_by_algorithm: std::array::from_fn(|_| Histogram::new()),
         }
@@ -200,60 +181,6 @@ impl ServiceMetrics {
     /// Responses served on the inline fast path so far.
     pub fn fast_path_count(&self) -> u64 {
         self.fast_path.load(Ordering::Relaxed)
-    }
-
-    /// Records a connection that died abnormally (peer reset, write
-    /// failure, or write stall past the deadline).
-    pub fn record_conn_reset(&self) {
-        self.conn_reset.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Abnormal connection deaths so far.
-    pub fn conn_reset_count(&self) -> u64 {
-        self.conn_reset.load(Ordering::Relaxed)
-    }
-
-    /// Records a frame cut off by EOF (non-empty partial line when the
-    /// peer closed).
-    pub fn record_torn_frame(&self) {
-        self.torn_frame.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Torn frames seen so far.
-    pub fn torn_frame_count(&self) -> u64 {
-        self.torn_frame.load(Ordering::Relaxed)
-    }
-
-    /// Records a finished response that could not be delivered to its
-    /// connection.
-    pub fn record_reply_dropped(&self) {
-        self.reply_dropped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Undeliverable responses so far.
-    pub fn reply_dropped_count(&self) -> u64 {
-        self.reply_dropped.load(Ordering::Relaxed)
-    }
-
-    /// Records an `accept()` failure that was neither WouldBlock nor
-    /// Interrupted (fd exhaustion and other resource errors).
-    pub fn record_accept_error(&self) {
-        self.accept_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Failed accepts so far.
-    pub fn accept_error_count(&self) -> u64 {
-        self.accept_errors.load(Ordering::Relaxed)
-    }
-
-    /// Records a connection shed at accept by the `--max-conns` cap.
-    pub fn record_accept_shed(&self) {
-        self.accept_shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Cap-shed accepts so far.
-    pub fn accept_shed_count(&self) -> u64 {
-        self.accept_shed.load(Ordering::Relaxed)
     }
 
     /// Seconds since the server started.
@@ -347,31 +274,6 @@ impl ServiceMetrics {
                 ]),
             ),
             (
-                "faults".into(),
-                Json::Obj(vec![
-                    (
-                        "conn_reset".into(),
-                        Json::Int(self.conn_reset.load(Ordering::Relaxed) as i64),
-                    ),
-                    (
-                        "torn_frame".into(),
-                        Json::Int(self.torn_frame.load(Ordering::Relaxed) as i64),
-                    ),
-                    (
-                        "reply_dropped".into(),
-                        Json::Int(self.reply_dropped.load(Ordering::Relaxed) as i64),
-                    ),
-                    (
-                        "accept_errors".into(),
-                        Json::Int(self.accept_errors.load(Ordering::Relaxed) as i64),
-                    ),
-                    (
-                        "accept_shed".into(),
-                        Json::Int(self.accept_shed.load(Ordering::Relaxed) as i64),
-                    ),
-                ]),
-            ),
-            (
                 "latency".into(),
                 Json::Obj(vec![
                     ("overall".into(), self.latency.to_json()),
@@ -386,6 +288,43 @@ impl Default for ServiceMetrics {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// The `stats.rebal` section both tiers report: whether a tick thread
+/// runs, its settings, the tick counters, the latest imbalance pair, and
+/// the observed-α Theorem 2 bound the plan was held to.
+pub fn rebal_json(
+    settings: Option<&RebalanceSettings>,
+    enabled: bool,
+    vnode_count: usize,
+    snap: &RebalanceSnapshot,
+) -> Json {
+    let int = |v: u128| Json::Int(v.min(i64::MAX as u128) as i64);
+    Json::Obj(vec![
+        ("enabled".into(), Json::Bool(enabled)),
+        ("vnode_count".into(), int(vnode_count as u128)),
+        (
+            "interval_ms".into(),
+            int(settings.map_or(0, |s| s.interval.as_millis())),
+        ),
+        (
+            "trigger".into(),
+            Json::Num(settings.map_or(0.0, |s| s.trigger)),
+        ),
+        (
+            "move_budget".into(),
+            int(settings.map_or(0, |s| s.move_budget as u128)),
+        ),
+        ("ticks".into(), int(snap.ticks.into())),
+        ("skipped".into(), int(snap.skipped.into())),
+        ("moved".into(), int(snap.moved.into())),
+        ("max_tick_moves".into(), int(snap.max_tick_moves.into())),
+        ("version".into(), int(snap.version.into())),
+        ("imbalance_before".into(), Json::Num(snap.imbalance_before)),
+        ("imbalance_after".into(), Json::Num(snap.imbalance_after)),
+        ("alpha".into(), Json::Num(snap.alpha)),
+        ("bound".into(), Json::Num(snap.bound)),
+    ])
 }
 
 /// Renders a store counter snapshot as the stats endpoint's `store`
@@ -453,30 +392,6 @@ mod tests {
         let h = Histogram::new();
         assert_eq!(h.quantile_us(0.99), 0);
         assert_eq!(h.mean_us(), 0.0);
-    }
-
-    #[test]
-    fn fault_counters_surface_in_snapshot() {
-        let m = ServiceMetrics::new();
-        m.record_conn_reset();
-        m.record_conn_reset();
-        m.record_torn_frame();
-        m.record_reply_dropped();
-        m.record_accept_error();
-        m.record_accept_error();
-        m.record_accept_error();
-        m.record_accept_shed();
-        assert_eq!(m.conn_reset_count(), 2);
-        assert_eq!(m.torn_frame_count(), 1);
-        assert_eq!(m.reply_dropped_count(), 1);
-        assert_eq!(m.accept_error_count(), 3);
-        assert_eq!(m.accept_shed_count(), 1);
-        let faults = m.to_json().get("faults").cloned().expect("faults section");
-        assert_eq!(faults.get("conn_reset").unwrap().as_u64(), Some(2));
-        assert_eq!(faults.get("torn_frame").unwrap().as_u64(), Some(1));
-        assert_eq!(faults.get("reply_dropped").unwrap().as_u64(), Some(1));
-        assert_eq!(faults.get("accept_errors").unwrap().as_u64(), Some(3));
-        assert_eq!(faults.get("accept_shed").unwrap().as_u64(), Some(1));
     }
 
     #[test]

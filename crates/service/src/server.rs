@@ -1,11 +1,11 @@
 //! The partition-serving daemon.
 //!
-//! One serving engine: nonblocking accept, I/O pollers that frame and
-//! dispatch requests, and worker threads behind a per-backend steal
+//! `gb-serve` is one [`Handler`] on the shared connection loop
+//! ([`crate::io_loop`]) plus worker threads behind a per-backend steal
 //! queue.
 //!
 //! ```text
-//!  clients ──TCP──▶ nonblocking accept ─▶ I/O pollers (FrameReader)
+//!  clients ──TCP──▶ io_loop: accept, I/O pollers (FrameReader)
 //!                                           │ cache hit? ─▶ reply inline
 //!                                           │   (fast path, no hand-off)
 //!                                           ▼ miss: try_push (shed if full)
@@ -17,19 +17,12 @@
 //!                                           ▼
 //!                              ShardedCache (TinyLFU admission)
 //!                                           │
-//!                                           ▼ write reply to socket
+//!                                           ▼ Reply::send to the socket
 //! ```
 //!
-//! The readiness backend under the pollers is a platform decision, not
-//! an option. On Linux each poller blocks in `epoll_wait` (`epoll_loop`)
-//! and services only the connections the kernel (or a worker's eventfd
-//! wakeup) reports, so idle connections cost nothing. When the epoll or
-//! eventfd setup fails at startup — and on every non-Linux target, where
-//! `gb-sys` reports it as unsupported — the pollers run the portable
-//! sweep loop (`event_loop`) instead, which probes every connection
-//! each pass. Everything above the readiness layer is shared: the same
-//! `sweep_conn` services a connection either way. `stats.engine`
-//! names the backend the pollers actually run (`"epoll"` or `"sweep"`).
+//! The loop owns accept, readiness (epoll on Linux, the sweep loop as
+//! its fallback), framing, write buffering and the reply timeout;
+//! `stats.engine` names the readiness backend the pollers run.
 //!
 //! * **Admission** — each cache miss is pushed to a bounded queue; when
 //!   it is full the connection answers `overloaded` immediately
@@ -51,29 +44,25 @@
 //! saturated, that is the whole point of having them. The `shutdown`
 //! frame is acknowledged with a `pong` before draining begins.
 
-use std::fmt;
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use gb_core::tree::AlphaRecorder;
 use gb_parlb::ThreadPool;
-use gb_rebal::{EwmaTracker, RebalanceCounters, RebalanceSettings, VnodeLoad};
+use gb_rebal::{RebalanceCounters, RebalanceSettings, VnodeLoad};
 use gb_store::{SpillHandle, SpillSender, Store};
-use gb_sys as sys;
-use parking_lot::Mutex;
 
 use crate::cache::{CacheKey, CachedResult, ReplyTail, ShardedCache};
-use crate::fault::{IoShim, Passthrough, ShimStream};
-use crate::metrics::{store_json, ServiceMetrics};
+use crate::fault::{IoShim, Passthrough};
+use crate::io_loop::{Dispatch, Handler, IoLoop, LoopConfig, Reply};
+use crate::metrics::{rebal_json, store_json, ServiceMetrics};
 use crate::persist::{self, StoreSettings};
 use crate::proto::{
     binary_hit_reply, binary_ok_tail, json_hit_reply, json_ok_tail, Algorithm, BalanceRequest,
-    BalanceResponse, Codec, ErrorCode, Frame, FrameError, FrameReader, Json, Request, Response,
-    WireCodec,
+    BalanceResponse, ErrorCode, Json, Request, Response, WireCodec,
 };
 use crate::route::{Router, DEFAULT_VNODES};
 use crate::shed::{AggregateCap, FullCause, PushError, SlotGauge, SlotToken, StealQueue};
@@ -82,14 +71,6 @@ use crate::spec::ServiceProblem;
 /// Smallest α used for bound computation, so bounds stay finite even for
 /// degenerate empirical measurements.
 const MIN_ALPHA: f64 = 1e-3;
-
-/// Lines dispatched from one connection per poller sweep, so one
-/// pipelining client cannot starve its siblings on the same poller.
-const MAX_LINES_PER_SWEEP: usize = 32;
-
-/// Compaction threshold for a connection's output buffer: once this many
-/// written bytes accumulate at the front, the buffer is shifted down.
-const OUT_BUF_COMPACT: usize = 64 * 1024;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -120,15 +101,13 @@ impl Default for ServerConfig {
     }
 }
 
-/// Hot-path tuning: poller count, cache sharding/admission, and the
-/// timeouts that used to be hard-coded consts (`REPLY_TIMEOUT`,
-/// `POLL_INTERVAL`) — hoisted into configuration with the old values as
-/// defaults so fault-injection tests can tighten them.
+/// Hot-path tuning: the connection loop's settings, cache
+/// sharding/admission, persistence, sharding and rebalancing.
 ///
 /// Kept separate from [`ServerConfig`] so exhaustive `ServerConfig`
 /// literals in existing callers and tests keep compiling; pass it via
 /// [`Server::start_tuned`]. [`Server::start`] uses the defaults.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct Tuning {
     /// I/O poller threads (0 = 1). One is right for
     /// anything up to a few thousand connections; parsing is cheap.
@@ -139,16 +118,16 @@ pub struct Tuning {
     pub admission: bool,
     /// Hard cap on how long a connection waits for a worker to answer
     /// one job before giving up with an `internal` error (a worker
-    /// died). Was the `REPLY_TIMEOUT` const; default 120 s.
+    /// died). Default 120 s.
     pub reply_timeout: Duration,
     /// Timer granularity of the pollers: how often in-flight and
     /// write-stalled connections are re-checked, the accept backoff
     /// after fd exhaustion, and the ceiling on the sweep loop's idle
-    /// backoff. Was the `POLL_INTERVAL` const; default 100 ms.
+    /// backoff. Default 100 ms.
     pub poll_interval: Duration,
     /// How long a socket may refuse bytes (`WouldBlock` with output
     /// pending) before the connection is declared dead — the client
-    /// stopped reading. Was the `WRITE_STALL_LIMIT` const; default 5 s.
+    /// stopped reading. Default 5 s.
     pub write_stall: Duration,
     /// Fault-injection seam: every accept decision, socket read, socket
     /// write and worker dispatch goes through this shim. The default
@@ -202,89 +181,6 @@ impl Default for Tuning {
     }
 }
 
-impl fmt::Debug for Tuning {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Tuning")
-            .field("io_threads", &self.io_threads)
-            .field("cache_shards", &self.cache_shards)
-            .field("admission", &self.admission)
-            .field("reply_timeout", &self.reply_timeout)
-            .field("poll_interval", &self.poll_interval)
-            .field("write_stall", &self.write_stall)
-            .field("store", &self.store)
-            .field("backends", &self.backends)
-            .field("backend_vnodes", &self.backend_vnodes)
-            .field("max_conns", &self.max_conns)
-            .field("rebalance", &self.rebalance)
-            .finish_non_exhaustive()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Connection and reply plumbing
-// ---------------------------------------------------------------------------
-
-/// Write half of a connection: the nonblocking socket plus
-/// the output buffer that survives `WouldBlock` mid-frame.
-///
-/// Every writer (poller inline replies, worker replies, timeout errors)
-/// appends whole frames to `pending` and then pushes as much as the
-/// socket will take; the unwritten tail stays buffered — never dropped,
-/// never duplicated — and later sweeps retry it. `sent` marks the start
-/// of the unwritten region so retries cannot resend bytes.
-struct ConnWriter {
-    sink: ShimStream,
-    pending: Vec<u8>,
-    sent: usize,
-    /// First `WouldBlock` with output pending; cleared whenever the
-    /// socket accepts bytes again.
-    stalled_since: Option<Instant>,
-}
-
-impl ConnWriter {
-    fn new(sink: ShimStream) -> Self {
-        Self {
-            sink,
-            pending: Vec::new(),
-            sent: 0,
-            stalled_since: None,
-        }
-    }
-
-    fn has_pending(&self) -> bool {
-        self.sent < self.pending.len()
-    }
-}
-
-/// Per-connection state shared between the poller that reads requests
-/// and the worker that writes the reply.
-struct ConnShared {
-    /// Accept-order id, the fault shim's addressing scheme.
-    conn_id: u64,
-    /// Buffered write half. Workers and the poller serialise frames
-    /// through this lock.
-    writer: Mutex<ConnWriter>,
-    /// A balance job from this connection is queued or executing; the
-    /// poller stops reading until it clears (responses stay ordered).
-    inflight: AtomicBool,
-    /// Socket failed on write; the poller drops the connection.
-    dead: AtomicBool,
-    /// Wakes the owning epoll poller when worker-side state changes
-    /// (reply delivered, connection marked dead) — a blocked
-    /// `epoll_wait` cannot see an `AtomicBool` flip. `None` under the
-    /// sweep fallback, whose pollers rediscover state by sweeping.
-    waker: Option<Arc<sys::EventFd>>,
-}
-
-impl ConnShared {
-    /// Signals the owning epoll poller, if any.
-    fn wake(&self) {
-        if let Some(w) = &self.waker {
-            w.signal();
-        }
-    }
-}
-
 struct Job {
     req: BalanceRequest,
     received: Instant,
@@ -294,16 +190,12 @@ struct Job {
     backend: usize,
     /// Ring vnode owning this job's key, for per-vnode load accounting.
     vnode: usize,
-    /// The connection the worker writes the reply to.
-    conn: Arc<ConnShared>,
-    /// Arbitrates between the worker and a poller-side reply timeout —
-    /// whoever flips it first owns the reply.
-    answered: Arc<AtomicBool>,
-    /// RAII in-flight slot: released when the job is dropped, wherever
-    /// that happens — worker reply, dead-connection skip, shed hand-back
-    /// or shutdown drain — so the gauge cannot leak.
-    _slot: SlotToken,
-    /// Same contract for the owning backend's in-flight gauge.
+    /// The deferred reply the worker answers through.
+    reply: Reply,
+    /// RAII in-flight slot on the owning backend's gauge: released when
+    /// the job is dropped, wherever that happens — worker reply,
+    /// dead-connection skip, shed hand-back or shutdown drain — so the
+    /// gauge cannot leak.
     _backend_slot: SlotToken,
 }
 
@@ -340,21 +232,9 @@ struct Shared {
     queue_cap: Arc<AggregateCap>,
     metrics: ServiceMetrics,
     pool: ThreadPool,
-    shutdown: AtomicBool,
-    local_addr: SocketAddr,
+    /// The connection loop: accept, pollers, write path, fault counters.
+    io: Arc<IoLoop>,
     tuning: Tuning,
-    /// Accept-order connection ids (the fault shim's addressing).
-    next_conn: AtomicU64,
-    /// Live connections (open sockets holding a token).
-    open_conns: SlotGauge,
-    /// Balance jobs between submission and reply.
-    inflight_jobs: SlotGauge,
-    /// Accepted connections in transit to their poller.
-    inboxes: Vec<Mutex<Vec<Conn>>>,
-    /// One epoll wakeup channel per poller. Workers signal the owning
-    /// poller after finishing a reply so it can re-arm read interest.
-    /// Empty exactly when the pollers run the sweep fallback.
-    wakers: Vec<Arc<sys::EventFd>>,
     /// Write-behind persistence. Dropped with the last `Shared` ref,
     /// which drains the spill queue to disk before the writer joins —
     /// graceful shutdown loses nothing.
@@ -371,16 +251,6 @@ struct Shared {
 }
 
 impl Shared {
-    /// The readiness backend the pollers run, as reported in
-    /// `stats.engine`.
-    fn engine(&self) -> &'static str {
-        if self.wakers.is_empty() {
-            "sweep"
-        } else {
-            "epoll"
-        }
-    }
-
     /// The vnode and backend that own `key` under the assignment in
     /// effect (the hash ring's table until a rebalance tick moves it).
     fn backend_for(&self, key: &CacheKey) -> (usize, usize, &Backend) {
@@ -431,8 +301,6 @@ impl Server {
     /// Binds and spawns with explicit hot-path tuning.
     pub fn start_tuned(config: ServerConfig, tuning: Tuning) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
         let workers = if config.workers == 0 {
             (thread::available_parallelism().map_or(4, |n| n.get()) / 2).max(2)
         } else {
@@ -443,7 +311,6 @@ impl Server {
         } else {
             config.pool_threads
         };
-        let io_threads = tuning.io_threads.clamp(1, 16);
         let cache_shards = if tuning.cache_shards == 0 {
             8
         } else {
@@ -521,16 +388,19 @@ impl Server {
                 backend.spill = Some(spill.sender());
             }
         }
-        // The readiness backend is decided here, once, for every
-        // poller: epoll where the kernel provides it, the sweep loop
-        // when setup fails (always, off Linux). Workers hold the
-        // wakeup channels through `ConnShared`, so they must exist
-        // before the pollers do.
-        let (epolls, wakers): (Vec<_>, Vec<_>) =
-            open_readiness(&*tuning.shim, &listener, io_threads)
-                .unwrap_or_default()
-                .into_iter()
-                .unzip();
+        // The loop (and its readiness backend) must exist before the
+        // workers: their replies go out through it.
+        let (io, pollers) = IoLoop::new(
+            listener,
+            LoopConfig {
+                pollers: tuning.io_threads,
+                poll_interval: tuning.poll_interval,
+                write_stall: tuning.write_stall,
+                reply_timeout: tuning.reply_timeout,
+                max_conns: tuning.max_conns,
+                shim: Arc::clone(&tuning.shim),
+            },
+        )?;
         let vnode_count = router.vnode_count();
         let default_owners = router.default_owners();
         let shared = Arc::new(Shared {
@@ -539,14 +409,8 @@ impl Server {
             queue_cap,
             metrics: ServiceMetrics::new(),
             pool: ThreadPool::new(pool_threads),
-            shutdown: AtomicBool::new(false),
-            local_addr,
+            io,
             tuning: tuning.clone(),
-            next_conn: AtomicU64::new(0),
-            open_conns: SlotGauge::new(),
-            inflight_jobs: SlotGauge::new(),
-            inboxes: (0..io_threads).map(|_| Mutex::new(Vec::new())).collect(),
-            wakers,
             spill,
             vnode_load: VnodeLoad::new(vnode_count),
             assignment: RwLock::new(default_owners),
@@ -563,7 +427,7 @@ impl Server {
                 Some(
                     thread::Builder::new()
                         .name("gb-serve-rebal".into())
-                        .spawn(move || rebalance_loop(&shared, &settings))
+                        .spawn(move || rebalance_loop(&shared, settings))
                         .expect("spawn rebalance tick"),
                 )
             }
@@ -581,24 +445,7 @@ impl Server {
             })
             .collect();
 
-        // Poller 0 accepts; with epoll the listener is already
-        // registered on its instance.
-        let mut listener = Some(listener);
-        let mut epolls = epolls.into_iter();
-        let pollers = (0..io_threads)
-            .map(|p| {
-                let shared = Arc::clone(&shared);
-                let listener = listener.take();
-                let ep = epolls.next();
-                thread::Builder::new()
-                    .name(format!("gb-serve-io-{p}"))
-                    .spawn(move || match ep {
-                        Some(ep) => epoll_loop(&shared, p, listener, ep),
-                        None => event_loop(&shared, p, listener),
-                    })
-                    .expect("spawn io poller")
-            })
-            .collect();
+        let pollers = pollers.spawn(Arc::clone(&shared), "gb-serve")?;
 
         Ok(Server {
             shared,
@@ -610,13 +457,13 @@ impl Server {
 
     /// The bound address (useful with an ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.local_addr
+        self.shared.io.local_addr()
     }
 
     /// The readiness backend the pollers run: `"epoll"`, or `"sweep"`
     /// when epoll setup failed or the platform has none.
     pub fn engine(&self) -> &'static str {
-        self.shared.engine()
+        self.shared.io.engine()
     }
 
     /// Initiates shutdown without blocking: refuses new work, wakes the
@@ -662,70 +509,37 @@ impl Drop for Server {
 }
 
 fn trigger_shutdown(shared: &Shared) {
-    if shared.shutdown.swap(true, Ordering::SeqCst) {
-        return; // already shutting down
-    }
     for backend in &shared.backends {
         backend.queue.close();
     }
-    // Epoll pollers block in epoll_wait; signal each wakeup channel so
-    // the drain starts now rather than at the next timeout.
-    for waker in &shared.wakers {
-        waker.signal();
-    }
+    shared.io.trigger_shutdown();
 }
 
 // ---------------------------------------------------------------------------
 // Rebalance tick: HF over observed per-vnode load (gb-rebal)
 // ---------------------------------------------------------------------------
 
-/// The self-balancing tick. Every `interval` it snapshots the per-vnode
-/// counters into an EWMA, plans an HF re-partition of the vnode
-/// multiset over all backends (in-process backends don't die, so the
-/// candidate set is the full membership), and — hysteresis permitting —
-/// swaps the new assignment table in. Requests racing the swap route by
-/// either the old or the new table, both of which are valid backends;
-/// a moved vnode's next request simply warms the new owner's cache.
-fn rebalance_loop(shared: &Arc<Shared>, settings: &RebalanceSettings) {
+/// The self-balancing tick ([`gb_rebal::run_ticks`]) over all backends:
+/// in-process backends don't die, so the candidate set is the full
+/// membership. Hysteresis permitting, each tick swaps a new assignment
+/// table in. Requests racing the swap route by either the old or the
+/// new table, both of which are valid backends; a moved vnode's next
+/// request simply warms the new owner's cache.
+fn rebalance_loop(shared: &Shared, settings: RebalanceSettings) {
     let alive: Vec<u32> = (0..shared.backends.len() as u32).collect();
-    let mut tracker = EwmaTracker::new(shared.vnode_load.len(), settings.decay);
-    let interval = settings.interval.max(Duration::from_millis(1));
-    // Sleep in short steps so shutdown is honoured promptly even with
-    // long tick intervals.
-    let step = Duration::from_millis(20).min(interval);
-    let mut next_tick = Instant::now() + interval;
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        if Instant::now() < next_tick {
-            thread::sleep(step);
-            continue;
-        }
-        next_tick = Instant::now() + interval;
-        tracker.observe(&shared.vnode_load);
-        let current = shared.assignment.read().expect("assignment lock").clone();
-        let plan = gb_rebal::plan(
-            &tracker.weights(),
-            &current,
-            &alive,
-            settings.trigger,
-            settings.move_budget,
-        );
-        shared.rebal.record_tick(&plan);
-        if !plan.skipped && !plan.moves.is_empty() {
-            *shared.assignment.write().expect("assignment lock") = plan.owners;
-        }
-    }
-}
-
-fn protocol_error(shared: &Shared, message: &str) -> Response {
-    shared.metrics.record_error(ErrorCode::BadRequest);
-    Response::Error {
-        id: None,
-        code: ErrorCode::BadRequest,
-        message: message.into(),
-    }
+    gb_rebal::run_ticks(
+        &settings,
+        &shared.vnode_load,
+        &shared.rebal,
+        || shared.io.is_shutting_down(),
+        || {
+            (
+                shared.assignment.read().expect("assignment lock").clone(),
+                alive.clone(),
+            )
+        },
+        |owners| *shared.assignment.write().expect("assignment lock") = owners,
+    );
 }
 
 /// The `overloaded` error text, naming the capacity that actually
@@ -740,883 +554,96 @@ fn overload_message(shared: &Shared, backend: &Backend, cause: FullCause) -> Str
 }
 
 // ---------------------------------------------------------------------------
-// Pollers: nonblocking accept, connection sweep, direct worker writes
+// The loop handler: control frames, the cache fast path, queue hand-off
 // ---------------------------------------------------------------------------
 
-/// One connection owned by an I/O poller.
-struct Conn {
-    reader: FrameReader<ShimStream>,
-    shared: Arc<ConnShared>,
-    /// Set while a queued balance request is outstanding: when it was
-    /// dispatched, the reply-arbitration flag, and the request id (for
-    /// the timeout error frame).
-    inflight_since: Option<(Instant, Arc<AtomicBool>, Option<u64>, WireCodec)>,
-    /// The read side is finished (EOF or torn frame); the connection
-    /// stays around only until buffered replies drain.
-    closing: bool,
-    /// Open-connection gauge slot, released when the poller drops us.
-    _open: SlotToken,
-}
+impl Handler for Shared {
+    /// Handles one decoded request frame on the poller. Cache hits,
+    /// control frames and shed responses are answered inline; only
+    /// cache misses cross the queue to a worker. The reply goes out in
+    /// the codec the request frame arrived in.
+    fn handle(&self, request: Request, _raw: &[u8], out: &mut Dispatch<'_>) {
+        match request {
+            Request::Ping => {
+                self.metrics.record_control();
+                out.reply(&Response::Pong);
+            }
+            Request::Stats => {
+                self.metrics.record_control();
+                out.reply(&Response::Stats(stats_json(self)));
+            }
+            Request::Shutdown => {
+                self.metrics.record_control();
+                out.reply(&Response::Pong);
+                // The drain must not race the acknowledgement out of the
+                // buffer: write it now.
+                out.flush();
+                trigger_shutdown(self);
+            }
+            Request::Balance(req) => self.dispatch_balance(req, out),
+        }
+    }
 
-impl Conn {
-    /// Registers an accepted stream. `None` means the socket died
-    /// between `accept` and setup (`fcntl`/`dup` failure, typical under
-    /// fd pressure) — the caller must record the death; a client that
-    /// connected successfully must not vanish without a metric.
-    fn accept(
-        stream: TcpStream,
-        shared: &Shared,
-        conn_id: u64,
-        waker: Option<Arc<sys::EventFd>>,
-    ) -> Option<Conn> {
-        let _ = stream.set_nodelay(true);
-        stream.set_nonblocking(true).ok()?;
-        let writer = stream.try_clone().ok()?;
-        let shim = &shared.tuning.shim;
-        Some(Conn {
-            reader: FrameReader::new(ShimStream::new(stream, Arc::clone(shim), conn_id)),
-            shared: Arc::new(ConnShared {
-                conn_id,
-                writer: Mutex::new(ConnWriter::new(ShimStream::new(
-                    writer,
-                    Arc::clone(shim),
-                    conn_id,
-                ))),
-                inflight: AtomicBool::new(false),
-                dead: AtomicBool::new(false),
-                waker,
-            }),
-            inflight_since: None,
-            closing: false,
-            _open: shared.open_conns.acquire(),
-        })
+    fn loop_error(&self, code: ErrorCode) {
+        self.metrics.record_error(code);
     }
 }
 
-/// Accept-side state an accepting poller carries across iterations.
-#[derive(Default)]
-struct AcceptState {
-    /// Round-robin cursor over poller inboxes.
-    next_inbox: usize,
-    /// Set after a resource-exhaustion accept error: no accept attempts
-    /// until this instant. Retrying `EMFILE` hot frees nothing and
-    /// starves the connections that already exist.
-    backoff_until: Option<Instant>,
-}
-
-/// Drains the listener's accept queue, triaging errors instead of the
-/// old blanket `Err(_) => break`: `Interrupted` retries immediately,
-/// `WouldBlock` ends the batch, resource exhaustion counts
-/// `faults.accept_errors` and backs accepts off for one poll interval,
-/// and the `--max-conns` cap sheds with a best-effort `overloaded`
-/// reply before close. Accepted connections are handed to `deliver`
-/// with their target poller index. Returns true if any were accepted.
-fn drain_accepts(
-    shared: &Arc<Shared>,
-    listener: &TcpListener,
-    state: &mut AcceptState,
-    mut deliver: impl FnMut(usize, Conn),
-) -> bool {
-    if let Some(until) = state.backoff_until {
-        if Instant::now() < until {
-            return false;
-        }
-        state.backoff_until = None;
-    }
-    let mut progress = false;
-    loop {
-        // Accept first, shim second: the scripted seam only fires once
-        // a real connection is pending, so an idle sweep iteration is a
-        // plain `WouldBlock` and never consumes a scripted verdict.
-        let attempt = match listener.accept() {
-            Ok((stream, _)) => shared.tuning.shim.accept_result().map(|()| stream),
-            Err(e) => Err(e),
-        };
-        match attempt {
-            Ok(stream) => {
-                progress = true;
-                let conn_id = shared.next_conn.fetch_add(1, Ordering::SeqCst);
-                if !shared.tuning.shim.allow_accept(conn_id) {
-                    shared.metrics.record_conn_reset();
-                    continue;
-                }
-                let max = shared.tuning.max_conns;
-                if max > 0 && shared.open_conns.occupied() >= max {
-                    shed_accept(shared, stream, max);
-                    continue;
-                }
-                let target = state.next_inbox % shared.inboxes.len();
-                state.next_inbox = state.next_inbox.wrapping_add(1);
-                let waker = shared.wakers.get(target).cloned();
-                match Conn::accept(stream, shared, conn_id, waker) {
-                    Some(conn) => deliver(target, conn),
-                    None => shared.metrics.record_conn_reset(),
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) if would_block(&e) => break,
-            Err(e) => {
-                shared.metrics.record_accept_error();
-                if sys::is_resource_exhaustion(&e) {
-                    state.backoff_until = Some(Instant::now() + shared.tuning.poll_interval);
-                }
-                break;
-            }
-        }
-    }
-    progress
-}
-
-/// Best-effort `overloaded` reply to a connection shed at the
-/// `--max-conns` cap, then close. One nonblocking write: a peer whose
-/// socket cannot take a single frame just sees the close. Shedding
-/// happens before the first frame is sniffed, so the reply is always a
-/// JSON line — binary clients treat the close itself as the signal.
-fn shed_accept(shared: &Shared, stream: TcpStream, cap: usize) {
-    shared.metrics.record_accept_shed();
-    shared.metrics.record_error(ErrorCode::Overloaded);
-    let resp = Response::Error {
-        id: None,
-        code: ErrorCode::Overloaded,
-        message: format!("connection limit ({cap}) reached"),
-    };
-    let mut line = resp.encode();
-    line.push('\n');
-    let _ = stream.set_nonblocking(true);
-    let _ = (&stream).write(line.as_bytes());
-}
-
-fn would_block(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Queues one frame for delivery and pushes what the socket will take.
-fn write_frame(shared: &Shared, conn: &ConnShared, codec: WireCodec, resp: &Response) {
-    let mut frame = Vec::new();
-    codec.encode_response(resp, &mut frame);
-    enqueue_bytes(shared, conn, &frame);
-}
-
-/// Appends one encoded frame to a sweep's outgoing reply buffer.
-fn push_reply(replies: &mut Vec<u8>, codec: WireCodec, resp: &Response) {
-    codec.encode_response(resp, replies);
-}
-
-/// Moves a sweep's coalesced replies into the connection's output
-/// buffer and flushes what fits, preserving frame order.
-fn flush_replies(shared: &Shared, conn: &ConnShared, replies: &mut Vec<u8>) {
-    if !replies.is_empty() {
-        enqueue_bytes(shared, conn, replies);
-        replies.clear();
-    }
-}
-
-/// Appends bytes to the connection's output buffer and drives the
-/// socket. Never blocks and never drops accepted bytes: on `WouldBlock`
-/// the tail stays in the buffer for later flushes.
-fn enqueue_bytes(shared: &Shared, conn: &ConnShared, buf: &[u8]) {
-    let mut w = conn.writer.lock();
-    if conn.dead.load(Ordering::Acquire) {
-        return;
-    }
-    w.pending.extend_from_slice(buf);
-    drive_writer(shared, conn, &mut w);
-}
-
-/// Retries any buffered output without blocking. Returns `true` while
-/// unwritten bytes remain.
-fn flush_pending(shared: &Shared, conn: &ConnShared) -> bool {
-    let mut w = conn.writer.lock();
-    drive_writer(shared, conn, &mut w);
-    w.has_pending()
-}
-
-/// Writes as much buffered output as the socket accepts. A socket that
-/// refuses all bytes for `tuning.write_stall` is a peer that stopped
-/// reading: the connection is marked dead and the buffer discarded.
-fn drive_writer(shared: &Shared, conn: &ConnShared, w: &mut ConnWriter) {
-    while w.sent < w.pending.len() {
-        match w.sink.write(&w.pending[w.sent..]) {
-            Ok(0) => return mark_write_dead(shared, conn, w),
-            Ok(k) => {
-                w.sent += k;
-                w.stalled_since = None;
-            }
-            Err(e) if would_block(&e) => {
-                let since = *w.stalled_since.get_or_insert_with(Instant::now);
-                if since.elapsed() >= shared.tuning.write_stall {
-                    return mark_write_dead(shared, conn, w);
-                }
-                break;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return mark_write_dead(shared, conn, w),
-        }
-    }
-    if w.sent == w.pending.len() {
-        w.pending.clear();
-        w.sent = 0;
-    } else if w.sent >= OUT_BUF_COMPACT {
-        w.pending.drain(..w.sent);
-        w.sent = 0;
-    }
-}
-
-fn mark_write_dead(shared: &Shared, conn: &ConnShared, w: &mut ConnWriter) {
-    conn.dead.store(true, Ordering::Release);
-    shared.metrics.record_conn_reset();
-    w.pending.clear();
-    w.sent = 0;
-    w.stalled_since = None;
-    // A dead connection must be reaped; an epoll poller blocked in
-    // `wait` would otherwise not notice until its timeout.
-    conn.wake();
-}
-
-/// The poller loop: accept (poller 0), adopt handed-off connections,
-/// sweep each connection for readable frames, back off adaptively when
-/// idle. Exits when shutdown is set and every in-flight reply has been
-/// written.
-fn event_loop(shared: &Arc<Shared>, index: usize, mut listener: Option<TcpListener>) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut accepts = AcceptState::default();
-    let mut idle_spins = 0u32;
-    // Reused across sweeps: inline replies are batched here and written
-    // with one syscall per connection per sweep.
-    let mut replies = Vec::new();
-    loop {
-        let mut progress = false;
-        let draining = shared.shutdown.load(Ordering::SeqCst);
-        if draining {
-            // Dropping the listener refuses new connections immediately.
-            listener = None;
-        } else if let Some(l) = &listener {
-            progress |= drain_accepts(shared, l, &mut accepts, |target, conn| {
-                if target == index {
-                    conns.push(conn);
-                } else {
-                    shared.inboxes[target].lock().push(conn);
-                }
-            });
-        }
-        {
-            let mut inbox = shared.inboxes[index].lock();
-            if !inbox.is_empty() {
-                progress = true;
-                conns.append(&mut inbox);
-            }
-        }
-        conns.retain_mut(|conn| sweep_conn(shared, conn, draining, &mut progress, &mut replies));
-        if draining && conns.is_empty() {
-            return;
-        }
-        if progress {
-            idle_spins = 0;
-        } else {
-            idle_spins = idle_spins.saturating_add(1);
-            if idle_spins > 3 {
-                // Exponential backoff from 50 µs. There is no readiness
-                // wakeup — a sleeping poller is blind — so the sleep cap
-                // balances wake latency against sweep cost. A flat 1 ms
-                // cap meant ONE idle connection held the poller at ~1k
-                // full sweeps/sec forever; instead the cap scales with
-                // the sweep's own cost (~20 µs of allowance per
-                // connection), so a near-empty poller naps cheaply while
-                // a loaded one still wakes fast. Only an empty poller
-                // may back off all the way to the poll interval.
-                let exp = (idle_spins - 3).min(12);
-                let backoff = Duration::from_micros(50u64 << exp);
-                let cap = if conns.is_empty() {
-                    shared.tuning.poll_interval
-                } else {
-                    let interval = shared.tuning.poll_interval;
-                    Duration::from_micros(20 * conns.len() as u64)
-                        .min(interval)
-                        .max(Duration::from_millis(1).min(interval))
-                };
-                thread::sleep(backoff.min(cap));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Epoll readiness: wakeups over the same per-connection logic
-// ---------------------------------------------------------------------------
-
-/// Registration token for the accept listener.
-const LISTENER_TOKEN: u64 = u64::MAX;
-/// Registration token for the poller's eventfd wakeup channel.
-const WAKER_TOKEN: u64 = u64::MAX - 1;
-
-/// The descriptor epoll registers for a socket.
-#[cfg(unix)]
-fn raw_fd(sock: &impl std::os::fd::AsRawFd) -> sys::RawFd {
-    sock.as_raw_fd()
-}
-
-/// Off unix there is no epoll: [`open_readiness`] fails before any
-/// descriptor is registered, so this value is never used.
-#[cfg(not(unix))]
-fn raw_fd<T>(_sock: &T) -> sys::RawFd {
-    -1
-}
-
-/// Opens one epoll instance and wakeup channel per poller, with the
-/// listener registered on poller 0's instance. Any failure — the fault
-/// shim's scripted [`IoShim::readiness_setup`] error, `epoll_create1`
-/// or `eventfd` refusing under fd exhaustion, or `Unsupported` off
-/// Linux — sends every poller to the sweep loop instead: readiness is
-/// an optimisation, not a correctness requirement.
-fn open_readiness(
-    shim: &dyn IoShim,
-    listener: &TcpListener,
-    pollers: usize,
-) -> std::io::Result<Vec<(sys::Epoll, Arc<sys::EventFd>)>> {
-    shim.readiness_setup()?;
-    (0..pollers)
-        .map(|p| {
-            let ep = sys::Epoll::new()?;
-            let waker = Arc::new(sys::EventFd::new()?);
-            ep.add(waker.raw_fd(), WAKER_TOKEN, sys::Interest::READ)?;
-            if p == 0 {
-                ep.add(raw_fd(listener), LISTENER_TOKEN, sys::Interest::READ)?;
-            }
-            Ok((ep, waker))
-        })
-        .collect()
-}
-
-/// A connection owned by an epoll poller: the sweep loop's [`Conn`]
-/// plus the interest currently registered with the kernel.
-struct EpollConn {
-    conn: Conn,
-    armed: sys::Interest,
-}
-
-fn conn_fd(conn: &Conn) -> sys::RawFd {
-    raw_fd(conn.reader.get_ref().get_ref())
-}
-
-/// Adds a connection to the poller's slab and registers its socket for
-/// read readiness. `None` (with `conn_reset` recorded) if the kernel
-/// refuses the registration — the socket died between accept and here.
-fn epoll_insert(
-    ep: &sys::Epoll,
-    slots: &mut Vec<Option<EpollConn>>,
-    free: &mut Vec<usize>,
-    shared: &Shared,
-    conn: Conn,
-) -> Option<usize> {
-    let slot = free.pop().unwrap_or_else(|| {
-        slots.push(None);
-        slots.len() - 1
-    });
-    if ep
-        .add(conn_fd(&conn), slot as u64, sys::Interest::READ)
-        .is_err()
-    {
-        free.push(slot);
-        shared.metrics.record_conn_reset();
-        return None;
-    }
-    slots[slot] = Some(EpollConn {
-        conn,
-        armed: sys::Interest::READ,
-    });
-    Some(slot)
-}
-
-/// The readiness-driven poller. Per-connection semantics are identical
-/// to [`event_loop`] — the work is the same [`sweep_conn`], so the
-/// fault shim, reply arbitration, and write-stall accounting are all
-/// shared — but instead of sweeping every connection every iteration
-/// the poller blocks in `epoll_wait` and services only what the kernel
-/// (or a worker's eventfd wakeup) reports. Idle connections therefore
-/// cost nothing per iteration; that is the whole point of readiness.
-///
-/// Level-triggered interest is deliberate: the fault shim may answer a
-/// readable wakeup with an injected `WouldBlock`, and level semantics
-/// re-deliver the event on the next wait instead of losing it.
-///
-/// `ep` comes from [`open_readiness`], with this poller's waker (and,
-/// on the accepting poller, the listener) already registered.
-fn epoll_loop(
-    shared: &Arc<Shared>,
-    index: usize,
-    mut listener: Option<TcpListener>,
-    mut ep: sys::Epoll,
-) {
-    use std::collections::HashSet;
-
-    let waker = Arc::clone(&shared.wakers[index]);
-    let mut listener_armed = listener.is_some();
-
-    // Owned connections; the epoll token is the slot index.
-    let mut slots: Vec<Option<EpollConn>> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut live = 0usize;
-    // Slots needing periodic timer sweeps (job in flight, buffered
-    // output, or closing): `reply_timeout` and `write_stall` fire at
-    // poll-interval granularity, exactly like the sweep loop.
-    let mut watched: HashSet<usize> = HashSet::new();
-    // Slots with complete frames buffered in the reader while the
-    // socket itself is drained: readiness will never fire for those
-    // bytes, so the next wait must not block.
-    let mut hot: Vec<usize> = Vec::new();
-    let mut due: Vec<usize> = Vec::new();
-    let mut events: Vec<sys::Event> = Vec::new();
-    let mut accepts = AcceptState::default();
-    let mut last_timer = Instant::now();
-    let mut replies = Vec::new();
-
-    loop {
-        let draining = shared.shutdown.load(Ordering::SeqCst);
-        if draining {
-            if let Some(l) = listener.take() {
-                // Dropping the listener refuses new connections now.
-                let _ = ep.delete(raw_fd(&l));
-                listener_armed = false;
-            }
-        }
-
-        // How long may the wait block? Buffered frames demand an
-        // immediate pass; anything time-driven — timer sweeps, accept
-        // backoff, drain — caps it at the poll interval; a fully idle
-        // poller blocks until the kernel or a worker wakes it.
-        let timeout = if !hot.is_empty() {
-            Some(Duration::ZERO)
-        } else if draining {
-            Some(Duration::from_millis(1).min(shared.tuning.poll_interval))
-        } else if !watched.is_empty() || accepts.backoff_until.is_some() {
-            Some(shared.tuning.poll_interval)
-        } else {
-            None
-        };
-        if ep.wait(&mut events, timeout).is_err() {
-            // A broken wait must not busy-loop; pace by the interval
-            // and keep sweeping via the timer path below.
-            events.clear();
-            thread::sleep(shared.tuning.poll_interval);
-        }
-
-        due.clear();
-        let mut accept_ready = false;
-        let mut waker_fired = false;
-        for ev in &events {
-            match ev.token {
-                LISTENER_TOKEN => accept_ready = true,
-                WAKER_TOKEN => waker_fired = true,
-                t => due.push(t as usize),
-            }
-        }
-        if waker_fired {
-            waker.drain();
-            // A worker finished (or a write died): the affected
-            // connections are exactly the watched ones.
-            due.extend(watched.iter().copied());
-        }
-
-        // Adopt connections handed over by the accepting poller.
-        let adopted = std::mem::take(&mut *shared.inboxes[index].lock());
-        for conn in adopted {
-            if let Some(slot) = epoll_insert(&ep, &mut slots, &mut free, shared, conn) {
-                live += 1;
-                due.push(slot);
-            }
-        }
-
-        // Accept: level-triggered, so gating on readiness loses
-        // nothing; backoff expiry must retry even though the listener
-        // is deregistered while it lasts.
-        if let Some(l) = &listener {
-            if accept_ready || accepts.backoff_until.is_some() {
-                drain_accepts(shared, l, &mut accepts, |target, conn| {
-                    if target == index {
-                        if let Some(slot) = epoll_insert(&ep, &mut slots, &mut free, shared, conn) {
-                            live += 1;
-                            due.push(slot);
-                        }
-                    } else {
-                        shared.inboxes[target].lock().push(conn);
-                        if let Some(w) = shared.wakers.get(target) {
-                            w.signal();
-                        }
-                    }
+impl Shared {
+    fn dispatch_balance(&self, req: BalanceRequest, out: &mut Dispatch<'_>) {
+        let received = Instant::now();
+        let id = req.id;
+        let codec = out.codec();
+        if let Some(deadline_ms) = req.deadline_ms {
+            if received.elapsed() > Duration::from_millis(deadline_ms) {
+                self.metrics.record_error(ErrorCode::Timeout);
+                out.reply(&Response::Error {
+                    id,
+                    code: ErrorCode::Timeout,
+                    message: format!("deadline of {deadline_ms} ms expired"),
                 });
-                // Keep the registration in step with backoff: a waiting
-                // backlog would otherwise wake the poller continuously
-                // during a backoff it cannot act on.
-                let want = accepts.backoff_until.is_none();
-                if want != listener_armed {
-                    let done = if want {
-                        ep.add(raw_fd(l), LISTENER_TOKEN, sys::Interest::READ)
-                    } else {
-                        ep.delete(raw_fd(l))
-                    };
-                    if done.is_ok() {
-                        listener_armed = want;
-                    }
-                }
+                return;
             }
         }
-
-        // Merge time-driven work: reader-buffered slots always, watched
-        // slots at poll-interval cadence, everything during a drain.
-        due.append(&mut hot);
-        if !watched.is_empty() && last_timer.elapsed() >= shared.tuning.poll_interval {
-            due.extend(watched.iter().copied());
-            last_timer = Instant::now();
-        }
-        if draining {
-            due.clear();
-            due.extend(
-                slots
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, s)| s.as_ref().map(|_| i)),
-            );
-        }
-
-        for &slot in &due {
-            // A slot may appear twice (event + timer) or have been
-            // dropped earlier in this pass; servicing is idempotent
-            // and empty slots are skipped.
-            let keep = {
-                let Some(ec) = slots.get_mut(slot).and_then(Option::as_mut) else {
-                    continue;
-                };
-                let mut progress = false;
-                sweep_conn(shared, &mut ec.conn, draining, &mut progress, &mut replies)
-            };
-            if !keep {
-                if let Some(ec) = slots[slot].take() {
-                    let _ = ep.delete(conn_fd(&ec.conn));
-                    live -= 1;
-                }
-                watched.remove(&slot);
-                free.push(slot);
-                continue;
-            }
-            let Some(ec) = slots.get_mut(slot).and_then(Option::as_mut) else {
-                continue;
-            };
-            // Re-arm for the connection's new state. Read interest is
-            // dropped while a job is in flight — level-triggered
-            // readiness would spin for the whole compute — and
-            // restored by the worker's wake; write interest mirrors
-            // buffered output, so `EPOLLOUT` re-arming flows through
-            // the same write-stall accounting as the sweep loop.
-            let desired = sys::Interest {
-                readable: !draining && !ec.conn.closing && ec.conn.inflight_since.is_none(),
-                writable: ec.conn.shared.writer.lock().has_pending(),
-            };
-            if desired != ec.armed && ep.modify(conn_fd(&ec.conn), slot as u64, desired).is_ok() {
-                ec.armed = desired;
-            }
-            let needs_timer =
-                ec.conn.inflight_since.is_some() || ec.conn.closing || desired.writable;
-            if needs_timer {
-                watched.insert(slot);
-            } else {
-                watched.remove(&slot);
-            }
-            if desired.readable && ec.conn.reader.has_buffered() {
-                hot.push(slot);
-            }
-        }
-
-        if draining && live == 0 && shared.inboxes[index].lock().is_empty() {
+        // Fast path: answer cache hits on the poller — no queue round
+        // trip, no worker hand-off, no condvar. The router picks the
+        // backend whose cache can hold this key.
+        let key = CacheKey::new(req.problem.fingerprint(), req.algorithm, req.n, req.theta);
+        let (vnode, backend_index, backend) = self.backend_for(&key);
+        if let Some(hit) = backend.cache.get(&key) {
+            let latency = received.elapsed();
+            self.record_load(vnode, backend_index, 0);
+            self.metrics.record_fast_path();
+            self.metrics.record_ok(req.algorithm, true, latency);
+            encode_hit(out.buf(), codec, &req, &hit, latency);
             return;
         }
-    }
-}
-
-/// One sweep over one connection. Returns `false` to drop it.
-fn sweep_conn(
-    shared: &Arc<Shared>,
-    conn: &mut Conn,
-    draining: bool,
-    progress: &mut bool,
-    replies: &mut Vec<u8>,
-) -> bool {
-    replies.clear();
-    if conn.shared.dead.load(Ordering::Acquire) {
-        return false;
-    }
-    if let Some((since, answered, id, codec)) = &conn.inflight_since {
-        if conn.shared.inflight.load(Ordering::Acquire) {
-            if since.elapsed() <= shared.tuning.reply_timeout {
-                // Still waiting on the worker; keep earlier buffered
-                // output moving in the meantime.
-                flush_pending(shared, &conn.shared);
-                return !conn.shared.dead.load(Ordering::Acquire);
+        // The worker writes its reply directly to the socket; deferring
+        // writes any buffered inline replies first, so the connection's
+        // frames stay in request order.
+        let job = Job {
+            req,
+            received,
+            codec,
+            backend: backend_index,
+            vnode,
+            reply: out.defer(id),
+            _backend_slot: backend.inflight.acquire(),
+        };
+        let (job, code, message) = match backend.queue.try_push(job) {
+            Ok(()) => return,
+            Err((job, PushError::Full(cause))) => (
+                job,
+                ErrorCode::Overloaded,
+                overload_message(self, backend, cause),
+            ),
+            Err((job, PushError::Closed)) => {
+                (job, ErrorCode::ShuttingDown, "server is draining".into())
             }
-            // The worker never answered; claim the reply ourselves.
-            if claim_reply(answered) {
-                shared.metrics.record_error(ErrorCode::Internal);
-                write_frame(
-                    shared,
-                    &conn.shared,
-                    *codec,
-                    &Response::Error {
-                        id: *id,
-                        code: ErrorCode::Internal,
-                        message: "worker did not answer".into(),
-                    },
-                );
-                conn.shared.inflight.store(false, Ordering::Release);
-            }
-        }
-        conn.inflight_since = None;
-        *progress = true;
-    }
-    // Retry output a previous sweep (or a worker) could not finish —
-    // the partial-write tail must drain before anything else is read.
-    let has_pending = flush_pending(shared, &conn.shared);
-    if conn.shared.dead.load(Ordering::Acquire) {
-        return false;
-    }
-    if draining || conn.closing {
-        // Read side is done (shutdown drain, EOF, or torn frame): hold
-        // the connection open only until buffered replies are out. A
-        // peer that will not take them is killed by the write-stall
-        // timer, so this cannot wedge the poller.
-        return has_pending;
-    }
-    let mut keep = true;
-    for _ in 0..MAX_LINES_PER_SWEEP {
-        match conn.reader.poll_line() {
-            Ok(Frame::Pending) => break,
-            Ok(Frame::Eof) => {
-                conn.closing = true;
-                break;
-            }
-            Ok(Frame::Line(line)) => {
-                *progress = true;
-                let decoded = Request::decode(&line);
-                match dispatch_event_line(shared, &conn.shared, WireCodec::Json, decoded, replies) {
-                    LineOutcome::Answered => {}
-                    LineOutcome::Inflight { answered, id } => {
-                        // Stop reading until the reply is out; earlier
-                        // inline replies were flushed before the push.
-                        conn.inflight_since = Some((Instant::now(), answered, id, WireCodec::Json));
-                        break;
-                    }
-                }
-                if conn.shared.dead.load(Ordering::Acquire) {
-                    keep = false;
-                    break;
-                }
-            }
-            Ok(Frame::Binary(payload)) => {
-                *progress = true;
-                let decoded = WireCodec::Binary.decode_request(&payload);
-                match dispatch_event_line(shared, &conn.shared, WireCodec::Binary, decoded, replies)
-                {
-                    LineOutcome::Answered => {}
-                    LineOutcome::Inflight { answered, id } => {
-                        conn.inflight_since =
-                            Some((Instant::now(), answered, id, WireCodec::Binary));
-                        break;
-                    }
-                }
-                if conn.shared.dead.load(Ordering::Acquire) {
-                    keep = false;
-                    break;
-                }
-            }
-            Err(FrameError::TooLong) => {
-                push_reply(
-                    replies,
-                    conn.reader.codec(),
-                    &protocol_error(shared, "frame exceeds the maximum length"),
-                );
-            }
-            Err(FrameError::NotUtf8) => {
-                push_reply(
-                    replies,
-                    conn.reader.codec(),
-                    &protocol_error(shared, "frame is not valid UTF-8"),
-                );
-            }
-            Err(FrameError::Corrupt) => {
-                // A corrupt binary length is recoverable: the reader
-                // resyncs to the next plausible frame boundary and the
-                // connection keeps going.
-                shared.metrics.record_torn_frame();
-                push_reply(
-                    replies,
-                    conn.reader.codec(),
-                    &protocol_error(shared, "binary frame length is corrupt"),
-                );
-            }
-            Err(FrameError::Torn) => {
-                // Peer closed its write half mid-frame; tell it (it may
-                // still read) and drain out.
-                shared.metrics.record_torn_frame();
-                push_reply(
-                    replies,
-                    conn.reader.codec(),
-                    &protocol_error(shared, "frame torn by EOF mid-line"),
-                );
-                conn.closing = true;
-                break;
-            }
-            Err(FrameError::Io(_)) => {
-                shared.metrics.record_conn_reset();
-                keep = false;
-                break;
-            }
-        }
-    }
-    flush_replies(shared, &conn.shared, replies);
-    if conn.shared.dead.load(Ordering::Acquire) {
-        return false;
-    }
-    if conn.closing {
-        // Keep only while buffered replies remain (or a late worker
-        // reply is still owed); they drain on subsequent sweeps.
-        return conn.shared.writer.lock().has_pending()
-            || conn.shared.inflight.load(Ordering::Acquire);
-    }
-    keep
-}
-
-/// What one dispatched line left behind.
-enum LineOutcome {
-    /// Answered inline (control frame, fast path, shed, or error).
-    Answered,
-    /// Queued to a worker; the poller must gate reads until it clears.
-    Inflight {
-        answered: Arc<AtomicBool>,
-        id: Option<u64>,
-    },
-}
-
-/// Handles one decoded request frame on the poller. Cache hits, control
-/// frames and shed responses are answered inline; only cache misses
-/// cross the queue to a worker. The reply goes out in `codec` — the
-/// codec the request frame arrived in.
-fn dispatch_event_line(
-    shared: &Arc<Shared>,
-    conn: &Arc<ConnShared>,
-    codec: WireCodec,
-    decoded: Result<Request, crate::proto::ProtoError>,
-    replies: &mut Vec<u8>,
-) -> LineOutcome {
-    let request = match decoded {
-        Ok(r) => r,
-        Err(e) => {
-            push_reply(replies, codec, &protocol_error(shared, &e.message));
-            return LineOutcome::Answered;
-        }
-    };
-    match request {
-        Request::Ping => {
-            shared.metrics.record_control();
-            push_reply(replies, codec, &Response::Pong);
-            LineOutcome::Answered
-        }
-        Request::Stats => {
-            shared.metrics.record_control();
-            push_reply(replies, codec, &Response::Stats(stats_json(shared)));
-            LineOutcome::Answered
-        }
-        Request::Shutdown => {
-            shared.metrics.record_control();
-            push_reply(replies, codec, &Response::Pong);
-            // The drain must not race the acknowledgement out of the
-            // buffer: write it now.
-            flush_replies(shared, conn, replies);
-            trigger_shutdown(shared);
-            LineOutcome::Answered
-        }
-        Request::Balance(req) => {
-            let received = Instant::now();
-            let id = req.id;
-            if let Some(deadline_ms) = req.deadline_ms {
-                if received.elapsed() > Duration::from_millis(deadline_ms) {
-                    shared.metrics.record_error(ErrorCode::Timeout);
-                    push_reply(
-                        replies,
-                        codec,
-                        &Response::Error {
-                            id,
-                            code: ErrorCode::Timeout,
-                            message: format!("deadline of {deadline_ms} ms expired"),
-                        },
-                    );
-                    return LineOutcome::Answered;
-                }
-            }
-            // Fast path: answer cache hits on the poller — no queue
-            // round trip, no worker hand-off, no condvar. The router
-            // picks the backend whose cache can hold this key.
-            let key = CacheKey::new(req.problem.fingerprint(), req.algorithm, req.n, req.theta);
-            let (vnode, backend_index, backend) = shared.backend_for(&key);
-            if let Some(hit) = backend.cache.get(&key) {
-                let latency = received.elapsed();
-                shared.record_load(vnode, backend_index, 0);
-                shared.metrics.record_fast_path();
-                shared.metrics.record_ok(req.algorithm, true, latency);
-                encode_hit(replies, codec, &req, &hit, latency);
-                return LineOutcome::Answered;
-            }
-            // The worker writes its reply directly to the socket, so any
-            // buffered inline replies must land first to keep the
-            // connection's frames in request order.
-            flush_replies(shared, conn, replies);
-            let answered = Arc::new(AtomicBool::new(false));
-            // Mark in-flight *before* pushing: the worker may finish and
-            // clear the flag before try_push even returns.
-            conn.inflight.store(true, Ordering::Release);
-            let job = Job {
-                req,
-                received,
-                codec,
-                backend: backend_index,
-                vnode,
-                conn: Arc::clone(conn),
-                answered: Arc::clone(&answered),
-                _slot: shared.inflight_jobs.acquire(),
-                _backend_slot: backend.inflight.acquire(),
-            };
-            match backend.queue.try_push(job) {
-                Ok(()) => LineOutcome::Inflight { answered, id },
-                Err((_, PushError::Full(cause))) => {
-                    conn.inflight.store(false, Ordering::Release);
-                    shared.metrics.record_error(ErrorCode::Overloaded);
-                    push_reply(
-                        replies,
-                        codec,
-                        &Response::Error {
-                            id,
-                            code: ErrorCode::Overloaded,
-                            message: overload_message(shared, backend, cause),
-                        },
-                    );
-                    LineOutcome::Answered
-                }
-                Err((_, PushError::Closed)) => {
-                    conn.inflight.store(false, Ordering::Release);
-                    shared.metrics.record_error(ErrorCode::ShuttingDown);
-                    push_reply(
-                        replies,
-                        codec,
-                        &Response::Error {
-                            id,
-                            code: ErrorCode::ShuttingDown,
-                            message: "server is draining".into(),
-                        },
-                    );
-                    LineOutcome::Answered
-                }
-            }
-        }
+        };
+        self.metrics.record_error(code);
+        job.reply
+            .send(codec, &Response::Error { id, code, message });
     }
 }
 
@@ -1676,43 +703,18 @@ fn worker_loop(shared: &Shared, backend: usize, index: usize) {
     let queue = &shared.backends[backend].queue;
     while let Some(job) = queue.pop(index) {
         // Fault injection: a scripted stall models a wedged worker.
-        if let Some(stall) = shared.tuning.shim.before_execute(job.conn.conn_id) {
+        if let Some(stall) = shared.tuning.shim.before_execute(job.reply.conn_id()) {
             thread::sleep(stall);
         }
-        let conn = &job.conn;
-        if conn.dead.load(Ordering::Acquire) {
+        if job.reply.peer_gone() {
             // The client died while the job sat in the queue: skip the
-            // compute, but settle the gate so accounting stays exact
-            // (dropping the job releases its slot token).
-            if claim_reply(&job.answered) {
-                conn.inflight.store(false, Ordering::Release);
-                conn.wake();
-            }
-            shared.metrics.record_reply_dropped();
+            // compute, but settle the gate so accounting stays exact.
+            job.reply.abandon();
             continue;
         }
         let resp = execute(shared, &job);
-        // Lose the race against a poller-side timeout and the reply (and
-        // the in-flight token) is no longer ours.
-        if claim_reply(&job.answered) {
-            write_frame(shared, conn, job.codec, &resp);
-            conn.inflight.store(false, Ordering::Release);
-            // Wake the owning epoll poller: it dropped read interest
-            // while the job was in flight, and a blocked `epoll_wait`
-            // cannot see the atomic flip.
-            conn.wake();
-        } else {
-            shared.metrics.record_reply_dropped();
-        }
+        job.reply.send(job.codec, &resp);
     }
-}
-
-/// Takes ownership of a job's reply; `false` if the other side (worker
-/// or poller-side reply timeout) already has it.
-fn claim_reply(answered: &AtomicBool) -> bool {
-    answered
-        .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-        .is_ok()
 }
 
 fn execute(shared: &Shared, job: &Job) -> Response {
@@ -1820,105 +822,72 @@ fn ok_response(
 }
 
 fn stats_json(shared: &Shared) -> Json {
+    let int = |v: u64| Json::Int(v as i64);
     let mut json = shared.metrics.to_json();
     if let Json::Obj(entries) = &mut json {
-        entries.push(("engine".into(), Json::Str(shared.engine().into())));
+        entries.push(("engine".into(), Json::Str(shared.io.engine().into())));
+        entries.push(("faults".into(), shared.io.counters().faults_json()));
         // Cache rollup: the per-backend caches summed, so the section
         // reads exactly as it did with one backend.
         let per_cache: Vec<_> = shared.backends.iter().map(|b| b.cache.stats()).collect();
-        let sum = |f: fn(&crate::cache::CacheStats) -> u64| per_cache.iter().map(f).sum::<u64>();
-        let (hits, misses) = (sum(|c| c.hits), sum(|c| c.misses));
-        let lookups = hits + misses;
-        let hit_rate = if lookups == 0 {
+        let sum = |f: fn(&crate::cache::CacheStats) -> u64| int(per_cache.iter().map(f).sum());
+        let (hits, misses): (u64, u64) = per_cache
+            .iter()
+            .fold((0, 0), |(h, m), c| (h + c.hits, m + c.misses));
+        let hit_rate = if hits + misses == 0 {
             0.0
         } else {
-            hits as f64 / lookups as f64
+            hits as f64 / (hits + misses) as f64
         };
+        let first = &shared.backends[0].cache;
         entries.push((
             "cache".into(),
             Json::Obj(vec![
-                ("hits".into(), Json::Int(hits as i64)),
-                ("misses".into(), Json::Int(misses as i64)),
-                ("evictions".into(), Json::Int(sum(|c| c.evictions) as i64)),
-                (
-                    "admission_rejects".into(),
-                    Json::Int(sum(|c| c.admission_rejects) as i64),
-                ),
-                (
-                    "len".into(),
-                    Json::Int(per_cache.iter().map(|c| c.len).sum::<usize>() as i64),
-                ),
-                (
-                    "capacity".into(),
-                    Json::Int(per_cache.iter().map(|c| c.capacity).sum::<usize>() as i64),
-                ),
+                ("hits".into(), int(hits)),
+                ("misses".into(), int(misses)),
+                ("evictions".into(), sum(|c| c.evictions)),
+                ("admission_rejects".into(), sum(|c| c.admission_rejects)),
+                ("len".into(), sum(|c| c.len as u64)),
+                ("capacity".into(), sum(|c| c.capacity as u64)),
                 ("hit_rate".into(), Json::Num(hit_rate)),
-                (
-                    "shards".into(),
-                    Json::Int(shared.backends[0].cache.shard_count() as i64),
-                ),
-                (
-                    "admission".into(),
-                    Json::Bool(shared.backends[0].cache.admission_enabled()),
-                ),
+                ("shards".into(), int(first.shard_count() as u64)),
+                ("admission".into(), Json::Bool(first.admission_enabled())),
             ]),
         ));
         // Queue rollup: the aggregate budget is the server-wide shed
         // point, identical in meaning to the pre-sharding section.
+        let queues = || shared.backends.iter().map(|b| &b.queue);
         entries.push((
             "queue".into(),
             Json::Obj(vec![
-                ("depth".into(), Json::Int(shared.queue_cap.depth() as i64)),
-                (
-                    "capacity".into(),
-                    Json::Int(shared.queue_cap.capacity() as i64),
-                ),
+                ("depth".into(), int(shared.queue_cap.depth() as u64)),
+                ("capacity".into(), int(shared.queue_cap.capacity() as u64)),
                 (
                     "shards".into(),
-                    Json::Int(
-                        shared
-                            .backends
-                            .iter()
-                            .map(|b| b.queue.workers())
-                            .sum::<usize>() as i64,
-                    ),
+                    int(queues().map(|q| q.workers() as u64).sum()),
                 ),
-                (
-                    "steals".into(),
-                    Json::Int(
-                        shared
-                            .backends
-                            .iter()
-                            .map(|b| b.queue.steals())
-                            .sum::<u64>() as i64,
-                    ),
-                ),
+                ("steals".into(), int(queues().map(|q| q.steals()).sum())),
             ]),
         ));
         entries.push(("backends".into(), backends_json(shared, &per_cache)));
-        entries.push(("rebal".into(), rebal_json(shared)));
+        let rebalance = shared.tuning.rebalance.as_ref();
         entries.push((
-            "connections".into(),
-            Json::Obj(vec![
-                (
-                    "open".into(),
-                    Json::Int(shared.open_conns.occupied() as i64),
-                ),
-                (
-                    "inflight".into(),
-                    Json::Int(shared.inflight_jobs.occupied() as i64),
-                ),
-            ]),
+            "rebal".into(),
+            rebal_json(
+                rebalance,
+                rebalance.is_some() && shared.backends.len() > 1,
+                shared.vnode_load.len(),
+                &shared.rebal.snapshot(),
+            ),
         ));
+        entries.push(("connections".into(), shared.io.connections_json()));
+        let pool = &shared.pool;
         entries.push((
             "pool".into(),
             Json::Obj(vec![
-                ("workers".into(), Json::Int(shared.pool.workers() as i64)),
-                (
-                    "injector_depth".into(),
-                    Json::Int(shared.pool.injector_depth() as i64),
-                ),
-                ("queued".into(), Json::Int(shared.pool.queued() as i64)),
+                ("workers".into(), int(pool.workers() as u64)),
+                ("injector_depth".into(), int(pool.injector_depth() as u64)),
+                ("queued".into(), int(pool.queued() as u64)),
             ]),
         ));
         if let Some(spill) = &shared.spill {
@@ -1937,57 +906,15 @@ fn stats_json(shared: &Shared) -> Json {
     json
 }
 
-/// The self-balancing rollup: tick counters, the latest imbalance pair,
-/// and the observed-α Theorem 2 bound the plan was held to. `enabled`
-/// reflects whether a tick thread is actually running.
-fn rebal_json(shared: &Shared) -> Json {
-    let snap = shared.rebal.snapshot();
-    let settings = shared.tuning.rebalance.as_ref();
-    let enabled = settings.is_some() && shared.backends.len() > 1;
-    Json::Obj(vec![
-        ("enabled".into(), Json::Bool(enabled)),
-        (
-            "vnode_count".into(),
-            Json::Int(shared.vnode_load.len() as i64),
-        ),
-        (
-            "interval_ms".into(),
-            Json::Int(settings.map_or(0, |s| s.interval.as_millis().min(i64::MAX as u128) as i64)),
-        ),
-        (
-            "trigger".into(),
-            Json::Num(settings.map_or(0.0, |s| s.trigger)),
-        ),
-        (
-            "move_budget".into(),
-            Json::Int(settings.map_or(0, |s| s.move_budget.min(i64::MAX as usize) as i64)),
-        ),
-        ("ticks".into(), Json::Int(snap.ticks as i64)),
-        ("skipped".into(), Json::Int(snap.skipped as i64)),
-        ("moved".into(), Json::Int(snap.moved as i64)),
-        (
-            "max_tick_moves".into(),
-            Json::Int(snap.max_tick_moves as i64),
-        ),
-        ("version".into(), Json::Int(snap.version as i64)),
-        ("imbalance_before".into(), Json::Num(snap.imbalance_before)),
-        ("imbalance_after".into(), Json::Num(snap.imbalance_after)),
-        ("alpha".into(), Json::Num(snap.alpha)),
-        ("bound".into(), Json::Num(snap.bound)),
-    ])
-}
-
 /// The shard-aware rollup: per-backend gauges plus a `max/mean` load
 /// imbalance ratio over `queue_depth + inflight` — the min-max metric a
 /// balanced decomposition is judged by.
 fn backends_json(shared: &Shared, per_cache: &[crate::cache::CacheStats]) -> Json {
-    let loads: Vec<u64> = shared
-        .backends
-        .iter()
-        .map(|b| (b.queue.depth() + b.inflight.occupied()) as u64)
-        .collect();
-    let max_load = loads.iter().copied().max().unwrap_or(0);
-    let mean_load = loads.iter().sum::<u64>() as f64 / loads.len() as f64;
+    let int = |v: u64| Json::Int(v as i64);
+    let load = |b: &Backend| (b.queue.depth() + b.inflight.occupied()) as u64;
+    let max_load = shared.backends.iter().map(load).max().unwrap_or(0);
+    let mean_load =
+        shared.backends.iter().map(load).sum::<u64>() as f64 / shared.backends.len() as f64;
     let ratio = if mean_load == 0.0 {
         1.0
     } else {
@@ -1999,36 +926,30 @@ fn backends_json(shared: &Shared, per_cache: &[crate::cache::CacheStats]) -> Jso
         .zip(per_cache)
         .map(|(b, cache)| {
             Json::Obj(vec![
-                ("queue_depth".into(), Json::Int(b.queue.depth() as i64)),
-                (
-                    "queue_capacity".into(),
-                    Json::Int(b.queue.capacity() as i64),
-                ),
-                ("inflight".into(), Json::Int(b.inflight.occupied() as i64)),
-                ("workers".into(), Json::Int(b.workers as i64)),
-                ("steals".into(), Json::Int(b.queue.steals() as i64)),
-                ("cache_hits".into(), Json::Int(cache.hits as i64)),
-                ("cache_misses".into(), Json::Int(cache.misses as i64)),
-                ("cache_len".into(), Json::Int(cache.len as i64)),
+                ("queue_depth".into(), int(b.queue.depth() as u64)),
+                ("queue_capacity".into(), int(b.queue.capacity() as u64)),
+                ("inflight".into(), int(b.inflight.occupied() as u64)),
+                ("workers".into(), int(b.workers as u64)),
+                ("steals".into(), int(b.queue.steals())),
+                ("cache_hits".into(), int(cache.hits)),
+                ("cache_misses".into(), int(cache.misses)),
+                ("cache_len".into(), int(cache.len as u64)),
                 ("hit_rate".into(), Json::Num(cache.hit_rate())),
-                (
-                    "load_hits".into(),
-                    Json::Int(b.load_hits.load(Ordering::Relaxed) as i64),
-                ),
+                ("load_hits".into(), int(b.load_hits.load(Ordering::Relaxed))),
                 (
                     "load_micros".into(),
-                    Json::Int(b.load_micros.load(Ordering::Relaxed) as i64),
+                    int(b.load_micros.load(Ordering::Relaxed)),
                 ),
             ])
         })
         .collect();
     Json::Obj(vec![
-        ("count".into(), Json::Int(shared.backends.len() as i64)),
-        ("vnodes".into(), Json::Int(shared.router.vnodes() as i64)),
+        ("count".into(), int(shared.backends.len() as u64)),
+        ("vnodes".into(), int(shared.router.vnodes() as u64)),
         (
             "imbalance".into(),
             Json::Obj(vec![
-                ("max".into(), Json::Int(max_load as i64)),
+                ("max".into(), int(max_load)),
                 ("mean".into(), Json::Num(mean_load)),
                 ("ratio".into(), Json::Num(ratio)),
             ]),

@@ -18,7 +18,6 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -166,9 +165,9 @@ impl AggregateCap {
 /// the *global* load-shedding contract: `try_push` sheds when the sum
 /// across all shards reaches capacity.
 ///
-/// Sleeping consumers use a short timed condvar wait (the `pool.rs`
-/// idiom): a lost wakeup costs at most one tick of latency instead of
-/// requiring a lock-coupled sleep registration on the push hot path.
+/// Idle consumers sleep on a condvar until a push or `close` wakes
+/// them. Both take the sleep lock before notifying, so a wakeup cannot
+/// fall between a consumer's last emptiness check and its sleep.
 pub struct StealQueue<T> {
     shards: Vec<Mutex<VecDeque<T>>>,
     depth: AtomicUsize,
@@ -179,11 +178,7 @@ pub struct StealQueue<T> {
     available: Condvar,
     next_shard: AtomicUsize,
     steals: AtomicU64,
-    wakeups: AtomicU64,
 }
-
-/// How long an idle [`StealQueue`] consumer sleeps between re-scans.
-const IDLE_TICK: Duration = Duration::from_millis(1);
 
 impl<T> StealQueue<T> {
     /// Creates a queue with one shard per `workers` consumer, admitting
@@ -209,7 +204,6 @@ impl<T> StealQueue<T> {
             available: Condvar::new(),
             next_shard: AtomicUsize::new(0),
             steals: AtomicU64::new(0),
-            wakeups: AtomicU64::new(0),
         }
     }
 
@@ -242,6 +236,7 @@ impl<T> StealQueue<T> {
         }
         let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
         self.shards[shard].lock().push_back(item);
+        drop(self.sleep_lock.lock());
         self.available.notify_one();
         Ok(())
     }
@@ -275,11 +270,10 @@ impl<T> StealQueue<T> {
                 return None;
             }
             let mut guard = self.sleep_lock.lock();
-            // Re-check under the sleep lock to shrink the lost-wakeup
-            // window; the timed wait bounds whatever remains.
+            // Re-check under the sleep lock: a push or close after this
+            // check must take the lock, so it notifies only once we wait.
             if self.depth.load(Ordering::Acquire) == 0 && !self.closed.load(Ordering::Acquire) {
-                self.available.wait_for(&mut guard, IDLE_TICK);
-                self.wakeups.fetch_add(1, Ordering::Relaxed);
+                self.available.wait(&mut guard);
             }
         }
     }
@@ -288,12 +282,8 @@ impl<T> StealQueue<T> {
     /// consumers drain what is left and then observe `None`.
     pub fn close(&self) {
         self.closed.store(true, Ordering::Release);
+        drop(self.sleep_lock.lock());
         self.available.notify_all();
-    }
-
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
     }
 
     /// Aggregate number of items currently queued across all shards.
@@ -314,11 +304,6 @@ impl<T> StealQueue<T> {
     /// Pops that had to steal from a sibling shard.
     pub fn steals(&self) -> u64 {
         self.steals.load(Ordering::Relaxed)
-    }
-
-    /// Consumer wakeups from the idle wait (includes timed re-scans).
-    pub fn wakeups(&self) -> u64 {
-        self.wakeups.load(Ordering::Relaxed)
     }
 }
 
