@@ -170,8 +170,13 @@ def check_router_stats(path):
     assert router["alive"] == 1, router
     assert router["failovers"] >= 1, router
     assert len(stats["upstreams"]) == 2, stats
+    cap = router["max_pool_idle"]
+    for upstream in stats["upstreams"]:
+        assert upstream["open"] <= cap, (upstream, cap)
+        assert upstream["busy"] <= upstream["open"], upstream
     print(f"{path}: router failover ok, {router['proxied']} proxied, "
-          f"{router['failovers']} failovers")
+          f"{router['failovers']} failovers, at most {cap} connections "
+          f"per upstream")
 
 
 def main(argv):

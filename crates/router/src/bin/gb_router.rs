@@ -23,12 +23,15 @@
 //! and `--rebalance-budget B` (default 16) bound when and how much a
 //! tick may move.
 //!
-//! `--pool-idle N` (default 8) caps the idle connections kept per
-//! upstream and sizes the fixed set of proxy workers that carry client
-//! frames upstream; `--poll-interval-ms MS` (default 100) is the timer
-//! granularity of the client connection loop. The router spawns every
-//! thread at start-up: the loop poller, the proxy workers, the health
-//! prober and, with `--rebalance-ms`, the tick.
+//! `--pool-idle N` (default 8) caps the connections open to each
+//! upstream, busy and idle together; a request that finds its upstream
+//! at the cap waits for the next connection to come free.
+//! `--poll-interval-ms MS` (default 100) is the longest the connection
+//! loop blocks between checks of in-flight and write-stalled client
+//! connections; hedges and upstream timeouts fire at their own instants.
+//! The router spawns every thread at start-up: the loop poller, which
+//! also relays every frame upstream, the health prober and, with
+//! `--rebalance-ms`, the tick.
 //!
 //! `--wait-upstreams-ms MS` blocks startup until every upstream answers
 //! a connect (with capped exponential backoff between attempts), so a
@@ -51,10 +54,10 @@ fn usage() -> ! {
          [--fail-threshold K] [--poll-interval-ms MS] [--pool-idle N] \
          [--no-forward-shutdown] [--rebalance-ms MS] [--rebalance-trigger R] \
          [--rebalance-budget B] [--wait-upstreams-ms MS]\n\n\
-         --poll-interval-ms MS  timer granularity of the client connection loop \
-         (default 100)\n\
-         --pool-idle N          idle connections kept per upstream, and the number \
-         of proxy workers (default 8)"
+         --poll-interval-ms MS  longest the connection loop blocks between client \
+         timer checks; hedges and upstream timeouts fire on time (default 100)\n\
+         --pool-idle N          connections open per upstream, busy and idle; a \
+         request past the cap waits for one (default 8)"
     );
     std::process::exit(2);
 }
@@ -231,7 +234,7 @@ fn main() -> ExitCode {
         }
     );
     // Route until a client sends a `shutdown` frame; join() waits for the
-    // loop to drain and for every worker and the prober to stop.
+    // loop to drain (forwarded shutdowns included) and the prober to stop.
     router.join();
     println!("gb-router: drained and stopped");
     ExitCode::SUCCESS

@@ -1,23 +1,23 @@
-//! The routing tier: a handler on the shared connection loop, a fixed
-//! set of proxy workers, the health prober and the stats rollup.
+//! The routing tier: a handler on the shared connection loop whose
+//! poller relays every frame upstream itself, the health prober and the
+//! stats rollup.
 //!
 //! Threading model: every thread starts with the router and none is
 //! spawned per client or per request. One loop poller
 //! ([`gb_service::io_loop`], the same loop `gb-serve` runs) accepts,
-//! frames and decodes client traffic and answers `ping` inline. Balance,
-//! `stats` and the forwarding half of `shutdown` go through a queue to
-//! `max_pool_idle` proxy workers; each worker carries one client frame
-//! at a time through blocking upstream exchanges on pooled connections
-//! and hands the reply back through the loop. One health-prober thread
-//! and, with [`RouterConfig::rebalance`] set, one rebalance tick thread
-//! complete the set. The loop stops reading a connection while its
-//! frame is with a worker, so per-connection reply order is preserved.
+//! frames and decodes client traffic, answers `ping` inline, and relays
+//! balance frames, `stats` fetches and the forwarded `shutdown` over
+//! nonblocking upstream connections registered on that same poller
+//! ([`crate::relay`]): the frame never changes threads. One
+//! health-prober thread and, with [`RouterConfig::rebalance`] set, one
+//! rebalance tick thread complete the set. The loop stops reading a
+//! connection while its frame is relayed, so per-connection reply order
+//! is preserved.
 //!
-//! Hedging costs no thread either: after `hedge_delay` the worker that
-//! owns the request sends the hedge on a second pooled connection and
-//! polls both in 1 ms slices, reading each without waiting (a socket
-//! read timeout rounds up to the kernel tick, several ms). A partial
-//! reply stays buffered between slices. The first clean reply wins;
+//! Hedging costs no thread either: `hedge_delay` after the primary's
+//! frame is written, the poller's timer sends the hedge on a second
+//! upstream connection and the relay watches both; a partial reply
+//! stays buffered between readiness events. The first clean reply wins;
 //! the loser is cancelled — its connection is closed, never repooled —
 //! and books neither success nor failure.
 //!
@@ -27,37 +27,27 @@
 //! errors (connect refused, reset, EOF, hard timeout) counts too. At
 //! `fail_threshold` consecutive failures the upstream is marked dead in
 //! the [`FailoverRing`] — its vnode arcs re-home onto survivors — and
-//! its pool is flushed. A later successful probe (or any successful
-//! exchange) marks it alive again, restoring the exact pre-death
-//! mapping.
+//! its idle connections are flushed. A later successful probe (or any
+//! successful exchange) marks it alive again, restoring the exact
+//! pre-death mapping.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use gb_rebal::{RebalanceCounters, RebalanceSettings, RebalanceSnapshot, VnodeLoad};
 use gb_service::cache::CacheKey;
+use gb_service::client::Client;
 use gb_service::fault::{IoShim, Passthrough};
-use gb_service::io_loop::{Dispatch, Handler, IoLoop, LoopConfig, Reply};
+use gb_service::io_loop::{Dispatch, Handler, IoLoop, LoopConfig, Ready, Sockets};
 use gb_service::metrics::{rebal_json, Histogram};
-use gb_service::proto::{
-    binary_reply_id, json_reply_id, Codec, ErrorCode, Json, Request, Response, WireCodec, BIN_HDR,
-    MAGIC,
-};
+use gb_service::proto::{ErrorCode, Json, Request, Response};
 use gb_service::route::{FailoverRing, DEFAULT_VNODES};
-use gb_service::shed::StealQueue;
 
-use crate::pool::{reframe, PooledConn, UpstreamPool, UPSTREAM_CONN_BASE};
-
-/// Failover attempts (distinct upstreams tried) per request.
-const MAX_ATTEMPTS: usize = 4;
-
-/// Polling period while a worker waits on a primary and its hedge at
-/// once.
-const HEDGE_SLICE: Duration = Duration::from_millis(1);
+use crate::relay::{reframe, Cx, Relay};
 
 /// Configuration for [`RouterServer::start`].
 #[derive(Clone, Debug)]
@@ -68,9 +58,9 @@ pub struct RouterConfig {
     pub upstreams: Vec<SocketAddr>,
     /// Virtual nodes per upstream on the ring (0 = [`DEFAULT_VNODES`]).
     pub vnodes: usize,
-    /// Hedge delay: if the owning upstream has not replied within this,
-    /// race a second attempt on another backend. `None` disables
-    /// hedging.
+    /// Hedge delay: if the owning upstream has not replied this long
+    /// after the request was written to it, race a second attempt on
+    /// another backend. `None` disables hedging.
     pub hedge_delay: Option<Duration>,
     /// Per-request budget: total time a proxied request may spend
     /// across all attempts before the client gets a `timeout` error.
@@ -79,20 +69,23 @@ pub struct RouterConfig {
     pub connect_timeout: Duration,
     /// Period of the active health prober.
     pub health_interval: Duration,
-    /// Budget for one health probe (connect + ping round trip).
+    /// Budget for one health probe (connect + ping round trip); a stats
+    /// fetch or forwarded shutdown gets this, at least 250 ms.
     pub probe_timeout: Duration,
     /// Consecutive failures (probe or data-path) before an upstream is
     /// declared dead.
     pub fail_threshold: u32,
-    /// Timer granularity of the connection loop: how often in-flight
-    /// and write-stalled client connections are re-checked.
+    /// Longest the connection loop blocks between timer checks: how
+    /// often in-flight and write-stalled client connections are
+    /// re-checked. Relay timers (hedges, connect and reply timeouts)
+    /// fire at their own instants, never rounded up to this.
     pub poll_interval: Duration,
     /// Forward a client `shutdown` frame to every alive upstream before
     /// draining (the whole-fleet stop switch).
     pub forward_shutdown: bool,
-    /// Idle connections kept per upstream pool, and the number of proxy
-    /// workers (at least 1): each worker holds one upstream exchange at
-    /// a time, so no pool has to dial past its idle cap.
+    /// Open connections per upstream, busy and idle together (at least
+    /// 1). An exchange that finds its upstream at the cap waits in a
+    /// FIFO for the next connection to come free.
     pub max_pool_idle: usize,
     /// Self-balancing vnode placement (`gb-rebal`): when set, a tick
     /// thread periodically re-partitions the vnode set across alive
@@ -128,62 +121,68 @@ impl Default for RouterConfig {
 }
 
 /// Per-upstream live state.
-struct Upstream {
-    id: u32,
-    pool: UpstreamPool,
+pub(crate) struct Upstream {
+    pub(crate) id: u32,
+    pub(crate) addr: SocketAddr,
     /// Mirror of the ring's alive bit, readable without the ring lock.
-    alive: AtomicBool,
+    pub(crate) alive: AtomicBool,
     consecutive_failures: AtomicU32,
-    inflight: AtomicI64,
-    requests: AtomicU64,
+    pub(crate) inflight: AtomicI64,
+    pub(crate) requests: AtomicU64,
     errors: AtomicU64,
-    hedge_wins: AtomicU64,
-    latency: Histogram,
+    pub(crate) hedge_wins: AtomicU64,
+    pub(crate) latency: Histogram,
+    /// Times declared dead; the relay flushes idle connections pooled
+    /// before the latest.
+    pub(crate) deaths: AtomicU64,
+    /// Open relay connections, and those carrying an exchange (gauges
+    /// the relay publishes).
+    pub(crate) open: AtomicUsize,
+    pub(crate) busy: AtomicUsize,
 }
 
 /// Router-wide counters (all monotone).
 #[derive(Default)]
-struct Counters {
+pub(crate) struct Counters {
     proxied: AtomicU64,
-    hedges_sent: AtomicU64,
-    hedges_won: AtomicU64,
+    pub(crate) hedges_sent: AtomicU64,
+    pub(crate) hedges_won: AtomicU64,
     failovers: AtomicU64,
     recoveries: AtomicU64,
-    retries: AtomicU64,
+    pub(crate) retries: AtomicU64,
     /// Idle pooled connections found closed by the upstream and redialed
     /// transparently (not charged against the failure threshold).
-    stale_retries: AtomicU64,
+    pub(crate) stale_retries: AtomicU64,
     bad_frames: AtomicU64,
-    no_upstream: AtomicU64,
+    pub(crate) no_upstream: AtomicU64,
     probes_ok: AtomicU64,
     probes_failed: AtomicU64,
 }
 
-struct Shared {
-    config: RouterConfig,
-    ring: RwLock<FailoverRing>,
-    upstreams: Vec<Upstream>,
-    counters: Counters,
+pub(crate) struct Shared {
+    pub(crate) config: RouterConfig,
+    pub(crate) ring: RwLock<FailoverRing>,
+    pub(crate) upstreams: Vec<Upstream>,
+    pub(crate) counters: Counters,
     /// Per-vnode load observed at the proxy point. The router cannot
     /// reuse upstream-reported vnode stats — each upstream shards over
     /// its *own* vnode space, disjoint from the router's ring over
     /// upstreams — so the proxy path is the one place this ring's
     /// vnodes are visible.
-    vnode_load: VnodeLoad,
+    pub(crate) vnode_load: VnodeLoad,
     rebal: RebalanceCounters,
     started: Instant,
     /// The client-side connection loop.
     io: Arc<IoLoop>,
-    /// Frames handed from the loop to the proxy workers: one shard that
-    /// every worker pops. Its capacity never binds, because the loop
-    /// defers at most one frame per connection.
-    jobs: StealQueue<Job>,
+    /// Exchanges waiting for a connection under the per-upstream cap (a
+    /// gauge the relay publishes).
+    pub(crate) relay_waiting: AtomicUsize,
 }
 
 impl Shared {
     /// One failed exchange (or probe) against `id`; crossing the
     /// threshold re-homes its vnodes onto survivors.
-    fn mark_failure(&self, id: u32) {
+    pub(crate) fn mark_failure(&self, id: u32) {
         let up = &self.upstreams[id as usize];
         up.errors.fetch_add(1, Ordering::Relaxed);
         let fails = up.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
@@ -194,7 +193,7 @@ impl Shared {
 
     /// One successful exchange (or probe) against `id`; a dead upstream
     /// answering is immediately revived.
-    fn mark_success(&self, id: u32) {
+    pub(crate) fn mark_success(&self, id: u32) {
         let up = &self.upstreams[id as usize];
         up.consecutive_failures.store(0, Ordering::Relaxed);
         if !up.alive.load(Ordering::Relaxed) {
@@ -207,12 +206,11 @@ impl Shared {
         if changed {
             let up = &self.upstreams[id as usize];
             up.alive.store(false, Ordering::Relaxed);
-            up.pool.clear();
+            up.deaths.fetch_add(1, Ordering::Relaxed);
             self.counters.failovers.fetch_add(1, Ordering::Relaxed);
             eprintln!(
                 "gb-router: upstream {} ({}) dead; vnodes re-homed onto survivors",
-                id,
-                up.pool.addr()
+                id, up.addr
             );
         }
     }
@@ -226,325 +224,9 @@ impl Shared {
             self.counters.recoveries.fetch_add(1, Ordering::Relaxed);
             eprintln!(
                 "gb-router: upstream {} ({}) recovered; vnodes re-homed back",
-                id,
-                up.pool.addr()
+                id, up.addr
             );
         }
-    }
-}
-
-/// RAII in-flight counter for one upstream.
-struct InflightGuard {
-    shared: Arc<Shared>,
-    id: u32,
-}
-
-impl InflightGuard {
-    fn new(shared: &Arc<Shared>, id: u32) -> InflightGuard {
-        shared.upstreams[id as usize]
-            .inflight
-            .fetch_add(1, Ordering::Relaxed);
-        InflightGuard {
-            shared: Arc::clone(shared),
-            id,
-        }
-    }
-}
-
-impl Drop for InflightGuard {
-    fn drop(&mut self) {
-        self.shared.upstreams[self.id as usize]
-            .inflight
-            .fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
-/// A complete error-reply frame in the client's codec.
-fn error_frame(codec: WireCodec, id: Option<u64>, code: ErrorCode, message: &str) -> Vec<u8> {
-    let mut out = Vec::new();
-    codec.encode_response(
-        &Response::Error {
-            id,
-            code,
-            message: message.into(),
-        },
-        &mut out,
-    );
-    out
-}
-
-/// The `id` field of a framed reply, sniffing the codec from the first
-/// byte — the router relays frames verbatim, so correlation must read
-/// whichever encoding the upstream answered in.
-fn reply_id(reply: &[u8]) -> Option<u64> {
-    if reply.first() == Some(&MAGIC) {
-        binary_reply_id(reply.get(BIN_HDR..)?)
-    } else {
-        json_reply_id(std::str::from_utf8(reply).ok()?.trim_end())
-    }
-}
-
-/// Books a clean reply: correlates it by id, records latency and
-/// success, and repools the connection.
-fn settle_ok(
-    shared: &Arc<Shared>,
-    id: u32,
-    started: Instant,
-    conn: PooledConn,
-    reply: Vec<u8>,
-    want_id: Option<u64>,
-) -> io::Result<Vec<u8>> {
-    if let Some(want) = want_id {
-        if reply_id(&reply) != Some(want) {
-            // A reply for some other request means the pooled stream
-            // lost frame sync; never repool it, never forward it.
-            shared.mark_failure(id);
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "upstream reply id mismatch",
-            ));
-        }
-    }
-    let up = &shared.upstreams[id as usize];
-    up.latency.record(started.elapsed());
-    shared.mark_success(id);
-    up.pool.publish(conn);
-    Ok(reply)
-}
-
-/// Proxies one balance frame (pre-framed bytes, relayed verbatim):
-/// route by key, fail over across distinct upstreams on send-side
-/// errors, hedge on reply-side tail latency. Router-generated errors go
-/// out in the client's codec.
-fn proxy_balance(
-    shared: &Arc<Shared>,
-    frame: &[u8],
-    key: u64,
-    req_id: Option<u64>,
-    codec: WireCodec,
-) -> Vec<u8> {
-    let deadline = Instant::now() + shared.config.reply_timeout;
-    let mut tried: Vec<u32> = Vec::new();
-    let mut last_err: Option<io::Error> = None;
-    while tried.len() < MAX_ATTEMPTS {
-        let target = shared.ring.read().unwrap().route_excluding(key, &tried);
-        let Some(id) = target else { break };
-        if !tried.is_empty() {
-            shared.counters.retries.fetch_add(1, Ordering::Relaxed);
-        }
-        tried.push(id);
-        match attempt_on(shared, id, frame, key, req_id, deadline, &tried) {
-            Ok(reply) => return reply,
-            Err(e) => last_err = Some(e),
-        }
-        if Instant::now() >= deadline {
-            break;
-        }
-    }
-    match last_err {
-        Some(e) if is_timeout(&e) => error_frame(
-            codec,
-            req_id,
-            ErrorCode::Timeout,
-            "upstream did not reply within the router's budget",
-        ),
-        Some(e) => error_frame(
-            codec,
-            req_id,
-            ErrorCode::Internal,
-            &format!("upstream failed: {e}"),
-        ),
-        None => {
-            shared.counters.no_upstream.fetch_add(1, Ordering::Relaxed);
-            error_frame(codec, req_id, ErrorCode::Internal, "no alive upstream")
-        }
-    }
-}
-
-/// Whether an exchange error looks like the upstream closed the
-/// connection before (or instead of) answering — exactly what a pooled
-/// connection exhibits when the upstream restarted or swept it while it
-/// sat idle.
-fn is_stale_close(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::UnexpectedEof
-            | io::ErrorKind::ConnectionReset
-            | io::ErrorKind::ConnectionAborted
-            | io::ErrorKind::BrokenPipe
-    )
-}
-
-/// One attempt against upstream `id`: send, then wait — either to the
-/// full deadline, or only to the hedge delay before racing a second
-/// backend. A connection reused from the idle pool that fails like a
-/// stale close is retried exactly once on a fresh dial before anything
-/// is charged against the failure threshold: the upstream restarting is
-/// not the upstream being down.
-fn attempt_on(
-    shared: &Arc<Shared>,
-    id: u32,
-    frame: &[u8],
-    key: u64,
-    req_id: Option<u64>,
-    deadline: Instant,
-    tried: &[u32],
-) -> io::Result<Vec<u8>> {
-    let up = &shared.upstreams[id as usize];
-    up.requests.fetch_add(1, Ordering::Relaxed);
-    let guard = InflightGuard::new(shared, id);
-    let started = Instant::now();
-    let (mut conn, mut reused) = match up.pool.checkout_tracked() {
-        Ok(pair) => pair,
-        Err(e) => {
-            shared.mark_failure(id);
-            return Err(e);
-        }
-    };
-    loop {
-        let exchange: io::Result<Vec<u8>> = match conn.send_frame(frame) {
-            Err(e) => Err(e),
-            Ok(()) => {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                // Hedging applies only when a distinct alive backend
-                // exists and the hedge delay actually precedes the
-                // deadline.
-                let hedge_plan = shared.config.hedge_delay.and_then(|delay| {
-                    if delay >= remaining {
-                        return None;
-                    }
-                    shared
-                        .ring
-                        .read()
-                        .unwrap()
-                        .route_excluding(key, tried)
-                        .map(|hedge_id| (delay, hedge_id))
-                });
-                let first_wait = hedge_plan.map_or(remaining, |(delay, _)| delay);
-                match conn.read_reply(first_wait.max(Duration::from_millis(1))) {
-                    Ok(reply) => return settle_ok(shared, id, started, conn, reply, req_id),
-                    Err(e) if is_timeout(&e) => {
-                        if let Some((_, hedge_id)) = hedge_plan {
-                            return hedged_race(
-                                shared, id, hedge_id, guard, conn, frame, req_id, deadline, started,
-                            );
-                        }
-                        // Hard timeout: the upstream accepted the request
-                        // but never answered within budget.
-                        shared.mark_failure(id);
-                        return Err(e);
-                    }
-                    Err(e) => Err(e),
-                }
-            }
-        };
-        let e = exchange.unwrap_err();
-        if reused && is_stale_close(&e) {
-            match up.pool.dial() {
-                Ok(fresh) => {
-                    shared
-                        .counters
-                        .stale_retries
-                        .fetch_add(1, Ordering::Relaxed);
-                    conn = fresh;
-                    reused = false;
-                    continue;
-                }
-                Err(dial_err) => {
-                    // Could not even dial: that is a real failure.
-                    shared.mark_failure(id);
-                    return Err(dial_err);
-                }
-            }
-        }
-        shared.mark_failure(id);
-        return Err(e);
-    }
-}
-
-/// Sends a hedge for the primary's request to `hedge_id` and polls both
-/// connections every [`HEDGE_SLICE`]; first clean reply wins. The loser
-/// is cancelled: its connection is dropped (closed, not repooled) and
-/// it books neither success nor failure. A side whose exchange fails
-/// books its failure and drops out of the race; at the deadline every
-/// side still waiting books a failure.
-#[allow(clippy::too_many_arguments)]
-fn hedged_race(
-    shared: &Arc<Shared>,
-    primary: u32,
-    hedge_id: u32,
-    primary_guard: InflightGuard,
-    primary_conn: PooledConn,
-    frame: &[u8],
-    req_id: Option<u64>,
-    deadline: Instant,
-    primary_started: Instant,
-) -> io::Result<Vec<u8>> {
-    shared.counters.hedges_sent.fetch_add(1, Ordering::Relaxed);
-    let up = &shared.upstreams[hedge_id as usize];
-    up.requests.fetch_add(1, Ordering::Relaxed);
-    let hedge_guard = InflightGuard::new(shared, hedge_id);
-    let hedge_conn = up.pool.checkout().and_then(|mut conn| {
-        conn.send_frame(frame)?;
-        Ok(conn)
-    });
-    let mut last_err: Option<io::Error> = None;
-    let hedge_conn = match hedge_conn {
-        Ok(conn) => Some(conn),
-        Err(e) => {
-            shared.mark_failure(hedge_id);
-            last_err = Some(e);
-            None
-        }
-    };
-    // Each side: upstream id, start time, connection, in-flight guard.
-    let mut sides = [
-        Some((primary, primary_started, primary_conn, primary_guard)),
-        hedge_conn.map(|conn| (hedge_id, Instant::now(), conn, hedge_guard)),
-    ];
-    loop {
-        let expired = Instant::now() >= deadline;
-        for (from_hedge, side) in sides.iter_mut().enumerate() {
-            let Some((id, _, conn, _)) = side.as_mut() else {
-                continue;
-            };
-            let id = *id;
-            let outcome = match conn.poll_reply() {
-                Err(e) if is_timeout(&e) && !expired => continue,
-                Err(e) => {
-                    shared.mark_failure(id);
-                    Err(e)
-                }
-                Ok(reply) => {
-                    let (_, started, conn, _guard) = side.take().expect("side checked above");
-                    settle_ok(shared, id, started, conn, reply, req_id)
-                }
-            };
-            *side = None;
-            match outcome {
-                Ok(reply) => {
-                    if from_hedge == 1 {
-                        shared.counters.hedges_won.fetch_add(1, Ordering::Relaxed);
-                        up.hedge_wins.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok(reply);
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        if sides.iter().all(Option::is_none) {
-            return Err(
-                last_err.unwrap_or_else(|| io::Error::other("hedge race produced no outcome"))
-            );
-        }
-        thread::sleep(HEDGE_SLICE);
     }
 }
 
@@ -552,38 +234,19 @@ fn hedged_race(
 // Stats rollup
 // ---------------------------------------------------------------------------
 
-/// One request as a JSON line, for the router's own upstream calls.
-fn json_frame(request: &Request) -> Vec<u8> {
-    reframe(WireCodec::Json, request.encode().as_bytes())
-}
-
-/// Fetches an upstream's own stats object over a pooled connection.
-fn fetch_upstream_stats(shared: &Arc<Shared>, id: u32) -> Option<Json> {
-    let up = &shared.upstreams[id as usize];
-    if !up.alive.load(Ordering::Relaxed) {
-        return None;
-    }
-    let timeout = shared.config.probe_timeout.max(Duration::from_millis(250));
-    let mut conn = up.pool.checkout().ok()?;
-    let reply = conn.call(&json_frame(&Request::Stats), timeout).ok()?;
-    let json = Json::parse(std::str::from_utf8(&reply).ok()?.trim_end()).ok()?;
-    let stats = json.get("stats")?.clone();
-    up.pool.publish(conn);
-    Some(stats)
-}
-
-fn stats_rollup(shared: &Arc<Shared>) -> Json {
+/// The router's stats object. `nested[i]` is upstream `i`'s own stats,
+/// when fetched; its queue depth and in-flight count feed the
+/// imbalance gauge.
+pub(crate) fn stats_rollup(shared: &Shared, nested: &[Option<Json>]) -> Json {
     let n = |c: &AtomicU64| Json::Int(c.load(Ordering::Relaxed) as i64);
+    let gauge = |c: &AtomicUsize| Json::Int(c.load(Ordering::Relaxed) as i64);
     let mut upstream_list = Vec::with_capacity(shared.upstreams.len());
     let mut loads: Vec<f64> = Vec::new();
     for up in &shared.upstreams {
         let alive = up.alive.load(Ordering::Relaxed);
-        let nested = fetch_upstream_stats(shared, up.id);
-        let nested_num = |section: &str, key: &str| {
-            nested
-                .as_ref()
-                .and_then(|s| s.get(section)?.get(key)?.as_f64())
-        };
+        let nested = nested.get(up.id as usize).and_then(Option::as_ref);
+        let nested_num =
+            |section: &str, key: &str| nested.and_then(|s| s.get(section)?.get(key)?.as_f64());
         let depth = nested_num("queue", "depth").unwrap_or(0.0);
         let upstream_inflight = nested_num("connections", "inflight").unwrap_or(0.0);
         let inflight = up.inflight.load(Ordering::Relaxed);
@@ -593,9 +256,11 @@ fn stats_rollup(shared: &Arc<Shared>) -> Json {
             // on the wire).
             loads.push(depth + upstream_inflight + inflight.max(0) as f64);
         }
+        let open = up.open.load(Ordering::Relaxed);
+        let busy = up.busy.load(Ordering::Relaxed);
         let mut entry = vec![
             ("id".into(), Json::Int(up.id as i64)),
-            ("addr".into(), Json::Str(up.pool.addr().to_string())),
+            ("addr".into(), Json::Str(up.addr.to_string())),
             ("alive".into(), Json::Bool(alive)),
             (
                 "consecutive_failures".into(),
@@ -605,7 +270,12 @@ fn stats_rollup(shared: &Arc<Shared>) -> Json {
             ("errors".into(), n(&up.errors)),
             ("hedge_wins".into(), n(&up.hedge_wins)),
             ("inflight".into(), Json::Int(inflight)),
-            ("pool_idle".into(), Json::Int(up.pool.idle_count() as i64)),
+            ("open".into(), Json::Int(open as i64)),
+            ("busy".into(), Json::Int(busy as i64)),
+            (
+                "pool_idle".into(),
+                Json::Int(open.saturating_sub(busy) as i64),
+            ),
             ("latency".into(), up.latency.to_json()),
             ("queue_depth".into(), Json::Num(depth)),
             ("upstream_inflight".into(), Json::Num(upstream_inflight)),
@@ -657,6 +327,11 @@ fn stats_rollup(shared: &Arc<Shared>) -> Json {
         ("probes_ok".into(), n(&c.probes_ok)),
         ("probes_failed".into(), n(&c.probes_failed)),
         (
+            "max_pool_idle".into(),
+            Json::Int(shared.config.max_pool_idle.max(1) as i64),
+        ),
+        ("relay_waiting".into(), gauge(&shared.relay_waiting)),
+        (
             "imbalance".into(),
             Json::Obj(vec![
                 ("max".into(), Json::Num(max)),
@@ -676,72 +351,53 @@ fn stats_rollup(shared: &Arc<Shared>) -> Json {
 }
 
 // ---------------------------------------------------------------------------
-// The loop handler and the proxy workers
+// The loop handler
 // ---------------------------------------------------------------------------
 
-/// Work handed from the loop to a proxy worker.
-enum Job {
-    /// One balance frame, relayed verbatim to the key's upstream.
-    Balance {
-        frame: Vec<u8>,
-        key: u64,
-        req_id: Option<u64>,
-        codec: WireCodec,
-        reply: Reply,
-    },
-    /// The stats rollup, which fetches every upstream's own stats.
-    Stats { codec: WireCodec, reply: Reply },
-    /// Forward a client `shutdown` to every alive upstream.
-    ForwardShutdown,
-}
-
 impl Handler for Shared {
-    fn handle(&self, request: Request, raw: &[u8], out: &mut Dispatch<'_>) {
+    type Local = Relay;
+
+    fn handle(&self, relay: &mut Relay, request: Request, raw: &[u8], out: &mut Dispatch<'_>) {
         let codec = out.codec();
-        let job = match request {
-            Request::Ping => return out.reply(&Response::Pong),
-            Request::Stats => Job::Stats {
-                codec,
-                reply: out.defer(None),
-            },
+        let cx = Cx {
+            shared: self,
+            sockets: out.sockets(),
+        };
+        match request {
+            Request::Ping => out.reply(&Response::Pong),
             Request::Shutdown => {
                 // Ack first and write it now, so the drain cannot race
-                // it out of the buffer; the forwarding runs on a worker,
-                // queued before the queue closes.
+                // it out of the buffer; the forwarding legs keep the
+                // poller's drain waiting until they are answered.
                 out.reply(&Response::Pong);
                 out.flush();
                 if self.config.forward_shutdown {
-                    let _ = self.jobs.try_push(Job::ForwardShutdown);
+                    relay.start_forward(&cx);
                 }
-                return trigger_shutdown(self);
+                self.io.trigger_shutdown();
             }
+            Request::Stats | Request::Balance(_) if self.io.is_shutting_down() => {
+                // Frames read behind a shutdown in the same sweep.
+                let id = match &request {
+                    Request::Balance(req) => req.id,
+                    _ => None,
+                };
+                out.reply(&Response::Error {
+                    id,
+                    code: ErrorCode::ShuttingDown,
+                    message: "router is draining".into(),
+                });
+            }
+            Request::Stats => relay.start_stats(&cx, out.defer(None), codec),
             Request::Balance(req) => {
                 self.counters.proxied.fetch_add(1, Ordering::Relaxed);
-                Job::Balance {
-                    // The client's own bytes, framing restored — the body
-                    // is never re-encoded on the way upstream.
-                    frame: reframe(codec, raw),
-                    key: CacheKey::new(req.problem.fingerprint(), req.algorithm, req.n, req.theta)
-                        .mix(),
-                    req_id: req.id,
-                    codec,
-                    reply: out.defer(req.id),
-                }
+                let key =
+                    CacheKey::new(req.problem.fingerprint(), req.algorithm, req.n, req.theta).mix();
+                // The client's own bytes, framing restored — the body is
+                // never re-encoded on the way upstream.
+                let frame = reframe(codec, raw);
+                relay.start_balance(&cx, out.defer(req.id), frame, codec, key, req.id);
             }
-        };
-        // Refused only once the router has begun draining.
-        let refused = match self.jobs.try_push(job) {
-            Err((Job::Balance { reply, req_id, .. }, _)) => Some((reply, req_id)),
-            Err((Job::Stats { reply, .. }, _)) => Some((reply, None)),
-            _ => None,
-        };
-        if let Some((reply, id)) = refused {
-            reply.send_bytes(&error_frame(
-                codec,
-                id,
-                ErrorCode::ShuttingDown,
-                "router is draining",
-            ));
         }
     }
 
@@ -750,59 +406,19 @@ impl Handler for Shared {
             self.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
         }
     }
-}
 
-fn worker_loop(shared: &Arc<Shared>) {
-    while let Some(job) = shared.jobs.pop(0) {
-        match job {
-            Job::Balance {
-                frame,
-                key,
-                req_id,
-                codec,
-                reply,
-            } => {
-                if reply.peer_gone() {
-                    reply.abandon();
-                    continue;
-                }
-                let vnode = shared.ring.read().unwrap().vnode_of(key);
-                let started = Instant::now();
-                let bytes = proxy_balance(shared, &frame, key, req_id, codec);
-                // Charge the full proxy round trip (queue + compute +
-                // wire) to the vnode: it is the cost a move would
-                // relocate.
-                let micros = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-                shared.vnode_load.record(vnode, micros);
-                reply.send_bytes(&bytes);
-            }
-            Job::Stats { codec, reply } => {
-                reply.send(codec, &Response::Stats(stats_rollup(shared)));
-            }
-            Job::ForwardShutdown => forward_shutdown(shared),
-        }
+    fn poll_sockets(&self, relay: &mut Relay, ready: Ready<'_>, sockets: Sockets<'_>) {
+        relay.poll(
+            &Cx {
+                shared: self,
+                sockets,
+            },
+            ready,
+        );
     }
-}
 
-/// Refuses new work and starts the loop's drain; queued frames are
-/// still served. Safe to call more than once.
-fn trigger_shutdown(shared: &Shared) {
-    shared.jobs.close();
-    shared.io.trigger_shutdown();
-}
-
-/// Forwards `shutdown` to every alive upstream, waiting briefly for
-/// each ack.
-fn forward_shutdown(shared: &Arc<Shared>) {
-    for up in &shared.upstreams {
-        if !up.alive.load(Ordering::Relaxed) {
-            continue;
-        }
-        if let Ok(mut conn) = up.pool.checkout() {
-            let timeout = shared.config.probe_timeout.max(Duration::from_millis(250));
-            let _ = conn.call(&json_frame(&Request::Shutdown), timeout);
-            // The upstream is going down; never repool.
-        }
+    fn next_deadline(&self, relay: &Relay) -> Option<Instant> {
+        relay.next_deadline()
     }
 }
 
@@ -843,13 +459,9 @@ fn rebalance_loop(shared: &Arc<Shared>) {
 /// upstream faults must not blind the checker that is meant to catch
 /// them.
 fn probe(addr: SocketAddr, timeout: Duration) -> bool {
-    let unshimmed: Arc<dyn IoShim> = Arc::new(Passthrough);
-    PooledConn::connect(addr, timeout, timeout, &unshimmed, 0)
-        .and_then(|mut conn| conn.call(&json_frame(&Request::Ping), timeout))
-        .is_ok_and(|reply| {
-            let line = String::from_utf8_lossy(&reply);
-            matches!(Response::decode(line.trim_end()), Ok(Response::Pong))
-        })
+    Client::connect_timeouts(addr, Some(timeout), Some(timeout))
+        .and_then(|mut client| client.call(&Request::Ping))
+        .is_ok_and(|reply| matches!(reply, Response::Pong))
 }
 
 fn health_loop(shared: &Arc<Shared>) {
@@ -866,7 +478,7 @@ fn health_loop(shared: &Arc<Shared>) {
             if shared.io.is_shutting_down() {
                 return;
             }
-            if probe(up.pool.addr(), shared.config.probe_timeout) {
+            if probe(up.addr, shared.config.probe_timeout) {
                 shared.counters.probes_ok.fetch_add(1, Ordering::Relaxed);
                 shared.mark_success(up.id);
             } else {
@@ -892,9 +504,10 @@ fn health_loop(shared: &Arc<Shared>) {
 // The server handle
 // ---------------------------------------------------------------------------
 
-/// A running router: loop pollers, proxy workers and the health prober,
-/// stopped by [`shutdown`](RouterServer::shutdown), a client `shutdown`
-/// frame, or drop.
+/// A running router: the loop poller, the health prober and, when
+/// configured, the rebalance tick; stopped by
+/// [`shutdown`](RouterServer::shutdown), a client `shutdown` frame, or
+/// drop.
 pub struct RouterServer {
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
@@ -926,7 +539,7 @@ impl RouterServer {
                 pollers: 1,
                 poll_interval: config.poll_interval,
                 write_stall: config.reply_timeout,
-                // Past the workers' own timeout reply, so the loop's
+                // Past the relay's own timeout reply, so the loop's
                 // `internal` error is only ever a last resort.
                 reply_timeout: config.reply_timeout + config.connect_timeout,
                 max_conns: 0,
@@ -944,14 +557,7 @@ impl RouterServer {
             .enumerate()
             .map(|(i, &addr)| Upstream {
                 id: i as u32,
-                pool: UpstreamPool::new(
-                    addr,
-                    UPSTREAM_CONN_BASE + i as u64,
-                    Arc::clone(&config.shim),
-                    config.connect_timeout,
-                    config.reply_timeout,
-                    config.max_pool_idle,
-                ),
+                addr,
                 alive: AtomicBool::new(true),
                 consecutive_failures: AtomicU32::new(0),
                 inflight: AtomicI64::new(0),
@@ -959,9 +565,11 @@ impl RouterServer {
                 errors: AtomicU64::new(0),
                 hedge_wins: AtomicU64::new(0),
                 latency: Histogram::new(),
+                deaths: AtomicU64::new(0),
+                open: AtomicUsize::new(0),
+                busy: AtomicUsize::new(0),
             })
             .collect();
-        let workers = config.max_pool_idle.max(1);
         let ring = FailoverRing::new(config.upstreams.len(), vnodes);
         let vnode_count = ring.vnode_count();
         let shared = Arc::new(Shared {
@@ -972,7 +580,7 @@ impl RouterServer {
             rebal: RebalanceCounters::new(),
             started: Instant::now(),
             io,
-            jobs: StealQueue::new(1, usize::MAX),
+            relay_waiting: AtomicUsize::new(0),
             config,
         });
         let spawn = |name: String, run: fn(&Arc<Shared>)| {
@@ -982,9 +590,6 @@ impl RouterServer {
                 .spawn(move || run(&shared))
         };
         let mut threads = pollers.spawn(Arc::clone(&shared), "gb-router")?;
-        for index in 0..workers {
-            threads.push(spawn(format!("gb-router-proxy-{index}"), worker_loop)?);
-        }
         threads.push(spawn("gb-router-health".into(), health_loop)?);
         // With a single upstream every assignment is the trivial one;
         // skip the tick thread entirely.
@@ -999,10 +604,10 @@ impl RouterServer {
         self.shared.io.local_addr()
     }
 
-    /// Requests shutdown without blocking: the listener closes, queued
-    /// frames are still answered.
+    /// Requests shutdown without blocking: the listener closes, frames
+    /// in flight are still answered.
     pub fn trigger_shutdown(&self) {
-        trigger_shutdown(&self.shared);
+        self.shared.io.trigger_shutdown();
     }
 
     /// Waits for every router thread to finish.
@@ -1018,9 +623,12 @@ impl RouterServer {
         self.join();
     }
 
-    /// The live stats rollup (same object the `stats` op returns).
+    /// The live stats rollup: the object the `stats` op returns, minus
+    /// what only the upstreams know (their queue depth and in-flight
+    /// count read 0, `upstream_requests` is absent). Upstream I/O
+    /// belongs to the poller; this accessor runs on the caller's thread.
     pub fn stats_json(&self) -> Json {
-        stats_rollup(&self.shared)
+        stats_rollup(&self.shared, &[])
     }
 
     /// Currently-alive upstream ids, for tests asserting failover.

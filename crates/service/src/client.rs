@@ -44,13 +44,17 @@ impl Client {
     }
 
     /// Connects with independent read and write timeouts (`None`
-    /// blocks indefinitely on that side).
+    /// blocks indefinitely on that side). A read timeout bounds the
+    /// connect as well.
     pub fn connect_timeouts(
         addr: SocketAddr,
         read_timeout: Option<Duration>,
         write_timeout: Option<Duration>,
     ) -> io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
+        let stream = match read_timeout {
+            Some(timeout) => TcpStream::connect_timeout(&addr, timeout)?,
+            None => TcpStream::connect(addr)?,
+        };
         stream.set_nodelay(true)?;
         stream.set_read_timeout(read_timeout)?;
         stream.set_write_timeout(write_timeout)?;

@@ -558,11 +558,13 @@ fn overload_message(shared: &Shared, backend: &Backend, cause: FullCause) -> Str
 // ---------------------------------------------------------------------------
 
 impl Handler for Shared {
+    type Local = ();
+
     /// Handles one decoded request frame on the poller. Cache hits,
     /// control frames and shed responses are answered inline; only
     /// cache misses cross the queue to a worker. The reply goes out in
     /// the codec the request frame arrived in.
-    fn handle(&self, request: Request, _raw: &[u8], out: &mut Dispatch<'_>) {
+    fn handle(&self, _local: &mut (), request: Request, _raw: &[u8], out: &mut Dispatch<'_>) {
         match request {
             Request::Ping => {
                 self.metrics.record_control();
