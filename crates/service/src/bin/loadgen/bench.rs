@@ -856,13 +856,18 @@ fn rb_request(i: u64, cold: bool) -> Request {
     }
 }
 
-/// A throughput pass from `RB_CLIENTS` synchronous connections.
-fn rb_throughput(addr: SocketAddr, count: u64, cold: bool) -> Result<PhaseStats, String> {
+/// Warms the hot pass's working set (the cold pass needs nothing).
+fn rb_warm(addr: SocketAddr, cold: bool) -> Result<(), String> {
     if !cold {
         Phase::new(addr, Stop::after(RB_DISTINCT), |i| bench_request(i, i))
             .run()
             .all_ok("warm")?;
     }
+    Ok(())
+}
+
+/// A throughput pass from `RB_CLIENTS` synchronous connections.
+fn rb_throughput(addr: SocketAddr, count: u64, cold: bool) -> Result<PhaseStats, String> {
     Phase::new(addr, Stop::after(count), move |i| rb_request(i, cold))
         .conns(RB_CLIENTS)
         .run()
@@ -871,10 +876,12 @@ fn rb_throughput(addr: SocketAddr, count: u64, cold: bool) -> Result<PhaseStats,
 
 /// The identical workload direct against one gb-serve child, then
 /// proxied through gb-router over two upstream children (one extra hop,
-/// no re-parse).
-fn rb_compare(count: u64, cold: bool) -> Result<(PhaseStats, PhaseStats), String> {
+/// no re-parse). Also returns the router process's CPU per proxied
+/// request, in microseconds.
+fn rb_compare(count: u64, cold: bool) -> Result<(PhaseStats, PhaseStats, f64), String> {
     let direct = {
         let mut upstream = fleet::serve_child("")?;
+        rb_warm(upstream.addr, cold)?;
         let stats = rb_throughput(upstream.addr, count, cold)?;
         upstream.shutdown(Duration::from_secs(3));
         stats
@@ -883,12 +890,17 @@ fn rb_compare(count: u64, cold: bool) -> Result<(PhaseStats, PhaseStats), String
         let a = fleet::serve_child("")?;
         let b = fleet::serve_child("")?;
         let mut router = fleet::router_child(&[a.addr, b.addr], RB_VNODES, 0)?;
+        let cpu =
+            || gb_sys::process_cpu_seconds(router.pid()).map_err(|e| format!("cpu sample: {e}"));
+        rb_warm(router.addr, cold)?;
+        let before = cpu()?;
         let stats = rb_throughput(router.addr, count, cold)?;
+        let cpu_us = (cpu()? - before) * 1e6 / stats.requests.max(1) as f64;
         // The router forwards the shutdown to both upstreams.
         router.shutdown(Duration::from_secs(3));
-        stats
+        (stats, cpu_us)
     };
-    Ok((direct, proxied))
+    Ok((direct, proxied.0, proxied.1))
 }
 
 /// Seeds >= `base` whose keys the two-upstream ring pins to `owner`
@@ -1052,7 +1064,7 @@ fn router(smoke: bool) -> Result<Report, String> {
         println!(
             "bench router: {count} {label} requests over {RB_CLIENTS} clients, direct vs proxied"
         );
-        let (direct, proxied) = rb_compare(count, cold)?;
+        let (direct, proxied, router_cpu_us) = rb_compare(count, cold)?;
         let ratio = proxied.rps / direct.rps.max(1e-9);
         let added = proxied.p50_us.saturating_sub(direct.p50_us);
         report.phase(&format!("{label}_direct"), &direct, Vec::new());
@@ -1062,8 +1074,10 @@ fn router(smoke: bool) -> Result<Report, String> {
             vec![
                 ("proxied_over_direct", Json::Num(ratio)),
                 ("added_p50_us", int(added)),
+                ("router_cpu_us_per_request", Json::Num(router_cpu_us)),
             ],
         );
+        println!("  router CPU {router_cpu_us:.1} us per proxied request");
         ratios.push(ratio);
     }
     let cold_ratio = ratios[1];
