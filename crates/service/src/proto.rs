@@ -1599,12 +1599,6 @@ impl<R: Read> FrameReader<R> {
         &self.inner
     }
 
-    /// Bytes read from the stream but not yet returned as a frame, such
-    /// as the head of a frame whose tail has not arrived.
-    pub fn buffered_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// The codec of the most recently sniffed frame (JSON until the
     /// first byte arrives). Replies to frames that never decoded — too
     /// long, corrupt length, torn — should use this so the peer can
