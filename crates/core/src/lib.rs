@@ -22,6 +22,8 @@
 //!   [`hf`](hf::hf) (Heaviest problem First), [`ba`](ba::ba)
 //!   (Best Approximation of ideal weight) and [`bahf::ba_hf`]
 //!   (the combined algorithm of §3.3),
+//! * a shared bisection tree ([`memo`]) over which several of those runs
+//!   bisect each node at most once,
 //! * the worst-case performance guarantees of Theorems 2, 7 and 8
 //!   ([`bounds`]),
 //! * small self-contained utilities the rest of the workspace builds on:
@@ -60,6 +62,7 @@ pub mod error;
 pub mod fingerprint;
 pub mod heap;
 pub mod hf;
+pub mod memo;
 pub mod oracle;
 pub mod partition;
 pub mod problem;

@@ -75,6 +75,7 @@ pub mod proto;
 pub mod route;
 pub mod server;
 pub mod shed;
+pub mod solve;
 pub mod spec;
 
 pub use cache::ShardedCache;
@@ -84,4 +85,5 @@ pub use persist::StoreSettings;
 pub use proto::{Algorithm, ErrorCode, Request, Response};
 pub use route::{FailoverRing, Router};
 pub use server::{Server, ServerConfig, Tuning};
+pub use solve::{solve, Solved};
 pub use spec::ProblemSpec;

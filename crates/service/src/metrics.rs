@@ -130,6 +130,12 @@ pub struct ServiceMetrics {
     /// Cache hits answered inline on an I/O poller, skipping the queue
     /// and worker hand-off entirely.
     fast_path: AtomicU64,
+    /// Bisections of the problem made by computed answers.
+    bisections: AtomicU64,
+    /// Bisections a shared bisection tree answered instead.
+    tree_reused: AtomicU64,
+    /// Computed answers whose ratio exceeds their bound.
+    bound_violations: AtomicU64,
     /// Latency over all balance requests (receipt → response ready).
     latency: Histogram,
     /// Latency split per algorithm.
@@ -146,6 +152,9 @@ impl ServiceMetrics {
             errors: std::array::from_fn(|_| AtomicU64::new(0)),
             control: AtomicU64::new(0),
             fast_path: AtomicU64::new(0),
+            bisections: AtomicU64::new(0),
+            tree_reused: AtomicU64::new(0),
+            bound_violations: AtomicU64::new(0),
             latency: Histogram::new(),
             latency_by_algorithm: std::array::from_fn(|_| Histogram::new()),
         }
@@ -176,6 +185,15 @@ impl ServiceMetrics {
     /// round trip). Call *in addition to* [`record_ok`](Self::record_ok).
     pub fn record_fast_path(&self) {
         self.fast_path.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records the solver work of one computed (not cached) answer.
+    pub fn record_solve(&self, bisections: u64, tree_reused: u64, bound_violated: bool) {
+        self.bisections.fetch_add(bisections, Ordering::Relaxed);
+        self.tree_reused.fetch_add(tree_reused, Ordering::Relaxed);
+        if bound_violated {
+            self.bound_violations.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Responses served on the inline fast path so far.
@@ -212,6 +230,7 @@ impl ServiceMetrics {
     /// Full JSON snapshot (the `requests`/`latency` halves of the stats
     /// response; cache/queue/pool figures are merged in by the server).
     pub fn to_json(&self) -> Json {
+        let counter = |c: &AtomicU64| Json::Int(c.load(Ordering::Relaxed) as i64);
         let by_algorithm = Json::Obj(
             Algorithm::ALL
                 .iter()
@@ -271,6 +290,14 @@ impl ServiceMetrics {
                     ),
                     ("by_algorithm".into(), by_algorithm),
                     ("errors".into(), outcomes),
+                ]),
+            ),
+            (
+                "solver".into(),
+                Json::Obj(vec![
+                    ("bisections".into(), counter(&self.bisections)),
+                    ("tree_reused".into(), counter(&self.tree_reused)),
+                    ("bound_violations".into(), counter(&self.bound_violations)),
                 ]),
             ),
             (

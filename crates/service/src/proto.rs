@@ -253,6 +253,7 @@ impl Json {
     /// Parses one JSON document, requiring it to span the whole input.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -302,6 +303,7 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -411,20 +413,7 @@ impl Parser<'_> {
                         Some(b'u') => {
                             self.pos += 1;
                             let cp = self.hex4()?;
-                            // Surrogate pairs: accept but fold lone
-                            // surrogates to the replacement character.
-                            if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                    out.push(char::from_u32(c).unwrap_or('\u{fffd}'));
-                                } else {
-                                    out.push('\u{fffd}');
-                                }
-                            } else {
-                                out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                            }
+                            out.push(self.code_point(cp)?);
                             continue;
                         }
                         _ => return Err(self.err("invalid escape")),
@@ -433,15 +422,35 @@ impl Parser<'_> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next
+                    // quote, backslash or control byte. Those are ASCII,
+                    // so the run ends on a character boundary.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
+    }
+
+    /// The character of a `\u` escape whose four hex digits gave `cp`. A
+    /// high surrogate pairs with a following `\u` low surrogate; a lone
+    /// surrogate of either kind becomes U+FFFD, and an escape after a
+    /// high surrogate that is not a low one is left for the next step.
+    fn code_point(&mut self, cp: u32) -> Result<char, ParseError> {
+        if (0xD800..0xDC00).contains(&cp) && self.bytes[self.pos..].starts_with(b"\\u") {
+            let resume = self.pos;
+            self.pos += 2;
+            let lo = self.hex4()?;
+            if (0xDC00..0xE000).contains(&lo) {
+                let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                return Ok(char::from_u32(c).expect("a surrogate pair is a scalar value"));
+            }
+            self.pos = resume;
+        }
+        Ok(char::from_u32(cp).unwrap_or('\u{fffd}'))
     }
 
     fn hex4(&mut self) -> Result<u32, ParseError> {
@@ -1845,6 +1854,36 @@ mod tests {
         ] {
             assert!(Json::parse(text).is_err(), "accepted {text:?}");
         }
+    }
+
+    #[test]
+    fn a_frame_sized_string_parses_in_linear_time() {
+        // Plain runs with multi-byte characters, broken up by escapes.
+        let unit = "héllo wörld ☃ \\n";
+        let body = unit.repeat((MAX_FRAME - 16) / unit.len());
+        let text = format!("{{\"k\":\"{body}\"}}");
+        assert!(text.len() <= MAX_FRAME && text.len() > MAX_FRAME - 64);
+        let started = std::time::Instant::now();
+        let parsed = Json::parse(&text).unwrap();
+        let took = started.elapsed();
+        let expected = body.replace("\\n", "\n");
+        assert_eq!(parsed.get("k"), Some(&Json::Str(expected)));
+        assert!(took.as_millis() < 250, "took {took:?}");
+    }
+
+    #[test]
+    fn surrogate_escapes_pair_or_fold_to_the_replacement_character() {
+        let cases = [
+            (r#""😀""#, "\u{1F600}"),
+            (r#""\uD800A""#, "\u{FFFD}A"),
+            (r#""\uD800😀""#, "\u{FFFD}\u{1F600}"),
+            (r#""\uDC00x""#, "\u{FFFD}x"),
+            (r#""\uD800""#, "\u{FFFD}"),
+        ];
+        for (text, want) in cases {
+            assert_eq!(Json::parse(text), Ok(Json::Str(want.into())), "{text}");
+        }
+        assert!(Json::parse(r#""\uD800\u00""#).is_err());
     }
 
     #[test]

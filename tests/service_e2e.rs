@@ -7,11 +7,12 @@ mod common;
 use std::thread;
 use std::time::Duration;
 
+use gb_core::Partition;
 use gb_parlb::ThreadPool;
 use gb_service::client::Client;
 use gb_service::proto::{Algorithm, BalanceRequest, Request, Response};
 use gb_service::server::{Server, ServerConfig};
-use gb_service::spec::ProblemSpec;
+use gb_service::spec::{ProblemSpec, ServiceProblem};
 
 const CLIENTS: usize = 32;
 const REQUESTS_PER_CLIENT: usize = 12;
@@ -214,6 +215,54 @@ fn load_shedding_answers_overloaded_instead_of_queueing_forever() {
     server.shutdown();
 }
 
+/// The two-pass reference for one request: α from the hint, the class or
+/// a separate HF run, then the algorithm on the pool, then its worst-case
+/// bound. Returns the partition, the bound and the α.
+fn two_pass_reference(
+    spec: &ProblemSpec,
+    algorithm: Algorithm,
+    n: usize,
+    theta: f64,
+    pool: &ThreadPool,
+) -> (Partition<ServiceProblem>, f64, f64) {
+    let p = spec.build();
+    let alpha = spec
+        .alpha_hint()
+        .or_else(|| p.analytic_alpha())
+        .or_else(|| gb_problems::empirical_alpha(&p, n))
+        .unwrap_or(0.25)
+        .clamp(MIN_ALPHA, 0.5);
+    let (partition, bound) = match algorithm {
+        Algorithm::Hf => (
+            gb_core::hf::hf(p.clone(), n),
+            gb_core::hf_upper_bound(alpha, n),
+        ),
+        Algorithm::Ba => (
+            gb_parlb::par_ba(pool, p.clone(), n),
+            gb_core::ba_upper_bound(alpha, n),
+        ),
+        Algorithm::BaHf => (
+            gb_parlb::par_ba_hf(pool, p.clone(), n, alpha, theta),
+            gb_core::bahf_upper_bound(alpha, theta, n),
+        ),
+        Algorithm::Phf => (
+            gb_parlb::par_phf(pool, p.clone(), n, alpha),
+            gb_core::hf_upper_bound(alpha, n),
+        ),
+    };
+    (partition, bound, alpha)
+}
+
+/// Every algorithm once, and BA-HF, the one θ changes, at three θ.
+const REFERENCE_CASES: [(Algorithm, f64); 6] = [
+    (Algorithm::Hf, 1.0),
+    (Algorithm::Ba, 1.0),
+    (Algorithm::BaHf, 0.5),
+    (Algorithm::BaHf, 1.0),
+    (Algorithm::BaHf, 2.0),
+    (Algorithm::Phf, 1.0),
+];
+
 /// The reply contract: a cold miss answers with the `ratio`, `bound` and
 /// `alpha` of the two-pass reference — α from the hint, the class or a
 /// separate HF run, then the algorithm, then its worst-case bound — bit
@@ -224,40 +273,17 @@ fn cold_misses_match_the_two_pass_reference() {
     let mut client = Client::connect(server.local_addr()).expect("connect");
     let pool = ThreadPool::new(2);
     let mut id = 0;
-    for n in [64, 256] {
+    for n in [64, 256, 1024] {
         for spec in common::served_specs(n, 11) {
-            let p = spec.build();
-            let alpha = spec
-                .alpha_hint()
-                .or_else(|| p.analytic_alpha())
-                .or_else(|| gb_problems::empirical_alpha(&p, n))
-                .unwrap_or(0.25)
-                .clamp(MIN_ALPHA, 0.5);
-            for algorithm in Algorithm::ALL {
-                let (partition, bound) = match algorithm {
-                    Algorithm::Hf => (
-                        gb_core::hf::hf(p.clone(), n),
-                        gb_core::hf_upper_bound(alpha, n),
-                    ),
-                    Algorithm::Ba => (
-                        gb_parlb::par_ba(&pool, p.clone(), n),
-                        gb_core::ba_upper_bound(alpha, n),
-                    ),
-                    Algorithm::BaHf => (
-                        gb_parlb::par_ba_hf(&pool, p.clone(), n, alpha, 1.0),
-                        gb_core::bahf_upper_bound(alpha, 1.0, n),
-                    ),
-                    Algorithm::Phf => (
-                        gb_parlb::par_phf(&pool, p.clone(), n, alpha),
-                        gb_core::hf_upper_bound(alpha, n),
-                    ),
-                };
+            for (algorithm, theta) in REFERENCE_CASES {
+                let (partition, bound, alpha) =
+                    two_pass_reference(&spec, algorithm, n, theta, &pool);
                 id += 1;
                 let request = Request::Balance(BalanceRequest {
                     id: Some(id),
                     algorithm,
                     n,
-                    theta: 1.0,
+                    theta,
                     deadline_ms: None,
                     want_pieces: false,
                     problem: spec.clone(),
@@ -266,7 +292,7 @@ fn cold_misses_match_the_two_pass_reference() {
                     Response::Ok(ok) => ok,
                     other => panic!("unexpected {other:?}"),
                 };
-                let what = format!("{} {algorithm:?} n={n}", spec.class());
+                let what = format!("{} {algorithm:?} n={n} theta={theta}", spec.class());
                 assert!(!ok.cached, "{what}: not a cold miss");
                 assert_eq!(ok.ratio.to_bits(), partition.ratio().to_bits(), "{what}");
                 assert_eq!(ok.bound.to_bits(), bound.to_bits(), "{what}");
@@ -274,6 +300,143 @@ fn cold_misses_match_the_two_pass_reference() {
             }
         }
     }
+    server.shutdown();
+}
+
+/// `solve` against the two-pass reference, pieces included, for every
+/// served class at `n` under the algorithms that may share HF's tree.
+fn solve_matches_the_two_pass_reference(n: usize) {
+    let pool = ThreadPool::new(2);
+    for spec in common::served_specs(n, n as u64 + 5) {
+        for algorithm in [Algorithm::Ba, Algorithm::BaHf, Algorithm::Phf] {
+            let (partition, bound, alpha) = two_pass_reference(&spec, algorithm, n, 1.0, &pool);
+            let solved = gb_service::solve(&spec, algorithm, n, 1.0, &pool);
+            let what = format!("{} {algorithm:?} n={n}", spec.class());
+            assert_eq!(solved.pieces, partition.sorted_weights(), "{what}");
+            assert_eq!(
+                solved.ratio.to_bits(),
+                partition.ratio().to_bits(),
+                "{what}"
+            );
+            assert_eq!(solved.bound.to_bits(), bound.to_bits(), "{what}");
+            assert_eq!(solved.alpha.to_bits(), alpha.to_bits(), "{what}");
+        }
+    }
+}
+
+#[test]
+fn solve_matches_the_two_pass_reference_at_256() {
+    solve_matches_the_two_pass_reference(256);
+}
+
+/// The n = 4096 case; CI runs it in release mode.
+#[test]
+#[ignore]
+fn solve_matches_the_two_pass_reference_at_4096() {
+    solve_matches_the_two_pass_reference(4096);
+}
+
+/// A task list whose worst split is below `MIN_ALPHA`: PHF then runs with
+/// the clamped α rather than the tree's own, so Theorem 3 does not tie it
+/// to HF and `solve` computes it on the problem itself, as the two-pass
+/// reference does.
+#[test]
+fn phf_below_the_alpha_clamp_runs_on_the_problem() {
+    let pool = ThreadPool::new(2);
+    let spec = ProblemSpec::TaskList {
+        tasks: 1024,
+        heavy: true,
+        seed: 175,
+    };
+    for n in [16, 64] {
+        let measured = gb_problems::empirical_alpha(&spec.build(), n).expect("bisectable");
+        assert!(measured < MIN_ALPHA, "n={n}: α̂ = {measured}");
+        let (partition, bound, alpha) = two_pass_reference(&spec, Algorithm::Phf, n, 1.0, &pool);
+        let solved = gb_service::solve(&spec, Algorithm::Phf, n, 1.0, &pool);
+        assert_eq!(solved.alpha, MIN_ALPHA);
+        assert_eq!(solved.pieces, partition.sorted_weights(), "n={n}");
+        assert_eq!(solved.ratio.to_bits(), partition.ratio().to_bits(), "n={n}");
+        assert_eq!(solved.bound.to_bits(), bound.to_bits(), "n={n}");
+        assert_eq!(solved.alpha.to_bits(), alpha.to_bits(), "n={n}");
+        // Both runs happened: the HF pass for α̂, then `par_phf`.
+        let runs = 2 * (solved.pieces.len() as u64 - 1);
+        assert_eq!((solved.bisections, solved.tree_reused), (runs, 0), "n={n}");
+    }
+}
+
+/// `stats.solver`: bisections made by computed answers, bisections the
+/// shared tree served instead, and answers whose ratio exceeds their
+/// bound. A cache hit changes none of them.
+#[test]
+fn solver_counters_count_computed_answers() {
+    let server = spawn_server();
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let solver = |client: &mut Client| -> [i64; 3] {
+        let stats = match client.call(&Request::Stats).expect("stats") {
+            Response::Stats(stats) => stats,
+            other => panic!("unexpected {other:?}"),
+        };
+        let section = stats.get("solver").expect("solver section");
+        ["bisections", "tree_reused", "bound_violations"].map(|k| match section.get(k) {
+            Some(gb_service::proto::Json::Int(v)) => *v,
+            other => panic!("solver.{k}: {other:?}"),
+        })
+    };
+    let call = |client: &mut Client, algorithm, problem: &ProblemSpec| {
+        let request = Request::Balance(BalanceRequest {
+            id: Some(1),
+            algorithm,
+            n: 64,
+            theta: 1.0,
+            deadline_ms: None,
+            want_pieces: false,
+            problem: problem.clone(),
+        });
+        match client.call(&request).expect("call") {
+            Response::Ok(ok) => ok,
+            other => panic!("unexpected {other:?}"),
+        }
+    };
+    assert_eq!(solver(&mut client), [0, 0, 0]);
+
+    // An HF miss bisects n − 1 times and shares nothing.
+    let fe_tree = ProblemSpec::FeTree {
+        refinements: 128,
+        bias: 0.7,
+        seed: 3,
+    };
+    call(&mut client, Algorithm::Hf, &fe_tree);
+    assert_eq!(solver(&mut client), [63, 0, 0]);
+
+    // A PHF miss without a known α is the HF pass alone; a BA miss walks
+    // the pass's tree again and bisects only what HF did not.
+    call(&mut client, Algorithm::Phf, &fe_tree);
+    assert_eq!(solver(&mut client), [126, 0, 0]);
+    call(&mut client, Algorithm::Ba, &fe_tree);
+    let [bisections, reused, violations] = solver(&mut client);
+    let walked = bisections - 126 - 63;
+    assert!((0..63).contains(&walked), "{bisections}");
+    assert_eq!(reused + walked, 63, "BA bisects n − 1 nodes");
+    assert!(reused > 0);
+    assert_eq!(violations, 0);
+
+    // A grid whose heaviest HF piece is one unsplittable cell: its ratio
+    // exceeds the bound α̂ selects.
+    let grid = ProblemSpec::Grid {
+        rows: 16,
+        cols: 16,
+        hotspots: 2,
+        seed: 22,
+    };
+    let ok = call(&mut client, Algorithm::Hf, &grid);
+    assert!(ok.ratio > ok.bound, "ratio {} bound {}", ok.ratio, ok.bound);
+    let after = solver(&mut client);
+    assert_eq!(after[2], 1);
+
+    // Hits are served from the cache and move no counter.
+    assert!(call(&mut client, Algorithm::Hf, &grid).cached);
+    assert!(call(&mut client, Algorithm::Ba, &fe_tree).cached);
+    assert_eq!(solver(&mut client), after);
     server.shutdown();
 }
 
