@@ -16,9 +16,13 @@
 //! records supersede earlier ones for the same key.
 //!
 //! **Compaction** keeps the directory under `budget_bytes`: when the
-//! total exceeds the budget, the oldest sealed segments are rewritten —
-//! records still current per the in-memory index move to the active
-//! segment, superseded ones are dropped with the file. Compaction
+//! total exceeds the budget, the oldest sealed segments that hold
+//! superseded records are rewritten — records still current per the
+//! in-memory index move to the active segment, superseded ones are
+//! dropped with the file. A segment whose every record is current is
+//! left alone: rewriting it would only move its bytes, and a store whose
+//! live set exceeds the budget would otherwise rewrite itself whole on
+//! every rotation. Compaction
 //! invariants: a live record is re-appended *before* its old segment is
 //! deleted — and under a sync mode the rewrite is fsynced before the
 //! unlink — so no crash or power-cut point loses it; record order
@@ -198,6 +202,9 @@ pub struct Store {
     index: HashMap<Vec<u8>, RecordLoc>,
     /// Sealed segment id → file size in bytes.
     sealed: BTreeMap<u64, u64>,
+    /// Segment id (sealed or active) → bytes of the frames in it that are
+    /// their key's newest copy.
+    seg_live: HashMap<u64, u64>,
     active_id: u64,
     active: File,
     active_bytes: u64,
@@ -255,6 +262,7 @@ impl Store {
 
         let mut index: HashMap<Vec<u8>, RecordLoc> = HashMap::new();
         let mut sealed = BTreeMap::new();
+        let mut seg_live: HashMap<u64, u64> = HashMap::new();
         let mut bytes_live = 0u64;
         for &id in &ids {
             let bytes = fs::read(segment_path(&config.dir, id))?;
@@ -274,8 +282,10 @@ impl Store {
                         };
                         if let Some(old) = index.insert(rec.key.to_vec(), loc) {
                             bytes_live -= old.frame_len;
+                            *seg_live.entry(old.seg).or_default() -= old.frame_len;
                         }
                         bytes_live += loc.frame_len;
+                        *seg_live.entry(id).or_default() += loc.frame_len;
                         replay(rec.key, rec.value);
                         offset += rec.frame_len;
                     }
@@ -303,6 +313,7 @@ impl Store {
             config,
             index,
             sealed,
+            seg_live,
             active_id,
             active,
             active_bytes: SEGMENT_HEADER_LEN as u64,
@@ -362,8 +373,10 @@ impl Store {
         };
         if let Some(old) = self.index.insert(key.to_vec(), loc) {
             self.bytes_live -= old.frame_len;
+            *self.seg_live.entry(old.seg).or_default() -= old.frame_len;
         }
         self.bytes_live += frame_len;
+        *self.seg_live.entry(self.active_id).or_default() += frame_len;
         let counter = if compaction {
             &self.counters.compacted
         } else {
@@ -467,6 +480,10 @@ impl Store {
             if self.disk_bytes() <= self.config.budget_bytes {
                 break;
             }
+            let live = self.seg_live.get(&id).copied().unwrap_or(0);
+            if live + SEGMENT_HEADER_LEN as u64 >= self.sealed[&id] {
+                continue; // nothing superseded: a rewrite reclaims nothing
+            }
             self.compact_segment(id)?;
         }
         Ok(())
@@ -526,6 +543,7 @@ impl Store {
             self.sync_dir()?;
         }
         self.sealed.remove(&id);
+        self.seg_live.remove(&id);
         Ok(())
     }
 
@@ -704,6 +722,37 @@ mod tests {
         let (store, recovered) = Store::open(config).unwrap();
         assert_eq!(recovered.len(), 40);
         assert_eq!(store.stats().recovered, 40);
+    }
+
+    #[test]
+    fn segments_with_nothing_superseded_are_not_rewritten() {
+        let dir = TempDir::new("all-live");
+        let config = StoreConfig {
+            segment_bytes: MIN_SEGMENT_BYTES,
+            budget_bytes: 3 * MIN_SEGMENT_BYTES,
+            ..StoreConfig::new(&dir.0)
+        };
+        let (mut store, _) = Store::open(config.clone()).unwrap();
+        let big = vec![0xAB; 600];
+        // Distinct keys only: the live set outgrows the budget and no
+        // rewrite can bring the directory back under it.
+        for i in 0..80 {
+            store.append(&key(i), &big).unwrap();
+        }
+        // One superseded record makes its segment, and only it, worth
+        // compacting.
+        store.append(&key(0), &big).unwrap();
+        for i in 80..90 {
+            store.append(&key(i), &big).unwrap();
+        }
+        let stats = store.stats();
+        assert!(stats.segments > 3, "expected rotation, got {stats:?}");
+        assert_eq!(stats.live_records, 90);
+        assert!(stats.compacted > 0 && stats.compacted < 10, "{stats:?}");
+        drop(store);
+        let (_, recovered) = Store::open(config).unwrap();
+        let keys: std::collections::HashSet<_> = recovered.into_iter().map(|r| r.key).collect();
+        assert_eq!(keys.len(), 90);
     }
 
     #[test]
