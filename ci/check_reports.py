@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Checks the evidence CI keeps: loadgen's `gb-bench/v2` bench reports and
-the `gb-serve` / `gb-router` stats snapshots of the smoke steps.
+the `gb-router` stats snapshot of the failover smoke step.
 
     python3 ci/check_reports.py report FILE...     # bench reports
-    python3 ci/check_reports.py shard-stats FILE   # sharded chaos snapshot
     python3 ci/check_reports.py router-stats FILE  # router failover snapshot
 
 A report passes when its schema is `gb-bench/v2`, `pass` is true, every
@@ -151,17 +150,6 @@ def check_report(path):
           + ", ".join(f"{g['name']} {g['value']}" for g in gates))
 
 
-def check_shard_stats(path):
-    with open(path) as f:
-        stats = json.load(f)
-    backends = stats["backends"]
-    assert backends["count"] == 2, backends
-    for b in backends["per_backend"]:
-        assert b["queue_depth"] == 0 and b["inflight"] == 0, b
-    print(f"{path}: sharded chaos ok, imbalance ratio "
-          f"{backends['imbalance']['ratio']:.2f}")
-
-
 def check_router_stats(path):
     with open(path) as f:
         stats = json.load(f)
@@ -182,7 +170,6 @@ def check_router_stats(path):
 def main(argv):
     checks = {
         "report": check_report,
-        "shard-stats": check_shard_stats,
         "router-stats": check_router_stats,
     }
     if len(argv) < 3 or argv[1] not in checks:

@@ -4,8 +4,6 @@
 //! gb-serve [--addr HOST:PORT] [--workers K] [--queue-cap Q]
 //!          [--cache-cap C] [--pool-threads T] [--io-threads I]
 //!          [--max-conns N] [--cache-shards S] [--admission on|off]
-//!          [--backends N] [--backend-vnodes V]
-//!          [--rebalance-ms MS] [--rebalance-trigger R] [--rebalance-budget B]
 //!          [--reply-timeout-ms MS] [--poll-interval-ms MS]
 //!          [--write-stall-ms MS] [--stall-ms MS]
 //!          [--store-dir PATH] [--store-segment-bytes N]
@@ -24,18 +22,10 @@
 //! best-effort `overloaded` reply and an immediate close instead of
 //! driving the process into fd exhaustion.
 //!
-//! `--backends N` shards the server into N independent backend pools
-//! behind a consistent-hash router: each backend owns its queue, worker
-//! threads and cache, so one hot problem class cannot starve the rest.
-//!
-//! `--rebalance-ms MS` turns on self-balancing vnode placement
-//! (`gb-rebal`): every MS milliseconds a tick re-partitions the vnode
-//! set across the backends with HF over the observed per-vnode load,
-//! driving the `stats.backends.imbalance` gauge toward 1.0 under
-//! skewed traffic. `--rebalance-trigger R` (default 1.15) is the
-//! minimum max/mean imbalance before a tick moves anything, and
-//! `--rebalance-budget B` (default 16) caps voluntary vnode moves per
-//! tick so cache-cold churn stays bounded.
+//! One process is one queue, one cache and one store. To shard a hot
+//! class away from the rest, or to rebalance skewed traffic, run several
+//! `gb-serve` processes behind `gb-router` (its `--rebalance-ms` tick
+//! re-places vnodes with HF over the load it observes).
 //!
 //! `--stall-ms MS` injects a sleep before every job execution (via the
 //! fault-injection shim) — a deliberately slow-but-alive upstream for
@@ -53,7 +43,6 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use gb_rebal::RebalanceSettings;
 use gb_service::fault::ScriptedShim;
 use gb_service::persist::StoreSettings;
 use gb_service::server::{Server, ServerConfig, Tuning};
@@ -63,8 +52,6 @@ fn usage() -> ! {
         "usage: gb-serve [--addr HOST:PORT] [--workers K] [--queue-cap Q] \
          [--cache-cap C] [--pool-threads T] [--io-threads I] \
          [--max-conns N] [--cache-shards S] [--admission on|off] \
-         [--backends N] [--backend-vnodes V] \
-         [--rebalance-ms MS] [--rebalance-trigger R] [--rebalance-budget B] \
          [--reply-timeout-ms MS] [--poll-interval-ms MS] [--write-stall-ms MS] \
          [--stall-ms MS] \
          [--store-dir PATH] [--store-segment-bytes N] [--store-budget-bytes N] \
@@ -179,41 +166,6 @@ fn parse_args() -> (ServerConfig, Tuning) {
                     let shim = ScriptedShim::new();
                     shim.stall_workers(Duration::from_millis(ms));
                     tuning.shim = Arc::new(shim);
-                }
-            }
-            "--backends" => tuning.backends = parse_usize(&value("--backends"), "--backends"),
-            "--backend-vnodes" => {
-                tuning.backend_vnodes = parse_usize(&value("--backend-vnodes"), "--backend-vnodes")
-            }
-            "--rebalance-ms" => {
-                let ms = parse_usize(&value("--rebalance-ms"), "--rebalance-ms") as u64;
-                tuning
-                    .rebalance
-                    .get_or_insert_with(RebalanceSettings::default)
-                    .interval = Duration::from_millis(ms.max(1));
-            }
-            "--rebalance-trigger" => {
-                let text = value("--rebalance-trigger");
-                let trigger: f64 = text.parse().unwrap_or_else(|_| {
-                    eprintln!("--rebalance-trigger expects a number, got {text:?}");
-                    usage()
-                });
-                match &mut tuning.rebalance {
-                    Some(rebalance) => rebalance.trigger = trigger.max(1.0),
-                    None => {
-                        eprintln!("--rebalance-trigger requires --rebalance-ms first");
-                        usage()
-                    }
-                }
-            }
-            "--rebalance-budget" => {
-                let budget = parse_usize(&value("--rebalance-budget"), "--rebalance-budget");
-                match &mut tuning.rebalance {
-                    Some(rebalance) => rebalance.move_budget = budget,
-                    None => {
-                        eprintln!("--rebalance-budget requires --rebalance-ms first");
-                        usage()
-                    }
                 }
             }
             "--help" | "-h" => usage(),

@@ -67,8 +67,8 @@ fn spec(seed: u64) -> ProblemSpec {
 }
 
 /// The cache key the server derives for [`balance`]`(_, n, seed)` — used
-/// to pre-classify seeds by owning backend with the same `Router` the
-/// server builds.
+/// to pre-classify seeds by owning upstream with the same ring
+/// `gb-router` builds.
 fn cache_key(seed: u64, n: usize) -> CacheKey {
     CacheKey::new(spec(seed).fingerprint(), Algorithm::Hf, n, 1.0)
 }
@@ -424,15 +424,45 @@ fn store(smoke: bool) -> Result<Report, String> {
 }
 
 // ---------------------------------------------------------------------------
+// sharding + skew: a gb-router fleet of small gb-serve upstreams
+// ---------------------------------------------------------------------------
+
+/// Upstreams behind the router in the sharded and skew phases.
+const FLEET_UPSTREAMS: usize = 4;
+/// The fleet's total budget, split evenly over its upstreams.
+const FLEET_WORKERS: usize = 4;
+const FLEET_QUEUE_CAP: usize = 256;
+const FLEET_CACHE_CAP: usize = 256;
+
+/// Spawns `upstreams` gb-serve children that share the fleet budget
+/// evenly, plus `extra` flags, and one gb-router over them with
+/// `router_extra` flags.
+fn spawn_fleet(
+    upstreams: usize,
+    extra: &str,
+    vnodes: usize,
+    router_extra: &str,
+) -> Result<(Vec<fleet::ChildProc>, fleet::ChildProc), String> {
+    let flags = format!(
+        "--workers {} --queue-cap {} --cache-cap {} --pool-threads 1 {extra}",
+        FLEET_WORKERS / upstreams,
+        FLEET_QUEUE_CAP / upstreams,
+        FLEET_CACHE_CAP / upstreams,
+    );
+    let children = (0..upstreams)
+        .map(|_| fleet::serve_child(&flags))
+        .collect::<Result<Vec<_>, _>>()?;
+    let addrs: Vec<SocketAddr> = children.iter().map(|c| c.addr).collect();
+    let router = fleet::router_child(&addrs, vnodes, 0, router_extra)?;
+    Ok((children, router))
+}
+
+// ---------------------------------------------------------------------------
 // sharding: hot-class isolation
 // ---------------------------------------------------------------------------
 
-const SHARD_BACKENDS: usize = 4;
 const SHARD_VNODES: usize = 64;
-const SHARD_WORKERS: usize = 4;
-const SHARD_QUEUE_CAP: usize = 256;
-const SHARD_CACHE_CAP: usize = 256;
-/// Victim working set: keys owned by the non-hot backends, small enough
+/// Victim working set: keys owned by the non-hot upstreams, small enough
 /// to stay resident in their caches.
 const SHARD_VICTIM_KEYS: usize = 24;
 /// Victim probe rounds (one latency sample per key per round), paced
@@ -444,7 +474,7 @@ const SHARD_SMOKE_ROUNDS: u64 = 8;
 const SHARD_ROUND_PACE: Duration = Duration::from_millis(2);
 const SHARD_HOT_THREADS: usize = 2;
 const SHARD_HOT_PIPELINE: usize = 128;
-/// Distinct flood keys — far more than one backend's cache slice, so the
+/// Distinct flood keys — far more than one upstream's cache, so the
 /// flood stays a compute-bound cold scan instead of going cache-warm.
 const SHARD_HOT_KEYS: usize = 8192;
 /// The hot class asks for a much larger partition than the victims do:
@@ -456,31 +486,23 @@ const SHARD_HOT_N: usize = 1024;
 const SHARD_NOISE_FLOOR_US: u64 = 1_000;
 
 /// One phase: warm the victim class, optionally start the hot flood,
-/// probe victim latency for `rounds` rounds, snapshot the per-backend
-/// stats while the flood is still running, then tear everything down.
-/// The flood may be mostly shed (the hot backend's local queue is a
-/// quarter of the global cap) — that per-class shedding is part of what
-/// the bench shows.
+/// probe victim latency for `rounds` rounds, snapshot the router's
+/// per-upstream rollup while the flood is still running, then tear the
+/// fleet down. Every phase sends its traffic through one gb-router, so
+/// each pays the same hop.
 fn shard_phase(
-    backends: usize,
+    upstreams: usize,
     contended: bool,
     victims: &Arc<Vec<u64>>,
     hot: &Arc<Vec<u64>>,
     rounds: u64,
 ) -> Result<(PhaseStats, Fields), String> {
-    let tuning = Tuning {
-        backends,
-        backend_vnodes: SHARD_VNODES,
-        // Plain LRU everywhere: TinyLFU's scan resistance would let even
-        // the *unsharded* control keep the victims cached through the
-        // flood, masking exactly the cache-sharing failure the control
-        // exists to show. Sharded isolation must not depend on the
-        // admission policy.
-        admission: false,
-        ..Tuning::default()
-    };
-    let server = fleet::start(SHARD_WORKERS, SHARD_QUEUE_CAP, SHARD_CACHE_CAP, 1, tuning)?;
-    let addr = server.local_addr();
+    // Plain LRU everywhere: TinyLFU's scan resistance would let even the
+    // *unsharded* control keep the victims cached through the flood,
+    // masking exactly the cache-sharing failure the control exists to
+    // show. Sharded isolation must not depend on the admission policy.
+    let (_children, mut router) = spawn_fleet(upstreams, "--admission off", SHARD_VNODES, "")?;
+    let addr = router.addr;
     let count = victims.len() as u64;
     let victim = |id_base: u64| {
         let victims = Arc::clone(victims);
@@ -506,73 +528,77 @@ fn shard_phase(
         .conns(SHARD_HOT_THREADS)
         .window(SHARD_HOT_PIPELINE);
         let handle = thread::spawn(move || flood.run());
-        // Let the flood fill the hot backend's queue before sampling.
+        // Let the flood reach the hot upstream before sampling.
         thread::sleep(Duration::from_millis(200));
         handle
     });
     let probes = Phase::new(addr, Stop::after(rounds * count), victim(1_000))
         .pace(count, SHARD_ROUND_PACE)
         .run();
-    // Per-backend rollup while the flood is still applying pressure.
-    let backend_stats = if contended {
-        fetch_stats(addr).and_then(|s| s.get("backends").cloned())
+    // Per-upstream rollup (queue depth included) while the flood is still
+    // applying pressure.
+    let upstream_stats = if contended {
+        fetch_stats(addr).and_then(|s| s.get("upstreams").cloned())
     } else {
         None
     };
     stop.store(true, Ordering::Relaxed);
     let flood = flood.map(|h| h.join().expect("flood panicked"));
-    server.shutdown();
+    // The router forwards the shutdown to every upstream.
+    router.shutdown(Duration::from_secs(3));
 
     let extras = vec![
-        ("backends", int(backends)),
+        ("upstream_count", int(upstreams)),
         ("contended", Json::Bool(contended)),
         ("warm_resident", int(resident)),
         (
             "hot",
             flood.map(|f| f.to_json(Vec::new())).unwrap_or(Json::Null),
         ),
-        ("server_backends", backend_stats.unwrap_or(Json::Null)),
+        ("upstreams", upstream_stats.unwrap_or(Json::Null)),
     ];
     Ok((probes.checked("victim probes")?, extras))
 }
 
-/// A hot class floods the one backend that owns it while a victim class
-/// (keys owned by the other backends) is probed for latency, on a
-/// 4-backend server and on a 1-backend control.
+/// A hot class floods the one upstream that owns it while a victim class
+/// (keys owned by the other upstreams) is probed for latency, through a
+/// gb-router over 4 small gb-serve upstreams and over a 1-upstream
+/// control with the whole budget.
 fn sharding(smoke: bool) -> Result<Report, String> {
     let rounds = if smoke {
         SHARD_SMOKE_ROUNDS
     } else {
         SHARD_ROUNDS
     };
-    // Classify seeds with the ring the 4-backend server builds: the
-    // flood all lands on one backend, the victims on the others.
-    let ring = Router::new(SHARD_BACKENDS, SHARD_VNODES);
+    // Classify seeds with the ring gb-router builds over 4 upstreams
+    // (identical to `Router` while every upstream is alive): the flood
+    // all lands on one upstream, the victims on the others.
+    let ring = Router::new(FLEET_UPSTREAMS, SHARD_VNODES);
     let owner = |seed: u64, n: usize| ring.route(cache_key(seed, n).mix());
-    let hot_backend = owner(1_000_000, SHARD_HOT_N);
+    let hot_upstream = owner(1_000_000, SHARD_HOT_N);
     let hot: Vec<u64> = (1_000_000u64..)
-        .filter(|&s| owner(s, SHARD_HOT_N) == hot_backend)
+        .filter(|&s| owner(s, SHARD_HOT_N) == hot_upstream)
         .take(SHARD_HOT_KEYS)
         .collect();
     let victims: Vec<u64> = (0u64..)
-        .filter(|&s| owner(s, BENCH_N) != hot_backend)
+        .filter(|&s| owner(s, BENCH_N) != hot_upstream)
         .take(SHARD_VICTIM_KEYS)
         .collect();
     println!(
-        "bench sharding: hot class pinned to backend {hot_backend} ({} flood keys), \
-         {} victim keys on the other {} backends, {rounds} probe rounds",
+        "bench sharding: hot class pinned to upstream {hot_upstream} ({} flood keys), \
+         {} victim keys on the other {} upstreams, {rounds} probe rounds",
         hot.len(),
         victims.len(),
-        SHARD_BACKENDS - 1
+        FLEET_UPSTREAMS - 1
     );
     let mut report = Report::new("sharding", smoke);
     report.config(vec![
-        ("backends", int(SHARD_BACKENDS)),
-        ("backend_vnodes", int(SHARD_VNODES)),
-        ("hot_backend", int(u64::from(hot_backend))),
-        ("workers", int(SHARD_WORKERS)),
-        ("queue_capacity", int(SHARD_QUEUE_CAP)),
-        ("cache_capacity", int(SHARD_CACHE_CAP)),
+        ("upstreams", int(FLEET_UPSTREAMS)),
+        ("vnodes", int(SHARD_VNODES)),
+        ("hot_upstream", int(u64::from(hot_upstream))),
+        ("workers", int(FLEET_WORKERS)),
+        ("queue_capacity", int(FLEET_QUEUE_CAP)),
+        ("cache_capacity", int(FLEET_CACHE_CAP)),
         ("victim_keys", int(SHARD_VICTIM_KEYS)),
         ("probe_rounds", int(rounds)),
         ("hot_keys", int(SHARD_HOT_KEYS)),
@@ -582,12 +608,12 @@ fn sharding(smoke: bool) -> Result<Report, String> {
     ]);
     let (victims, hot) = (Arc::new(victims), Arc::new(hot));
     let mut p99 = Vec::new();
-    for (name, backends, contended) in [
-        ("isolated", SHARD_BACKENDS, false),
-        ("sharded", SHARD_BACKENDS, true),
+    for (name, upstreams, contended) in [
+        ("isolated", FLEET_UPSTREAMS, false),
+        ("sharded", FLEET_UPSTREAMS, true),
         ("unsharded_control", 1, true),
     ] {
-        let (probes, extras) = shard_phase(backends, contended, &victims, &hot, rounds)?;
+        let (probes, extras) = shard_phase(upstreams, contended, &victims, &hot, rounds)?;
         report.phase(name, &probes, extras);
         report.gate(&format!("{name}.p99_us"), probes.p99_us as f64, ">", 0.0);
         p99.push(probes.p99_us);
@@ -607,13 +633,9 @@ fn sharding(smoke: bool) -> Result<Report, String> {
 // skew: self-balancing placement under zipf traffic
 // ---------------------------------------------------------------------------
 
-const SKEW_BACKENDS: usize = 4;
 const SKEW_VNODES: usize = 16;
-const SKEW_WORKERS: usize = 4;
-const SKEW_QUEUE_CAP: usize = 256;
-const SKEW_CACHE_CAP: usize = 256;
 /// Distinct keys in the zipf working set. With s = 1.0 the hottest key
-/// carries ~21% of the traffic — under the 25% per-backend mean, so a
+/// carries ~21% of the traffic — under the 25% per-upstream mean, so a
 /// balanced assignment exists and HF can find it.
 const SKEW_KEYS: usize = 64;
 const SKEW_N: usize = 24;
@@ -650,12 +672,12 @@ fn zipf_cumulative(count: usize) -> Vec<f64> {
 /// lopsided under the zipf weights, so the control phase shows the
 /// imbalance the rebalancer erases. Pure function of the ring.
 fn skew_pick_seeds(cum: &[f64]) -> (u64, Vec<u64>, f64) {
-    let ring = Router::new(SKEW_BACKENDS, SKEW_VNODES);
-    let ideal = 1.0 / SKEW_BACKENDS as f64;
+    let ring = Router::new(FLEET_UPSTREAMS, SKEW_VNODES);
+    let ideal = 1.0 / FLEET_UPSTREAMS as f64;
     let mut base = 0u64;
     loop {
         let seeds: Vec<u64> = (base..base + SKEW_KEYS as u64).collect();
-        let mut per = [0.0f64; SKEW_BACKENDS];
+        let mut per = [0.0f64; FLEET_UPSTREAMS];
         for (rank, &seed) in seeds.iter().enumerate() {
             let prob = cum[rank] - if rank == 0 { 0.0 } else { cum[rank - 1] };
             per[ring.route(cache_key(seed, SKEW_N).mix()) as usize] += prob;
@@ -669,44 +691,42 @@ fn skew_pick_seeds(cum: &[f64]) -> (u64, Vec<u64>, f64) {
     }
 }
 
-/// Per-backend `(load_hits, load_micros)` from a live stats frame.
-fn skew_loads(addr: SocketAddr) -> Result<Vec<(u64, u64)>, String> {
-    let stats = fetch_stats(addr).ok_or("stats fetch failed")?;
-    let per = stats
-        .get("backends")
-        .and_then(|b| b.get("per_backend"))
-        .and_then(Json::as_arr)
-        .ok_or("stats missing backends.per_backend")?;
-    per.iter()
-        .map(|entry| {
-            let hits = stat_u64(entry, &["load_hits"]);
-            let micros = stat_u64(entry, &["load_micros"]);
-            hits.zip(micros)
-                .ok_or_else(|| "per_backend missing load counters".to_string())
+/// Each upstream's cumulative `stats.load` pair `(served, micros)`.
+fn skew_loads(upstreams: &[fleet::ChildProc]) -> Result<Vec<(u64, u64)>, String> {
+    upstreams
+        .iter()
+        .map(|child| {
+            let stats = fetch_stats(child.addr).ok_or("upstream stats fetch failed")?;
+            let served = stat_u64(&stats, &["load", "served"]);
+            let micros = stat_u64(&stats, &["load", "micros"]);
+            served
+                .zip(micros)
+                .ok_or_else(|| "upstream stats missing load.served/micros".to_string())
         })
         .collect()
 }
 
-/// One phase: start a 4-backend server (rebalancing or static), prime
-/// the working set, drive zipf traffic, let placement settle for one
-/// window, then measure the per-backend load deltas over the next.
+/// One phase: start a router over 4 upstreams (rebalancing or static),
+/// prime the working set, drive zipf traffic, let placement settle for
+/// one window, then measure the per-upstream load deltas over the next.
 /// `imbalance` is max/mean of those deltas, where load = micros +
-/// HIT_COST_MICROS x hits (the rebalancer's own metric).
+/// HIT_COST_MICROS x served (the rebalancer's own metric).
 fn skew_phase(
-    rebalance: Option<gb_rebal::RebalanceSettings>,
+    rebalancing: bool,
     seeds: &Arc<Vec<u64>>,
     cum: &Arc<Vec<f64>>,
     window: Duration,
 ) -> Result<(PhaseStats, f64, Option<Json>, Fields), String> {
-    let rebalancing = rebalance.is_some();
-    let tuning = Tuning {
-        backends: SKEW_BACKENDS,
-        backend_vnodes: SKEW_VNODES,
-        rebalance,
-        ..Tuning::default()
+    let rebalance = if rebalancing {
+        format!(
+            "--rebalance-ms {} --rebalance-trigger {SKEW_TRIGGER} --rebalance-budget {SKEW_BUDGET}",
+            ms(SKEW_REBAL_INTERVAL)
+        )
+    } else {
+        String::new()
     };
-    let server = fleet::start(SKEW_WORKERS, SKEW_QUEUE_CAP, SKEW_CACHE_CAP, 1, tuning)?;
-    let addr = server.local_addr();
+    let (children, mut router) = spawn_fleet(FLEET_UPSTREAMS, "", SKEW_VNODES, &rebalance)?;
+    let addr = router.addr;
 
     // Prime every key once so the measurement window is hit-dominated
     // (the rebalancer then acts on traffic skew, not compute noise).
@@ -727,39 +747,40 @@ fn skew_phase(
     .conns(SKEW_CLIENTS);
     let driver = thread::spawn(move || traffic.run());
     thread::sleep(window);
-    let before = skew_loads(addr);
+    let before = skew_loads(&children);
     thread::sleep(window);
-    let after = skew_loads(addr);
+    let after = skew_loads(&children);
+    // gb-router reports its tick under `router.rebal`.
     let rebal = rebalancing
-        .then(|| fetch_stats(addr).and_then(|s| s.get("rebal").cloned()))
+        .then(|| fetch_stats(addr).and_then(|s| s.get("router")?.get("rebal").cloned()))
         .flatten();
     stop.store(true, Ordering::Relaxed);
     let traffic = driver.join().expect("skew traffic panicked");
-    server.shutdown();
+    router.shutdown(Duration::from_secs(3));
 
-    let per_backend: Vec<f64> = before?
+    let per_upstream: Vec<f64> = before?
         .iter()
         .zip(&after?)
-        .map(|(&(h0, m0), &(h1, m1))| {
-            (m1 - m0) as f64 + gb_rebal::HIT_COST_MICROS * (h1 - h0) as f64
+        .map(|(&(s0, m0), &(s1, m1))| {
+            (m1 - m0) as f64 + gb_rebal::HIT_COST_MICROS * (s1 - s0) as f64
         })
         .collect();
-    let mean = per_backend.iter().sum::<f64>() / per_backend.len() as f64;
-    let max = per_backend.iter().cloned().fold(0.0, f64::max);
+    let mean = per_upstream.iter().sum::<f64>() / per_upstream.len() as f64;
+    let max = per_upstream.iter().cloned().fold(0.0, f64::max);
     let imbalance = if mean > 0.0 { max / mean } else { 1.0 };
     let extras = vec![
         ("imbalance", Json::Num(imbalance)),
         (
-            "per_backend_load",
-            Json::Arr(per_backend.iter().map(|&w| Json::Num(w)).collect()),
+            "per_upstream_load",
+            Json::Arr(per_upstream.iter().map(|&w| Json::Num(w)).collect()),
         ),
         ("rebal", rebal.clone().unwrap_or(Json::Null)),
     ];
     Ok((traffic, imbalance, rebal, extras))
 }
 
-/// Zipf traffic on a rebalancing 4-backend fleet vs a static-ring
-/// control over the same request stream.
+/// Zipf traffic through a rebalancing gb-router over 4 upstreams vs a
+/// static-ring control over the same request stream.
 fn skew(smoke: bool) -> Result<Report, String> {
     let window = if smoke {
         SKEW_SMOKE_WINDOW
@@ -770,16 +791,16 @@ fn skew(smoke: bool) -> Result<Report, String> {
     let (base, seeds, expected) = skew_pick_seeds(&cum);
     println!(
         "bench skew: {SKEW_KEYS} zipf keys from seed base {base} (expected static \
-         imbalance {expected:.2}), {SKEW_BACKENDS} backends x {SKEW_VNODES} vnodes, \
+         imbalance {expected:.2}), {FLEET_UPSTREAMS} upstreams x {SKEW_VNODES} vnodes, \
          settle {} ms + window {} ms",
         ms(window),
         ms(window)
     );
     let mut report = Report::new("skew", smoke);
     report.config(vec![
-        ("backends", int(SKEW_BACKENDS)),
-        ("backend_vnodes", int(SKEW_VNODES)),
-        ("workers", int(SKEW_WORKERS)),
+        ("upstreams", int(FLEET_UPSTREAMS)),
+        ("vnodes", int(SKEW_VNODES)),
+        ("workers", int(FLEET_WORKERS)),
         ("keys", int(SKEW_KEYS)),
         ("zipf_s", Json::Num(1.0)),
         ("seed_base", int(base)),
@@ -793,15 +814,9 @@ fn skew(smoke: bool) -> Result<Report, String> {
         ("move_budget", int(SKEW_BUDGET)),
     ]);
     let (seeds, cum) = (Arc::new(seeds), Arc::new(cum));
-    let settings = gb_rebal::RebalanceSettings {
-        interval: SKEW_REBAL_INTERVAL,
-        trigger: SKEW_TRIGGER,
-        move_budget: SKEW_BUDGET,
-        ..gb_rebal::RebalanceSettings::default()
-    };
-    let (traffic, rebalanced, rebal, extras) = skew_phase(Some(settings), &seeds, &cum, window)?;
+    let (traffic, rebalanced, rebal, extras) = skew_phase(true, &seeds, &cum, window)?;
     report.phase("rebalanced", &traffic, extras);
-    let (traffic, control, _, extras) = skew_phase(None, &seeds, &cum, window)?;
+    let (traffic, control, _, extras) = skew_phase(false, &seeds, &cum, window)?;
     report.phase("static_control", &traffic, extras);
 
     let rebal_stat = |name| {
@@ -816,7 +831,7 @@ fn skew(smoke: bool) -> Result<Report, String> {
     }
     report.gate("rebalanced_vs_static.imbalance", rebalanced, "<", control);
     report.gate("rebalanced.ticks", rebal_stat("ticks") as f64, ">", 0.0);
-    // No backend dies in this bench, so every move is voluntary and the
+    // No upstream dies in this bench, so every move is voluntary and the
     // per-tick budget is a hard cap.
     let moves = rebal_stat("max_tick_moves") as f64;
     report.gate("rebalanced.max_tick_moves", moves, "<=", SKEW_BUDGET as f64);
@@ -889,7 +904,7 @@ fn rb_compare(count: u64, cold: bool) -> Result<(PhaseStats, PhaseStats, f64), S
     let proxied = {
         let a = fleet::serve_child("")?;
         let b = fleet::serve_child("")?;
-        let mut router = fleet::router_child(&[a.addr, b.addr], RB_VNODES, 0)?;
+        let mut router = fleet::router_child(&[a.addr, b.addr], RB_VNODES, 0, "")?;
         let cpu =
             || gb_sys::process_cpu_seconds(router.pid()).map_err(|e| format!("cpu sample: {e}"));
         rb_warm(router.addr, cold)?;
@@ -920,7 +935,7 @@ fn rb_seeds_pinned_to(owner: u32, base: u64, count: usize) -> Vec<u64> {
 fn rb_failover(report: &mut Report) -> Result<(), String> {
     let survivor = fleet::serve_child("")?;
     let mut victim = fleet::serve_child("")?;
-    let mut router = fleet::router_child(&[survivor.addr, victim.addr], RB_VNODES, 0)?;
+    let mut router = fleet::router_child(&[survivor.addr, victim.addr], RB_VNODES, 0, "")?;
     let addr = router.addr;
 
     // The victim is upstream id 1; pin the whole flood onto it.
@@ -1014,7 +1029,7 @@ fn rb_failover(report: &mut Report) -> Result<(), String> {
 fn rb_tail(hedge_ms: u64, probes: u64, base: u64) -> Result<(PhaseStats, Fields), String> {
     let stalled = fleet::serve_child(&format!("--stall-ms {RB_STALL_MS}"))?;
     let clean = fleet::serve_child("")?;
-    let mut router = fleet::router_child(&[stalled.addr, clean.addr], RB_VNODES, hedge_ms)?;
+    let mut router = fleet::router_child(&[stalled.addr, clean.addr], RB_VNODES, hedge_ms, "")?;
     let seeds = rb_seeds_pinned_to(0, base, probes as usize);
     let stats = Phase::new(router.addr, Stop::after(probes), move |i| {
         bench_request(i, seeds[i as usize])

@@ -180,19 +180,20 @@ pub fn serve_child(extra: &str) -> Result<ChildProc, String> {
     )
 }
 
-/// A `gb-router` child over `upstreams`. `hedge_ms` 0 disables hedging;
-/// `--wait-upstreams-ms` makes the spawn order race-free (the banner
-/// only prints once the fleet answers).
+/// A `gb-router` child over `upstreams`, plus `extra` flags. `hedge_ms`
+/// 0 disables hedging; `--wait-upstreams-ms` makes the spawn order
+/// race-free (the banner only prints once the fleet answers).
 pub fn router_child(
     upstreams: &[SocketAddr],
     vnodes: usize,
     hedge_ms: u64,
+    extra: &str,
 ) -> Result<ChildProc, String> {
     let bin = sibling_binary("gb-router", "gb-router")?;
     let mut flags = format!(
         "--addr 127.0.0.1:0 --vnodes {vnodes} --hedge-ms {hedge_ms} --health-interval-ms 50 \
          --probe-timeout-ms 250 --fail-threshold 2 --poll-interval-ms 20 \
-         --wait-upstreams-ms 3000"
+         --wait-upstreams-ms 3000 {extra}"
     );
     for upstream in upstreams {
         flags += &format!(" --upstream {upstream}");

@@ -53,8 +53,9 @@
 //!   JSON).
 //! * `store` — warm vs cold restart of a 64-key hot set.
 //! * `sharding` — victim p99 under a hot-class flood stays within 2x the
-//!   isolated baseline on a 4-backend server.
-//! * `skew` — zipf traffic on a rebalancing fleet vs a static ring.
+//!   isolated baseline on a gb-router over 4 gb-serve children.
+//! * `skew` — zipf traffic on a rebalancing gb-router fleet vs a static
+//!   ring.
 //! * `router` — direct vs proxied throughput through real `gb-router`
 //!   and `gb-serve` child processes, an upstream SIGKILL under load, and
 //!   hedged vs unhedged tail latency.

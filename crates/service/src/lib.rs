@@ -12,7 +12,7 @@
 //! * newline-delimited JSON protocol with explicit frame limits
 //!   ([`proto`]),
 //! * bounded admission with load shedding through per-worker stealing
-//!   deques with an aggregate cap ([`shed`]),
+//!   deques under one capacity ([`shed`]),
 //! * one connection loop ([`io_loop`]) shared with `gb-router`:
 //!   nonblocking accept, I/O pollers on epoll readiness (a portable
 //!   sweep loop where epoll is unavailable), write buffering and the

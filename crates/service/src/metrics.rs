@@ -136,6 +136,9 @@ pub struct ServiceMetrics {
     tree_reused: AtomicU64,
     /// Computed answers whose ratio exceeds their bound.
     bound_violations: AtomicU64,
+    /// Wall-clock µs spent computing answers (solve, cache put, spill
+    /// enqueue), queue wait excluded.
+    compute_us: AtomicU64,
     /// Latency over all balance requests (receipt → response ready).
     latency: Histogram,
     /// Latency split per algorithm.
@@ -155,6 +158,7 @@ impl ServiceMetrics {
             bisections: AtomicU64::new(0),
             tree_reused: AtomicU64::new(0),
             bound_violations: AtomicU64::new(0),
+            compute_us: AtomicU64::new(0),
             latency: Histogram::new(),
             latency_by_algorithm: std::array::from_fn(|_| Histogram::new()),
         }
@@ -187,8 +191,17 @@ impl ServiceMetrics {
         self.fast_path.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records the solver work of one computed (not cached) answer.
-    pub fn record_solve(&self, bisections: u64, tree_reused: u64, bound_violated: bool) {
+    /// Records the solver work of one computed (not cached) answer and
+    /// the time it took.
+    pub fn record_solve(
+        &self,
+        bisections: u64,
+        tree_reused: u64,
+        bound_violated: bool,
+        compute: Duration,
+    ) {
+        let us = compute.as_micros().min(u64::MAX as u128) as u64;
+        self.compute_us.fetch_add(us, Ordering::Relaxed);
         self.bisections.fetch_add(bisections, Ordering::Relaxed);
         self.tree_reused.fetch_add(tree_reused, Ordering::Relaxed);
         if bound_violated {
@@ -208,13 +221,16 @@ impl ServiceMetrics {
 
     /// Total balance requests answered (ok + error).
     pub fn total_requests(&self) -> u64 {
-        let ok: u64 = self
-            .ok_by_algorithm
+        let err: u64 = self.errors.iter().map(|c| c.load(Ordering::Relaxed)).sum();
+        self.total_ok() + err
+    }
+
+    /// Successful balance responses over every algorithm, cached or not.
+    fn total_ok(&self) -> u64 {
+        self.ok_by_algorithm
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
-            .sum();
-        let err: u64 = self.errors.iter().map(|c| c.load(Ordering::Relaxed)).sum();
-        ok + err
+            .sum()
     }
 
     /// Count of error responses with the given code.
@@ -227,8 +243,10 @@ impl ServiceMetrics {
         self.ok_by_algorithm[algorithm.index()].load(Ordering::Relaxed)
     }
 
-    /// Full JSON snapshot (the `requests`/`latency` halves of the stats
-    /// response; cache/queue/pool figures are merged in by the server).
+    /// Full JSON snapshot (the `requests`/`solver`/`load`/`latency`
+    /// sections of the stats response; cache/queue/pool figures are
+    /// merged in by the server). `load` is the cumulative pair a fleet
+    /// weighs an upstream by: answers served and compute µs spent.
     pub fn to_json(&self) -> Json {
         let counter = |c: &AtomicU64| Json::Int(c.load(Ordering::Relaxed) as i64);
         let by_algorithm = Json::Obj(
@@ -298,6 +316,13 @@ impl ServiceMetrics {
                     ("bisections".into(), counter(&self.bisections)),
                     ("tree_reused".into(), counter(&self.tree_reused)),
                     ("bound_violations".into(), counter(&self.bound_violations)),
+                ]),
+            ),
+            (
+                "load".into(),
+                Json::Obj(vec![
+                    ("served".into(), Json::Int(self.total_ok() as i64)),
+                    ("micros".into(), counter(&self.compute_us)),
                 ]),
             ),
             (
@@ -440,5 +465,9 @@ mod tests {
         assert_eq!(hf.get("cached").unwrap().as_u64(), Some(1));
         let overall = json.get("latency").unwrap().get("overall").unwrap();
         assert_eq!(overall.get("count").unwrap().as_u64(), Some(3));
+        m.record_solve(5, 0, false, Duration::from_micros(250));
+        let load = m.to_json().get("load").cloned().unwrap();
+        assert_eq!(load.get("served").unwrap().as_u64(), Some(3));
+        assert_eq!(load.get("micros").unwrap().as_u64(), Some(250));
     }
 }

@@ -1,8 +1,9 @@
 //! The partition-serving daemon.
 //!
 //! `gb-serve` is one [`Handler`] on the shared connection loop
-//! ([`crate::io_loop`]) plus worker threads behind a per-backend steal
-//! queue.
+//! ([`crate::io_loop`]) plus worker threads behind one steal queue.
+//! Sharding across processes is `gb-router`'s job: one `gb-serve` is one
+//! queue, one cache and one write-behind spill channel.
 //!
 //! ```text
 //!  clients ──TCP──▶ io_loop: accept, I/O pollers (FrameReader)
@@ -26,7 +27,7 @@
 //!
 //! * **Admission** — each cache miss is pushed to a bounded queue; when
 //!   it is full the connection answers `overloaded` immediately
-//!   ([`crate::shed`]). The steal queue sheds on its *aggregate* depth.
+//!   ([`crate::shed`]). The steal queue sheds on its total depth.
 //! * **Deadlines** — `deadline_ms` is checked at dispatch and again when
 //!   a worker dequeues the job; an expired request gets a `timeout`
 //!   error instead of burning a core on an answer nobody is waiting for.
@@ -45,26 +46,23 @@
 //! frame is acknowledged with a `pong` before draining begins.
 
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use gb_parlb::ThreadPool;
-use gb_rebal::{RebalanceCounters, RebalanceSettings, VnodeLoad};
-use gb_store::{SpillHandle, SpillSender, Store};
+use gb_store::{SpillHandle, Store};
 
 use crate::cache::{CacheKey, CachedResult, ReplyTail, ShardedCache};
 use crate::fault::{IoShim, Passthrough};
 use crate::io_loop::{Dispatch, Handler, IoLoop, LoopConfig, Reply};
-use crate::metrics::{rebal_json, store_json, ServiceMetrics};
+use crate::metrics::{store_json, ServiceMetrics};
 use crate::persist::{self, StoreSettings};
 use crate::proto::{
     binary_hit_reply, binary_ok_tail, json_hit_reply, json_ok_tail, BalanceRequest,
     BalanceResponse, ErrorCode, Json, Request, Response, WireCodec,
 };
-use crate::route::{Router, DEFAULT_VNODES};
-use crate::shed::{AggregateCap, FullCause, PushError, SlotGauge, SlotToken, StealQueue};
+use crate::shed::{PushError, StealQueue};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -74,7 +72,7 @@ pub struct ServerConfig {
     /// Balance worker threads (0 = half the available parallelism, ≥ 2).
     pub workers: usize,
     /// Bounded request-queue capacity (load shed beyond this; the steal
-    /// queue enforces it as an aggregate across per-worker shards).
+    /// queue enforces it on its total depth across per-worker shards).
     pub queue_capacity: usize,
     /// LRU result-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
@@ -96,7 +94,7 @@ impl Default for ServerConfig {
 }
 
 /// Hot-path tuning: the connection loop's settings, cache
-/// sharding/admission, persistence, sharding and rebalancing.
+/// sharding/admission and persistence.
 ///
 /// Kept separate from [`ServerConfig`] so exhaustive `ServerConfig`
 /// literals in existing callers and tests keep compiling; pass it via
@@ -133,27 +131,12 @@ pub struct Tuning {
     /// into the cache on the next boot. `None` (the default) serves
     /// memory-only, exactly as before.
     pub store: Option<StoreSettings>,
-    /// Independent backend pools behind a consistent-hash router
-    /// (0 = 1). Each backend owns a queue shard set, worker threads and
-    /// a cache, so one hot problem class saturates its own backend
-    /// instead of the whole server; all backends share the store.
-    pub backends: usize,
-    /// Virtual nodes per backend on the router ring
-    /// (0 = [`DEFAULT_VNODES`]).
-    pub backend_vnodes: usize,
     /// Hard cap on simultaneously open connections (0 = unlimited).
     /// At the cap new accepts are shed with a best-effort `overloaded`
     /// reply and an `accept_shed` count, instead of running the process
     /// into its fd limit — where *every* accept fails and existing
     /// connections start losing `dup`/`fcntl` calls too.
     pub max_conns: usize,
-    /// Self-balancing vnode placement (`--rebalance-ms`): when set and
-    /// more than one backend is configured, a tick thread periodically
-    /// re-partitions the vnode set across backends with HF over the
-    /// observed per-vnode load (`gb-rebal`), overriding the hash ring
-    /// through an explicit assignment table. `None` (the default) keeps
-    /// the static consistent-hash placement.
-    pub rebalance: Option<RebalanceSettings>,
 }
 
 impl Default for Tuning {
@@ -167,10 +150,7 @@ impl Default for Tuning {
             write_stall: Duration::from_secs(5),
             shim: Arc::new(Passthrough),
             store: None,
-            backends: 0,
-            backend_vnodes: 0,
             max_conns: 0,
-            rebalance: None,
         }
     }
 }
@@ -180,50 +160,13 @@ struct Job {
     received: Instant,
     /// Codec of the request frame; the reply goes out in the same one.
     codec: WireCodec,
-    /// Index of the backend the router homed this job's key to.
-    backend: usize,
-    /// Ring vnode owning this job's key, for per-vnode load accounting.
-    vnode: usize,
     /// The deferred reply the worker answers through.
     reply: Reply,
-    /// RAII in-flight slot on the owning backend's gauge: released when
-    /// the job is dropped, wherever that happens — worker reply,
-    /// dead-connection skip, shed hand-back or shutdown drain — so the
-    /// gauge cannot leak.
-    _backend_slot: SlotToken,
-}
-
-/// One backend pool: a queue, its worker threads, a cache, and a spill
-/// endpoint into the shared store. The router assigns each key to
-/// exactly one backend, so a hot problem class fills its own queue (and
-/// sheds at its local capacity) without starving the siblings.
-struct Backend {
-    queue: StealQueue<Job>,
-    cache: ShardedCache,
-    /// Balance jobs between submission and reply on this backend.
-    inflight: SlotGauge,
-    /// Producer endpoint multiplexed onto the shared store's single
-    /// writer thread.
-    spill: Option<SpillSender>,
-    /// Worker threads dedicated to this backend's queue.
-    workers: usize,
-    /// Cumulative requests served by this backend — attribution is
-    /// fixed at serve time, so delta windows over these counters give
-    /// true per-backend load even while assignments move.
-    load_hits: AtomicU64,
-    /// Cumulative compute micros spent by this backend.
-    load_micros: AtomicU64,
 }
 
 struct Shared {
-    router: Router,
-    /// Declared before `spill` on purpose: fields drop in declaration
-    /// order, so the backends' `SpillSender`s go first, closing the
-    /// spill channel before `SpillHandle::drop` joins the writer.
-    backends: Vec<Backend>,
-    /// The shared admission budget across all backend queues — the
-    /// server-wide overload contract is unchanged by sharding.
-    queue_cap: Arc<AggregateCap>,
+    queue: StealQueue<Job>,
+    cache: ShardedCache,
     metrics: ServiceMetrics,
     pool: ThreadPool,
     /// The connection loop: accept, pollers, write path, fault counters.
@@ -233,48 +176,6 @@ struct Shared {
     /// which drains the spill queue to disk before the writer joins —
     /// graceful shutdown loses nothing.
     spill: Option<SpillHandle>,
-    /// Per-vnode load counters, indexed by the router's ring vnodes.
-    vnode_load: VnodeLoad,
-    /// The vnode→backend assignment in effect. Starts as the hash
-    /// ring's own table; the rebalance tick swaps in HF-planned tables.
-    /// Read per request (one shared-lock acquire), written once per
-    /// applying tick.
-    assignment: RwLock<Vec<u32>>,
-    /// Rebalance tick bookkeeping, exposed under `stats.rebal`.
-    rebal: RebalanceCounters,
-}
-
-impl Shared {
-    /// The vnode and backend that own `key` under the assignment in
-    /// effect (the hash ring's table until a rebalance tick moves it).
-    fn backend_for(&self, key: &CacheKey) -> (usize, usize, &Backend) {
-        let vnode = self.router.vnode_of(key.mix());
-        let index = self.assignment.read().expect("assignment lock")[vnode] as usize;
-        (vnode, index, &self.backends[index])
-    }
-
-    /// Accounts one served request: per-vnode (drives the rebalancer)
-    /// and per-backend (drives the imbalance measurement). `micros` is
-    /// compute time only — cache hits pass 0 and the planner's
-    /// per-request hit cost covers their fixed overhead.
-    fn record_load(&self, vnode: usize, backend: usize, micros: u64) {
-        self.vnode_load.record(vnode, micros);
-        let b = &self.backends[backend];
-        b.load_hits.fetch_add(1, Ordering::Relaxed);
-        b.load_micros.fetch_add(micros, Ordering::Relaxed);
-    }
-}
-
-/// Splits `total` into `parts` shares by floor-with-remainder (the
-/// first `total % parts` shares carry the extra unit), so the shares
-/// sum to exactly `total` — except that every share is raised to at
-/// least `min`, which only kicks in when `total < parts * min`.
-fn split_budget(total: usize, parts: usize, min: usize) -> Vec<usize> {
-    let base = total / parts;
-    let remainder = total % parts;
-    (0..parts)
-        .map(|i| (base + usize::from(i < remainder)).max(min))
-        .collect()
 }
 
 /// A running daemon. Dropping the handle shuts the server down.
@@ -282,7 +183,6 @@ pub struct Server {
     shared: Arc<Shared>,
     pollers: Vec<thread::JoinHandle<()>>,
     workers: Vec<thread::JoinHandle<()>>,
-    rebal: Option<thread::JoinHandle<()>>,
 }
 
 impl Server {
@@ -310,61 +210,16 @@ impl Server {
         } else {
             tuning.cache_shards
         };
-        let backend_count = tuning.backends.max(1);
-        let vnodes = if tuning.backend_vnodes == 0 {
-            DEFAULT_VNODES
-        } else {
-            tuning.backend_vnodes
-        };
-        let router = Router::new(backend_count, vnodes);
-        // Per-backend budgets: floor-with-remainder shares of the worker
-        // threads, the queue capacity and the cache, so each total
-        // matches the configured value exactly — no round-up inflation.
-        // Workers and queue slots round individual shares up to 1 (a
-        // backend needs at least one of each to function), which is the
-        // only case where a sum exceeds its config: totals smaller than
-        // the backend count. The shared AggregateCap keeps the
-        // server-wide shed point exactly where the single-backend
-        // configuration put it regardless.
-        let queue_capacity = config.queue_capacity.max(1);
-        let queue_cap = AggregateCap::new(queue_capacity);
-        let local_capacities = split_budget(queue_capacity, backend_count, 1);
-        let worker_shares = split_budget(workers, backend_count, 1);
-        let cache_shares = if config.cache_capacity == 0 {
-            vec![0; backend_count]
-        } else {
-            split_budget(config.cache_capacity, backend_count, 0)
-        };
-        let backends: Vec<Backend> = (0..backend_count)
-            .map(|b| Backend {
-                queue: StealQueue::with_cap(
-                    worker_shares[b],
-                    local_capacities[b],
-                    Arc::clone(&queue_cap),
-                ),
-                cache: ShardedCache::new(cache_shares[b], cache_shards, tuning.admission),
-                inflight: SlotGauge::new(),
-                spill: None,
-                workers: worker_shares[b],
-                load_hits: AtomicU64::new(0),
-                load_micros: AtomicU64::new(0),
-            })
-            .collect();
-        // The shared store: one writer thread; each backend gets its own
-        // SpillSender multiplexed onto it. Warm restart: recovery replays
-        // each persisted record, as it is read, through the cache (and
-        // admission sketch) of the backend the router picks *today*, so
-        // records written under a different backend count land correctly;
-        // then the store goes to its writer thread.
+        let cache = ShardedCache::new(config.cache_capacity, cache_shards, tuning.admission);
+        // Warm restart: recovery replays each persisted record, as it is
+        // read, through the cache (and admission sketch); then the store
+        // goes to its writer thread.
         let spill = match &tuning.store {
             Some(settings) => {
                 let mut undecodable = 0;
                 let store = Store::open_with(settings.to_config(), |key, value| {
                     match (persist::decode_key(key), persist::decode_value(value)) {
-                        (Some(key), Some(value)) => {
-                            let home = router.route(key.mix()) as usize;
-                            backends[home].cache.warm(key, value);
-                        }
+                        (Some(key), Some(value)) => cache.warm(key, value),
                         // Checksum-valid but undecodable: codec skew.
                         _ => undecodable += 1,
                     }
@@ -376,12 +231,6 @@ impl Server {
             }
             None => None,
         };
-        let mut backends = backends;
-        if let Some(spill) = &spill {
-            for backend in &mut backends {
-                backend.spill = Some(spill.sender());
-            }
-        }
         // The loop (and its readiness backend) must exist before the
         // workers: their replies go out through it.
         let (io, pollers) = IoLoop::new(
@@ -395,46 +244,22 @@ impl Server {
                 shim: Arc::clone(&tuning.shim),
             },
         )?;
-        let vnode_count = router.vnode_count();
-        let default_owners = router.default_owners();
         let shared = Arc::new(Shared {
-            router,
-            backends,
-            queue_cap,
+            queue: StealQueue::new(workers, config.queue_capacity.max(1)),
+            cache,
             metrics: ServiceMetrics::new(),
             pool: ThreadPool::new(pool_threads),
             io,
             tuning: tuning.clone(),
             spill,
-            vnode_load: VnodeLoad::new(vnode_count),
-            assignment: RwLock::new(default_owners),
-            rebal: RebalanceCounters::new(),
         });
 
-        // The rebalance tick: pointless with a single backend (every
-        // plan is trivially balanced), so it only spawns when there is
-        // something to move between.
-        let rebal = match &tuning.rebalance {
-            Some(settings) if backend_count > 1 => {
-                let shared = Arc::clone(&shared);
-                let settings = settings.clone();
-                Some(
-                    thread::Builder::new()
-                        .name("gb-serve-rebal".into())
-                        .spawn(move || rebalance_loop(&shared, settings))
-                        .expect("spawn rebalance tick"),
-                )
-            }
-            _ => None,
-        };
-
-        let worker_handles = (0..backend_count)
-            .flat_map(|b| (0..worker_shares[b]).map(move |w| (b, w)))
-            .map(|(b, w)| {
+        let worker_handles = (0..workers)
+            .map(|w| {
                 let shared = Arc::clone(&shared);
                 thread::Builder::new()
-                    .name(format!("gb-serve-worker-{b}-{w}"))
-                    .spawn(move || worker_loop(&shared, b, w))
+                    .name(format!("gb-serve-worker-{w}"))
+                    .spawn(move || worker_loop(&shared, w))
                     .expect("spawn balance worker")
             })
             .collect();
@@ -445,7 +270,6 @@ impl Server {
             shared,
             pollers,
             workers: worker_handles,
-            rebal,
         })
     }
 
@@ -489,9 +313,6 @@ impl Server {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        if let Some(rebal) = self.rebal.take() {
-            let _ = rebal.join();
-        }
     }
 }
 
@@ -503,48 +324,8 @@ impl Drop for Server {
 }
 
 fn trigger_shutdown(shared: &Shared) {
-    for backend in &shared.backends {
-        backend.queue.close();
-    }
+    shared.queue.close();
     shared.io.trigger_shutdown();
-}
-
-// ---------------------------------------------------------------------------
-// Rebalance tick: HF over observed per-vnode load (gb-rebal)
-// ---------------------------------------------------------------------------
-
-/// The self-balancing tick ([`gb_rebal::run_ticks`]) over all backends:
-/// in-process backends don't die, so the candidate set is the full
-/// membership. Hysteresis permitting, each tick swaps a new assignment
-/// table in. Requests racing the swap route by either the old or the
-/// new table, both of which are valid backends; a moved vnode's next
-/// request simply warms the new owner's cache.
-fn rebalance_loop(shared: &Shared, settings: RebalanceSettings) {
-    let alive: Vec<u32> = (0..shared.backends.len() as u32).collect();
-    gb_rebal::run_ticks(
-        &settings,
-        &shared.vnode_load,
-        &shared.rebal,
-        || shared.io.is_shutting_down(),
-        || {
-            (
-                shared.assignment.read().expect("assignment lock").clone(),
-                alive.clone(),
-            )
-        },
-        |owners| *shared.assignment.write().expect("assignment lock") = owners,
-    );
-}
-
-/// The `overloaded` error text, naming the capacity that actually
-/// bound: the owning backend's local queue, or the server-wide
-/// aggregate budget shared across backends (the local queue may have
-/// had room in that case, so reporting its capacity would mislead).
-fn overload_message(shared: &Shared, backend: &Backend, cause: FullCause) -> String {
-    match cause {
-        FullCause::Local => format!("backend queue full ({})", backend.queue.capacity()),
-        FullCause::Aggregate => format!("server queue full ({})", shared.queue_cap.capacity()),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -602,13 +383,10 @@ impl Shared {
             }
         }
         // Fast path: answer cache hits on the poller — no queue round
-        // trip, no worker hand-off, no condvar. The router picks the
-        // backend whose cache can hold this key.
+        // trip, no worker hand-off, no condvar.
         let key = CacheKey::new(req.problem.fingerprint(), req.algorithm, req.n, req.theta);
-        let (vnode, backend_index, backend) = self.backend_for(&key);
-        if let Some(hit) = backend.cache.get(&key) {
+        if let Some(hit) = self.cache.get(&key) {
             let latency = received.elapsed();
-            self.record_load(vnode, backend_index, 0);
             self.metrics.record_fast_path();
             self.metrics.record_ok(req.algorithm, true, latency);
             encode_hit(out.buf(), codec, &req, &hit, latency);
@@ -621,17 +399,14 @@ impl Shared {
             req,
             received,
             codec,
-            backend: backend_index,
-            vnode,
             reply: out.defer(id),
-            _backend_slot: backend.inflight.acquire(),
         };
-        let (job, code, message) = match backend.queue.try_push(job) {
+        let (job, code, message) = match self.queue.try_push(job) {
             Ok(()) => return,
-            Err((job, PushError::Full(cause))) => (
+            Err((job, PushError::Full)) => (
                 job,
                 ErrorCode::Overloaded,
-                overload_message(self, backend, cause),
+                format!("server queue full ({})", self.queue.capacity()),
             ),
             Err((job, PushError::Closed)) => {
                 (job, ErrorCode::ShuttingDown, "server is draining".into())
@@ -695,9 +470,8 @@ fn encode_hit(
 // Workers
 // ---------------------------------------------------------------------------
 
-fn worker_loop(shared: &Shared, backend: usize, index: usize) {
-    let queue = &shared.backends[backend].queue;
-    while let Some(job) = queue.pop(index) {
+fn worker_loop(shared: &Shared, index: usize) {
+    while let Some(job) = shared.queue.pop(index) {
         // Fault injection: a scripted stall models a wedged worker.
         if let Some(stall) = shared.tuning.shim.before_execute(job.reply.conn_id()) {
             thread::sleep(stall);
@@ -726,39 +500,38 @@ fn execute(shared: &Shared, job: &Job) -> Response {
         }
     }
 
-    let backend = &shared.backends[job.backend];
     let key = CacheKey::new(req.problem.fingerprint(), req.algorithm, req.n, req.theta);
     // The poller already probed (and counted) this key as a miss. A
     // second look only dedupes concurrent misses for the same key — a
     // sibling job may have computed it since — so it must not count.
-    if let Some(hit) = backend.cache.peek(&key) {
+    if let Some(hit) = shared.cache.peek(&key) {
         let latency = job.received.elapsed();
-        shared.record_load(job.vnode, job.backend, 0);
         shared.metrics.record_ok(req.algorithm, true, latency);
         return ok_response(req, &hit, true, latency);
     }
 
-    // Load accounting wants compute time, not queue wait: weighing a
-    // vnode by its time-in-queue would double-count the very imbalance
-    // the rebalancer is trying to remove.
+    // `stats.load` counts compute time, not queue wait: an upstream's
+    // time-in-queue is the imbalance a rebalancer exists to remove, so
+    // weighing by it would double-count that imbalance.
     let compute_started = Instant::now();
     // Without a known α, the HF run that measures α̂ is also the tree the
     // algorithm walks: no second pass (`crate::solve`).
     let solved = crate::solve::solve(&req.problem, req.algorithm, req.n, req.theta, &shared.pool);
-    shared.metrics.record_solve(
-        solved.bisections,
-        solved.tree_reused,
-        solved.ratio > solved.bound,
-    );
+    let bound_violated = solved.ratio > solved.bound;
+    let (bisections, tree_reused) = (solved.bisections, solved.tree_reused);
     let result = CachedResult::new(solved.pieces, solved.ratio, solved.bound, solved.alpha);
-    backend.cache.put(key, result.clone());
-    if let Some(spill) = &backend.spill {
+    shared.cache.put(key, result.clone());
+    if let Some(spill) = &shared.spill {
         // Write-behind: O(1) enqueue; a full queue drops the record
         // (counted) rather than stalling the worker.
         spill.spill(persist::encode_key(&key), persist::encode_value(&result));
     }
-    let compute_micros = compute_started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-    shared.record_load(job.vnode, job.backend, compute_micros);
+    shared.metrics.record_solve(
+        bisections,
+        tree_reused,
+        bound_violated,
+        compute_started.elapsed(),
+    );
     let latency = job.received.elapsed();
     shared.metrics.record_ok(req.algorithm, false, latency);
     ok_response(req, &result, false, latency)
@@ -793,58 +566,33 @@ fn stats_json(shared: &Shared) -> Json {
     if let Json::Obj(entries) = &mut json {
         entries.push(("engine".into(), Json::Str(shared.io.engine().into())));
         entries.push(("faults".into(), shared.io.counters().faults_json()));
-        // Cache rollup: the per-backend caches summed, so the section
-        // reads exactly as it did with one backend.
-        let per_cache: Vec<_> = shared.backends.iter().map(|b| b.cache.stats()).collect();
-        let sum = |f: fn(&crate::cache::CacheStats) -> u64| int(per_cache.iter().map(f).sum());
-        let (hits, misses): (u64, u64) = per_cache
-            .iter()
-            .fold((0, 0), |(h, m), c| (h + c.hits, m + c.misses));
-        let hit_rate = if hits + misses == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + misses) as f64
-        };
-        let first = &shared.backends[0].cache;
+        let cache = shared.cache.stats();
         entries.push((
             "cache".into(),
             Json::Obj(vec![
-                ("hits".into(), int(hits)),
-                ("misses".into(), int(misses)),
-                ("evictions".into(), sum(|c| c.evictions)),
-                ("admission_rejects".into(), sum(|c| c.admission_rejects)),
-                ("len".into(), sum(|c| c.len as u64)),
-                ("capacity".into(), sum(|c| c.capacity as u64)),
-                ("hit_rate".into(), Json::Num(hit_rate)),
-                ("shards".into(), int(first.shard_count() as u64)),
-                ("admission".into(), Json::Bool(first.admission_enabled())),
+                ("hits".into(), int(cache.hits)),
+                ("misses".into(), int(cache.misses)),
+                ("evictions".into(), int(cache.evictions)),
+                ("admission_rejects".into(), int(cache.admission_rejects)),
+                ("len".into(), int(cache.len as u64)),
+                ("capacity".into(), int(cache.capacity as u64)),
+                ("hit_rate".into(), Json::Num(cache.hit_rate())),
+                ("shards".into(), int(shared.cache.shard_count() as u64)),
+                (
+                    "admission".into(),
+                    Json::Bool(shared.cache.admission_enabled()),
+                ),
             ]),
         ));
-        // Queue rollup: the aggregate budget is the server-wide shed
-        // point, identical in meaning to the pre-sharding section.
-        let queues = || shared.backends.iter().map(|b| &b.queue);
+        let queue = &shared.queue;
         entries.push((
             "queue".into(),
             Json::Obj(vec![
-                ("depth".into(), int(shared.queue_cap.depth() as u64)),
-                ("capacity".into(), int(shared.queue_cap.capacity() as u64)),
-                (
-                    "shards".into(),
-                    int(queues().map(|q| q.workers() as u64).sum()),
-                ),
-                ("steals".into(), int(queues().map(|q| q.steals()).sum())),
+                ("depth".into(), int(queue.depth() as u64)),
+                ("capacity".into(), int(queue.capacity() as u64)),
+                ("shards".into(), int(queue.workers() as u64)),
+                ("steals".into(), int(queue.steals())),
             ]),
-        ));
-        entries.push(("backends".into(), backends_json(shared, &per_cache)));
-        let rebalance = shared.tuning.rebalance.as_ref();
-        entries.push((
-            "rebal".into(),
-            rebal_json(
-                rebalance,
-                rebalance.is_some() && shared.backends.len() > 1,
-                shared.vnode_load.len(),
-                &shared.rebal.snapshot(),
-            ),
         ));
         entries.push(("connections".into(), shared.io.connections_json()));
         let pool = &shared.pool;
@@ -870,58 +618,6 @@ fn stats_json(shared: &Shared) -> Json {
         }
     }
     json
-}
-
-/// The shard-aware rollup: per-backend gauges plus a `max/mean` load
-/// imbalance ratio over `queue_depth + inflight` — the min-max metric a
-/// balanced decomposition is judged by.
-fn backends_json(shared: &Shared, per_cache: &[crate::cache::CacheStats]) -> Json {
-    let int = |v: u64| Json::Int(v as i64);
-    let load = |b: &Backend| (b.queue.depth() + b.inflight.occupied()) as u64;
-    let max_load = shared.backends.iter().map(load).max().unwrap_or(0);
-    let mean_load =
-        shared.backends.iter().map(load).sum::<u64>() as f64 / shared.backends.len() as f64;
-    let ratio = if mean_load == 0.0 {
-        1.0
-    } else {
-        max_load as f64 / mean_load
-    };
-    let per_backend: Vec<Json> = shared
-        .backends
-        .iter()
-        .zip(per_cache)
-        .map(|(b, cache)| {
-            Json::Obj(vec![
-                ("queue_depth".into(), int(b.queue.depth() as u64)),
-                ("queue_capacity".into(), int(b.queue.capacity() as u64)),
-                ("inflight".into(), int(b.inflight.occupied() as u64)),
-                ("workers".into(), int(b.workers as u64)),
-                ("steals".into(), int(b.queue.steals())),
-                ("cache_hits".into(), int(cache.hits)),
-                ("cache_misses".into(), int(cache.misses)),
-                ("cache_len".into(), int(cache.len as u64)),
-                ("hit_rate".into(), Json::Num(cache.hit_rate())),
-                ("load_hits".into(), int(b.load_hits.load(Ordering::Relaxed))),
-                (
-                    "load_micros".into(),
-                    int(b.load_micros.load(Ordering::Relaxed)),
-                ),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        ("count".into(), int(shared.backends.len() as u64)),
-        ("vnodes".into(), int(shared.router.vnodes() as u64)),
-        (
-            "imbalance".into(),
-            Json::Obj(vec![
-                ("max".into(), int(max_load)),
-                ("mean".into(), Json::Num(mean_load)),
-                ("ratio".into(), Json::Num(ratio)),
-            ]),
-        ),
-        ("per_backend".into(), Json::Arr(per_backend)),
-    ])
 }
 
 #[cfg(test)]
@@ -1057,75 +753,6 @@ mod tests {
             .and_then(|mut c| c.call(&Request::Ping))
             .is_err();
         assert!(refused, "server still answering after shutdown");
-    }
-
-    /// The sharded configuration must serve correctly (routing is
-    /// deterministic, so repeats hit the same backend's cache) and the
-    /// stats rollup must expose the per-backend gauges.
-    #[test]
-    fn sharded_backends_serve_and_report_rollup() {
-        let server = Server::start_tuned(
-            ServerConfig {
-                workers: 2,
-                queue_capacity: 64,
-                cache_capacity: 64,
-                pool_threads: 2,
-                ..ServerConfig::default()
-            },
-            Tuning {
-                backends: 4,
-                backend_vnodes: 32,
-                ..Tuning::default()
-            },
-        )
-        .expect("bind ephemeral port");
-        let mut client = Client::connect(server.local_addr()).unwrap();
-        for seed in 0..8 {
-            match client.call(&balance(seed, Algorithm::Hf)).unwrap() {
-                Response::Ok(r) => assert!(!r.cached),
-                other => panic!("expected ok, got {other:?}"),
-            }
-        }
-        for seed in 0..8 {
-            match client.call(&balance(seed, Algorithm::Hf)).unwrap() {
-                Response::Ok(r) => assert!(r.cached, "seed {seed} must re-home to a warm backend"),
-                other => panic!("expected ok, got {other:?}"),
-            }
-        }
-        match client.call(&Request::Stats).unwrap() {
-            Response::Stats(stats) => {
-                let backends = stats.get("backends").expect("backends section");
-                assert_eq!(
-                    backends.get("count").and_then(|v| v.as_u64()),
-                    Some(4),
-                    "rollup must report the backend count"
-                );
-                assert_eq!(backends.get("vnodes").and_then(|v| v.as_u64()), Some(32));
-                let imbalance = backends.get("imbalance").expect("imbalance gauge");
-                assert!(imbalance.get("max").is_some());
-                assert!(imbalance.get("mean").is_some());
-                assert!(imbalance.get("ratio").is_some());
-                match backends.get("per_backend") {
-                    Some(Json::Arr(list)) => {
-                        assert_eq!(list.len(), 4);
-                        let hits: u64 = list
-                            .iter()
-                            .map(|b| b.get("cache_hits").and_then(|v| v.as_u64()).unwrap())
-                            .sum();
-                        assert!(hits >= 8, "repeat passes must hit backend caches");
-                    }
-                    other => panic!("expected per_backend array, got {other:?}"),
-                }
-                // The aggregate queue contract is unchanged by sharding.
-                let capacity = stats
-                    .get("queue")
-                    .and_then(|q| q.get("capacity"))
-                    .and_then(|v| v.as_u64());
-                assert_eq!(capacity, Some(64));
-            }
-            other => panic!("expected stats, got {other:?}"),
-        }
-        server.shutdown();
     }
 
     #[test]

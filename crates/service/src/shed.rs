@@ -11,7 +11,7 @@
 //! [`StealQueue`] keeps one bounded deque *per worker* plus stealing, in
 //! the idiom of `gb_parlb::pool`: producers round-robin across shards, a
 //! worker pops its own shard first and steals from siblings when empty.
-//! Capacity is enforced by a single aggregate depth counter, so
+//! Capacity is enforced by a single depth counter over every shard, so
 //! `overloaded` and `shutting_down` behave exactly as with one global
 //! queue — only the lock hand-off contention is gone.
 
@@ -24,23 +24,10 @@ use parking_lot::{Condvar, Mutex};
 /// Why a push was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PushError {
-    /// A capacity limit refused the push — shed the load.
-    Full(FullCause),
+    /// The queue is at capacity — shed the load.
+    Full,
     /// The queue is closed — the server is shutting down.
     Closed,
-}
-
-/// Which capacity limit a [`PushError::Full`] hit: the refused queue's
-/// own capacity, or the server-wide [`AggregateCap`] budget it shares
-/// with its sibling queues. The shed itself is identical either way;
-/// the cause exists so the overload error can report the limit that
-/// actually bound instead of always naming the local one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FullCause {
-    /// This queue's local capacity is exhausted.
-    Local,
-    /// The shared aggregate budget is exhausted.
-    Aggregate,
 }
 
 // ---------------------------------------------------------------------------
@@ -95,64 +82,6 @@ impl Drop for SlotToken {
 }
 
 // ---------------------------------------------------------------------------
-// AggregateCap: one shed budget shared by several queues
-// ---------------------------------------------------------------------------
-
-/// A depth budget shared across several queues.
-///
-/// The sharded serving path gives each backend its own queue (so one hot
-/// problem class cannot starve the others) with a *local* capacity, but
-/// the global overload contract must not change: the server as a whole
-/// still sheds at the same aggregate capacity it had with one queue.
-/// Every backend queue holds the same `AggregateCap`; a push reserves a
-/// slot in both the local and the aggregate budget (backing the local
-/// reservation out if the aggregate is exhausted), and a pop releases
-/// both. A queue built without an explicit cap gets a private one sized
-/// to its own capacity, which makes the single-backend configuration
-/// behave exactly as before.
-#[derive(Debug)]
-pub struct AggregateCap {
-    depth: AtomicUsize,
-    capacity: usize,
-}
-
-impl AggregateCap {
-    /// A shareable budget of `capacity` total queued items.
-    pub fn new(capacity: usize) -> Arc<AggregateCap> {
-        assert!(capacity > 0, "aggregate capacity must be positive");
-        Arc::new(AggregateCap {
-            depth: AtomicUsize::new(0),
-            capacity,
-        })
-    }
-
-    /// Reserves one slot; `false` when the budget is exhausted (nothing
-    /// is consumed in that case).
-    fn try_reserve(&self) -> bool {
-        if self.depth.fetch_add(1, Ordering::AcqRel) >= self.capacity {
-            self.depth.fetch_sub(1, Ordering::AcqRel);
-            return false;
-        }
-        true
-    }
-
-    /// Returns one reserved slot.
-    fn release(&self) {
-        self.depth.fetch_sub(1, Ordering::AcqRel);
-    }
-
-    /// Items currently queued across every participating queue.
-    pub fn depth(&self) -> usize {
-        self.depth.load(Ordering::Acquire)
-    }
-
-    /// The shared budget.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
-// ---------------------------------------------------------------------------
 // StealQueue: per-worker deques + stealing
 // ---------------------------------------------------------------------------
 
@@ -161,9 +90,9 @@ impl AggregateCap {
 /// Producers pick a shard round-robin (one cheap, rarely contended lock
 /// each); consumer `i` pops shard `i` first and steals FIFO from
 /// siblings otherwise, mirroring `gb_parlb::pool`'s worker/stealer
-/// split. A single aggregate [`depth`](Self::depth) counter preserves
-/// the *global* load-shedding contract: `try_push` sheds when the sum
-/// across all shards reaches capacity.
+/// split. A single [`depth`](Self::depth) counter preserves the
+/// *global* load-shedding contract: `try_push` sheds when the sum across
+/// all shards reaches capacity.
 ///
 /// Idle consumers sleep on a condvar until a push or `close` wakes
 /// them. Both take the sleep lock before notifying, so a wakeup cannot
@@ -172,7 +101,6 @@ pub struct StealQueue<T> {
     shards: Vec<Mutex<VecDeque<T>>>,
     depth: AtomicUsize,
     capacity: usize,
-    aggregate: Arc<AggregateCap>,
     closed: AtomicBool,
     sleep_lock: Mutex<()>,
     available: Condvar,
@@ -182,23 +110,14 @@ pub struct StealQueue<T> {
 
 impl<T> StealQueue<T> {
     /// Creates a queue with one shard per `workers` consumer, admitting
-    /// at most `capacity` items in total (private aggregate budget of
-    /// the same size, so it never binds before the local limit).
+    /// at most `capacity` items in total.
     pub fn new(workers: usize, capacity: usize) -> Self {
-        Self::with_cap(workers, capacity, AggregateCap::new(capacity.max(1)))
-    }
-
-    /// Creates a queue with a local `capacity` that also reserves from a
-    /// shared `aggregate` budget on every push — the sharded server's
-    /// per-backend configuration.
-    pub fn with_cap(workers: usize, capacity: usize, aggregate: Arc<AggregateCap>) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
         let workers = workers.max(1);
         Self {
             shards: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             depth: AtomicUsize::new(0),
             capacity,
-            aggregate,
             closed: AtomicBool::new(false),
             sleep_lock: Mutex::new(()),
             available: Condvar::new(),
@@ -207,30 +126,21 @@ impl<T> StealQueue<T> {
         }
     }
 
-    /// Attempts to enqueue without blocking; sheds against this queue's
-    /// depth *and* the shared aggregate budget, so the global
-    /// `overloaded` contract matches the single-queue design.
+    /// Attempts to enqueue without blocking; sheds when the total depth
+    /// is at capacity.
     pub fn try_push(&self, item: T) -> Result<(), (T, PushError)> {
         if self.closed.load(Ordering::Acquire) {
             return Err((item, PushError::Closed));
         }
-        // Reserve a slot in the local count first; back out on
-        // overflow. This keeps the check-and-insert race window from
-        // ever over-admitting.
+        // Reserve a slot first; back out on overflow. This keeps the
+        // check-and-insert race window from ever over-admitting.
         if self.depth.fetch_add(1, Ordering::AcqRel) >= self.capacity {
             self.depth.fetch_sub(1, Ordering::AcqRel);
-            return Err((item, PushError::Full(FullCause::Local)));
-        }
-        // Then the shared budget; roll the local reservation back if the
-        // server as a whole is at capacity.
-        if !self.aggregate.try_reserve() {
-            self.depth.fetch_sub(1, Ordering::AcqRel);
-            return Err((item, PushError::Full(FullCause::Aggregate)));
+            return Err((item, PushError::Full));
         }
         // Closed may have been set between the first check and the
         // reservation; re-check so shutdown never loses a shed.
         if self.closed.load(Ordering::Acquire) {
-            self.aggregate.release();
             self.depth.fetch_sub(1, Ordering::AcqRel);
             return Err((item, PushError::Closed));
         }
@@ -249,7 +159,6 @@ impl<T> StealQueue<T> {
             let item = self.shards[shard].lock().pop_front();
             if let Some(item) = item {
                 self.depth.fetch_sub(1, Ordering::AcqRel);
-                self.aggregate.release();
                 if k != 0 {
                     self.steals.fetch_add(1, Ordering::Relaxed);
                 }
@@ -286,12 +195,12 @@ impl<T> StealQueue<T> {
         self.available.notify_all();
     }
 
-    /// Aggregate number of items currently queued across all shards.
+    /// Number of items currently queued across all shards.
     pub fn depth(&self) -> usize {
         self.depth.load(Ordering::Acquire)
     }
 
-    /// Configured aggregate capacity.
+    /// Configured capacity over all shards.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -350,46 +259,15 @@ mod tests {
         assert!(q.try_push(1).is_ok());
         assert!(q.try_push(2).is_ok());
         assert!(q.try_push(3).is_ok());
-        // Items landed on 3 different shards, but the aggregate cap is
+        // Items landed on 3 different shards, but the total depth is
         // what sheds — identical contract to the single queue.
         match q.try_push(4) {
-            Err((item, PushError::Full(FullCause::Local))) => assert_eq!(item, 4),
-            other => panic!("expected local Full, got {other:?}"),
+            Err((item, PushError::Full)) => assert_eq!(item, 4),
+            other => panic!("expected Full, got {other:?}"),
         }
         assert_eq!(q.depth(), 3);
         assert_eq!(q.capacity(), 3);
         assert_eq!(q.workers(), 4);
-    }
-
-    /// The sharded-server contract: each queue sheds at its own local
-    /// capacity (isolation) AND the set of queues sheds at the shared
-    /// aggregate budget (unchanged global overload semantics).
-    #[test]
-    fn shared_cap_binds_across_queues_and_local_caps_isolate() {
-        let cap = AggregateCap::new(4);
-        let a = StealQueue::with_cap(1, 3, Arc::clone(&cap));
-        let b = StealQueue::with_cap(1, 3, Arc::clone(&cap));
-        for i in 0..3 {
-            a.try_push(i).unwrap();
-        }
-        // Queue a is locally full even though the aggregate has room.
-        match a.try_push(99) {
-            Err((_, PushError::Full(FullCause::Local))) => {}
-            other => panic!("expected local Full, got {other:?}"),
-        }
-        // Queue b has local room, but only one aggregate slot is left.
-        b.try_push(10).unwrap();
-        match b.try_push(11) {
-            Err((_, PushError::Full(FullCause::Aggregate))) => {}
-            other => panic!("expected aggregate Full, got {other:?}"),
-        }
-        assert_eq!(cap.depth(), 4);
-        assert_eq!(a.depth(), 3);
-        assert_eq!(b.depth(), 1);
-        // Draining a returns budget that b can then use.
-        assert_eq!(a.pop(0), Some(0));
-        b.try_push(11).unwrap();
-        assert_eq!(cap.depth(), 4);
     }
 
     #[test]

@@ -260,54 +260,6 @@ fn stamp_torn_tail(store_dir: &Path) {
     file.write_all(&torn).expect("stamp torn tail");
 }
 
-/// Restarting with MORE backends re-homes every recovered record: life 1
-/// runs unsharded, life 2 shards across four backends, and each record
-/// must land in the cache of the backend the new router assigns its key
-/// to — warm hits prove it, because a record warmed into the wrong
-/// backend is invisible to lookups.
-#[test]
-fn restart_with_more_backends_rehomes_every_record() {
-    const DISTINCT: u64 = 32;
-    let dir = TempDir::new("rehome");
-
-    let first = Server::start_tuned(small_config(), store_tuning(&dir.0)).expect("first server");
-    hot_set_pass(first.local_addr(), DISTINCT, 0);
-    await_store_counter(first.local_addr(), "appended", DISTINCT);
-    first.shutdown();
-
-    let mut tuning = store_tuning(&dir.0);
-    tuning.backends = 4;
-    let second = Server::start_tuned(small_config(), tuning).expect("second server");
-    let addr = second.local_addr();
-    let cached = hot_set_pass(addr, DISTINCT, DISTINCT);
-    assert_eq!(
-        cached, DISTINCT,
-        "every record must be re-homed to the backend that now owns its key"
-    );
-    let stats = stats(addr);
-    let per_backend = match stats
-        .get("backends")
-        .and_then(|b| b.get("per_backend"))
-        .cloned()
-    {
-        Some(Json::Arr(list)) => list,
-        other => panic!("stats missing backends.per_backend: {other:?}"),
-    };
-    let populated = per_backend
-        .iter()
-        .filter(|b| {
-            b.get("cache_len")
-                .and_then(|v| v.as_u64())
-                .is_some_and(|len| len > 0)
-        })
-        .count();
-    assert!(
-        populated >= 2,
-        "recovery must spread the set across backends, populated {populated}/4"
-    );
-    second.shutdown();
-}
-
 /// The headline acceptance test: SIGKILL a live daemon, corrupt the log
 /// tail, restart, and the successor serves the pre-kill hot set warm.
 #[test]

@@ -28,4 +28,4 @@ pub mod record;
 mod spill;
 
 pub use log::{RecoveredRecord, Store, StoreConfig, StoreStats, SyncMode};
-pub use spill::{SpillHandle, SpillSender};
+pub use spill::SpillHandle;

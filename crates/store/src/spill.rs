@@ -8,11 +8,7 @@
 //! already queued before exiting, so a graceful shutdown flushes every
 //! accepted record to disk deterministically.
 //!
-//! Several producers can feed the one writer: [`SpillHandle::sender`]
-//! clones a [`SpillSender`] endpoint per caller (the serving daemon
-//! hands one to each backend shard), all multiplexed onto the same
-//! bounded channel and the same single-writer store. The writer calls
-//! [`Store::sync`] whenever it catches up with the queue — and once
+//! The writer calls [`Store::sync`] whenever it catches up with the queue — and once
 //! more after the graceful drain — so under a durability
 //! [`SyncMode`](crate::log::SyncMode) the `synced` high-water mark
 //! tracks the backlog instead of waiting for a segment rotation.
@@ -24,35 +20,7 @@ use std::thread::JoinHandle;
 
 use crate::log::{Counters, Store, StoreStats};
 
-/// A cloneable producer endpoint for the spill writer. All senders feed
-/// one bounded channel; the writer exits only after every sender (and
-/// the owning [`SpillHandle`]) is gone and the backlog is drained.
-#[derive(Debug, Clone)]
-pub struct SpillSender {
-    tx: SyncSender<(Vec<u8>, Vec<u8>)>,
-    counters: Arc<Counters>,
-}
-
-impl SpillSender {
-    /// Queues one record for persistence. Never blocks: a full queue
-    /// drops the record and bumps `spill_dropped`.
-    pub fn spill(&self, key: Vec<u8>, value: Vec<u8>) {
-        match self.tx.try_send((key, value)) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                self.counters.spill_dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Counter snapshot (shared with the store the writer owns).
-    pub fn stats(&self) -> StoreStats {
-        self.counters.snapshot()
-    }
-}
-
-/// Handle to the spill writer thread. Owns the writer's lifetime; clone
-/// additional producer endpoints with [`sender`](Self::sender).
+/// Handle to the spill writer thread. Owns the writer's lifetime.
 #[derive(Debug)]
 pub struct SpillHandle {
     tx: Option<SyncSender<(Vec<u8>, Vec<u8>)>>,
@@ -127,16 +95,6 @@ impl SpillHandle {
         }
     }
 
-    /// Clones a producer endpoint multiplexed onto this writer. The
-    /// writer drains and exits only after the handle *and* every sender
-    /// have been dropped.
-    pub fn sender(&self) -> SpillSender {
-        SpillSender {
-            tx: self.tx.as_ref().expect("spill handle not dropped").clone(),
-            counters: Arc::clone(&self.counters),
-        }
-    }
-
     /// Queues one record for persistence. Never blocks: a full queue
     /// drops the record and bumps `spill_dropped`.
     pub fn spill(&self, key: Vec<u8>, value: Vec<u8>) {
@@ -159,9 +117,7 @@ impl Drop for SpillHandle {
     fn drop(&mut self) {
         // Closing the channel lets the writer drain and exit; joining
         // makes shutdown deterministic for a successor process opening
-        // the same directory. NOTE: the writer blocks until every
-        // cloned SpillSender is gone too — callers must drop their
-        // senders before (or together with) the handle.
+        // the same directory.
         drop(self.tx.take());
         if let Some(writer) = self.writer.take() {
             let _ = writer.join();
@@ -229,36 +185,6 @@ mod tests {
         let (store, recovered) = Store::open(StoreConfig::new(&dir.0)).unwrap();
         assert_eq!(recovered.len(), 1, "only the accepted record persists");
         assert_eq!(store.stats().recovered, 1);
-    }
-
-    #[test]
-    fn cloned_senders_multiplex_onto_one_writer() {
-        let dir = TempDir::new("multiplex");
-        let (store, _) = Store::open(StoreConfig::new(&dir.0)).unwrap();
-        let spill = SpillHandle::spawn(store, 256);
-        let senders: Vec<SpillSender> = (0..4).map(|_| spill.sender()).collect();
-        let handles: Vec<_> = senders
-            .into_iter()
-            .enumerate()
-            .map(|(b, sender)| {
-                std::thread::spawn(move || {
-                    for i in 0..25u32 {
-                        sender.spill(
-                            format!("b{b}-k{i}").into_bytes(),
-                            format!("b{b}-v{i}").into_bytes(),
-                        );
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        drop(spill);
-
-        let (store, recovered) = Store::open(StoreConfig::new(&dir.0)).unwrap();
-        assert_eq!(recovered.len(), 100, "all senders' records persist");
-        assert_eq!(store.stats().live_records, 100);
     }
 
     /// Satellite regression: a graceful drain under a durability mode

@@ -1,16 +1,14 @@
 //! Fault-injection matrix for the serving path.
 //!
-//! Every scenario runs against four server shapes: the default `epoll`
-//! readiness backend single-backend and sharded across two backends,
-//! and the same two again with readiness setup scripted to fail
-//! (`ScriptedShim::fail_readiness(EMFILE)`), so the pollers run the
-//! sweep fallback. The fault shim intercepts reads and writes
+//! Every scenario runs against two server shapes: the default `epoll`
+//! readiness backend, and the same server with readiness setup scripted
+//! to fail (`ScriptedShim::fail_readiness(EMFILE)`), so the pollers run
+//! the sweep fallback. The fault shim intercepts reads and writes
 //! identically on both, so every injected fault exercises both
-//! readiness backends. Each scenario ends with the same "never wedges" invariant
-//! check: the queue depth and the in-flight gauge drain to zero (per
-//! backend as well as in aggregate, when sharded), the expected fault
-//! counters moved, and a fresh well-behaved client still gets a correct
-//! `Balance` reply. Faults are injected two ways: hostile byte streams
+//! readiness backends. Each scenario ends with the same "never wedges"
+//! invariant check: the queue depth and the in-flight gauge drain to
+//! zero, the expected fault counters moved, and a fresh well-behaved
+//! client still gets a correct `Balance` reply. Faults are injected two ways: hostile byte streams
 //! on real sockets (torn frames, garbage, oversized lines, abrupt
 //! closes) and a scripted [`ScriptedShim`] inside the server (short
 //! writes, `WouldBlock` storms on either side, read/write resets and
@@ -61,18 +59,15 @@ fn balance_request(seed: u64, deadline_ms: Option<u64>) -> Request {
 }
 
 /// One server shape the matrix runs under: whether readiness setup is
-/// scripted to fail (forcing the sweep fallback), and how many
-/// consistent-hash backends.
+/// scripted to fail (forcing the sweep fallback).
 #[derive(Clone, Copy)]
 struct Setup {
     sweep_fallback: bool,
-    backends: usize,
 }
 
 impl Setup {
     const EPOLL: Setup = Setup {
         sweep_fallback: false,
-        backends: 1,
     };
 
     fn name(&self) -> String {
@@ -81,7 +76,7 @@ impl Setup {
         } else {
             "epoll"
         };
-        format!("{engine}/backends={}", self.backends)
+        engine.to_string()
     }
 
     /// The readiness backend the server must report: epoll unless the
@@ -113,7 +108,6 @@ impl Harness {
             shim.fail_readiness(EMFILE);
         }
         let mut tuning = Tuning {
-            backends: setup.backends,
             shim: Arc::new(shim.clone()),
             ..Tuning::default()
         };
@@ -181,11 +175,11 @@ impl Harness {
     /// server still answers correctly.
     fn assert_never_wedged(&self) {
         let engine = self.setup.name();
-        // The aggregate and per-backend gauges are separate tokens
-        // dropped in sequence, so a snapshot can land between the two —
-        // poll them together until every gauge reads zero.
+        // The queue depth and the in-flight gauge drop in sequence, so a
+        // snapshot can land between the two — poll them together until
+        // both read zero.
         let deadline = Instant::now() + Duration::from_secs(10);
-        let (mut depth, mut inflight, mut backend_leak): (u64, u64, u64);
+        let (mut depth, mut inflight): (u64, u64);
         loop {
             let stats = self.stats();
             depth = stats
@@ -198,41 +192,7 @@ impl Harness {
                 .and_then(|c| c.get("inflight"))
                 .and_then(|v| v.as_u64())
                 .expect("stats missing connections.inflight");
-            // The aggregate draining does not prove each backend
-            // drained — a leaked slot on one backend could hide behind
-            // a miscount on another — so check those gauges too.
-            let backends = stats.get("backends").expect("stats missing backends");
-            let count = backends
-                .get("count")
-                .and_then(|v| v.as_u64())
-                .expect("backends.count");
-            assert_eq!(
-                count,
-                self.setup.backends.max(1) as u64,
-                "[{engine}] backend count"
-            );
-            let per_backend = match backends.get("per_backend") {
-                Some(Json::Arr(list)) => list,
-                other => panic!("[{engine}] backends.per_backend: {other:?}"),
-            };
-            backend_leak = per_backend
-                .iter()
-                .enumerate()
-                .map(|(index, backend)| {
-                    ["queue_depth", "inflight"]
-                        .iter()
-                        .map(|gauge| {
-                            backend
-                                .get(gauge)
-                                .and_then(|v| v.as_u64())
-                                .unwrap_or_else(|| {
-                                    panic!("[{engine}] backend {index} missing {gauge}")
-                                })
-                        })
-                        .sum::<u64>()
-                })
-                .sum();
-            if depth == 0 && inflight == 0 && backend_leak == 0 {
+            if depth == 0 && inflight == 0 {
                 break;
             }
             if Instant::now() >= deadline {
@@ -242,7 +202,6 @@ impl Harness {
         }
         assert_eq!(depth, 0, "[{engine}] queue depth leaked");
         assert_eq!(inflight, 0, "[{engine}] in-flight gauge leaked");
-        assert_eq!(backend_leak, 0, "[{engine}] per-backend gauges leaked");
 
         let seed = cold_seed();
         let mut client = Client::connect(self.addr()).expect("fresh client connect");
@@ -342,17 +301,11 @@ fn request_line(request: &Request) -> Vec<u8> {
     line.into_bytes()
 }
 
+/// Runs a scenario on both readiness backends: epoll, and the sweep
+/// fallback.
 fn for_all(scenario: impl Fn(Setup)) {
     for sweep_fallback in [false, true] {
-        // The sharded shape: every fault scenario must also hold when
-        // jobs fan out across per-backend queues, caches and worker
-        // sets.
-        for backends in [1, 2] {
-            scenario(Setup {
-                sweep_fallback,
-                backends,
-            });
-        }
+        scenario(Setup { sweep_fallback });
     }
 }
 
@@ -1095,17 +1048,6 @@ impl Drop for ServeChild {
     }
 }
 
-/// Runs a router scenario on both readiness backends of the router's
-/// connection loop.
-fn for_both_engines(scenario: impl Fn(Setup)) {
-    for sweep_fallback in [false, true] {
-        scenario(Setup {
-            sweep_fallback,
-            ..Setup::EPOLL
-        });
-    }
-}
-
 /// An in-process router over `upstreams` on the readiness backend
 /// `setup` asks for; asserts `stats.router.engine` names it.
 fn router_over(
@@ -1208,7 +1150,7 @@ fn await_router_alive(router: &RouterServer, want: &[u32], budget: Duration) {
 /// the victim on the same port re-homes its keys back.
 #[test]
 fn router_kill_mid_flood_rehomes_and_never_wedges() {
-    for_both_engines(|setup| {
+    for_all(|setup| {
         const FLOOD_THREADS: usize = 3;
         let survivor = ServeChild::spawn("127.0.0.1:0", &[]);
         let mut victim = ServeChild::spawn("127.0.0.1:0", &[]);
@@ -1340,7 +1282,7 @@ fn router_kill_mid_flood_rehomes_and_never_wedges() {
 /// its answer — zero visible loss even for the in-flight case.
 #[test]
 fn router_answers_the_request_in_flight_at_the_kill() {
-    for_both_engines(|setup| {
+    for_all(|setup| {
         let survivor = ServeChild::spawn("127.0.0.1:0", &[]);
         let mut victim = ServeChild::spawn("127.0.0.1:0", &["--stall-ms", "400"]);
         let router = router_over(setup, vec![survivor.addr, victim.addr], |c| {
@@ -1380,7 +1322,7 @@ fn router_answers_the_request_in_flight_at_the_kill() {
 /// stream resyncs, and the fault counters move.
 #[test]
 fn router_rejects_hostile_bytes_and_never_wedges() {
-    for_both_engines(|setup| {
+    for_all(|setup| {
         let upstream = ServeChild::spawn("127.0.0.1:0", &[]);
         let router = router_over(setup, vec![upstream.addr], |_| {});
         let name = setup.name();
@@ -1607,7 +1549,7 @@ fn router_thread_count_stays_flat_across_a_hedge_storm() {
 /// excess waits in the relay's FIFO, and every request is answered.
 #[test]
 fn router_relay_caps_upstream_connections_under_a_client_herd() {
-    for_both_engines(|setup| {
+    for_all(|setup| {
         const CLIENTS: usize = 64;
         const CAP: u64 = 4;
         let name = setup.name();
@@ -1685,7 +1627,7 @@ fn router_relay_caps_upstream_connections_under_a_client_herd() {
 /// reply timeout.
 #[test]
 fn router_requests_queued_behind_the_cap_fail_over_when_the_upstream_dies() {
-    for_both_engines(|setup| {
+    for_all(|setup| {
         const CLIENTS: usize = 4;
         let name = setup.name();
         let survivor = ServeChild::spawn("127.0.0.1:0", &[]);
@@ -1727,72 +1669,4 @@ fn router_requests_queued_behind_the_cap_fail_over_when_the_upstream_dies() {
         assert_router_never_wedged(setup, &router);
         router.shutdown();
     });
-}
-
-// ---------------------------------------------------------------------------
-// Self-balancing placement under churn
-// ---------------------------------------------------------------------------
-
-/// A live rebalancer migrating vnodes between backends must never wedge
-/// the server: skewed traffic drives real assignment swaps while
-/// clients vanish mid-request, and afterwards every gauge drains to
-/// zero and a fresh request still computes.
-#[test]
-fn rebalance_under_churn_never_wedges() {
-    use gb_rebal::RebalanceSettings;
-    let setup = Setup {
-        backends: 2,
-        ..Setup::EPOLL
-    };
-    let h = Harness::start_with(setup, |t| {
-        // trigger 1.0: any measurable skew plans, so assignment swaps
-        // happen while the chaos below is in flight.
-        t.rebalance = Some(RebalanceSettings {
-            interval: Duration::from_millis(40),
-            trigger: 1.0,
-            move_budget: usize::MAX,
-            decay: 0.5,
-        });
-    });
-
-    // Skew: one hot seed hammered from a persistent client while cold
-    // seeds churn, and some connections die mid-request.
-    let hot = cold_seed();
-    let addr = h.addr();
-    let driver = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).expect("connect");
-        for _ in 0..120 {
-            client.call(&balance_request(hot, None)).expect("hot call");
-        }
-    });
-    for _ in 0..10 {
-        let mut client = Client::connect(h.addr()).expect("connect");
-        let _ = client.call(&balance_request(cold_seed(), None));
-        // Drop abruptly with a request possibly still queued.
-        let mut raw = RawConn::open(h.addr());
-        raw.send(&request_line(&balance_request(cold_seed(), None)));
-        drop(raw);
-    }
-    driver.join().expect("hot driver");
-
-    // The tick loop must be alive and have applied at least one
-    // assignment version under this much skew.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let rebal = h.stats();
-        let rebal = rebal.get("rebal").expect("stats.rebal");
-        let ticks = rebal.get("ticks").and_then(|v| v.as_u64()).unwrap_or(0);
-        let version = rebal.get("version").and_then(|v| v.as_u64()).unwrap_or(0);
-        if ticks >= 3 && version >= 1 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "rebalance loop never progressed: ticks={ticks} version={version}"
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    }
-
-    h.assert_never_wedged();
-    h.shutdown();
 }
