@@ -11,17 +11,21 @@
 //! * rejects NaN weights at the door instead of corrupting the heap.
 //!
 //! The implementation is a textbook array heap with `sift_up`/`sift_down`
-//! written out explicitly so its invariants can be property-tested.
+//! written out explicitly so its invariants can be property-tested. The
+//! array holds only keys — weight, sequence number and a slot index — and
+//! payloads stay put in a slot table with a free list: a sift moves 24
+//! bytes per level however large the payload (HF's problems run to over a
+//! hundred bytes).
 
-/// An entry of the heap: key, tiebreak and payload.
-#[derive(Debug, Clone)]
-struct Entry<T> {
+/// A heap key: weight, tiebreak and the payload's slot.
+#[derive(Debug, Clone, Copy)]
+struct Key {
     weight: f64,
     seq: u64,
-    value: T,
+    slot: u32,
 }
 
-impl<T> Entry<T> {
+impl Key {
     /// `true` if `self` has priority over (is "greater than") `other`.
     #[inline]
     fn beats(&self, other: &Self) -> bool {
@@ -37,7 +41,11 @@ impl<T> Entry<T> {
 /// A max-heap of `(f64 weight, T)` pairs with deterministic tie-breaking.
 #[derive(Debug, Clone)]
 pub struct WeightHeap<T> {
-    items: Vec<Entry<T>>,
+    keys: Vec<Key>,
+    /// Payloads by slot; `None` marks a free slot.
+    values: Vec<Option<T>>,
+    /// Free slots, reused before the table grows.
+    free: Vec<u32>,
     next_seq: u64,
 }
 
@@ -50,28 +58,27 @@ impl<T> Default for WeightHeap<T> {
 impl<T> WeightHeap<T> {
     /// Creates an empty heap.
     pub fn new() -> Self {
-        Self {
-            items: Vec::new(),
-            next_seq: 0,
-        }
+        Self::with_capacity(0)
     }
 
     /// Creates an empty heap with room for `cap` entries.
     pub fn with_capacity(cap: usize) -> Self {
         Self {
-            items: Vec::with_capacity(cap),
+            keys: Vec::with_capacity(cap),
+            values: Vec::with_capacity(cap),
+            free: Vec::new(),
             next_seq: 0,
         }
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.keys.len()
     }
 
     /// `true` if the heap holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.keys.is_empty()
     }
 
     /// Inserts `value` with priority `weight`.
@@ -82,32 +89,44 @@ impl<T> WeightHeap<T> {
         assert!(!weight.is_nan(), "NaN weight pushed into WeightHeap");
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.items.push(Entry { weight, seq, value });
-        self.sift_up(self.items.len() - 1);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.values[slot as usize] = Some(value);
+                slot
+            }
+            None => {
+                self.values.push(Some(value));
+                u32::try_from(self.values.len() - 1).expect("WeightHeap holds at most 2^32 entries")
+            }
+        };
+        self.keys.push(Key { weight, seq, slot });
+        self.sift_up(self.keys.len() - 1);
     }
 
     /// The maximum weight currently stored, if any.
     pub fn peek_weight(&self) -> Option<f64> {
-        self.items.first().map(|e| e.weight)
+        self.keys.first().map(|k| k.weight)
     }
 
     /// Borrows the payload with maximum weight, if any.
     pub fn peek(&self) -> Option<(f64, &T)> {
-        self.items.first().map(|e| (e.weight, &e.value))
+        self.keys.first().map(|k| (k.weight, self.value(k)))
     }
 
     /// Removes and returns the entry with maximum weight.
     pub fn pop(&mut self) -> Option<(f64, T)> {
-        if self.items.is_empty() {
+        if self.keys.is_empty() {
             return None;
         }
-        let last = self.items.len() - 1;
-        self.items.swap(0, last);
-        let top = self.items.pop().expect("non-empty");
-        if !self.items.is_empty() {
+        let top = self.keys.swap_remove(0);
+        if !self.keys.is_empty() {
             self.sift_down(0);
         }
-        Some((top.weight, top.value))
+        let value = self.values[top.slot as usize]
+            .take()
+            .expect("occupied slot");
+        self.free.push(top.slot);
+        Some((top.weight, value))
     }
 
     /// Drains the heap into a vector sorted by descending priority.
@@ -121,14 +140,20 @@ impl<T> WeightHeap<T> {
 
     /// Iterates over `(weight, &value)` pairs in unspecified (heap) order.
     pub fn iter(&self) -> impl Iterator<Item = (f64, &T)> {
-        self.items.iter().map(|e| (e.weight, &e.value))
+        self.keys.iter().map(|k| (k.weight, self.value(k)))
+    }
+
+    fn value(&self, key: &Key) -> &T {
+        self.values[key.slot as usize]
+            .as_ref()
+            .expect("occupied slot")
     }
 
     fn sift_up(&mut self, mut i: usize) {
         while i > 0 {
             let parent = (i - 1) / 2;
-            if self.items[i].beats(&self.items[parent]) {
-                self.items.swap(i, parent);
+            if self.keys[i].beats(&self.keys[parent]) {
+                self.keys.swap(i, parent);
                 i = parent;
             } else {
                 break;
@@ -137,21 +162,21 @@ impl<T> WeightHeap<T> {
     }
 
     fn sift_down(&mut self, mut i: usize) {
-        let n = self.items.len();
+        let n = self.keys.len();
         loop {
             let l = 2 * i + 1;
             let r = 2 * i + 2;
             let mut best = i;
-            if l < n && self.items[l].beats(&self.items[best]) {
+            if l < n && self.keys[l].beats(&self.keys[best]) {
                 best = l;
             }
-            if r < n && self.items[r].beats(&self.items[best]) {
+            if r < n && self.keys[r].beats(&self.keys[best]) {
                 best = r;
             }
             if best == i {
                 return;
             }
-            self.items.swap(i, best);
+            self.keys.swap(i, best);
             i = best;
         }
     }
@@ -159,7 +184,7 @@ impl<T> WeightHeap<T> {
     /// Verifies the heap invariant; used by tests.
     #[doc(hidden)]
     pub fn check_invariant(&self) -> bool {
-        (1..self.items.len()).all(|i| !self.items[i].beats(&self.items[(i - 1) / 2]))
+        (1..self.keys.len()).all(|i| !self.keys[i].beats(&self.keys[(i - 1) / 2]))
     }
 }
 

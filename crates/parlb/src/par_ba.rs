@@ -6,10 +6,12 @@
 //!
 //! Each task owns one subproblem: it walks down the left spine of its
 //! recursion (bisect, keep `p1`) and spawns one task per right child —
-//! the task-tree analogue of the processor-range cascade. Because problem
-//! bisection is deterministic, the resulting piece *multiset* is
-//! bit-identical to the sequential [`gb_core::ba::ba`] run, whatever the
-//! interleaving (verified by tests).
+//! the task-tree analogue of the processor-range cascade. A subproblem
+//! with at most `LOCAL_GRAIN` processors is finished by the task that
+//! reaches it, on a local stack, so tasks stay sized to their work.
+//! Because problem bisection is deterministic, the resulting piece
+//! *multiset* is bit-identical to the sequential [`gb_core::ba::ba`] run,
+//! whatever the interleaving (verified by tests).
 
 use std::sync::Arc;
 
@@ -68,6 +70,11 @@ where
     Partition::new(pieces, total, n)
 }
 
+/// A task with at most this many processors finishes its subtree itself,
+/// on a local stack: below it, handing a child to another worker costs
+/// more than the bisections it would share.
+const LOCAL_GRAIN: usize = 32;
+
 fn spawn_task<P>(
     handle: PoolHandle,
     p: P,
@@ -80,35 +87,41 @@ fn spawn_task<P>(
 {
     let respawn = handle.clone();
     handle.spawn(move || {
-        let mut q = p;
-        let mut m = n;
-        loop {
-            // BA-HF switch-over: finish this fragment with sequential HF.
-            if let Some(threshold) = hf_below {
-                if (m as f64) < threshold {
-                    let sub = hf(q, m);
-                    results.lock().extend(sub.into_pieces());
+        let mut pieces = Vec::new();
+        let mut local = vec![(p, n)];
+        while let Some((mut q, mut m)) = local.pop() {
+            loop {
+                // BA-HF switch-over: finish this fragment with sequential HF.
+                if let Some(threshold) = hf_below {
+                    if (m as f64) < threshold {
+                        pieces.extend(hf(q, m).into_pieces());
+                        break;
+                    }
+                }
+                if m == 1 || !q.can_bisect() {
+                    pieces.push(q);
                     break;
                 }
+                let (q1, q2) = q.bisect();
+                let (n1, n2) = split_processors(q1.weight(), q2.weight(), m);
+                if m <= LOCAL_GRAIN {
+                    local.push((q2, n2));
+                } else {
+                    wg.add(1);
+                    spawn_task(
+                        respawn.clone(),
+                        q2,
+                        n2,
+                        hf_below,
+                        Arc::clone(&results),
+                        Arc::clone(&wg),
+                    );
+                }
+                q = q1;
+                m = n1;
             }
-            if m == 1 || !q.can_bisect() {
-                results.lock().push(q);
-                break;
-            }
-            let (q1, q2) = q.bisect();
-            let (n1, n2) = split_processors(q1.weight(), q2.weight(), m);
-            wg.add(1);
-            spawn_task(
-                respawn.clone(),
-                q2,
-                n2,
-                hf_below,
-                Arc::clone(&results),
-                Arc::clone(&wg),
-            );
-            q = q1;
-            m = n1;
         }
+        results.lock().extend(pieces);
         wg.done();
     });
 }

@@ -9,7 +9,8 @@
 //!
 //! * pieces heavier than the phase-1 threshold `w(p)·r_α/N` are bisected
 //!   eagerly, each task recursing into both children (a parallel
-//!   cascade);
+//!   cascade) until its piece is within `LOCAL_GRAIN` times the
+//!   threshold, whose subtree it then settles itself;
 //! * the surviving pieces are refined in synchronised rounds; each round
 //!   bisects — in parallel on the pool — every piece within a `(1−α)`
 //!   factor of the current maximum (capped by the remaining budget,
@@ -189,8 +190,13 @@ impl<P: Bisectable> Round<P> {
     }
 }
 
+/// A cascade piece at most this many times the phase-1 threshold is
+/// settled by the task that reaches it, on a local stack: its subtree is
+/// too small to pay for handing children to other workers.
+const LOCAL_GRAIN: f64 = 32.0;
+
 /// Phase 1: recursively bisect everything heavier than `threshold`,
-/// spawning the right child as a new task.
+/// spawning the right child as a new task while the piece is heavy.
 fn cascade<P>(
     handle: PoolHandle,
     p: P,
@@ -202,23 +208,32 @@ fn cascade<P>(
 {
     let respawn = handle.clone();
     handle.spawn(move || {
-        let mut q = p;
-        loop {
-            if q.weight() <= threshold || !q.can_bisect() {
-                settled.lock().push(q);
-                break;
+        let mut pieces = Vec::new();
+        let mut local = vec![p];
+        while let Some(mut q) = local.pop() {
+            loop {
+                if q.weight() <= threshold || !q.can_bisect() {
+                    pieces.push(q);
+                    break;
+                }
+                let inline = q.weight() <= LOCAL_GRAIN * threshold;
+                let (a, b) = q.bisect();
+                if inline {
+                    local.push(b);
+                } else {
+                    wg.add(1);
+                    cascade(
+                        respawn.clone(),
+                        b,
+                        threshold,
+                        Arc::clone(&settled),
+                        Arc::clone(&wg),
+                    );
+                }
+                q = a;
             }
-            let (a, b) = q.bisect();
-            wg.add(1);
-            cascade(
-                respawn.clone(),
-                b,
-                threshold,
-                Arc::clone(&settled),
-                Arc::clone(&wg),
-            );
-            q = a;
         }
+        settled.lock().extend(pieces);
         wg.done();
     });
 }

@@ -10,9 +10,9 @@
 //! nonblocking upstream connections registered on that same poller
 //! ([`crate::relay`]): the frame never changes threads. One
 //! health-prober thread and, with [`RouterConfig::rebalance`] set, one
-//! rebalance tick thread complete the set. The loop stops reading a
-//! connection while its frame is relayed, so per-connection reply order
-//! is preserved.
+//! rebalance tick thread complete the set. A client may pipeline: each
+//! frame is relayed on its own, up to [`gb_service::io_loop::WINDOW`]
+//! per connection, and the loop writes the replies in request order.
 //!
 //! Hedging costs no thread either: `hedge_delay` after the primary's
 //! frame is written, the poller's timer sends the hedge on a second

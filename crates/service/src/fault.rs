@@ -179,6 +179,11 @@ struct ScriptState {
     reset_accept: Vec<u64>,
     /// Injected pre-execute stall for every job, while set.
     stall: Option<Duration>,
+    /// Stalls for single jobs, by connection and the job's position
+    /// among that connection's jobs (0-based).
+    job_stalls: HashMap<(u64, u64), Duration>,
+    /// Jobs started so far, per connection.
+    jobs_started: HashMap<u64, u64>,
     /// While set, every `accept()` attempt fails with this raw errno
     /// (the fd-exhaustion script).
     fail_accepts: Option<i32>,
@@ -222,6 +227,16 @@ impl ScriptedShim {
     /// Injects a sleep before every job execution until cleared.
     pub fn stall_workers(&self, d: Duration) {
         self.state.lock().unwrap().stall = Some(d);
+    }
+
+    /// Makes the `nth` job (0-based, in the order workers start them)
+    /// of connection `conn_id` sleep for `d` first.
+    pub fn stall_nth_job(&self, conn_id: u64, nth: u64, d: Duration) {
+        self.state
+            .lock()
+            .unwrap()
+            .job_stalls
+            .insert((conn_id, nth), d);
     }
 
     /// Clears the worker stall.
@@ -339,8 +354,12 @@ impl IoShim for ScriptedShim {
         }
     }
 
-    fn before_execute(&self, _conn_id: u64) -> Option<Duration> {
-        self.state.lock().unwrap().stall
+    fn before_execute(&self, conn_id: u64) -> Option<Duration> {
+        let mut st = self.state.lock().unwrap();
+        let started = st.jobs_started.entry(conn_id).or_default();
+        let nth = *started;
+        *started += 1;
+        st.job_stalls.remove(&(conn_id, nth)).or(st.stall)
     }
 }
 

@@ -9,9 +9,12 @@
 //! [`Handler::handle`], which either answers inline through the
 //! [`Dispatch`] it is given or takes a [`Reply`] with
 //! [`Dispatch::defer`] and hands it to one of its own worker threads.
-//! The worker later answers with [`Reply::send`]; the loop stops reading
-//! that connection until the reply is out, so replies stay in request
-//! order, and answers `internal` itself if the worker never does.
+//! The worker later answers with [`Reply::send`], and the loop answers
+//! `internal` itself if the worker never does. A connection keeps
+//! reading while deferred frames are outstanding, up to a window of
+//! [`WINDOW`] frames; replies that finish early, and inline answers read
+//! behind an outstanding frame, wait their turn, so every reply goes out
+//! in request order.
 //!
 //! A handler may also keep state on the poller itself
 //! ([`Handler::Local`], one value per poller, touched only by that
@@ -54,6 +57,11 @@ use crate::proto::{
     Codec, ErrorCode, Frame, FrameError, FrameReader, Json, Request, Response, WireCodec,
 };
 use crate::shed::{SlotGauge, SlotToken};
+
+mod order;
+
+use order::ReplyOrder;
+pub use order::WINDOW;
 
 pub use gb_sys::Interest;
 
@@ -235,11 +243,13 @@ thread_local! {
 /// appends whole frames to `pending` and then pushes as much as the
 /// socket will take; the unwritten tail stays buffered — never dropped,
 /// never duplicated — and later sweeps retry it. `sent` marks the start
-/// of the unwritten region so retries cannot resend bytes.
+/// of the unwritten region so retries cannot resend bytes. `order`
+/// decides when a reply may join `pending`.
 struct ConnWriter {
     sink: ShimStream,
     pending: Vec<u8>,
     sent: usize,
+    order: ReplyOrder,
     /// First `WouldBlock` with output pending; cleared whenever the
     /// socket accepts bytes again.
     stalled_since: Option<Instant>,
@@ -259,9 +269,10 @@ struct ConnShared {
     /// Buffered write half. Workers and the poller serialise frames
     /// through this lock.
     writer: Mutex<ConnWriter>,
-    /// A deferred frame from this connection is outstanding; the poller
-    /// stops reading until it clears (responses stay ordered).
-    inflight: AtomicBool,
+    /// `writer.order.outstanding()`, readable without the lock: frames
+    /// issued a turn and not yet written. While it is 0, inline replies
+    /// skip the lock; at [`WINDOW`] the poller stops reading.
+    inflight: AtomicUsize,
     /// Socket failed on write; the poller drops the connection.
     dead: AtomicBool,
     /// The owning poller's index, and the connection's slot on it (epoll
@@ -284,14 +295,26 @@ impl ConnShared {
     }
 }
 
+/// A deferred frame the poller still waits on, for its reply timeout.
+struct Deferred {
+    /// Its turn on the wire.
+    seq: u64,
+    /// When it was deferred.
+    since: Instant,
+    /// The reply-arbitration flag shared with its [`Reply`].
+    answered: Arc<AtomicBool>,
+    /// Request id and codec, for the timeout error frame.
+    id: Option<u64>,
+    codec: WireCodec,
+}
+
 /// One connection owned by an I/O poller.
 struct Conn {
     reader: FrameReader<ShimStream>,
     shared: Arc<ConnShared>,
-    /// Set while a deferred frame is outstanding: when it was deferred,
-    /// the reply-arbitration flag, and the request id and codec (for
-    /// the timeout error frame).
-    inflight_since: Option<(Instant, Arc<AtomicBool>, Option<u64>, WireCodec)>,
+    /// Deferred frames not yet answered, oldest first (at most
+    /// [`WINDOW`] unanswered; answered ones are pruned each sweep).
+    deferred: Vec<Deferred>,
     /// The read side is finished (EOF or torn frame); the connection
     /// stays around only until buffered replies drain.
     closing: bool,
@@ -318,14 +341,15 @@ impl Conn {
                     pending: Vec::new(),
                     sent: 0,
                     stalled_since: None,
+                    order: ReplyOrder::default(),
                 }),
-                inflight: AtomicBool::new(false),
+                inflight: AtomicUsize::new(0),
                 dead: AtomicBool::new(false),
                 poller,
                 slot: AtomicUsize::new(0),
                 waker: io.wakers.get(poller).cloned(),
             }),
-            inflight_since: None,
+            deferred: Vec::new(),
             closing: false,
             _open: io.open_conns.acquire(),
         })
@@ -339,7 +363,7 @@ pub struct Dispatch<'a> {
     conn: &'a Arc<ConnShared>,
     replies: &'a mut Vec<u8>,
     codec: WireCodec,
-    deferred: Option<(Arc<AtomicBool>, Option<u64>)>,
+    deferred: Option<Deferred>,
     sockets: Sockets<'a>,
 }
 
@@ -367,26 +391,43 @@ impl<'a> Dispatch<'a> {
     }
 
     /// Writes the buffered inline replies now instead of at the end of
-    /// the sweep.
+    /// the sweep (behind any outstanding deferred frame, as always).
     pub fn flush(&mut self) {
+        settle_inline(self.io, self.conn, self.replies);
         flush_replies(self.io, self.conn, self.replies);
     }
 
-    /// Defers this frame's answer: buffered inline replies are written
-    /// first (so frames stay in order), the connection stops reading
-    /// until the returned [`Reply`] is sent, and `id` labels the loop's
-    /// `internal` error should no reply come within the reply timeout.
+    /// Defers this frame's answer (at most once per frame): buffered
+    /// inline replies are written first, the frame takes the next turn
+    /// on the wire, and the returned [`Reply`] fills it. The connection
+    /// keeps reading meanwhile, up to [`WINDOW`] outstanding frames.
+    /// `id` labels the loop's `internal` error should no reply come
+    /// within the reply timeout.
     pub fn defer(&mut self, id: Option<u64>) -> Reply {
         self.flush();
         let answered = Arc::new(AtomicBool::new(false));
-        // Mark in-flight *before* the hand-off: the worker may finish
-        // and clear the flag before the caller's push even returns.
-        self.conn.inflight.store(true, Ordering::Release);
-        self.deferred = Some((Arc::clone(&answered), id));
+        // Take the turn *before* the hand-off: the worker may answer
+        // before the caller's push even returns.
+        let seq = {
+            let mut w = self.conn.writer.lock();
+            let seq = w.order.issue();
+            self.conn
+                .inflight
+                .store(w.order.outstanding(), Ordering::Release);
+            seq
+        };
+        self.deferred = Some(Deferred {
+            seq,
+            since: Instant::now(),
+            answered: Arc::clone(&answered),
+            id,
+            codec: self.codec,
+        });
         Reply {
             io: Arc::clone(self.io),
             conn: Arc::clone(self.conn),
             answered,
+            seq,
             _slot: self.io.inflight.acquire(),
         }
     }
@@ -395,10 +436,14 @@ impl<'a> Dispatch<'a> {
 /// The right to answer one deferred frame. Whoever holds it writes the
 /// reply with [`send`](Self::send); the loop's reply timeout races it,
 /// and the loser's reply is dropped and counted as `reply_dropped`.
+/// The reply goes out in the frame's turn: after every earlier frame's
+/// answer on the connection, however early it finishes.
 pub struct Reply {
     io: Arc<IoLoop>,
     conn: Arc<ConnShared>,
     answered: Arc<AtomicBool>,
+    /// The frame's turn on the wire.
+    seq: u64,
     /// RAII in-flight slot (`connections.inflight`): released wherever
     /// the reply ends — sent, abandoned, or dropped with its job — so
     /// the gauge cannot leak.
@@ -426,28 +471,30 @@ impl Reply {
     /// Sends one complete, already-encoded reply frame.
     pub fn send_bytes(self, frame: &[u8]) {
         if claim_reply(&self.answered) {
-            enqueue_bytes(&self.io, &self.conn, frame);
+            deliver(&self.io, &self.conn, self.seq, frame);
             self.release();
         } else {
             bump(&self.io.counters.reply_dropped);
         }
     }
 
-    /// Gives up on a reply nobody will read ([`peer_gone`](Self::peer_gone)),
-    /// settling the connection's gate without writing.
+    /// Gives up on a reply nobody will read ([`peer_gone`](Self::peer_gone)):
+    /// the frame's turn passes without a write, so later replies are not
+    /// held behind it.
     pub fn abandon(self) {
         if claim_reply(&self.answered) {
+            deliver(&self.io, &self.conn, self.seq, &[]);
             self.release();
         }
         bump(&self.io.counters.reply_dropped);
     }
 
     fn release(&self) {
-        self.conn.inflight.store(false, Ordering::Release);
-        // The owning poller dropped read interest while the frame was in
-        // flight. Sent from that poller's own thread, the reply just
-        // leaves the slot for it to re-arm; from any other thread, wake
-        // it — a blocked `epoll_wait` cannot see the atomic flip.
+        // The owning poller may have dropped read interest on a full
+        // window, and must re-arm write interest for output the socket
+        // did not take. Sent from that poller's own thread, the reply
+        // just leaves the slot for it to re-arm; from any other thread,
+        // wake it — a blocked `epoll_wait` cannot see the atomic change.
         let local = ON_POLLER.with(|on| match &mut *on.borrow_mut() {
             Some((poller, released)) if *poller == self.conn.poller => {
                 released.push(self.conn.slot.load(Ordering::Relaxed));
@@ -725,23 +772,47 @@ fn would_block(e: &std::io::Error) -> bool {
 // ---------------------------------------------------------------------------
 
 /// Moves a sweep's coalesced replies into the connection's output
-/// buffer and flushes what fits, preserving frame order.
+/// buffer and flushes what fits. Only called with nothing outstanding
+/// ahead of them: [`settle_inline`] has taken any that must wait.
 fn flush_replies(io: &IoLoop, conn: &ConnShared, replies: &mut Vec<u8>) {
     if !replies.is_empty() {
-        enqueue_bytes(io, conn, replies);
+        write_frames(io, conn, |w| w.pending.extend_from_slice(replies));
         replies.clear();
     }
 }
 
-/// Appends bytes to the connection's output buffer and drives the
-/// socket. Never blocks and never drops accepted bytes: on `WouldBlock`
-/// the tail stays in the buffer for later flushes.
-fn enqueue_bytes(io: &IoLoop, conn: &ConnShared, buf: &[u8]) {
-    let mut w = conn.writer.lock();
-    if conn.dead.load(Ordering::Acquire) {
+/// Inline replies answered while a deferred frame is outstanding take
+/// the next turn on the wire instead of going out with the sweep. With
+/// nothing outstanding — one atomic load — they stay in `replies`, and
+/// the sweep writes them once, without taking the lock per frame.
+fn settle_inline(io: &IoLoop, conn: &ConnShared, replies: &mut Vec<u8>) {
+    if replies.is_empty() || conn.inflight.load(Ordering::Acquire) == 0 {
         return;
     }
-    w.pending.extend_from_slice(buf);
+    write_frames(io, conn, |w| w.order.inline(replies, &mut w.pending));
+    replies.clear();
+}
+
+/// Fills deferred frame `seq`'s turn with `frame` (empty when nothing
+/// is to be written), writing every reply now due.
+fn deliver(io: &IoLoop, conn: &ConnShared, seq: u64, frame: &[u8]) {
+    write_frames(io, conn, |w| w.order.deliver(seq, frame, &mut w.pending));
+}
+
+/// Lets `add` append frames to the connection's output buffer, then
+/// drives the socket. Never blocks and never drops accepted bytes: on
+/// `WouldBlock` the tail stays in the buffer for later flushes. A dead
+/// connection discards what was added; its turns still advance.
+fn write_frames(io: &IoLoop, conn: &ConnShared, add: impl FnOnce(&mut ConnWriter)) {
+    let mut w = conn.writer.lock();
+    add(&mut w);
+    conn.inflight
+        .store(w.order.outstanding(), Ordering::Release);
+    if conn.dead.load(Ordering::Acquire) {
+        w.pending.clear();
+        w.sent = 0;
+        return;
+    }
     drive_writer(io, conn, &mut w);
 }
 
@@ -1017,7 +1088,7 @@ fn epoll_loop<H: Handler>(
     let mut slots: Vec<Option<EpollConn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut live = 0usize;
-    // Slots needing periodic timer sweeps (frame in flight, buffered
+    // Slots needing periodic timer sweeps (frames in flight, buffered
     // output, or closing): `reply_timeout` and `write_stall` fire at
     // poll-interval granularity, exactly like the sweep loop.
     let mut watched: HashSet<usize> = HashSet::new();
@@ -1192,20 +1263,20 @@ fn epoll_loop<H: Handler>(
                 continue;
             };
             // Re-arm for the connection's new state. Read interest is
-            // dropped while a frame is in flight — level-triggered
-            // readiness would spin for the whole compute — and
-            // restored once the reply is out; write interest mirrors
-            // buffered output, so `EPOLLOUT` re-arming flows through
-            // the same write-stall accounting as the sweep loop.
+            // dropped while the connection's window is full —
+            // level-triggered readiness would spin until a reply frees
+            // a turn — and restored once one does; write interest
+            // mirrors buffered output, so `EPOLLOUT` re-arming flows
+            // through the same write-stall accounting as the sweep loop.
+            let inflight = ec.conn.shared.inflight.load(Ordering::Acquire);
             let desired = sys::Interest {
-                readable: !draining && !ec.conn.closing && ec.conn.inflight_since.is_none(),
+                readable: !draining && !ec.conn.closing && inflight < WINDOW,
                 writable: ec.conn.shared.writer.lock().has_pending(),
             };
             if desired != ec.armed && ep.modify(conn_fd(&ec.conn), slot as u64, desired).is_ok() {
                 ec.armed = desired;
             }
-            let needs_timer =
-                ec.conn.inflight_since.is_some() || ec.conn.closing || desired.writable;
+            let needs_timer = inflight > 0 || ec.conn.closing || desired.writable;
             if needs_timer {
                 watched.insert(slot);
             } else {
@@ -1251,6 +1322,35 @@ fn protocol_error(handler: &impl Handler, replies: &mut Vec<u8>, codec: WireCode
     codec.encode_response(&resp, replies);
 }
 
+/// Prunes the connection's answered deferred frames and answers
+/// `internal` for those whose worker outlived the reply timeout.
+fn expire_deferred(io: &IoLoop, handler: &impl Handler, conn: &mut Conn, progress: &mut bool) {
+    let shared = &conn.shared;
+    conn.deferred.retain(|d| {
+        if !d.answered.load(Ordering::Acquire) {
+            if d.since.elapsed() <= io.config.reply_timeout {
+                return true;
+            }
+            // The worker never answered; claim the reply ourselves.
+            if claim_reply(&d.answered) {
+                handler.loop_error(ErrorCode::Internal);
+                let mut frame = Vec::new();
+                d.codec.encode_response(
+                    &Response::Error {
+                        id: d.id,
+                        code: ErrorCode::Internal,
+                        message: "worker did not answer".into(),
+                    },
+                    &mut frame,
+                );
+                deliver(io, shared, d.seq, &frame);
+            }
+        }
+        *progress = true;
+        false
+    });
+}
+
 /// One sweep over one connection. Returns `false` to drop it.
 #[allow(clippy::too_many_arguments)]
 fn sweep_conn<H: Handler>(
@@ -1267,33 +1367,7 @@ fn sweep_conn<H: Handler>(
     if conn.shared.dead.load(Ordering::Acquire) {
         return false;
     }
-    if let Some((since, answered, id, codec)) = &conn.inflight_since {
-        if conn.shared.inflight.load(Ordering::Acquire) {
-            if since.elapsed() <= io.config.reply_timeout {
-                // Still waiting on the worker; keep earlier buffered
-                // output moving in the meantime.
-                flush_pending(io, &conn.shared);
-                return !conn.shared.dead.load(Ordering::Acquire);
-            }
-            // The worker never answered; claim the reply ourselves.
-            if claim_reply(answered) {
-                handler.loop_error(ErrorCode::Internal);
-                let mut frame = Vec::new();
-                codec.encode_response(
-                    &Response::Error {
-                        id: *id,
-                        code: ErrorCode::Internal,
-                        message: "worker did not answer".into(),
-                    },
-                    &mut frame,
-                );
-                enqueue_bytes(io, &conn.shared, &frame);
-                conn.shared.inflight.store(false, Ordering::Release);
-            }
-        }
-        conn.inflight_since = None;
-        *progress = true;
-    }
+    expire_deferred(io, handler, conn, progress);
     // Retry output a previous sweep (or a worker) could not finish —
     // the partial-write tail must drain before anything else is read.
     let has_pending = flush_pending(io, &conn.shared);
@@ -1302,13 +1376,19 @@ fn sweep_conn<H: Handler>(
     }
     if draining || conn.closing {
         // Read side is done (shutdown drain, EOF, or torn frame): hold
-        // the connection open only until buffered replies are out. A
-        // peer that will not take them is killed by the write-stall
-        // timer, so this cannot wedge the poller.
-        return has_pending;
+        // the connection open only until every owed reply is written. A
+        // worker that never answers is timed out above, and a peer that
+        // will not take the bytes is killed by the write-stall timer, so
+        // this cannot wedge the poller.
+        return has_pending || conn.shared.inflight.load(Ordering::Acquire) > 0;
     }
     let mut keep = true;
     for _ in 0..MAX_LINES_PER_SWEEP {
+        if conn.shared.inflight.load(Ordering::Acquire) >= WINDOW {
+            // The window is full: the rest waits in the socket (and the
+            // reader) until a reply frees a turn.
+            break;
+        }
         let (codec, decoded, raw) = match conn.reader.poll_line() {
             Ok(Frame::Pending) => break,
             Ok(Frame::Eof) => {
@@ -1323,38 +1403,36 @@ fn sweep_conn<H: Handler>(
                 let decoded = WireCodec::Binary.decode_request(&payload);
                 (WireCodec::Binary, decoded, payload)
             }
-            Err(FrameError::TooLong) => {
-                let codec = conn.reader.codec();
-                protocol_error(handler, replies, codec, "frame exceeds the maximum length");
+            Err(e) => {
+                let message = match e {
+                    FrameError::TooLong => "frame exceeds the maximum length",
+                    FrameError::NotUtf8 => "frame is not valid UTF-8",
+                    FrameError::Corrupt => {
+                        // A corrupt binary length is recoverable: the
+                        // reader resyncs to the next plausible frame
+                        // boundary and the connection keeps going.
+                        bump(&io.counters.torn_frame);
+                        "binary frame length is corrupt"
+                    }
+                    FrameError::Torn => {
+                        // The peer closed its write half mid-frame; tell
+                        // it (it may still read) and drain out.
+                        bump(&io.counters.torn_frame);
+                        conn.closing = true;
+                        "frame torn by EOF mid-line"
+                    }
+                    FrameError::Io(_) => {
+                        bump(&io.counters.conn_reset);
+                        keep = false;
+                        break;
+                    }
+                };
+                protocol_error(handler, replies, conn.reader.codec(), message);
+                settle_inline(io, &conn.shared, replies);
+                if conn.closing {
+                    break;
+                }
                 continue;
-            }
-            Err(FrameError::NotUtf8) => {
-                let codec = conn.reader.codec();
-                protocol_error(handler, replies, codec, "frame is not valid UTF-8");
-                continue;
-            }
-            Err(FrameError::Corrupt) => {
-                // A corrupt binary length is recoverable: the reader
-                // resyncs to the next plausible frame boundary and the
-                // connection keeps going.
-                bump(&io.counters.torn_frame);
-                let codec = conn.reader.codec();
-                protocol_error(handler, replies, codec, "binary frame length is corrupt");
-                continue;
-            }
-            Err(FrameError::Torn) => {
-                // Peer closed its write half mid-frame; tell it (it may
-                // still read) and drain out.
-                bump(&io.counters.torn_frame);
-                let codec = conn.reader.codec();
-                protocol_error(handler, replies, codec, "frame torn by EOF mid-line");
-                conn.closing = true;
-                break;
-            }
-            Err(FrameError::Io(_)) => {
-                bump(&io.counters.conn_reset);
-                keep = false;
-                break;
             }
         };
         *progress = true;
@@ -1362,6 +1440,7 @@ fn sweep_conn<H: Handler>(
             Ok(request) => request,
             Err(e) => {
                 protocol_error(handler, replies, codec, &e.message);
+                settle_inline(io, &conn.shared, replies);
                 continue;
             }
         };
@@ -1374,14 +1453,14 @@ fn sweep_conn<H: Handler>(
             sockets,
         };
         handler.handle(local, request, &raw, &mut out);
-        if let Some((answered, id)) = out.deferred {
+        if let Some(deferred) = out.deferred {
             // A reply already sent (a fast worker, or a hand-off the
-            // handler answered itself) leaves nothing to wait for.
-            if conn.shared.inflight.load(Ordering::Acquire) {
-                conn.inflight_since = Some((Instant::now(), answered, id, codec));
-                break;
+            // handler answered itself) leaves nothing to time out.
+            if !deferred.answered.load(Ordering::Acquire) {
+                conn.deferred.push(deferred);
             }
         }
+        settle_inline(io, &conn.shared, replies);
         if conn.shared.dead.load(Ordering::Acquire) {
             keep = false;
             break;
@@ -1392,10 +1471,10 @@ fn sweep_conn<H: Handler>(
         return false;
     }
     if conn.closing {
-        // Keep only while buffered replies remain (or a late worker
-        // reply is still owed); they drain on subsequent sweeps.
+        // Keep only while owed replies remain — buffered, or a late
+        // worker's; they drain on subsequent sweeps.
         return conn.shared.writer.lock().has_pending()
-            || conn.shared.inflight.load(Ordering::Acquire);
+            || conn.shared.inflight.load(Ordering::Acquire) > 0;
     }
     keep
 }

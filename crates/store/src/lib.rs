@@ -23,6 +23,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod index;
 mod log;
 pub mod record;
 mod spill;

@@ -4,14 +4,20 @@
 
 mod common;
 
+use std::io::{BufReader, Write};
+use std::net::TcpStream;
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
 use gb_core::Partition;
 use gb_parlb::ThreadPool;
 use gb_service::client::Client;
-use gb_service::proto::{Algorithm, BalanceRequest, Request, Response};
-use gb_service::server::{Server, ServerConfig};
+use gb_service::fault::ScriptedShim;
+use gb_service::proto::{
+    Algorithm, BalanceRequest, Codec, ErrorCode, Request, Response, WireCodec, BIN_HDR, MAGIC,
+};
+use gb_service::server::{Server, ServerConfig, Tuning};
 use gb_service::spec::{ProblemSpec, ServiceProblem};
 
 const CLIENTS: usize = 32;
@@ -516,4 +522,124 @@ fn graceful_shutdown_drains_inflight_work() {
         }
     }
     assert!(drained > 0, "no queued request survived the drain");
+}
+
+/// Reads one reply frame in `codec` off a raw connection.
+fn read_reply(reader: &mut impl std::io::BufRead, codec: WireCodec) -> Response {
+    match codec {
+        WireCodec::Json => {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("read reply line");
+            Response::decode(line.trim_end()).expect("decode JSON reply")
+        }
+        WireCodec::Binary => {
+            let mut header = [0u8; BIN_HDR];
+            reader.read_exact(&mut header).expect("read reply header");
+            assert_eq!(header[0], MAGIC, "binary reply magic");
+            let mut payload =
+                vec![0u8; u32::from_le_bytes(header[1..].try_into().unwrap()) as usize];
+            reader.read_exact(&mut payload).expect("read reply payload");
+            WireCodec::Binary
+                .decode_response(&payload)
+                .expect("decode binary reply")
+        }
+    }
+}
+
+#[test]
+fn pipelined_misses_hits_and_a_malformed_frame_answer_in_order() {
+    // Every miss sits at a worker for a while, so the hits read behind
+    // it are answered first and must wait their turn.
+    let shim = ScriptedShim::new();
+    shim.stall_workers(Duration::from_millis(20));
+    let server = Server::start_tuned(
+        ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 4,
+            queue_capacity: 64,
+            cache_capacity: 256,
+            pool_threads: 2,
+        },
+        Tuning {
+            shim: Arc::new(shim),
+            ..Tuning::default()
+        },
+    )
+    .expect("bind ephemeral port");
+    let request = |id: u64, seed: u64| {
+        Request::Balance(BalanceRequest {
+            id: Some(id),
+            algorithm: Algorithm::ALL[id as usize % Algorithm::ALL.len()],
+            n: 32,
+            theta: 1.0,
+            deadline_ms: None,
+            want_pieces: id % 3 == 0,
+            problem: ProblemSpec::Synthetic {
+                weight: 1.0,
+                lo: LO,
+                hi: HI,
+                seed,
+            },
+        })
+    };
+    for (pass, codec) in [WireCodec::Json, WireCodec::Binary].into_iter().enumerate() {
+        // `Some(true)`: a hit (its key warmed below), `Some(false)`: a
+        // miss, `None`: the malformed frame.
+        let plan = [
+            Some(false),
+            Some(true),
+            Some(true),
+            None,
+            Some(false),
+            Some(true),
+            Some(false),
+            Some(false),
+            Some(true),
+            Some(false),
+            Some(true),
+            Some(false),
+        ];
+        let seed = |i: usize| 900_000 + 100 * pass as u64 + i as u64;
+        let mut warm = Client::connect(server.local_addr()).expect("connect");
+        for (i, kind) in plan.iter().enumerate() {
+            if *kind == Some(true) {
+                assert!(matches!(
+                    warm.call(&request(i as u64, seed(i))).unwrap(),
+                    Response::Ok(_)
+                ));
+            }
+        }
+
+        let stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut burst = Vec::new();
+        for (i, kind) in plan.iter().enumerate() {
+            match kind {
+                Some(_) => codec.encode_request(&request(i as u64, seed(i)), &mut burst),
+                None => match codec {
+                    WireCodec::Json => burst.extend_from_slice(b"{\"op\":\"balance\",\"id\":3}\n"),
+                    // A payload whose tag names no request.
+                    WireCodec::Binary => burst.extend_from_slice(&[MAGIC, 1, 0, 0, 0, 0x7f]),
+                },
+            }
+        }
+        (&stream).write_all(&burst).expect("send burst");
+        let mut reader = BufReader::new(&stream);
+        for (i, kind) in plan.iter().enumerate() {
+            match (kind, read_reply(&mut reader, codec)) {
+                (Some(hit), Response::Ok(ok)) => {
+                    assert_eq!(ok.id, Some(i as u64), "{codec:?}: reply {i} out of order");
+                    assert_eq!(ok.cached, *hit, "{codec:?}: reply {i}");
+                    assert_eq!(ok.pieces.is_empty(), i % 3 != 0, "{codec:?}: reply {i}");
+                }
+                (None, Response::Error { code, .. }) => {
+                    assert_eq!(code, ErrorCode::BadRequest, "{codec:?}: reply {i}")
+                }
+                (_, other) => panic!("{codec:?}: reply {i}: {other:?}"),
+            }
+        }
+    }
+    server.shutdown();
 }

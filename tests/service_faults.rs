@@ -23,6 +23,7 @@ use std::time::{Duration, Instant};
 
 use gb_service::client::Client;
 use gb_service::fault::{ReadOp, ScriptedShim, WriteOp};
+use gb_service::io_loop::WINDOW;
 use gb_service::proto::{
     Algorithm, BalanceRequest, Codec, ErrorCode, Json, Request, Response, WireCodec, BIN_HDR,
     MAGIC, MAX_FRAME,
@@ -168,6 +169,28 @@ impl Harness {
                 self.setup.name()
             );
             std::thread::sleep(Duration::from_millis(50));
+        }
+    }
+
+    /// Deferred frames awaiting their reply (`connections.inflight`).
+    fn inflight(&self) -> u64 {
+        self.stats()
+            .get("connections")
+            .and_then(|c| c.get("inflight"))
+            .and_then(|v| v.as_u64())
+            .expect("stats missing connections.inflight")
+    }
+
+    /// Polls `connections.inflight` until it reads `want` (or 5 s
+    /// pass); returns the last reading.
+    fn await_inflight(&self, want: u64) -> u64 {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let have = self.inflight();
+            if have == want || Instant::now() >= deadline {
+                return have;
+            }
+            std::thread::sleep(Duration::from_millis(20));
         }
     }
 
@@ -928,6 +951,134 @@ fn binary_codec_shape_end_to_end() {
     h.await_fault_counter("torn_frame", 2);
     h.assert_never_wedged();
     h.shutdown();
+}
+
+/// Scenario 21: one connection pipelines a full window of misses while
+/// the workers are stalled. Every frame is deferred at once — the
+/// connection keeps reading past an outstanding frame — and the replies
+/// come back in request order once the workers move.
+#[test]
+fn one_connection_keeps_a_window_of_deferred_frames() {
+    for_all(|setup| {
+        let h = Harness::start(setup);
+        h.shim.stall_workers(Duration::from_millis(1500));
+        let mut conn = RawConn::open(h.addr());
+        let seeds: Vec<u64> = (0..WINDOW).map(|_| cold_seed()).collect();
+        let burst: Vec<u8> = seeds
+            .iter()
+            .flat_map(|&seed| request_line(&balance_request(seed, None)))
+            .collect();
+        conn.send(&burst);
+        let seen = h.await_inflight(WINDOW as u64);
+        assert_eq!(
+            seen,
+            WINDOW as u64,
+            "[{}] deferred frames in flight on one connection",
+            setup.name()
+        );
+        h.shim.clear_stall();
+        for &seed in &seeds {
+            match conn.read_reply() {
+                Some(Response::Ok(ok)) => assert_eq!(ok.id, Some(seed), "[{}]", setup.name()),
+                other => panic!("[{}] reply for {seed}: {other:?}", setup.name()),
+            }
+        }
+        h.assert_never_wedged();
+        h.shutdown();
+    });
+}
+
+/// Scenario 22: a client pipelines `WINDOW + 4` frames and never reads.
+/// The loop stops reading at the window, so the frames past it stay in
+/// the socket; the replies cannot be written, the write stall closes
+/// the connection, and every deferred frame and queue slot drains.
+#[test]
+fn pipelining_past_the_window_stops_reading_until_the_write_stall_closes() {
+    for_all(|setup| {
+        let h = Harness::start_with(setup, |t| {
+            t.write_stall = Duration::from_millis(300);
+        });
+        h.shim.stall_workers(Duration::from_millis(1000));
+        // Connection 0 never gets a byte out.
+        h.shim
+            .plan_writes(0, [WriteOp::BlockFor(Duration::from_secs(60))]);
+        let mut conn = RawConn::open(h.addr());
+        let burst: Vec<u8> = (0..WINDOW + 4)
+            .flat_map(|_| request_line(&balance_request(cold_seed(), None)))
+            .collect();
+        conn.send(&burst);
+        assert_eq!(
+            h.await_inflight(WINDOW as u64),
+            WINDOW as u64,
+            "[{}]",
+            setup.name()
+        );
+        // Still the window a beat later: the reader stopped there.
+        std::thread::sleep(Duration::from_millis(200));
+        assert_eq!(h.inflight(), WINDOW as u64, "[{}]", setup.name());
+        h.shim.clear_stall();
+        h.await_fault_counter("conn_reset", 1);
+        // The client sees the close (a reset: its frames went unread).
+        let mut buf = [0u8; 64];
+        if let Ok(n) = conn.reader.read(&mut buf) {
+            assert_eq!(
+                n,
+                0,
+                "[{}] bytes got through a blocked socket",
+                setup.name()
+            );
+        }
+        h.assert_never_wedged();
+        h.shutdown();
+    });
+}
+
+/// Scenario 23: the worker stalls on frame 2 of 3 past the reply
+/// timeout. Frame 2 alone answers `internal`; frames 1 and 3 get their
+/// answers, and all three come back in request order without waiting
+/// for the stalled worker.
+#[test]
+fn a_stalled_frame_times_out_alone_and_its_neighbours_answer_in_order() {
+    for_all(|setup| {
+        let h = Harness::start_with(setup, |t| {
+            t.reply_timeout = Duration::from_millis(300);
+        });
+        let stall = Duration::from_millis(1500);
+        h.shim.stall_nth_job(0, 1, stall);
+        let mut conn = RawConn::open(h.addr());
+        let seeds = [cold_seed(), cold_seed(), cold_seed()];
+        let started = Instant::now();
+        for &seed in &seeds {
+            conn.send(&request_line(&balance_request(seed, None)));
+            // Spaced, so the workers start the jobs in frame order.
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        for (i, &seed) in seeds.iter().enumerate() {
+            match (i, conn.read_reply()) {
+                (1, Some(Response::Error { id, code, .. })) => {
+                    assert_eq!(
+                        (id, code),
+                        (Some(seed), ErrorCode::Internal),
+                        "[{}]",
+                        setup.name()
+                    )
+                }
+                (0 | 2, Some(Response::Ok(ok))) => {
+                    assert_eq!(ok.id, Some(seed), "[{}]", setup.name())
+                }
+                (_, other) => panic!("[{}] reply {i}: {other:?}", setup.name()),
+            }
+        }
+        assert!(
+            started.elapsed() < stall,
+            "[{}] frame 3 waited {:?} for the stalled worker",
+            setup.name(),
+            started.elapsed()
+        );
+        h.await_fault_counter("reply_dropped", 1);
+        h.assert_never_wedged();
+        h.shutdown();
+    });
 }
 
 // ---------------------------------------------------------------------------
