@@ -142,10 +142,7 @@ pub fn classes_study(cfg: &StudyConfig, n: usize) -> ClassStudy {
 
 /// Renders the study.
 pub fn render(study: &ClassStudy) -> String {
-    let header: Vec<String> = ["class", "emp. alpha", "BA", "BA-HF", "HF"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let header = ["class", "emp. alpha", "BA", "BA-HF", "HF"];
     let rows: Vec<Vec<String>> = study
         .rows
         .iter()
@@ -168,10 +165,7 @@ pub fn render(study: &ClassStudy) -> String {
 
 /// CSV form.
 pub fn to_csv(study: &ClassStudy) -> String {
-    let header: Vec<String> = ["class", "empirical_alpha", "ba", "bahf", "hf"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let header = ["class", "empirical_alpha", "ba", "bahf", "hf"];
     let rows = study
         .rows
         .iter()

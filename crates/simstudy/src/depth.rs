@@ -106,10 +106,7 @@ pub fn depth_study(cfg: &StudyConfig, logs: &[u32]) -> DepthStudy {
 
 /// Renders the study.
 pub fn render(study: &DepthStudy) -> String {
-    let header: Vec<String> = ["algorithm", "N", "min depth", "max depth", "analytic bound"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let header = ["algorithm", "N", "min depth", "max depth", "analytic bound"];
     let rows: Vec<Vec<String>> = study
         .rows
         .iter()
@@ -135,10 +132,7 @@ pub fn render(study: &DepthStudy) -> String {
 
 /// CSV form.
 pub fn to_csv(study: &DepthStudy) -> String {
-    let header: Vec<String> = ["algorithm", "log_n", "min_depth", "max_depth", "bound"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let header = ["algorithm", "log_n", "min_depth", "max_depth", "bound"];
     let rows = study
         .rows
         .iter()

@@ -162,12 +162,9 @@ pub fn render(study: &EndToEndStudy) -> String {
         )),
         None => out.push_str("PHF never overtakes BA in this configuration\n\n"),
     }
-    let header: Vec<String> = [
+    let header = [
         "grain", "T(PHF)", "T(BA)", "T(BA-HF)", "S(PHF)", "S(BA)", "S(BA-HF)", "winner",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    ];
     let rows: Vec<Vec<String>> = study
         .grains
         .iter()
@@ -199,12 +196,9 @@ pub fn render(study: &EndToEndStudy) -> String {
 /// CSV form.
 pub fn to_csv(study: &EndToEndStudy) -> String {
     let e = &study.profiles;
-    let header: Vec<String> = [
+    let header = [
         "grain", "t_phf", "t_ba", "t_bahf", "s_phf", "s_ba", "s_bahf",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    ];
     let rows: Vec<Vec<String>> = study
         .grains
         .iter()

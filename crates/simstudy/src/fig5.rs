@@ -69,10 +69,7 @@ pub fn render(f: &Fig5) -> String {
 
 /// Renders the series as CSV.
 pub fn to_csv(f: &Fig5) -> String {
-    let header: Vec<String> = ["log_n", "n", "BA", "BA-HF", "HF"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let header = ["log_n", "n", "BA", "BA-HF", "HF"];
     let mut rows = Vec::new();
     for (i, p) in f.series[0].iter().enumerate() {
         rows.push(vec![

@@ -18,20 +18,25 @@
 //! | **Topology study** (extension) — hypercube/mesh/ring interconnects vs the idealised machine | [`topology_study`] |
 //! | **Bound-tightness study** (extension) — how nearly adversaries attain the reconstructed bounds | [`tightness`] |
 //! | **Depth study** (extension) — bisection-tree depths vs the analytic bounds behind the O(log N) claims | [`depth`] |
+//! | **Ablations** (extension) — split rule and Lemma 4, HF order, PHF window, weight information, §3.4 managers | [`ablation`] |
+//! | **Real-thread speedup** (extension) — `par_ba` on the work-stealing pool vs sequential `ba` | [`speedup`] |
 //!
 //! Every experiment is deterministic given a [`StudyConfig`] seed: trial
 //! `i` at size `N` uses a seed derived from `(config seed, N, i)`, so runs
 //! are reproducible and trivially parallelisable (trials are farmed out to
-//! threads; results merge through `gb_core::stats::Welford`).
+//! threads; results merge through `gb_core::stats::Welford`). Two
+//! exceptions: the ablations use fixed instance seeds, and the speedup
+//! study's wall-clock times vary from run to run.
 //!
 //! The stochastic model is `gb_problems::synthetic::SyntheticProblem` —
 //! the paper's i.i.d. `α̂ ~ U[l, u]` bisections. The `simstudy` binary
-//! exposes every experiment on the command line; the `gb-bench` crate
-//! regenerates each table/figure under `cargo bench`.
+//! exposes every experiment on the command line, each followed by a
+//! `claims[<experiment>]` line that checks its findings.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ablation;
 pub mod classes;
 pub mod config;
 pub mod depth;
@@ -42,6 +47,7 @@ pub mod plot;
 pub mod report;
 pub mod run;
 pub mod runtime;
+pub mod speedup;
 pub mod table1;
 pub mod theta;
 pub mod tightness;

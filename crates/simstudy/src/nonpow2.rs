@@ -65,10 +65,7 @@ pub fn nonpow2_study(cfg: &StudyConfig, sizes: &[usize], threads: usize) -> NonP
 
 /// Renders the study.
 pub fn render(study: &NonPow2Study) -> String {
-    let header: Vec<String> = ["N", "algorithm", "avg(N)", "avg(lo pow2)", "avg(hi pow2)"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let header = ["N", "algorithm", "avg(N)", "avg(lo pow2)", "avg(hi pow2)"];
     let mut rows = Vec::new();
     for row in &study.rows {
         for (alg, &(at, lo, hi)) in Algorithm::ALL.iter().zip(&row.avgs) {
@@ -91,10 +88,7 @@ pub fn render(study: &NonPow2Study) -> String {
 
 /// CSV form.
 pub fn to_csv(study: &NonPow2Study) -> String {
-    let header: Vec<String> = ["n", "algorithm", "avg", "avg_lo_pow2", "avg_hi_pow2"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let header = ["n", "algorithm", "avg", "avg_lo_pow2", "avg_hi_pow2"];
     let mut rows = Vec::new();
     for row in &study.rows {
         for (alg, &(at, lo, hi)) in Algorithm::ALL.iter().zip(&row.avgs) {

@@ -16,7 +16,8 @@ pub fn fmt_ratio(v: f64) -> String {
 /// Renders a simple aligned table: a header row plus data rows. Columns
 /// are padded to their widest cell; the first column is left-aligned,
 /// the rest right-aligned.
-pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
+pub fn render_table<H: AsRef<str>>(header: &[H], rows: &[Vec<String>]) -> String {
+    let header: Vec<String> = header.iter().map(|h| h.as_ref().to_string()).collect();
     let cols = header.len();
     let mut width = vec![0usize; cols];
     for (c, h) in header.iter().enumerate() {
@@ -42,7 +43,7 @@ pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
         }
         out.push('\n');
     };
-    render_row(&mut out, header);
+    render_row(&mut out, &header);
     let total: usize = width.iter().sum::<usize>() + 2 * (cols - 1);
     out.push_str(&"-".repeat(total));
     out.push('\n');
@@ -54,7 +55,8 @@ pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
 
 /// Renders rows as CSV (no quoting — the harness only emits numbers and
 /// simple identifiers).
-pub fn render_csv(header: &[String], rows: &[Vec<String>]) -> String {
+pub fn render_csv<H: AsRef<str>>(header: &[H], rows: &[Vec<String>]) -> String {
+    let header: Vec<&str> = header.iter().map(AsRef::as_ref).collect();
     let mut out = header.join(",");
     out.push('\n');
     for row in rows {

@@ -108,7 +108,7 @@ pub fn runtime_study(cfg: &StudyConfig, logs: impl IntoIterator<Item = u32>) -> 
 
 /// Renders the study.
 pub fn render(study: &RuntimeStudy) -> String {
-    let header: Vec<String> = [
+    let header = [
         "N",
         "HF time",
         "PHF time",
@@ -118,10 +118,7 @@ pub fn render(study: &RuntimeStudy) -> String {
         "BA time",
         "BA glob",
         "BA-HF time",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    ];
     let rows: Vec<Vec<String>> = study
         .rows
         .iter()
@@ -151,7 +148,7 @@ pub fn render(study: &RuntimeStudy) -> String {
 
 /// CSV form.
 pub fn to_csv(study: &RuntimeStudy) -> String {
-    let header: Vec<String> = [
+    let header = [
         "log_n",
         "n",
         "hf_time",
@@ -162,10 +159,7 @@ pub fn to_csv(study: &RuntimeStudy) -> String {
         "ba_time",
         "ba_globals",
         "bahf_time",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    ];
     let rows = study
         .rows
         .iter()

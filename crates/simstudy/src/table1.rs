@@ -118,7 +118,7 @@ pub fn render(t: &Table1) -> String {
 
 /// Renders the table as CSV (one row per algorithm × size).
 pub fn to_csv(t: &Table1) -> String {
-    let header: Vec<String> = [
+    let header = [
         "algorithm",
         "log_n",
         "n",
@@ -128,10 +128,7 @@ pub fn to_csv(t: &Table1) -> String {
         "avg",
         "max",
         "var",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    ];
     let mut rows = Vec::new();
     for col in &t.columns {
         for (ai, alg) in Algorithm::ALL.iter().enumerate() {

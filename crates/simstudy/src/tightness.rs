@@ -139,12 +139,9 @@ pub fn default_sizes() -> Vec<usize> {
 
 /// Renders the study.
 pub fn render(study: &TightnessStudy) -> String {
-    let header: Vec<String> = [
+    let header = [
         "alpha", "HF worst", "HF bound", "HF tight", "BA worst", "BA bound", "BA tight",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    ];
     let rows: Vec<Vec<String>> = study
         .hf
         .iter()
@@ -169,10 +166,7 @@ pub fn render(study: &TightnessStudy) -> String {
 
 /// CSV form.
 pub fn to_csv(study: &TightnessStudy) -> String {
-    let header: Vec<String> = ["alpha", "hf_worst", "hf_bound", "ba_worst", "ba_bound"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let header = ["alpha", "hf_worst", "hf_bound", "ba_worst", "ba_bound"];
     let rows = study
         .hf
         .iter()

@@ -99,10 +99,7 @@ pub fn render(study: &TopologyStudy) -> String {
          alpha ~ U[{}, {}] (sequential HF for scale: 2(N-1))\n\n",
         study.cfg.lo, study.cfg.hi
     );
-    let header: Vec<String> = ["topology", "N", "PHF", "BA", "BA-HF"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let header = ["topology", "N", "PHF", "BA", "BA-HF"];
     let rows: Vec<Vec<String>> = study
         .rows
         .iter()
@@ -122,10 +119,7 @@ pub fn render(study: &TopologyStudy) -> String {
 
 /// CSV form.
 pub fn to_csv(study: &TopologyStudy) -> String {
-    let header: Vec<String> = ["topology", "log_n", "phf", "ba", "bahf"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let header = ["topology", "log_n", "phf", "ba", "bahf"];
     let rows = study
         .rows
         .iter()

@@ -72,7 +72,7 @@ pub fn variance_study(
 
 /// Renders the study.
 pub fn render(study: &VarianceStudy) -> String {
-    let header: Vec<String> = [
+    let header = [
         "interval",
         "algorithm",
         "mean",
@@ -80,10 +80,7 @@ pub fn render(study: &VarianceStudy) -> String {
         "rel-std",
         "min",
         "max",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    ];
     let mut rows = Vec::new();
     for row in &study.rows {
         for (alg, s) in Algorithm::ALL.iter().zip(&row.summaries) {
@@ -108,10 +105,7 @@ pub fn render(study: &VarianceStudy) -> String {
 
 /// CSV form.
 pub fn to_csv(study: &VarianceStudy) -> String {
-    let header: Vec<String> = ["lo", "hi", "algorithm", "mean", "var", "min", "max"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let header = ["lo", "hi", "algorithm", "mean", "var", "min", "max"];
     let mut rows = Vec::new();
     for row in &study.rows {
         for (alg, s) in Algorithm::ALL.iter().zip(&row.summaries) {
