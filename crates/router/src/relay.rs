@@ -37,8 +37,8 @@ use std::time::{Duration, Instant};
 use gb_service::fault::{IoShim, ShimStream};
 use gb_service::io_loop::{Interest, Ready, Reply, Sockets};
 use gb_service::proto::{
-    binary_reply_id, json_reply_id, Codec, ErrorCode, Json, Request, Response, WireCodec, BIN_HDR,
-    MAGIC, MAX_FRAME,
+    binary_reply_id, json_reply_id, Codec, ErrorCode, Framed, Framer, Json, Request, Response,
+    WireCodec, BIN_HDR, MAGIC, MAX_REPLY,
 };
 
 use crate::server::{stats_rollup, Shared};
@@ -49,6 +49,9 @@ use crate::server::{stats_rollup, Shared};
 /// `UPSTREAM_CONN_BASE + i`, so a scripted shim can fault the
 /// router→upstream link without touching client traffic.
 pub const UPSTREAM_CONN_BASE: u64 = 1 << 32;
+
+/// Bytes an upstream connection asks the socket for per read.
+const REPLY_READ_SIZE: usize = 16 * 1024;
 
 /// Failover attempts (distinct upstreams tried) per request.
 const MAX_ATTEMPTS: usize = 4;
@@ -72,11 +75,9 @@ pub(crate) struct UpstreamConn {
     out: Vec<u8>,
     sent: usize,
     connected: bool,
-    /// The reply read so far, framing included: a reply that has not
-    /// fully arrived stays here until a later readiness event completes
-    /// it. The first `scanned` bytes of a JSON reply hold no newline.
-    reply: Vec<u8>,
-    scanned: usize,
+    /// Frames the reply: one that has not fully arrived stays buffered
+    /// until a later readiness event completes it.
+    reply: Framer,
 }
 
 impl UpstreamConn {
@@ -96,8 +97,7 @@ impl UpstreamConn {
             out: Vec::new(),
             sent: 0,
             connected: false,
-            reply: Vec::new(),
-            scanned: 0,
+            reply: Framer::new(MAX_REPLY, REPLY_READ_SIZE),
         })
     }
 
@@ -146,110 +146,39 @@ impl UpstreamConn {
     /// whole — the bytes exactly as the upstream sent them, framing
     /// included, so it relays verbatim — and `Ok(None)` while bytes are
     /// still due; a partial frame stays buffered for the next call. Any
-    /// error (EOF, reset, a corrupt length, an oversized, torn or
-    /// non-UTF-8 frame, bytes beyond the one reply) leaves the connection
-    /// out of frame sync: it must be closed.
+    /// error (EOF, reset, a corrupt length, an oversized or non-UTF-8
+    /// frame, bytes beyond the one reply) leaves the connection out of
+    /// frame sync: it must be closed.
     pub(crate) fn read_reply(&mut self) -> io::Result<Option<Vec<u8>>> {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            if let Some(len) = self.reply_len()? {
-                if self.reply.len() > len {
-                    return Err(invalid("upstream reply overran its frame"));
-                }
-                if self.reply.len() == len {
-                    self.scanned = 0;
-                    return Ok(Some(std::mem::take(&mut self.reply)));
-                }
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "upstream closed the connection",
-                    ))
-                }
-                Ok(k) => self.reply.extend_from_slice(&chunk[..k]),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// The length of the reply frame being read, once its header (binary)
-    /// or newline (JSON) has arrived.
-    fn reply_len(&mut self) -> io::Result<Option<usize>> {
-        let buf = &self.reply;
-        match buf.first() {
-            None => Ok(None),
-            Some(&MAGIC) => {
-                let Some(header) = buf.get(1..BIN_HDR) else {
-                    return Ok(None);
-                };
-                let declared = u32::from_le_bytes(header.try_into().unwrap()) as usize;
-                if declared > MAX_FRAME {
-                    return Err(invalid("upstream binary frame length is corrupt"));
-                }
-                Ok(Some(BIN_HDR + declared))
-            }
-            Some(_) => match find_newline(&buf[self.scanned..]) {
-                Some(pos) => {
-                    let len = self.scanned + pos + 1;
-                    if len > MAX_FRAME + 1 {
-                        return Err(invalid("upstream reply oversized"));
-                    }
-                    std::str::from_utf8(&buf[..len])
-                        .map_err(|_| invalid("upstream reply is not UTF-8"))?;
-                    Ok(Some(len))
-                }
-                None if buf.len() > MAX_FRAME => Err(invalid("upstream reply oversized")),
-                None => {
-                    self.scanned = buf.len();
-                    Ok(None)
-                }
-            },
-        }
+        read_reply(&mut self.reply, &mut self.stream)
     }
 }
 
-/// The index of the first newline in `buf`, eight bytes per step: a
-/// relayed JSON reply is scanned whole, and a byte-at-a-time search cost
-/// about 1 ns per byte.
-fn find_newline(buf: &[u8]) -> Option<usize> {
-    const ONES: u64 = 0x0101_0101_0101_0101;
-    const HIGHS: u64 = 0x8080_8080_8080_8080;
-    const NEWLINES: u64 = ONES * b'\n' as u64;
-    let mut words = buf.chunks_exact(8);
-    for (i, word) in words.by_ref().enumerate() {
-        // Zero exactly in the bytes that hold a newline; the classic
-        // has-zero-byte test flags the word.
-        let x = u64::from_le_bytes(word.try_into().unwrap()) ^ NEWLINES;
-        if x.wrapping_sub(ONES) & !x & HIGHS != 0 {
-            return word.iter().position(|&b| b == b'\n').map(|at| 8 * i + at);
+/// [`UpstreamConn::read_reply`] over any readable stream.
+fn read_reply(reply: &mut Framer, stream: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+    loop {
+        if let Framed::Frame(codec) = reply.advance()? {
+            if codec == WireCodec::Json {
+                reply.text()?;
+            }
+            if reply.buffered() > 0 {
+                return Err(invalid("upstream reply overran its frame"));
+            }
+            return Ok(Some(reply.take_frame()));
+        }
+        match stream.read(reply.read_buf()) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "upstream closed the connection",
+                ))
+            }
+            Ok(k) => reply.filled(k),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
-    let tail = buf.len() - words.remainder().len();
-    let at = words.remainder().iter().position(|&b| b == b'\n')?;
-    Some(tail + at)
-}
-
-/// Puts back the framing the connection loop stripped from a frame
-/// body: the newline after a JSON line, the magic byte and length
-/// before a binary payload.
-pub(crate) fn reframe(codec: WireCodec, body: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(BIN_HDR + body.len());
-    match codec {
-        WireCodec::Json => {
-            frame.extend_from_slice(body);
-            frame.push(b'\n');
-        }
-        WireCodec::Binary => {
-            frame.push(MAGIC);
-            frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            frame.extend_from_slice(body);
-        }
-    }
-    frame
 }
 
 fn invalid(message: &'static str) -> io::Error {
@@ -300,11 +229,6 @@ fn reply_id(reply: &[u8]) -> Option<u64> {
     } else {
         json_reply_id(std::str::from_utf8(reply).ok()?.trim_end())
     }
-}
-
-/// One request as a JSON line, for the router's own upstream calls.
-fn json_frame(request: &Request) -> Vec<u8> {
-    reframe(WireCodec::Json, request.encode().as_bytes())
 }
 
 // ---------------------------------------------------------------------------
@@ -479,8 +403,10 @@ impl Relay {
     /// out when the last fetch answers or expires.
     pub(crate) fn start_stats(&mut self, cx: &Cx<'_>, reply: Reply, codec: WireCodec) {
         let count = cx.shared.upstreams.len();
+        let mut frame = Vec::new();
+        WireCodec::Json.encode_request(&Request::Stats, &mut frame);
         let job = self.add_job(Job {
-            frame: json_frame(&Request::Stats),
+            frame,
             reply: Some(reply),
             codec,
             legs: Vec::new(),
@@ -492,8 +418,10 @@ impl Relay {
     /// Forwards `shutdown` to every alive upstream. The legs keep the
     /// poller's drain waiting until each is acknowledged or expires.
     pub(crate) fn start_forward(&mut self, cx: &Cx<'_>) {
+        let mut frame = Vec::new();
+        WireCodec::Json.encode_request(&Request::Shutdown, &mut frame);
         let job = self.add_job(Job {
-            frame: json_frame(&Request::Shutdown),
+            frame,
             reply: None,
             codec: WireCodec::Json,
             legs: Vec::new(),
@@ -1132,6 +1060,7 @@ impl Relay {
 mod tests {
     use super::*;
     use gb_service::fault::Passthrough;
+    use proptest::prelude::*;
     use std::io::{BufRead, BufReader};
     use std::net::TcpListener;
     use std::thread;
@@ -1221,7 +1150,7 @@ mod tests {
                 Ok(None) => {}
             }
             assert!(Instant::now() < deadline, "exchange never finished");
-            resumed |= !conn.reply.is_empty();
+            resumed |= conn.reply.buffered() > 0;
             waiter.wait(conn);
         }
     }
@@ -1263,27 +1192,6 @@ mod tests {
             }
         });
         addr
-    }
-
-    #[test]
-    fn newline_search_matches_a_byte_scan() {
-        for len in 0..40 {
-            for at in 0..=len {
-                let mut buf = vec![b'x'; len];
-                if at < len {
-                    buf[at] = b'\n';
-                    // A second newline must not mask the first.
-                    buf[len - 1] = b'\n';
-                }
-                let want = buf.iter().position(|&b| b == b'\n');
-                assert_eq!(find_newline(&buf), want, "len {len}, newline at {at}");
-            }
-        }
-        // Bytes whose low bits look like a newline's are not one.
-        assert_eq!(
-            find_newline(&[0x8a, 0x0b, 0x09, 0x1a, 0x4a, 0xaa, 0x0a, 0]),
-            Some(6)
-        );
     }
 
     #[test]
@@ -1367,6 +1275,133 @@ mod tests {
                 "{backend:?}: refused dial took {:?}",
                 started.elapsed()
             );
+        }
+    }
+
+    /// A nonblocking upstream socket seen by `read_reply`: `data` comes
+    /// out in reads that end at each cut, with a `WouldBlock` (a wait for
+    /// the next readiness event) between them. Once `data` is out, the
+    /// upstream either closes (EOF) or keeps the connection open.
+    struct Trickle {
+        data: Vec<u8>,
+        cuts: Vec<usize>,
+        pos: usize,
+        waited: bool,
+        closes: bool,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.pos == self.data.len() {
+                return match self.closes {
+                    true => Ok(0),
+                    false => Err(io::ErrorKind::WouldBlock.into()),
+                };
+            }
+            if self.cuts.contains(&self.pos) && !self.waited {
+                self.waited = true;
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            self.waited = false;
+            let cut = self
+                .cuts
+                .iter()
+                .copied()
+                .filter(|&c| c > self.pos)
+                .min()
+                .unwrap_or(self.data.len());
+            let k = (cut - self.pos).min(buf.len());
+            buf[..k].copy_from_slice(&self.data[self.pos..self.pos + k]);
+            self.pos += k;
+            Ok(k)
+        }
+    }
+
+    /// What one exchange's reply path makes of `stream`: the reply, the
+    /// error that ends it, or `None` while the reply is still due.
+    fn reply_outcome(mut stream: Trickle) -> Option<Result<Vec<u8>, (io::ErrorKind, String)>> {
+        let mut reply = Framer::new(MAX_REPLY, REPLY_READ_SIZE);
+        for _ in 0..=2 * stream.cuts.len() + 2 {
+            match read_reply(&mut reply, &mut stream) {
+                Ok(Some(frame)) => return Some(Ok(frame)),
+                Ok(None) => {}
+                Err(e) => return Some(Err((e.kind(), e.to_string()))),
+            }
+        }
+        None
+    }
+
+    /// One scripted reply stream: a JSON line, a binary frame, a
+    /// corrupt binary length, a non-UTF-8 line or a reply cut short.
+    fn reply_stream(kind: u32, body: &[u8]) -> Vec<u8> {
+        let text: String = body.iter().map(|&b| char::from(b'a' + b % 26)).collect();
+        match kind % 5 {
+            0 => format!("{{\"id\":7,\"note\":\"{text}\"}}\r\n").into_bytes(),
+            1 => {
+                let mut frame = vec![MAGIC];
+                frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+                frame.extend_from_slice(body);
+                frame
+            }
+            2 => {
+                let mut frame = vec![MAGIC];
+                frame.extend_from_slice(&(MAX_REPLY as u32 + 1).to_le_bytes());
+                frame.extend_from_slice(body);
+                frame
+            }
+            3 => [&[0xff, 0xfe][..], text.as_bytes(), b"\n"].concat(),
+            _ => format!("{{\"id\":7,\"note\":\"{text}").into_bytes(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn a_reply_reads_the_same_however_it_is_split(
+            kind in 0u32..5,
+            body in prop::collection::vec(any::<u8>(), 0..600),
+            trailing in prop::collection::vec(0u8..b'\n', 0..3),
+            closes in any::<bool>(),
+            cut_seeds in prop::collection::vec(any::<u64>(), 0..10),
+        ) {
+            let reply = reply_stream(kind, &body);
+            let mut data = reply.clone();
+            data.extend_from_slice(&trailing);
+            // Any read boundary except the one at the reply's end: bytes
+            // beyond the reply arrive in the read that completes it.
+            let cuts: Vec<usize> = cut_seeds
+                .iter()
+                .map(|&s| (s % (data.len() as u64 + 1)) as usize)
+                .filter(|&c| c != reply.len())
+                .collect();
+            let whole = reply_outcome(Trickle {
+                data: data.clone(),
+                cuts: Vec::new(),
+                pos: 0,
+                waited: false,
+                closes,
+            });
+            let split = reply_outcome(Trickle {
+                data,
+                cuts: cuts.clone(),
+                pos: 0,
+                waited: false,
+                closes,
+            });
+            prop_assert_eq!(&whole, &split, "cuts {:?}", cuts);
+            let kind_of = |e: (io::ErrorKind, String)| e.0;
+            match (kind % 5, trailing.is_empty()) {
+                (0 | 1, true) => prop_assert_eq!(whole, Some(Ok(reply))),
+                // Bytes beyond the reply, a corrupt length or a non-UTF-8
+                // line: the connection is out of frame sync.
+                (0..=3, _) => prop_assert_eq!(
+                    whole.map(|r| r.map_err(kind_of)),
+                    Some(Err(io::ErrorKind::InvalidData))
+                ),
+                // A reply cut short waits for the rest, or fails at EOF.
+                _ if closes => prop_assert!(matches!(whole, Some(Err(_)))),
+                _ => prop_assert_eq!(whole, None),
+            }
         }
     }
 }

@@ -47,7 +47,7 @@ use gb_service::metrics::{rebal_json, Histogram};
 use gb_service::proto::{ErrorCode, Json, Request, Response};
 use gb_service::route::{FailoverRing, DEFAULT_VNODES};
 
-use crate::relay::{reframe, Cx, Relay};
+use crate::relay::{Cx, Relay};
 
 /// Configuration for [`RouterServer::start`].
 #[derive(Clone, Debug)]
@@ -393,10 +393,9 @@ impl Handler for Shared {
                 self.counters.proxied.fetch_add(1, Ordering::Relaxed);
                 let key =
                     CacheKey::new(req.problem.fingerprint(), req.algorithm, req.n, req.theta).mix();
-                // The client's own bytes, framing restored — the body is
+                // The client's own bytes, framing included — the body is
                 // never re-encoded on the way upstream.
-                let frame = reframe(codec, raw);
-                relay.start_balance(&cx, out.defer(req.id), frame, codec, key, req.id);
+                relay.start_balance(&cx, out.defer(req.id), raw.to_vec(), codec, key, req.id);
             }
         }
     }

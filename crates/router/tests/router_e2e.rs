@@ -637,3 +637,68 @@ fn torn_upstream_reads_and_writes_are_resumed_on_both_backends() {
         a.shutdown();
     }
 }
+
+/// Replies far over `MAX_FRAME` (a partition's pieces at n = 16,384 and
+/// 65,536, about 0.4 and 1.6 MB in JSON) reach the client through the
+/// router exactly as gb-serve sends them, in both codecs, and charge no
+/// upstream: the reply path is capped at `MAX_REPLY`, the largest reply
+/// gb-serve can encode.
+#[test]
+fn partitions_at_the_largest_sizes_pass_through_the_router_whole() {
+    let direct = start_upstream("127.0.0.1:0");
+    let a = start_upstream("127.0.0.1:0");
+    let b = start_upstream("127.0.0.1:0");
+    let router = router_over(&[&a, &b], |_| {});
+    let mut id = 0;
+    for n in [16_384, 65_536] {
+        for codec in [WireCodec::Json, WireCodec::Binary] {
+            id += 1;
+            let request = Request::Balance(BalanceRequest {
+                id: Some(id),
+                algorithm: Algorithm::Hf,
+                n,
+                theta: 1.0,
+                deadline_ms: None,
+                want_pieces: true,
+                problem: ProblemSpec::Synthetic {
+                    weight: 1.0,
+                    lo: 0.1,
+                    hi: 0.5,
+                    seed: n as u64,
+                },
+            });
+            let mut straight = Client::connect(direct.local_addr()).unwrap();
+            straight.set_codec(codec);
+            let want = comparable(straight.call(&request).unwrap());
+            match &want {
+                Response::Ok(ok) => assert_eq!(ok.pieces.len(), n, "{codec:?} n = {n}"),
+                other => panic!("{codec:?} n = {n}: direct reply {other:?}"),
+            }
+            let mut client = Client::connect(router.local_addr()).unwrap();
+            client.set_codec(codec);
+            let got = comparable(client.call(&request).unwrap());
+            assert!(got == want, "{codec:?} n = {n}: the proxied reply differs");
+        }
+    }
+    let mut client = Client::connect(router.local_addr()).unwrap();
+    let stats = match client.call(&Request::Stats).unwrap() {
+        Response::Stats(stats) => stats,
+        other => panic!("expected stats, got {other:?}"),
+    };
+    let r = stats.get("router").expect("router section");
+    assert_eq!(r.get("alive").and_then(Json::as_u64), Some(2));
+    assert_eq!(r.get("failovers").and_then(Json::as_u64), Some(0));
+    match stats.get("upstreams") {
+        Some(Json::Arr(list)) => {
+            for u in list {
+                assert_eq!(u.get("alive").and_then(Json::as_bool), Some(true));
+                assert_eq!(u.get("errors").and_then(Json::as_u64), Some(0));
+            }
+        }
+        other => panic!("expected upstreams array, got {other:?}"),
+    }
+    router.shutdown();
+    for server in [direct, a, b] {
+        server.shutdown();
+    }
+}

@@ -7,12 +7,12 @@
 //! codec is lines of JSON, or length-prefixed binary frames after
 //! [`Client::set_codec`].
 
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use crate::cache::splitmix64;
-use crate::proto::{Codec, Request, Response, WireCodec, BIN_HDR, MAGIC, MAX_FRAME};
+use crate::proto::{Codec, Framed, Framer, Request, Response, WireCodec, MAX_REPLY};
 
 /// Default socket timeout applied by [`Client::connect`]. A wedged or
 /// dead server then fails the call instead of hanging the caller
@@ -24,7 +24,8 @@ pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
 #[derive(Debug)]
 pub struct Client {
     writer: BufWriter<TcpStream>,
-    reader: BufReader<TcpStream>,
+    reader: TcpStream,
+    replies: Framer,
     codec: WireCodec,
     frame: Vec<u8>,
 }
@@ -58,10 +59,10 @@ impl Client {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(read_timeout)?;
         stream.set_write_timeout(write_timeout)?;
-        let reader = BufReader::new(stream.try_clone()?);
         Ok(Client {
+            reader: stream.try_clone()?,
             writer: BufWriter::new(stream),
-            reader,
+            replies: Framer::new(MAX_REPLY, 8 * 1024),
             codec: WireCodec::Json,
             frame: Vec::new(),
         })
@@ -88,60 +89,36 @@ impl Client {
     /// the socket until the buffer fills or the next [`Client::recv`].
     pub fn send(&mut self, request: &Request) -> io::Result<()> {
         self.frame.clear();
-        match self.codec {
-            WireCodec::Json => {
-                self.frame.extend_from_slice(request.encode().as_bytes());
-                self.frame.push(b'\n');
-            }
-            WireCodec::Binary => WireCodec::Binary.encode_request(request, &mut self.frame),
-        }
+        self.codec.encode_request(request, &mut self.frame);
         self.writer.write_all(&self.frame)
     }
 
-    /// Flushes buffered requests, then reads the next response frame in
-    /// the current codec.
+    /// Flushes buffered requests, then reads and decodes the next
+    /// response frame, in whichever codec it arrives.
     pub fn recv(&mut self) -> io::Result<Response> {
         self.writer.flush()?;
-        match self.codec {
-            WireCodec::Json => self.read_json_response(),
-            WireCodec::Binary => self.read_binary_response(),
-        }
-    }
-
-    /// Reads one length-prefixed binary response frame.
-    fn read_binary_response(&mut self) -> io::Result<Response> {
-        let mut header = [0u8; BIN_HDR];
-        self.read_exact_or_eof(&mut header)?;
-        if header[0] != MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected binary frame, got first byte {:#04x}", header[0]),
-            ));
-        }
-        let len = u32::from_le_bytes(header[1..].try_into().unwrap()) as usize;
-        if len > MAX_FRAME {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("binary frame declares {len} bytes (cap {MAX_FRAME})"),
-            ));
-        }
-        self.frame.resize(len, 0);
-        self.reader.read_exact(&mut self.frame)?;
-        WireCodec::Binary
-            .decode_response(&self.frame)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad response: {e}")))
-    }
-
-    /// `read_exact` that maps a clean EOF before the first byte to the
-    /// same "server closed" error the JSON path reports.
-    fn read_exact_or_eof(&mut self, buf: &mut [u8]) -> io::Result<()> {
-        self.reader.read_exact(buf).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
-            } else {
-                e
+        loop {
+            match self.replies.advance()? {
+                Framed::Frame(codec) => {
+                    return codec.decode_response(self.replies.body()).map_err(|e| {
+                        io::Error::new(io::ErrorKind::InvalidData, format!("bad response: {e}"))
+                    })
+                }
+                Framed::Eof => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "server closed the connection",
+                    ))
+                }
+                Framed::Pending => {}
             }
-        })
+            match self.reader.read(self.replies.read_buf()) {
+                Ok(0) => self.replies.close(),
+                Ok(k) => self.replies.filled(k),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
     }
 
     /// Sends a raw line (no newline) and decodes the response — lets
@@ -149,25 +126,7 @@ impl Client {
     pub fn call_raw(&mut self, line: &str) -> io::Result<Response> {
         self.writer.write_all(line.as_bytes())?;
         self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        self.read_json_response()
-    }
-
-    /// Reads one newline-terminated JSON response.
-    fn read_json_response(&mut self) -> io::Result<Response> {
-        let mut reply = String::new();
-        // take() guards against an endless line from a broken server.
-        let n = (&mut self.reader)
-            .take(2 * MAX_FRAME as u64)
-            .read_line(&mut reply)?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ));
-        }
-        Response::decode(reply.trim_end())
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad response: {e}")))
+        self.recv()
     }
 }
 

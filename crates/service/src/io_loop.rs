@@ -140,9 +140,9 @@ pub trait Handler: Send + Sync + 'static {
     /// only by that poller's thread (`()` when the handler keeps none).
     type Local: Default;
 
-    /// Serves one decoded request. `raw` is the frame body as received:
-    /// the JSON line without its newline, or the binary payload without
-    /// its header. Answer inline through `out`, or take
+    /// Serves one decoded request. `raw` is the whole frame exactly as
+    /// received: the JSON line with its newline, or the binary payload
+    /// with its header. Answer inline through `out`, or take
     /// [`out.defer`](Dispatch::defer) and answer from a worker — or from
     /// this poller, through `local` and the sockets it registers.
     fn handle(&self, local: &mut Self::Local, request: Request, raw: &[u8], out: &mut Dispatch<'_>);
@@ -1282,7 +1282,7 @@ fn epoll_loop<H: Handler>(
             } else {
                 watched.remove(&slot);
             }
-            if desired.readable && ec.conn.reader.has_buffered() {
+            if desired.readable && ec.conn.reader.framer().has_buffered() {
                 hot.push(slot);
             }
         }
@@ -1389,19 +1389,15 @@ fn sweep_conn<H: Handler>(
             // reader) until a reply frees a turn.
             break;
         }
-        let (codec, decoded, raw) = match conn.reader.poll_line() {
+        let (codec, decoded) = match conn.reader.poll_line() {
             Ok(Frame::Pending) => break,
             Ok(Frame::Eof) => {
                 conn.closing = true;
                 break;
             }
-            Ok(Frame::Line(line)) => {
-                let decoded = Request::decode(&line);
-                (WireCodec::Json, decoded, line.into_bytes())
-            }
+            Ok(Frame::Line(line)) => (WireCodec::Json, Request::decode(line)),
             Ok(Frame::Binary(payload)) => {
-                let decoded = WireCodec::Binary.decode_request(&payload);
-                (WireCodec::Binary, decoded, payload)
+                (WireCodec::Binary, WireCodec::Binary.decode_request(payload))
             }
             Err(e) => {
                 let message = match e {
@@ -1427,7 +1423,7 @@ fn sweep_conn<H: Handler>(
                         break;
                     }
                 };
-                protocol_error(handler, replies, conn.reader.codec(), message);
+                protocol_error(handler, replies, conn.reader.framer().codec(), message);
                 settle_inline(io, &conn.shared, replies);
                 if conn.closing {
                     break;
@@ -1452,7 +1448,7 @@ fn sweep_conn<H: Handler>(
             deferred: None,
             sockets,
         };
-        handler.handle(local, request, &raw, &mut out);
+        handler.handle(local, request, conn.reader.framer().frame(), &mut out);
         if let Some(deferred) = out.deferred {
             // A reply already sent (a fast worker, or a hand-off the
             // handler answered itself) leaves nothing to time out.

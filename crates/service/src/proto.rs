@@ -12,15 +12,18 @@
 //!
 //! Binary: `[0xA7][len: u32 LE][payload]` — the magic byte `0xA7` is a
 //! UTF-8 continuation byte, so no JSON line can start with it, and `{`
-//! is not the magic, so no binary frame looks like JSON. The
-//! [`FrameReader`] sniffs the first byte of every frame independently:
-//! a connection may interleave codecs, and replies are written in the
-//! codec of the request they answer. Payload layouts live behind the
-//! [`Codec`] trait ([`JsonCodec`], [`BinaryCodec`]); the runtime
-//! dispatcher is [`WireCodec`]. A declared length over [`MAX_FRAME`]
-//! is a corrupt frame ([`FrameError::Corrupt`]): the reader never
-//! allocates it, and resynchronises by a bounded skip to the next
-//! newline or magic byte.
+//! is not the magic, so no binary frame looks like JSON. The one
+//! [`Framer`] sniffs the first byte of every frame independently: a
+//! connection may interleave codecs, and replies are written in the
+//! codec of the request they answer. The server's request reader
+//! ([`FrameReader`]), the router's reply path and the [`Client`] all
+//! frame through it. Payload layouts live behind the [`Codec`] trait
+//! ([`JsonCodec`], [`BinaryCodec`]); the runtime dispatcher is
+//! [`WireCodec`]. A declared length over the framer's cap is a corrupt
+//! frame ([`FrameError::Corrupt`]): the framer never allocates it, and
+//! resynchronises by a bounded skip to the next newline or magic byte.
+//!
+//! [`Client`]: crate::Client
 //!
 //! ## Requests
 //!
@@ -41,20 +44,34 @@
 //! {"id":1,"status":"error","code":"overloaded","message":"queue full"}
 //! ```
 //!
-//! Frames longer than [`MAX_FRAME`] bytes are rejected before parsing —
-//! the reader surfaces [`FrameError::TooLong`] so the server can answer
-//! with a protocol error and resynchronise at the next newline.
+//! Requests longer than [`MAX_FRAME`] bytes, and replies longer than
+//! [`MAX_REPLY`], are rejected before parsing — the framer surfaces
+//! [`FrameError::TooLong`] so the server can answer with a protocol
+//! error and resynchronise at the next newline.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, Read};
+use std::ops::Range;
 
 use crate::spec::ProblemSpec;
 
-/// Hard ceiling on a single request/response frame, in bytes. For JSON
-/// this bounds the line; for binary frames it bounds the declared
-/// payload length (a larger declaration is [`FrameError::Corrupt`]).
+/// Hard ceiling on a request frame, in bytes. For JSON this bounds the
+/// line; for binary frames it bounds the declared payload length (a
+/// larger declaration is [`FrameError::Corrupt`]).
 pub const MAX_FRAME: usize = 256 * 1024;
+
+/// The longest text [`Json`] writes for a finite `f64`: `-5e-324`
+/// prints as `-0.`, 323 zeros and `5`.
+const F64_TEXT_MAX: usize = 327;
+
+/// Hard ceiling on a reply frame, in bytes, bounding it as
+/// [`MAX_FRAME`] bounds a request: the largest reply gb-serve can
+/// encode. That is an `ok` reply with [`MAX_PROCESSORS`] pieces in JSON,
+/// every number at its longest text, plus 4 KiB for the fields around
+/// them (about 21.5 MB).
+///
+/// [`MAX_PROCESSORS`]: crate::spec::MAX_PROCESSORS
+pub const MAX_REPLY: usize = 4096 + crate::spec::MAX_PROCESSORS * (F64_TEXT_MAX + 1);
 
 /// First byte of every binary frame. `0xA7` is a UTF-8 continuation
 /// byte: it can never begin a JSON text line, so one-byte sniffing is
@@ -1517,19 +1534,19 @@ pub fn json_reply_id(line: &str) -> Option<u64> {
 // Framing
 // ---------------------------------------------------------------------------
 
-/// Errors surfaced by [`FrameReader`].
+/// Errors surfaced by [`Framer`] and [`FrameReader`].
 #[derive(Debug)]
 pub enum FrameError {
-    /// A line exceeded [`MAX_FRAME`] bytes before its newline arrived.
+    /// A line exceeded the framer's length cap before its newline arrived.
     TooLong,
     /// A line was not valid UTF-8.
     NotUtf8,
     /// The peer closed the connection with a non-empty partial frame
     /// pending — the frame was torn mid-write. Surfaced exactly once;
-    /// the next poll reports [`Frame::Eof`].
+    /// the next poll reports EOF.
     Torn,
-    /// A binary frame declared a payload longer than [`MAX_FRAME`] —
-    /// a corrupt or hostile length. The reader never allocates the
+    /// A binary frame declared a payload longer than the framer's cap —
+    /// a corrupt or hostile length. The framer never allocates the
     /// declared size; it skips to the next newline or magic byte.
     Corrupt,
     /// Underlying socket error (includes clean EOF as `UnexpectedEof`).
@@ -1539,7 +1556,7 @@ pub enum FrameError {
 impl fmt::Display for FrameError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FrameError::TooLong => write!(f, "frame exceeds {MAX_FRAME} bytes"),
+            FrameError::TooLong => write!(f, "frame exceeds its length cap"),
             FrameError::NotUtf8 => write!(f, "frame is not valid UTF-8"),
             FrameError::Torn => write!(f, "frame torn by EOF mid-line"),
             FrameError::Corrupt => write!(f, "binary frame length is corrupt"),
@@ -1550,39 +1567,325 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Incremental frame reader that tolerates read timeouts: a
-/// `WouldBlock`/`TimedOut` read returns control to the caller (yielding
-/// [`Frame::Pending`]) while preserving any partial frame, so servers
-/// can poll a shutdown flag between reads.
+impl From<FrameError> for io::Error {
+    /// A torn frame is an early EOF; every other framing error is bad
+    /// data.
+    fn from(e: FrameError) -> io::Error {
+        match e {
+            FrameError::Io(e) => e,
+            FrameError::Torn => io::Error::new(io::ErrorKind::UnexpectedEof, e.to_string()),
+            e => io::Error::new(io::ErrorKind::InvalidData, e.to_string()),
+        }
+    }
+}
+
+/// What [`Framer::advance`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Framed {
+    /// A whole frame in this codec; [`Framer::frame`] and
+    /// [`Framer::body`] hold it until the next call.
+    Frame(WireCodec),
+    /// No whole frame is buffered: the owner must read (or report EOF).
+    Pending,
+    /// The stream ended and every buffered byte is accounted for.
+    Eof,
+}
+
+/// What the framer skips before the next frame can start.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Skip {
+    Nothing,
+    /// The rest of an oversized line, up to and including its newline.
+    Line,
+    /// Junk after a corrupt binary length, up to a newline (consumed) or
+    /// a magic byte (kept as the next frame's start).
+    Resync,
+}
+
+/// The one framer of the wire grammar, with no I/O of its own: its owner
+/// reads into [`read_buf`](Self::read_buf), reports the bytes with
+/// [`filled`](Self::filled) (or the end of the stream with
+/// [`close`](Self::close)) and takes frames out with
+/// [`advance`](Self::advance).
 ///
-/// Each frame is sniffed independently by its first byte: [`MAGIC`]
-/// opens a length-prefixed binary frame, anything else is a
-/// newline-delimited text line. The codec of the last sniffed frame is
-/// remembered ([`codec`](Self::codec)) so error replies can go out in
-/// the format the peer speaks.
+/// Each frame is sniffed by its first byte: [`MAGIC`] opens a
+/// length-prefixed binary frame, anything else is a newline-delimited
+/// text line (a `\r\n` ending is accepted). The owner passes the length
+/// cap: [`MAX_FRAME`] for requests, [`MAX_REPLY`] for replies. A line
+/// longer than the cap is [`FrameError::TooLong`] and is discarded up to
+/// its newline; a binary length over the cap is [`FrameError::Corrupt`],
+/// and the framer skips to the next newline (consumed) or magic byte
+/// (kept). A partial frame at EOF is [`FrameError::Torn`], reported once.
+///
+/// The buffer is contiguous, a newline search resumes where the last one
+/// stopped, and a buffer that grew past the read size for a large frame
+/// shrinks back once that frame is consumed.
+#[derive(Debug)]
+pub struct Framer {
+    buf: Vec<u8>,
+    /// Unconsumed bytes are `buf[head..end]`.
+    head: usize,
+    end: usize,
+    /// The first `scanned` unconsumed bytes of a text frame hold no
+    /// newline.
+    scanned: usize,
+    /// The last frame handed out, framing included, and its body.
+    frame: Range<usize>,
+    body: Range<usize>,
+    cap: usize,
+    read_size: usize,
+    skip: Skip,
+    eof: bool,
+    /// The last [`advance`](Self::advance) was `Pending` and no byte
+    /// has arrived since.
+    stalled: bool,
+    codec: WireCodec,
+}
+
+impl Framer {
+    /// A framer for frames of at most `cap` bytes of body, reading at
+    /// least `read_size` bytes at a time. The buffer is allocated by the
+    /// first read.
+    pub fn new(cap: usize, read_size: usize) -> Framer {
+        Framer {
+            buf: Vec::new(),
+            head: 0,
+            end: 0,
+            scanned: 0,
+            frame: 0..0,
+            body: 0..0,
+            cap,
+            read_size,
+            skip: Skip::Nothing,
+            eof: false,
+            stalled: true,
+            codec: WireCodec::Json,
+        }
+    }
+
+    /// Room for the next read, at least the read size. The last frame's
+    /// bytes are gone after this call.
+    pub fn read_buf(&mut self) -> &mut [u8] {
+        self.frame = 0..0;
+        self.body = 0..0;
+        if self.head == self.end {
+            self.head = 0;
+            self.end = 0;
+            if self.buf.len() > self.read_size {
+                self.buf.truncate(self.read_size);
+                self.buf.shrink_to_fit();
+            }
+        } else if self.buf.len() - self.end < self.read_size {
+            self.buf.copy_within(self.head..self.end, 0);
+            self.end -= self.head;
+            self.head = 0;
+        }
+        if self.buf.len() - self.end < self.read_size {
+            self.buf.resize(self.end + self.read_size, 0);
+        }
+        &mut self.buf[self.end..]
+    }
+
+    /// Records that `k` bytes landed at the start of the last
+    /// [`read_buf`](Self::read_buf).
+    pub fn filled(&mut self, k: usize) {
+        self.end += k;
+        self.stalled &= k == 0;
+    }
+
+    /// Records the end of the stream.
+    pub fn close(&mut self) {
+        self.eof = true;
+        self.stalled = false;
+    }
+
+    /// Takes the next frame out of the buffer, or an error that consumed
+    /// the bytes it names.
+    pub fn advance(&mut self) -> Result<Framed, FrameError> {
+        loop {
+            let pending = &self.buf[self.head..self.end];
+            let found = match self.skip {
+                Skip::Nothing => break,
+                Skip::Line => find_newline(pending).map(|at| at + 1),
+                Skip::Resync => pending
+                    .iter()
+                    .position(|&b| b == b'\n' || b == MAGIC)
+                    .map(|at| at + usize::from(pending[at] == b'\n')),
+            };
+            let Some(skipped) = found else {
+                // No sync point yet: the junk goes now, not at the cap.
+                self.head = self.end;
+                return self.starve();
+            };
+            self.head += skipped;
+            self.skip = Skip::Nothing;
+        }
+        let pending = &self.buf[self.head..self.end];
+        match pending.first() {
+            None => {}
+            Some(&MAGIC) => {
+                self.codec = WireCodec::Binary;
+                if let Some(header) = pending.get(1..BIN_HDR) {
+                    let declared = u32::from_le_bytes(header.try_into().expect("4 bytes")) as usize;
+                    if declared > self.cap {
+                        self.head += BIN_HDR;
+                        self.skip = Skip::Resync;
+                        return Err(FrameError::Corrupt);
+                    }
+                    if pending.len() >= BIN_HDR + declared {
+                        return Ok(self.take(BIN_HDR + declared, BIN_HDR..BIN_HDR + declared));
+                    }
+                }
+            }
+            Some(_) => match find_newline(&pending[self.scanned..]) {
+                Some(at) => {
+                    let at = self.scanned + at;
+                    self.scanned = 0;
+                    self.codec = WireCodec::Json;
+                    if at > self.cap {
+                        self.head += at + 1;
+                        return Err(FrameError::TooLong);
+                    }
+                    let body_end = at - usize::from(at > 0 && pending[at - 1] == b'\r');
+                    return Ok(self.take(at + 1, 0..body_end));
+                }
+                None if pending.len() > self.cap => {
+                    self.codec = WireCodec::Json;
+                    self.scanned = 0;
+                    self.head = self.end;
+                    self.skip = Skip::Line;
+                    return Err(FrameError::TooLong);
+                }
+                None => self.scanned = pending.len(),
+            },
+        }
+        self.starve()
+    }
+
+    /// Hands out the `len` bytes at the head as a frame whose body is
+    /// `body`, relative to the head.
+    fn take(&mut self, len: usize, body: Range<usize>) -> Framed {
+        self.frame = self.head..self.head + len;
+        self.body = self.head + body.start..self.head + body.end;
+        self.head += len;
+        Framed::Frame(self.codec)
+    }
+
+    /// Nothing whole is buffered: wait for bytes, or at EOF drop what is
+    /// left, a torn frame if anything is, and end the stream.
+    fn starve(&mut self) -> Result<Framed, FrameError> {
+        if !self.eof {
+            self.stalled = true;
+            return Ok(Framed::Pending);
+        }
+        let torn = self.head < self.end;
+        self.head = self.end;
+        self.scanned = 0;
+        self.skip = Skip::Nothing;
+        if torn {
+            Err(FrameError::Torn)
+        } else {
+            Ok(Framed::Eof)
+        }
+    }
+
+    /// The last frame exactly as received, framing included.
+    pub fn frame(&self) -> &[u8] {
+        &self.buf[self.frame.clone()]
+    }
+
+    /// The last frame without its framing: the line without its `\n`
+    /// or `\r\n`, or the binary payload without its header.
+    pub fn body(&self) -> &[u8] {
+        &self.buf[self.body.clone()]
+    }
+
+    /// The last frame's body as text.
+    pub fn text(&self) -> Result<&str, FrameError> {
+        std::str::from_utf8(self.body()).map_err(|_| FrameError::NotUtf8)
+    }
+
+    /// Moves the last frame out. When it is all the buffer holds and it
+    /// grew the buffer past the read size, the buffer itself goes, so a
+    /// large reply leaves no large buffer behind.
+    pub fn take_frame(&mut self) -> Vec<u8> {
+        if self.frame.start > 0 || self.head < self.end || self.buf.len() <= self.read_size {
+            return self.frame().to_vec();
+        }
+        let mut frame = std::mem::take(&mut self.buf);
+        frame.truncate(self.end);
+        self.head = 0;
+        self.end = 0;
+        self.frame = 0..0;
+        self.body = 0..0;
+        frame
+    }
+
+    /// The codec of the most recently sniffed frame (JSON until the
+    /// first byte arrives). Replies to frames that never decoded — too
+    /// long, corrupt length, torn — should use this so the peer can
+    /// read them.
+    pub fn codec(&self) -> WireCodec {
+        self.codec
+    }
+
+    /// Bytes received and not yet taken out as a frame.
+    pub fn buffered(&self) -> usize {
+        self.end - self.head
+    }
+
+    /// True while [`advance`](Self::advance) may make progress without
+    /// another read: false exactly when it last answered `Pending` and
+    /// nothing has arrived since. A readiness-driven owner must keep
+    /// going while this holds instead of sleeping on the descriptor —
+    /// no readiness event will ever announce already-read bytes.
+    pub fn has_buffered(&self) -> bool {
+        !self.stalled
+    }
+}
+
+/// The index of the first newline in `buf`, eight bytes per step: a
+/// relayed reply is scanned whole, and a byte-at-a-time search cost
+/// about 1 ns per byte.
+fn find_newline(buf: &[u8]) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    const NEWLINES: u64 = ONES * b'\n' as u64;
+    let mut words = buf.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        // Zero exactly in the bytes that hold a newline; the classic
+        // has-zero-byte test flags the word.
+        let x = u64::from_le_bytes(word.try_into().expect("8 bytes")) ^ NEWLINES;
+        if x.wrapping_sub(ONES) & !x & HIGHS != 0 {
+            return word.iter().position(|&b| b == b'\n').map(|at| 8 * i + at);
+        }
+    }
+    let tail = buf.len() - words.remainder().len();
+    let at = words.remainder().iter().position(|&b| b == b'\n')?;
+    Some(tail + at)
+}
+
+/// Bytes a [`FrameReader`] asks the socket for per read.
+const READ_SIZE: usize = 8 * 1024;
+
+/// A [`Framer`] over a readable stream, capped at [`MAX_FRAME`]: the
+/// request reader of the connection loop. A `WouldBlock`/`TimedOut`
+/// read returns control to the caller (yielding [`Frame::Pending`])
+/// while preserving any partial frame, so servers can poll a shutdown
+/// flag between reads.
 #[derive(Debug)]
 pub struct FrameReader<R> {
     inner: R,
-    buf: Vec<u8>,
-    pending: VecDeque<u8>,
-    /// When a text line overflows, remaining bytes up to the next
-    /// newline are discarded so the stream resynchronises.
-    discarding: bool,
-    /// After a corrupt binary length, bytes are skipped up to the next
-    /// newline (consumed) or magic byte (retained) — a bounded resync
-    /// that never allocates the declared length.
-    resyncing: bool,
-    eof: bool,
-    last_codec: WireCodec,
+    framer: Framer,
 }
 
 /// One poll step of the frame reader.
 #[derive(Debug)]
-pub enum Frame {
+pub enum Frame<'a> {
     /// A complete text line (newline stripped).
-    Line(String),
+    Line(&'a str),
     /// A complete binary frame payload (header stripped).
-    Binary(Vec<u8>),
+    Binary(&'a [u8]),
     /// No complete frame yet (timeout or short read); call again.
     Pending,
     /// Peer closed the connection cleanly.
@@ -1594,12 +1897,7 @@ impl<R: Read> FrameReader<R> {
     pub fn new(inner: R) -> Self {
         Self {
             inner,
-            buf: vec![0u8; 8 * 1024],
-            pending: VecDeque::new(),
-            discarding: false,
-            resyncing: false,
-            eof: false,
-            last_codec: WireCodec::Json,
+            framer: Framer::new(MAX_FRAME, READ_SIZE),
         }
     }
 
@@ -1608,200 +1906,39 @@ impl<R: Read> FrameReader<R> {
         &self.inner
     }
 
-    /// The codec of the most recently sniffed frame (JSON until the
-    /// first byte arrives). Replies to frames that never decoded — too
-    /// long, corrupt length, torn — should use this so the peer can
-    /// read them.
-    pub fn codec(&self) -> WireCodec {
-        self.last_codec
-    }
-
-    /// Reads the little-endian length out of a buffered binary header.
-    fn buffered_binary_len(&self) -> usize {
-        let mut len = [0u8; 4];
-        for (i, b) in self.pending.iter().skip(1).take(4).enumerate() {
-            len[i] = *b;
-        }
-        u32::from_le_bytes(len) as usize
-    }
-
-    /// True while [`poll_line`](Self::poll_line) can make progress
-    /// without touching the socket: a complete frame (or an overflow,
-    /// a corrupt length, or EOF) is sitting in the internal buffer with
-    /// the descriptor itself drained. A readiness-driven caller must
-    /// keep polling while this holds instead of sleeping on the
-    /// descriptor — no readiness event will ever announce
-    /// already-consumed bytes. A buffered *partial* frame does not
-    /// count: only a socket read can advance it, so readiness is the
-    /// right thing to wait on.
-    pub fn has_buffered(&self) -> bool {
-        if self.eof {
-            return true;
-        }
-        if self.resyncing {
-            // Resync pops bytes until a newline or magic byte: progress
-            // is possible exactly when one is buffered.
-            return self.pending.iter().any(|&b| b == b'\n' || b == MAGIC);
-        }
-        if !self.discarding && self.pending.front() == Some(&MAGIC) {
-            if self.pending.len() < BIN_HDR {
-                return false;
-            }
-            let declared = self.buffered_binary_len();
-            return declared > MAX_FRAME || self.pending.len() >= BIN_HDR + declared;
-        }
-        self.pending.len() > MAX_FRAME || self.pending.iter().any(|&b| b == b'\n')
+    /// The framer: the last frame polled as received
+    /// ([`Framer::frame`]), the codec replies to undecoded frames use
+    /// ([`Framer::codec`]), and whether a poll can progress without
+    /// the socket ([`Framer::has_buffered`]).
+    pub fn framer(&self) -> &Framer {
+        &self.framer
     }
 
     /// Reads until a full frame, a timeout, EOF or an error.
-    pub fn poll_line(&mut self) -> Result<Frame, FrameError> {
+    pub fn poll_line(&mut self) -> Result<Frame<'_>, FrameError> {
         loop {
-            if self.resyncing {
-                // Bounded skip after a corrupt binary length: junk up to
-                // a newline is consumed (with the newline), a magic byte
-                // is retained as the next frame start.
-                while let Some(&b) = self.pending.front() {
-                    if b == MAGIC {
-                        self.resyncing = false;
-                        break;
-                    }
-                    self.pending.pop_front();
-                    if b == b'\n' {
-                        self.resyncing = false;
-                        break;
-                    }
-                }
-                if self.resyncing && !self.eof {
-                    // Junk exhausted without a sync point; need bytes.
-                    match self.fill()? {
-                        Progress::More => continue,
-                        Progress::Pending => return Ok(Frame::Pending),
-                        Progress::Eof => continue,
-                    }
-                }
-                if self.resyncing {
-                    // EOF while resyncing: the junk tail is already
-                    // accounted for by the Corrupt error.
-                    self.resyncing = false;
-                    self.pending.clear();
-                    return Ok(Frame::Eof);
-                }
-                continue;
+            match self.framer.advance()? {
+                Framed::Frame(WireCodec::Json) => return self.framer.text().map(Frame::Line),
+                Framed::Frame(WireCodec::Binary) => return Ok(Frame::Binary(self.framer.body())),
+                Framed::Eof => return Ok(Frame::Eof),
+                Framed::Pending => {}
             }
-            if !self.discarding && self.pending.front() == Some(&MAGIC) {
-                self.last_codec = WireCodec::Binary;
-                if self.pending.len() >= BIN_HDR {
-                    let declared = self.buffered_binary_len();
-                    if declared > MAX_FRAME {
-                        self.pending.drain(..BIN_HDR);
-                        self.resyncing = true;
-                        return Err(FrameError::Corrupt);
-                    }
-                    if self.pending.len() >= BIN_HDR + declared {
-                        self.pending.drain(..BIN_HDR);
-                        let payload: Vec<u8> = self.pending.drain(..declared).collect();
-                        return Ok(Frame::Binary(payload));
-                    }
-                }
-                // Incomplete header or payload: fall through to read.
-            } else {
-                // Text path: serve a complete line out of the pending
-                // buffer first.
-                if let Some(pos) = self.pending.iter().position(|&b| b == b'\n') {
-                    let oversized = pos > MAX_FRAME;
-                    let mut line: Vec<u8> = self.pending.drain(..=pos).collect();
-                    line.pop(); // newline
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    if self.discarding {
-                        self.discarding = false;
-                        continue; // swallowed the tail of an oversized frame
-                    }
-                    self.last_codec = WireCodec::Json;
-                    if oversized {
-                        // The whole line arrived in one batch but is over
-                        // the limit; it is already consumed, so no discard
-                        // needed.
-                        return Err(FrameError::TooLong);
-                    }
-                    return match String::from_utf8(line) {
-                        Ok(s) => Ok(Frame::Line(s)),
-                        Err(_) => Err(FrameError::NotUtf8),
-                    };
-                }
-                if self.pending.len() > MAX_FRAME {
-                    if !self.discarding {
-                        self.discarding = true;
-                        self.pending.clear();
-                        self.last_codec = WireCodec::Json;
-                        return Err(FrameError::TooLong);
-                    }
-                    self.pending.clear();
-                }
-            }
-            if self.eof {
-                if self.discarding {
-                    // The tail of an already-reported oversized frame
-                    // never got its newline; the error was surfaced when
-                    // the frame overflowed, so this is plain EOF.
-                    self.discarding = false;
-                    self.pending.clear();
-                    return Ok(Frame::Eof);
-                }
-                if !self.pending.is_empty() {
-                    // A non-empty partial frame at EOF — text line or
-                    // binary header/payload — is a torn frame: the peer
-                    // died mid-write. Silently swallowing it would hide
-                    // a protocol violation from both metrics and the
-                    // peer (which may only have shut down its write half
-                    // and still reads replies).
-                    self.pending.clear();
-                    return Err(FrameError::Torn);
-                }
-                return Ok(Frame::Eof);
-            }
-            match self.fill()? {
-                Progress::More | Progress::Eof => continue,
-                Progress::Pending => return Ok(Frame::Pending),
-            }
-        }
-    }
-
-    /// One socket read into `pending`. EOF is latched into `self.eof`
-    /// rather than returned as data so every caller re-enters the state
-    /// machine above with the flag set.
-    fn fill(&mut self) -> Result<Progress, FrameError> {
-        loop {
-            match self.inner.read(&mut self.buf) {
-                Ok(0) => {
-                    self.eof = true;
-                    return Ok(Progress::Eof);
-                }
-                Ok(k) => {
-                    self.pending.extend(&self.buf[..k]);
-                    return Ok(Progress::More);
-                }
+            match self.inner.read(self.framer.read_buf()) {
+                Ok(0) => self.framer.close(),
+                Ok(k) => self.framer.filled(k),
                 Err(e)
                     if matches!(
                         e.kind(),
                         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                     ) =>
                 {
-                    return Ok(Progress::Pending);
+                    return Ok(Frame::Pending);
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(FrameError::Io(e)),
             }
         }
     }
-}
-
-/// Result of one [`FrameReader::fill`] step.
-enum Progress {
-    More,
-    Pending,
-    Eof,
 }
 
 #[cfg(test)]
@@ -1951,6 +2088,144 @@ mod tests {
         // negative theta rejected.
         let bad = r#"{"op":"balance","algorithm":"hf","n":4,"theta":-1.0,"problem":{"class":"synthetic","weight":1.0,"lo":0.1,"hi":0.5,"seed":1}}"#;
         assert!(Request::decode(bad).is_err());
+    }
+
+    #[test]
+    fn newline_search_matches_a_byte_scan() {
+        for len in 0..40 {
+            for at in 0..=len {
+                let mut buf = vec![b'x'; len];
+                if at < len {
+                    buf[at] = b'\n';
+                    // A second newline must not mask the first.
+                    buf[len - 1] = b'\n';
+                }
+                let want = buf.iter().position(|&b| b == b'\n');
+                assert_eq!(find_newline(&buf), want, "len {len}, newline at {at}");
+            }
+        }
+        // Bytes whose low bits look like a newline's are not one.
+        assert_eq!(
+            find_newline(&[0x8a, 0x0b, 0x09, 0x1a, 0x4a, 0xaa, 0x0a, 0]),
+            Some(6)
+        );
+    }
+
+    #[test]
+    fn max_reply_holds_the_largest_reply_in_both_codecs() {
+        let text = |x: f64| Json::Num(x).encode().len();
+        // The worst finite value prints at exactly the assumed length,
+        // and no other value prints longer: the extremes, and a sweep of
+        // the subnormal and smallest normal range, where the text is
+        // longest.
+        let worst = -f64::from_bits(1);
+        assert_eq!(text(worst), F64_TEXT_MAX);
+        for x in [
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            -1.0 / 3.0,
+        ] {
+            assert!(text(x) <= F64_TEXT_MAX, "{x:e}");
+        }
+        let mut bits = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..20_000 {
+            bits = crate::cache::splitmix64(bits);
+            let x = f64::from_bits(bits & 0x801F_FFFF_FFFF_FFFF);
+            assert!(text(x) <= F64_TEXT_MAX, "{x:e}");
+        }
+        let n = crate::spec::MAX_PROCESSORS;
+        let reply = Response::Ok(BalanceResponse {
+            id: Some(1 << 63),
+            algorithm: Algorithm::BaHf,
+            n,
+            ratio: worst,
+            bound: worst,
+            alpha: worst,
+            cached: false,
+            micros: 1 << 63,
+            pieces: vec![worst; n],
+        });
+        for codec in [WireCodec::Json, WireCodec::Binary] {
+            let mut frame = Vec::new();
+            codec.encode_response(&reply, &mut frame);
+            assert!(
+                frame.len() <= MAX_REPLY,
+                "{codec:?}: {} > {MAX_REPLY}",
+                frame.len()
+            );
+            // And the reply framer takes it whole.
+            let mut framer = Framer::new(MAX_REPLY, 64 * 1024);
+            assert_eq!(feed(&mut framer, &frame).unwrap(), Framed::Frame(codec));
+            assert_eq!(framer.frame(), &frame[..], "{codec:?}");
+        }
+    }
+
+    /// Feeds `data` to `framer` one `read_buf` at a time until it holds
+    /// a frame or an error.
+    fn feed(framer: &mut Framer, data: &[u8]) -> Result<Framed, FrameError> {
+        let mut fed = 0;
+        loop {
+            match framer.advance()? {
+                Framed::Pending if fed < data.len() => {}
+                step => return Ok(step),
+            }
+            let room = framer.read_buf();
+            let k = room.len().min(data.len() - fed);
+            room[..k].copy_from_slice(&data[fed..fed + k]);
+            framer.filled(k);
+            fed += k;
+        }
+    }
+
+    #[test]
+    fn a_framer_shrinks_back_to_its_read_size_after_a_large_frame() {
+        let mut data = vec![b'x'; 100_000];
+        data.extend_from_slice(b"\nok\n");
+        let mut framer = Framer::new(MAX_REPLY, 1024);
+        assert_eq!(
+            feed(&mut framer, &data).unwrap(),
+            Framed::Frame(WireCodec::Json)
+        );
+        assert_eq!(framer.body().len(), 100_000);
+        assert_eq!(framer.advance().unwrap(), Framed::Frame(WireCodec::Json));
+        assert_eq!(framer.text().unwrap(), "ok");
+        assert_eq!(framer.advance().unwrap(), Framed::Pending);
+        assert_eq!(framer.read_buf().len(), 1024);
+        assert_eq!(framer.buf.capacity(), 1024);
+
+        // Moving a large frame out takes the buffer with it.
+        let mut frame = vec![MAGIC];
+        frame.extend_from_slice(&100_000u32.to_le_bytes());
+        frame.resize(BIN_HDR + 100_000, 7);
+        assert_eq!(
+            feed(&mut framer, &frame).unwrap(),
+            Framed::Frame(WireCodec::Binary)
+        );
+        assert_eq!(framer.take_frame(), frame);
+        assert_eq!(framer.buf.capacity(), 0);
+        assert_eq!(framer.read_buf().len(), 1024);
+    }
+
+    #[test]
+    fn a_framer_resumes_its_newline_search_where_it_stopped() {
+        let mut framer = Framer::new(MAX_FRAME, 16);
+        for chunk in [&b"abcdefgh"[..], b"ijklmnop", b"qr\n"] {
+            assert!(!framer.has_buffered());
+            let room = framer.read_buf();
+            room[..chunk.len()].copy_from_slice(chunk);
+            framer.filled(chunk.len());
+            assert!(framer.has_buffered());
+            if chunk.ends_with(b"\n") {
+                assert_eq!(framer.advance().unwrap(), Framed::Frame(WireCodec::Json));
+            } else {
+                assert_eq!(framer.advance().unwrap(), Framed::Pending);
+                assert_eq!(framer.scanned, framer.buffered());
+            }
+        }
+        assert_eq!(framer.text().unwrap(), "abcdefghijklmnopqr");
+        assert_eq!(framer.frame(), b"abcdefghijklmnopqr\n");
     }
 
     #[test]

@@ -385,7 +385,7 @@ fn oversized_frame_is_rejected_and_stream_resyncs() {
     assert!(matches!(reader.poll_line(), Err(FrameError::TooLong)));
     match reader.poll_line() {
         Ok(Frame::Line(line)) => {
-            assert!(matches!(Request::decode(&line), Ok(Request::Ping)));
+            assert!(matches!(Request::decode(line), Ok(Request::Ping)));
         }
         other => panic!("expected the ping line after resync, got {other:?}"),
     }

@@ -33,7 +33,8 @@
 //! ```
 //!
 //! `ablation` and `speedup` run at `N = 2^12`, the size their findings
-//! are quoted at. A bad option value is a usage error (exit 2).
+//! are quoted at. A bad option value is a usage error (exit 2); a claim
+//! that does not reproduce exits 1, after every selected study ran.
 
 use std::fmt::Display;
 use std::str::FromStr;
@@ -151,21 +152,26 @@ struct Report {
 }
 
 impl Report {
-    /// Prints the CSV, or the table followed by the `claims[...]` line,
-    /// and writes the SVG if one was asked for.
-    fn emit(self, label: &str, opt: &Options) {
+    /// Prints the CSV, or the table followed by the `claims[...]` line
+    /// (on stderr with `--csv`, only when a claim fails), and writes the
+    /// SVG if one was asked for. Returns whether every claim reproduced.
+    fn emit(self, label: &str, opt: &Options) -> bool {
+        let held = self.claims.is_empty();
+        let mut verdict = if held {
+            format!("claims[{label}]: all reproduced\n")
+        } else {
+            format!("claims[{label}]: {} violation(s)\n", self.claims.len())
+        };
+        for v in &self.claims {
+            verdict += &format!("  ! {v}\n");
+        }
         if opt.csv {
             print!("{}", self.csv);
-        } else {
-            print!("{}", self.table);
-            if self.claims.is_empty() {
-                println!("claims[{label}]: all reproduced");
-            } else {
-                println!("claims[{label}]: {} violation(s)", self.claims.len());
-                for v in self.claims {
-                    println!("  ! {v}");
-                }
+            if !held {
+                eprint!("{verdict}");
             }
+        } else {
+            print!("{}{verdict}", self.table);
         }
         if let (Some(path), Some(svg)) = (&opt.svg, self.svg) {
             match std::fs::write(path, svg) {
@@ -173,6 +179,7 @@ impl Report {
                 Err(e) => eprintln!("failed to write {path}: {e}"),
             }
         }
+        held
     }
 }
 
@@ -307,17 +314,21 @@ fn main() {
         eprintln!("{}", usage());
         std::process::exit(2);
     };
+    let mut held = true;
     for (i, (name, run)) in studies.iter().enumerate() {
         if i > 0 {
             println!();
         }
         match run(&opt) {
-            Ok(report) => report.emit(name, &opt),
+            Ok(report) => held &= report.emit(name, &opt),
             Err(e) => {
                 eprintln!("error: {e}");
                 std::process::exit(2);
             }
         }
+    }
+    if !held {
+        std::process::exit(1);
     }
 }
 
