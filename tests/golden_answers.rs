@@ -1,0 +1,110 @@
+//! Golden answers: one hash of the bit patterns of every answer the
+//! solver kernels give over a fixed grid of requests.
+//!
+//! HF's partition depends on the order in which it picks pieces, and the
+//! served answer on every bisector and bound. A change to any of them
+//! moves the hash; a change to how the kernels keep their bookkeeping
+//! must not. The constants were recorded once and are never updated to
+//! follow the code: if a hash moves, the answers moved.
+
+mod common;
+
+use gb_core::hf::hf;
+use gb_core::problem::Bisectable;
+use gb_parlb::{par_ba_hf, par_phf, ThreadPool};
+use gb_problems::synthetic::SyntheticProblem;
+use gb_service::proto::Algorithm;
+
+/// FNV-1a over the little-endian bytes of every word fed to it.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn f64(&mut self, x: f64) {
+        self.word(x.to_bits());
+    }
+
+    fn weights(&mut self, ws: impl ExactSizeIterator<Item = f64>) {
+        self.word(ws.len() as u64);
+        ws.for_each(|w| self.f64(w));
+    }
+}
+
+/// Hashes `gb_service::solve` over every served class at `n`, under all
+/// four algorithms and seeds 0–3, plus HF's pieces on the same problems
+/// in the order HF returns them.
+fn served_hash(n: usize, pool: &ThreadPool) -> u64 {
+    let mut h = Fnv::new();
+    for seed in 0..4 {
+        for spec in common::served_specs(n, seed) {
+            for algorithm in Algorithm::ALL {
+                let solved = gb_service::solve(&spec, algorithm, n, 1.0, pool);
+                h.weights(solved.pieces.iter().copied());
+                h.f64(solved.ratio);
+                h.f64(solved.bound);
+                h.f64(solved.alpha);
+            }
+            let partition = hf(spec.build(), n);
+            h.weights(partition.pieces().iter().map(Bisectable::weight));
+        }
+    }
+    h.0
+}
+
+/// Hashes HF and PHF in the order they return their pieces, and BA-HF
+/// (whose order follows the pool's schedule) sorted, on synthetic
+/// problems.
+fn kernel_hash(n: usize, pool: &ThreadPool) -> u64 {
+    let mut h = Fnv::new();
+    for seed in 0..4 {
+        let p = SyntheticProblem::new(1.0, 0.1, 0.5, seed);
+        h.weights(hf(p, n).pieces().iter().map(Bisectable::weight));
+        h.weights(
+            par_phf(pool, p, n, 0.1)
+                .pieces()
+                .iter()
+                .map(Bisectable::weight),
+        );
+        h.weights(par_ba_hf(pool, p, n, 0.1, 1.0).sorted_weights().into_iter());
+    }
+    h.0
+}
+
+fn answers(sizes: &[usize]) -> Vec<(usize, u64, u64)> {
+    let pool = ThreadPool::new(2);
+    sizes
+        .iter()
+        .map(|&n| (n, served_hash(n, &pool), kernel_hash(n, &pool)))
+        .collect()
+}
+
+#[test]
+fn answers_match_the_golden_hashes() {
+    let got = answers(&[64, 256, 1024]);
+    let want = vec![
+        (64, 1408441075852678766, 5814555481496280468),
+        (256, 2073835190029157424, 14220167652597599628),
+        (1024, 17077242042555200217, 12461007734404871149),
+    ];
+    assert_eq!(got, want);
+}
+
+/// The n = 4096 case; CI runs it in release mode.
+#[test]
+#[ignore]
+fn answers_match_the_golden_hashes_at_4096() {
+    assert_eq!(
+        answers(&[4096]),
+        vec![(4096, 12755727509602767874, 4087116849899191177)]
+    );
+}
