@@ -1,4 +1,5 @@
-//! A deterministic binary max-heap keyed by `f64` weights.
+//! A deterministic binary max-heap of `f64` weights over caller-owned
+//! payloads.
 //!
 //! Algorithm HF repeatedly extracts the *heaviest* subproblem. The standard
 //! library's `BinaryHeap` breaks ties in an unspecified (though
@@ -10,63 +11,74 @@
 //!   insertion wins), making every HF run fully reproducible,
 //! * rejects NaN weights at the door instead of corrupting the heap.
 //!
-//! The implementation is a textbook array heap with `sift_up`/`sift_down`
-//! written out explicitly so its invariants can be property-tested. The
-//! array holds only keys — weight, sequence number and a slot index — and
-//! payloads stay put in a slot table with a free list: a sift moves 24
-//! bytes per level however large the payload (HF's problems run to over a
-//! hundred bytes).
+//! It holds only keys. The caller keeps its payloads in place in its own
+//! arena and hands the heap each payload's index; a pop returns the index
+//! back. A key packs the weight, the sequence number and the index into
+//! one `u128` whose integer order *is* the heap order, so every
+//! comparison is a single branch-free integer compare and a sift moves 16
+//! bytes per level however large the payload.
+//!
+//! A pop moves the hole at the root down to a leaf along the heavier
+//! child, one comparison per level, and then sifts the last key up from
+//! there (Floyd's bottom-up deletion): the last key almost always belongs
+//! near the bottom, so this takes about half the comparisons of a
+//! top-down sift. Keys are unique, so the pop sequence is the sorted key
+//! order whatever shape the heap has.
 
-/// A heap key: weight, tiebreak and the payload's slot.
-#[derive(Debug, Clone, Copy)]
-struct Key {
-    weight: f64,
-    seq: u64,
-    slot: u32,
-}
+/// Sign bit of an `f64`.
+const SIGN: u64 = 1 << 63;
 
-impl Key {
-    /// `true` if `self` has priority over (is "greater than") `other`.
-    #[inline]
-    fn beats(&self, other: &Self) -> bool {
-        match self.weight.partial_cmp(&other.weight) {
-            Some(std::cmp::Ordering::Greater) => true,
-            Some(std::cmp::Ordering::Less) => false,
-            // Equal weights: earlier insertion wins.
-            _ => self.seq < other.seq,
-        }
+/// A heap key: `weight_bits << 64 | (u32::MAX − seq) << 32 | index`,
+/// where `weight_bits` maps `f64` order onto `u64` order.
+type Key = u128;
+
+/// The `u64` whose unsigned order is the `f64` order of `w` (not NaN).
+/// `-0.0` and `0.0` compare equal as `f64`s, so both map to `0.0`'s
+/// image and their tie falls to the sequence number.
+#[inline]
+fn order_bits(w: f64) -> u64 {
+    let bits = (w + 0.0).to_bits();
+    if bits & SIGN == 0 {
+        bits | SIGN
+    } else {
+        !bits
     }
 }
 
-/// A max-heap of `(f64 weight, T)` pairs with deterministic tie-breaking.
-#[derive(Debug, Clone)]
-pub struct WeightHeap<T> {
+/// Inverse of [`order_bits`].
+#[inline]
+fn weight_of(key: Key) -> f64 {
+    let bits = (key >> 64) as u64;
+    f64::from_bits(if bits & SIGN != 0 {
+        bits & !SIGN
+    } else {
+        !bits
+    })
+}
+
+#[inline]
+fn index_of(key: Key) -> u32 {
+    key as u32
+}
+
+/// A max-heap of `(f64 weight, u32 index)` pairs with deterministic
+/// tie-breaking by insertion order.
+#[derive(Debug, Clone, Default)]
+pub struct WeightHeap {
     keys: Vec<Key>,
-    /// Payloads by slot; `None` marks a free slot.
-    values: Vec<Option<T>>,
-    /// Free slots, reused before the table grows.
-    free: Vec<u32>,
-    next_seq: u64,
+    next_seq: u32,
 }
 
-impl<T> Default for WeightHeap<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> WeightHeap<T> {
+impl WeightHeap {
     /// Creates an empty heap.
     pub fn new() -> Self {
-        Self::with_capacity(0)
+        Self::default()
     }
 
     /// Creates an empty heap with room for `cap` entries.
     pub fn with_capacity(cap: usize) -> Self {
         Self {
             keys: Vec::with_capacity(cap),
-            values: Vec::with_capacity(cap),
-            free: Vec::new(),
             next_seq: 0,
         }
     }
@@ -81,120 +93,76 @@ impl<T> WeightHeap<T> {
         self.keys.is_empty()
     }
 
-    /// Inserts `value` with priority `weight`.
+    /// Inserts `index` with priority `weight`.
     ///
     /// # Panics
-    /// Panics if `weight` is NaN.
-    pub fn push(&mut self, weight: f64, value: T) {
+    /// Panics if `weight` is NaN, or after 2^32 pushes into one heap.
+    pub fn push(&mut self, weight: f64, index: u32) {
         assert!(!weight.is_nan(), "NaN weight pushed into WeightHeap");
         let seq = self.next_seq;
-        self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.values[slot as usize] = Some(value);
-                slot
-            }
-            None => {
-                self.values.push(Some(value));
-                u32::try_from(self.values.len() - 1).expect("WeightHeap holds at most 2^32 entries")
-            }
-        };
-        self.keys.push(Key { weight, seq, slot });
+        self.next_seq = seq
+            .checked_add(1)
+            .expect("WeightHeap takes at most 2^32 pushes");
+        let key = (Key::from(order_bits(weight)) << 64)
+            | (Key::from(u32::MAX - seq) << 32)
+            | Key::from(index);
+        self.keys.push(key);
         self.sift_up(self.keys.len() - 1);
     }
 
     /// The maximum weight currently stored, if any.
     pub fn peek_weight(&self) -> Option<f64> {
-        self.keys.first().map(|k| k.weight)
-    }
-
-    /// Borrows the payload with maximum weight, if any.
-    pub fn peek(&self) -> Option<(f64, &T)> {
-        self.keys.first().map(|k| (k.weight, self.value(k)))
+        self.keys.first().map(|&k| weight_of(k))
     }
 
     /// Removes and returns the entry with maximum weight.
-    pub fn pop(&mut self) -> Option<(f64, T)> {
-        if self.keys.is_empty() {
-            return None;
+    pub fn pop(&mut self) -> Option<(f64, u32)> {
+        let last = self.keys.pop()?;
+        let Some(&top) = self.keys.first() else {
+            return Some((weight_of(last), index_of(last)));
+        };
+        let keys = &mut self.keys[..];
+        let n = keys.len();
+        let mut hole = 0;
+        let mut child = 1;
+        while child + 1 < n {
+            child += usize::from(keys[child + 1] > keys[child]);
+            keys[hole] = keys[child];
+            hole = child;
+            child = 2 * hole + 1;
         }
-        let top = self.keys.swap_remove(0);
-        if !self.keys.is_empty() {
-            self.sift_down(0);
+        if child < n {
+            keys[hole] = keys[child];
+            hole = child;
         }
-        let value = self.values[top.slot as usize]
-            .take()
-            .expect("occupied slot");
-        self.free.push(top.slot);
-        Some((top.weight, value))
+        keys[hole] = last;
+        self.sift_up(hole);
+        Some((weight_of(top), index_of(top)))
     }
 
-    /// Drains the heap into a vector sorted by descending priority.
-    pub fn into_sorted_vec(mut self) -> Vec<(f64, T)> {
-        let mut out = Vec::with_capacity(self.len());
-        while let Some(pair) = self.pop() {
-            out.push(pair);
-        }
-        out
-    }
-
-    /// Iterates over `(weight, &value)` pairs in unspecified (heap) order.
-    pub fn iter(&self) -> impl Iterator<Item = (f64, &T)> {
-        self.keys.iter().map(|k| (k.weight, self.value(k)))
-    }
-
-    fn value(&self, key: &Key) -> &T {
-        self.values[key.slot as usize]
-            .as_ref()
-            .expect("occupied slot")
+    /// Drains the heap into its indices in pop order, with one sort.
+    pub fn into_sorted_indices(mut self) -> Vec<u32> {
+        self.keys.sort_unstable_by(|a, b| b.cmp(a));
+        self.keys.into_iter().map(index_of).collect()
     }
 
     fn sift_up(&mut self, mut i: usize) {
+        let key = self.keys[i];
         while i > 0 {
             let parent = (i - 1) / 2;
-            if self.keys[i].beats(&self.keys[parent]) {
-                self.keys.swap(i, parent);
-                i = parent;
-            } else {
+            if key <= self.keys[parent] {
                 break;
             }
+            self.keys[i] = self.keys[parent];
+            i = parent;
         }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.keys.len();
-        loop {
-            let l = 2 * i + 1;
-            let r = 2 * i + 2;
-            let mut best = i;
-            if l < n && self.keys[l].beats(&self.keys[best]) {
-                best = l;
-            }
-            if r < n && self.keys[r].beats(&self.keys[best]) {
-                best = r;
-            }
-            if best == i {
-                return;
-            }
-            self.keys.swap(i, best);
-            i = best;
-        }
+        self.keys[i] = key;
     }
 
     /// Verifies the heap invariant; used by tests.
     #[doc(hidden)]
     pub fn check_invariant(&self) -> bool {
-        (1..self.keys.len()).all(|i| !self.keys[i].beats(&self.keys[(i - 1) / 2]))
-    }
-}
-
-impl<T> FromIterator<(f64, T)> for WeightHeap<T> {
-    fn from_iter<I: IntoIterator<Item = (f64, T)>>(iter: I) -> Self {
-        let mut heap = WeightHeap::new();
-        for (w, v) in iter {
-            heap.push(w, v);
-        }
-        heap
+        (1..self.keys.len()).all(|i| self.keys[i] < self.keys[(i - 1) / 2])
     }
 }
 
@@ -204,34 +172,61 @@ mod tests {
     use crate::rng::Xoshiro256StarStar;
     use proptest::prelude::*;
 
+    fn drain(mut h: WeightHeap) -> Vec<(f64, u32)> {
+        std::iter::from_fn(|| h.pop()).collect()
+    }
+
     #[test]
     fn basic_ordering() {
         let mut h = WeightHeap::new();
-        h.push(1.0, "a");
-        h.push(3.0, "b");
-        h.push(2.0, "c");
-        assert_eq!(h.pop(), Some((3.0, "b")));
-        assert_eq!(h.pop(), Some((2.0, "c")));
-        assert_eq!(h.pop(), Some((1.0, "a")));
-        assert_eq!(h.pop(), None);
+        h.push(1.0, 0);
+        h.push(3.0, 1);
+        h.push(2.0, 2);
+        assert_eq!(drain(h), vec![(3.0, 1), (2.0, 2), (1.0, 0)]);
     }
 
     #[test]
     fn ties_resolved_by_insertion_order() {
         let mut h = WeightHeap::new();
-        for name in ["first", "second", "third"] {
-            h.push(5.0, name);
+        for index in [7, 3, 5] {
+            h.push(5.0, index);
         }
-        assert_eq!(h.pop().unwrap().1, "first");
-        assert_eq!(h.pop().unwrap().1, "second");
-        assert_eq!(h.pop().unwrap().1, "third");
+        assert_eq!(drain(h), vec![(5.0, 7), (5.0, 3), (5.0, 5)]);
+    }
+
+    #[test]
+    fn weights_round_trip_through_their_keys() {
+        for w in [
+            0.0,
+            1.0,
+            -1.0,
+            f64::MIN_POSITIVE,
+            -f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_eq!(
+                weight_of(Key::from(order_bits(w)) << 64).to_bits(),
+                w.to_bits()
+            );
+        }
+        // Signed zeros tie, as `f64` comparison has it.
+        let mut h = WeightHeap::new();
+        h.push(-0.0, 0);
+        h.push(0.0, 1);
+        h.push(-f64::from_bits(1), 2);
+        assert_eq!(drain(h), vec![(0.0, 0), (0.0, 1), (-f64::from_bits(1), 2)]);
     }
 
     #[test]
     fn peek_matches_pop() {
-        let mut h: WeightHeap<u32> = [(2.0, 20), (9.0, 90), (4.0, 40)].into_iter().collect();
+        let mut h = WeightHeap::new();
+        for (w, i) in [(2.0, 20), (9.0, 90), (4.0, 40)] {
+            h.push(w, i);
+        }
         assert_eq!(h.peek_weight(), Some(9.0));
-        assert_eq!(h.peek().map(|(w, v)| (w, *v)), Some((9.0, 90)));
         assert_eq!(h.pop(), Some((9.0, 90)));
         assert_eq!(h.peek_weight(), Some(4.0));
     }
@@ -239,20 +234,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "NaN")]
     fn nan_rejected() {
-        let mut h = WeightHeap::new();
-        h.push(f64::NAN, ());
+        WeightHeap::new().push(f64::NAN, 0);
     }
 
     #[test]
-    fn into_sorted_vec_is_descending() {
+    fn sorted_indices_follow_pop_order() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(3);
         let mut h = WeightHeap::new();
         for i in 0..500 {
-            h.push(rng.next_f64(), i);
+            h.push((rng.next_f64() * 20.0).floor(), i);
         }
-        let v = h.into_sorted_vec();
-        assert!(v.windows(2).all(|w| w[0].0 >= w[1].0));
-        assert_eq!(v.len(), 500);
+        let popped: Vec<u32> = drain(h.clone()).into_iter().map(|(_, i)| i).collect();
+        assert_eq!(h.into_sorted_indices(), popped);
     }
 
     #[test]
@@ -270,29 +263,67 @@ mod tests {
         }
     }
 
+    /// Reference heap: a list sorted by (weight descending, insertion
+    /// ascending) on every pop.
+    fn reference_pop(live: &mut Vec<(f64, u64, u32)>) -> Option<(f64, u32)> {
+        let best = (0..live.len()).max_by(|&a, &b| {
+            let (wa, sa, _) = live[a];
+            let (wb, sb, _) = live[b];
+            wa.partial_cmp(&wb).unwrap().then(sb.cmp(&sa))
+        })?;
+        let (w, _, i) = live.remove(best);
+        Some((w, i))
+    }
+
     proptest! {
         #[test]
         fn prop_pop_order_matches_stable_sort(weights in prop::collection::vec(0u32..50, 0..200)) {
-            // Use coarse integer-derived weights so ties are common and the
+            // Coarse integer-derived weights make ties common, so the
             // tie-break rule is genuinely exercised.
             let mut h = WeightHeap::new();
             for (i, w) in weights.iter().enumerate() {
-                h.push(*w as f64, i);
+                h.push(f64::from(*w), i as u32);
             }
-            let got: Vec<(f64, usize)> = h.into_sorted_vec();
-
-            let mut expect: Vec<(f64, usize)> =
-                weights.iter().enumerate().map(|(i, w)| (*w as f64, i)).collect();
-            // Stable sort by descending weight preserves insertion order on
+            let got = drain(h);
+            let mut expect: Vec<(f64, u32)> =
+                weights.iter().enumerate().map(|(i, w)| (f64::from(*w), i as u32)).collect();
+            // A stable sort by descending weight keeps insertion order on
             // ties, which is exactly the heap's documented contract.
             expect.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
             prop_assert_eq!(got, expect);
         }
 
         #[test]
+        fn prop_interleaved_pops_match_a_sorted_reference(
+            ops in prop::collection::vec((0u32..8, 0u32..4), 0..400),
+        ) {
+            // HF's pattern: pops interleaved with pushes, on weights with
+            // many exact ties (grid cells tie), negative and zero ones
+            // included. Op `(w, 0)` pops; anything else pushes `w − 2`.
+            let mut h = WeightHeap::new();
+            let mut live = Vec::new();
+            let mut seq = 0u64;
+            for (w, op) in ops {
+                if op == 0 {
+                    prop_assert_eq!(h.pop(), reference_pop(&mut live));
+                } else {
+                    let w = f64::from(w) - 2.0;
+                    h.push(w, seq as u32);
+                    live.push((w, seq, seq as u32));
+                    seq += 1;
+                }
+                prop_assert!(h.check_invariant());
+            }
+            let rest: Vec<u32> = std::iter::from_fn(|| reference_pop(&mut live)).map(|(_, i)| i).collect();
+            prop_assert_eq!(h.into_sorted_indices(), rest);
+        }
+
+        #[test]
         fn prop_invariant_after_bulk_build(weights in prop::collection::vec(-1e9f64..1e9, 0..300)) {
-            let h: WeightHeap<usize> =
-                weights.iter().copied().zip(0..).collect();
+            let mut h = WeightHeap::new();
+            for (i, w) in weights.iter().enumerate() {
+                h.push(*w, i as u32);
+            }
             prop_assert!(h.check_invariant());
             prop_assert_eq!(h.len(), weights.len());
         }

@@ -110,16 +110,18 @@ fn random_first<P: Bisectable>(p: P, n: usize, seed: u64) -> Vec<f64> {
 
 /// Synchronised phase-2 rounds of PHF's window rule (every piece within
 /// `(1−α)` of the maximum is bisected in the same round) until `n` pieces.
+/// Pieces stay in place; a bisection overwrites its piece's slot with the
+/// first child and appends the second.
 fn batched_rounds(p: SyntheticProblem, n: usize, alpha: f64) -> usize {
-    let mut heap = WeightHeap::new();
-    heap.push(p.weight(), p);
-    let mut pieces = 1usize;
+    let mut pieces = vec![p];
+    let mut heap = WeightHeap::with_capacity(n);
+    heap.push(p.weight(), 0);
     let mut rounds = 0usize;
-    while pieces < n {
+    while pieces.len() < n {
         rounds += 1;
         let m = heap.peek_weight().expect("non-empty");
         let window = m * (1.0 - alpha);
-        let budget = n - pieces;
+        let budget = n - pieces.len();
         let mut batch = Vec::new();
         while let Some(w) = heap.peek_weight() {
             if w < window || batch.len() == budget {
@@ -127,11 +129,12 @@ fn batched_rounds(p: SyntheticProblem, n: usize, alpha: f64) -> usize {
             }
             batch.push(heap.pop().expect("peeked").1);
         }
-        for q in batch {
-            let (a, b) = q.bisect();
-            heap.push(a.weight(), a);
-            heap.push(b.weight(), b);
-            pieces += 1;
+        for i in batch {
+            let (a, b) = pieces[i as usize].bisect();
+            heap.push(a.weight(), i);
+            heap.push(b.weight(), pieces.len() as u32);
+            pieces[i as usize] = a;
+            pieces.push(b);
         }
     }
     rounds
