@@ -75,6 +75,7 @@ pub mod proto;
 pub mod route;
 pub mod server;
 pub mod shed;
+mod shortest;
 pub mod solve;
 pub mod spec;
 

@@ -6,8 +6,8 @@ use proptest::prelude::*;
 
 use gb_service::proto::{
     binary_ok_tail, json_hit_reply, json_ok_tail, Algorithm, BalanceRequest, BalanceResponse,
-    Codec, ErrorCode, Frame, FrameError, FrameReader, Json, Request, Response, WireCodec, BIN_HDR,
-    MAGIC, MAX_FRAME,
+    Codec, ErrorCode, Frame, FrameError, FrameReader, Json, ProtoError, Request, Response,
+    WireCodec, BIN_HDR, MAGIC, MAX_FRAME,
 };
 use gb_service::spec::ProblemSpec;
 
@@ -353,6 +353,178 @@ proptest! {
             if let Ok(s) = String::from_utf8(bytes) {
                 let _ = Request::decode(&s);
             }
+        }
+    }
+}
+
+/// Any `f64` bit pattern: finite values of every magnitude, infinities
+/// and NaNs, plus values with few significant digits.
+fn any_f64() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        any::<u64>().prop_map(f64::from_bits),
+        (0u64..1_000_000).prop_map(|w| w as f64 / 1000.0),
+        (0u64..64).prop_map(|e| 2f64.powi(e as i32 - 32)),
+    ]
+}
+
+/// An ok reply line as the encoder wrote it before floats were printed
+/// in-tree: `Display` plus the `.0` tag, or `null` for a non-finite
+/// value, and ids, `n` and micros as the `i64`s they were cast to.
+fn reference_ok_line(r: &BalanceResponse) -> String {
+    let num = |x: f64| {
+        if !x.is_finite() {
+            return "null".to_string();
+        }
+        let s = x.to_string();
+        if s.contains(['.', 'e', 'E']) {
+            s
+        } else {
+            s + ".0"
+        }
+    };
+    let id =
+        r.id.map_or(String::new(), |id| format!("\"id\":{},", id as i64));
+    let pieces: Vec<String> = r.pieces.iter().map(|&w| num(w)).collect();
+    format!(
+        "{{{id}\"status\":\"ok\",\"algorithm\":\"{}\",\"n\":{},\"cached\":{},\"ratio\":{},\"bound\":{},\"alpha\":{},\"micros\":{},\"pieces\":[{}]}}",
+        r.algorithm.name(),
+        r.n as i64,
+        r.cached,
+        num(r.ratio),
+        num(r.bound),
+        num(r.alpha),
+        r.micros as i64,
+        pieces.join(","),
+    )
+}
+
+/// The generic decoder: the whole line into a `Json` tree, then the
+/// response out of the tree.
+fn decode_via_tree(line: &str) -> Result<Response, ProtoError> {
+    let json = Json::parse(line).map_err(|e| ProtoError {
+        message: e.to_string(),
+    })?;
+    Response::from_json(&json)
+}
+
+/// Re-encodes a top-level object with its keys rotated by `turn` and
+/// `gap` spaces around every separator outside the values.
+fn reshuffled(line: &str, turn: usize, gap: usize) -> String {
+    let Ok(Json::Obj(mut entries)) = Json::parse(line) else {
+        return line.to_string();
+    };
+    if !entries.is_empty() {
+        let k = turn % entries.len();
+        entries.rotate_left(k);
+    }
+    let pad = " ".repeat(gap);
+    let fields: Vec<String> = entries
+        .iter()
+        .map(|(k, v)| {
+            format!(
+                "{pad}{}{pad}:{pad}{}{pad}",
+                Json::Str(k.clone()).encode(),
+                v.encode()
+            )
+        })
+        .collect();
+    format!("{pad}{{{}}}{pad}", fields.join(","))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Ok replies are written straight into the frame, byte for byte as
+    /// the `Json`-tree encoder with `Display` floats wrote them, and the
+    /// spliced cached-hit tail agrees.
+    #[test]
+    fn ok_replies_keep_their_wire_bytes(
+        has_id in any::<bool>(),
+        id in any::<u64>(),
+        alg in algorithm(),
+        n in 1usize..70_000,
+        cached in any::<bool>(),
+        micros in any::<u64>(),
+        ratio in any_f64(),
+        bound in any_f64(),
+        alpha in any_f64(),
+        pieces in prop::collection::vec(any_f64(), 0..40),
+    ) {
+        let id = has_id.then_some(id);
+        let r = BalanceResponse { id, algorithm: alg, n, ratio, bound, alpha, cached, micros, pieces };
+        let want = reference_ok_line(&r);
+        prop_assert_eq!(Response::Ok(r.clone()).encode(), want.clone());
+        let mut frame = Vec::new();
+        WireCodec::Json.encode_response(&Response::Ok(r.clone()), &mut frame);
+        prop_assert_eq!(frame, format!("{want}\n").into_bytes());
+        if cached && id.is_none_or(|id| id <= i64::MAX as u64) && micros <= i64::MAX as u64 {
+            let (tail, split) = json_ok_tail(alg, n, ratio, bound, alpha, &r.pieces);
+            let mut spliced = Vec::new();
+            json_hit_reply(&mut spliced, id, micros, &tail, split);
+            prop_assert_eq!(spliced, format!("{want}\n").into_bytes());
+        }
+    }
+
+    /// The decoder that reads `pieces` straight into `f64`s answers as
+    /// the generic one does, errors included: on encoded replies of every
+    /// kind, on the same replies with their keys reordered and spaces
+    /// added, with `pieces` broken or repeated, and on every truncation.
+    #[test]
+    fn decoded_replies_match_the_generic_path(
+        has_id in any::<bool>(),
+        id in 0u64..u64::MAX / 2,
+        alg in algorithm(),
+        n in 1usize..4096,
+        micros in 0u64..10_000_000,
+        code in error_code(),
+        pieces in prop::collection::vec(any_f64(), 0..16),
+        turn in 0usize..16,
+        gap in 0usize..3,
+        cut in any::<usize>(),
+        kind in 0usize..4,
+    ) {
+        let ok = Response::Ok(BalanceResponse {
+            id: has_id.then_some(id),
+            algorithm: alg,
+            n,
+            ratio: 1.25,
+            bound: 3.5,
+            alpha: 0.25,
+            cached: micros % 2 == 0,
+            micros,
+            pieces,
+        })
+        .encode();
+        let line = match kind {
+            0 => ok,
+            1 => Response::Error {
+                id: has_id.then_some(id),
+                code,
+                message: format!("err #{micros} with \"quotes\" and \u{1F600}"),
+            }
+            .encode(),
+            2 => Response::Pong.encode(),
+            _ => Response::Stats(Json::Obj(vec![("pieces".into(), Json::Int(3))])).encode(),
+        };
+        let broken = line
+            .replacen("\"pieces\":[", "\"pieces\":[\"x\",", 1)
+            .replacen("\"status\"", "\"pieces\":{\"a\":[1]},\"status\"", 1);
+        let repeated = line.replacen("\"status\"", "\"pieces\":[1,2],\"status\"", 1);
+        for text in [
+            line.clone(),
+            reshuffled(&line, turn, gap),
+            broken.clone(),
+            reshuffled(&broken, turn, gap),
+            repeated,
+            line.replace("null", "[null]"),
+        ] {
+            prop_assert_eq!(Response::decode(&text), decode_via_tree(&text), "{}", text);
+            let mut end = cut % (text.len() + 1);
+            while !text.is_char_boundary(end) {
+                end -= 1;
+            }
+            let short = &text[..end];
+            prop_assert_eq!(Response::decode(short), decode_via_tree(short), "{}", short);
         }
     }
 }
