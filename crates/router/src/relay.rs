@@ -749,20 +749,11 @@ impl Relay {
         };
         let Some(leg) = s.leg else {
             // An idle connection keeps the read interest of its last
-            // exchange until something arrives: most likely the upstream
-            // closing it. It stays pooled — the next exchange on it takes
-            // the stale-close retry — with no interest left, so only an
-            // error or a hangup can reach it again, and that closes it.
-            if s.armed.readable {
-                if cx
-                    .sockets
-                    .modify(s.conn.socket(), slot as u64, Interest::NONE)
-                    .is_ok()
-                {
-                    s.armed = Interest::NONE;
-                }
-                return;
-            }
+            // exchange, so whatever reaches it is unasked for: the
+            // upstream closing it, an error, or bytes beyond the last
+            // reply. Any of them would land in the next exchange on it
+            // (late bytes as the head of an unrelated reply), so it is
+            // closed, uncharged: no request was waiting on it.
             let upstream = s.upstream;
             self.pool(upstream).idle.retain(|&i| i != slot);
             self.close(cx, slot);

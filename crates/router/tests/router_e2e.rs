@@ -8,7 +8,9 @@ use std::time::{Duration, Instant};
 use gb_router::{RebalanceSettings, RouterConfig, RouterServer, UPSTREAM_CONN_BASE};
 use gb_service::cache::CacheKey;
 use gb_service::fault::{ReadOp, ScriptedShim, WriteOp};
-use gb_service::proto::{Algorithm, BalanceRequest, Json, Request, Response, WireCodec};
+use gb_service::proto::{
+    Algorithm, BalanceRequest, BalanceResponse, Codec, Json, Request, Response, WireCodec,
+};
 use gb_service::route::Router;
 use gb_service::server::{Server, ServerConfig, Tuning};
 use gb_service::spec::ProblemSpec;
@@ -252,50 +254,161 @@ fn hedging_caps_tail_latency_from_a_stalled_upstream() {
     b.shutdown();
 }
 
+/// Upstream 0's `field` in the router's stats.
+fn upstream_stat(router: &RouterServer, field: &str) -> Option<u64> {
+    router.stats_json().get("upstreams")?.as_arr()?[0]
+        .get(field)?
+        .as_u64()
+}
+
 #[test]
 fn restarting_an_upstream_under_pooled_traffic_does_not_trip_failover() {
-    let a = start_upstream("127.0.0.1:0");
-    let a_addr = a.local_addr();
-    let router = router_over(&[&a], |c| {
-        // The sharpest possible threshold: a single charged failure
-        // kills the upstream. The stale-idle retry must keep the
-        // restart invisible even then. A long health interval keeps the
-        // prober from racing the restart window.
-        c.fail_threshold = 1;
-        c.health_interval = Duration::from_secs(30);
-        c.forward_shutdown = false;
+    for_both_backends(|backend, tweak| {
+        let a = start_upstream("127.0.0.1:0");
+        let a_addr = a.local_addr();
+        let router = router_over(&[&a], |c| {
+            // The sharpest possible threshold: a single charged failure
+            // kills the upstream. The restart must stay invisible even
+            // then. A long health interval keeps the prober from racing
+            // the restart window.
+            c.fail_threshold = 1;
+            c.health_interval = Duration::from_secs(30);
+            c.forward_shutdown = false;
+            tweak(c);
+        });
+        let mut client = Client::connect(router.local_addr()).unwrap();
+
+        // Pooled traffic: these exchanges park idle connections to A.
+        for (i, seed) in (0u64..6).enumerate() {
+            expect_ok(client.call(&balance(i as u64, seed)).unwrap(), i as u64);
+        }
+
+        // Restart A on the exact same port. Every pooled connection is
+        // now stale: the upstream closed them when it went down.
+        a.shutdown();
+        if backend == "epoll" {
+            // An idle connection that turns readable is closed at once:
+            // here, every one of them, on the upstream's close.
+            let deadline = Instant::now() + Duration::from_secs(2);
+            while upstream_stat(&router, "open") != Some(0) {
+                assert!(
+                    Instant::now() < deadline,
+                    "[{backend}] idle conns stayed open"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+        let a2 = start_upstream(&a_addr.to_string());
+
+        // Traffic resumes immediately. Under the sweep backend idle
+        // connections are never polled, so each stale checkout must be
+        // retried once on a fresh dial instead of being charged.
+        for (i, seed) in (0u64..6).enumerate() {
+            let id = 100 + i as u64;
+            expect_ok(client.call(&balance(id, seed + 500_000)).unwrap(), id);
+        }
+        assert_eq!(
+            router.failover_counters(),
+            (0, 0),
+            "[{backend}] a restart must not trip failover"
+        );
+        assert_eq!(router.alive_ids(), vec![0], "[{backend}]");
+        if backend == "sweep" {
+            assert!(
+                router.stale_retry_count() >= 1,
+                "[{backend}] at least one stale pooled conn should have been redialed"
+            );
+        }
+
+        router.shutdown();
+        a2.shutdown();
     });
+}
+
+/// A scripted upstream that answers every request line, and after its
+/// first balance reply sends `stray` on the same connection `delay`
+/// later. Returns its address.
+fn start_stray_upstream(stray: &'static [u8], delay: Duration) -> std::net::SocketAddr {
+    use std::io::{BufRead, BufReader, Write};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let sent = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(conn) = conn else { return };
+            let sent = Arc::clone(&sent);
+            std::thread::spawn(move || {
+                let mut writer = conn.try_clone().unwrap();
+                for line in BufReader::new(conn).lines() {
+                    let Ok(line) = line else { return };
+                    let reply = match Request::decode(&line) {
+                        Ok(Request::Balance(req)) => Response::Ok(BalanceResponse {
+                            id: req.id,
+                            algorithm: req.algorithm,
+                            n: req.n,
+                            ratio: 1.0,
+                            bound: 2.0,
+                            alpha: 0.25,
+                            cached: false,
+                            micros: 1,
+                            pieces: Vec::new(),
+                        }),
+                        Ok(Request::Stats) => Response::Stats(Json::Obj(Vec::new())),
+                        _ => Response::Pong,
+                    };
+                    let mut frame = Vec::new();
+                    WireCodec::Json.encode_response(&reply, &mut frame);
+                    if writer.write_all(&frame).is_err() {
+                        return;
+                    }
+                    if matches!(reply, Response::Ok(_))
+                        && !sent.swap(true, std::sync::atomic::Ordering::SeqCst)
+                    {
+                        std::thread::sleep(delay);
+                        let _ = writer.write_all(stray);
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+/// Bytes an upstream sends after a complete reply, in a later read than
+/// the reply's end, never reach the next exchange: the idle connection
+/// that turns readable is closed, and the next request gets its own
+/// reply on a fresh one, with nothing charged to the upstream.
+#[test]
+fn late_bytes_on_an_idle_pooled_connection_never_reach_the_next_exchange() {
+    let stray = b"{\"id\":999,\"status\":\"ok\",\"pong\":true}\n";
+    let addr = start_stray_upstream(stray, Duration::from_millis(20));
+    let router = RouterServer::start(RouterConfig {
+        upstreams: vec![addr],
+        vnodes: VNODES,
+        health_interval: Duration::from_secs(30),
+        probe_timeout: Duration::from_millis(250),
+        fail_threshold: 2,
+        reply_timeout: Duration::from_secs(5),
+        poll_interval: Duration::from_millis(20),
+        forward_shutdown: false,
+        ..RouterConfig::default()
+    })
+    .expect("router start");
     let mut client = Client::connect(router.local_addr()).unwrap();
-
-    // Pooled traffic: these exchanges park idle connections to A.
-    for (i, seed) in (0u64..6).enumerate() {
-        expect_ok(client.call(&balance(i as u64, seed)).unwrap(), i as u64);
-    }
-
-    // Restart A on the exact same port. Every pooled connection is now
-    // stale: the upstream closed them when it went down.
-    a.shutdown();
-    let a2 = start_upstream(&a_addr.to_string());
-
-    // Traffic resumes immediately. Each stale checkout must be retried
-    // once on a fresh dial instead of being charged to the threshold.
-    for (i, seed) in (0u64..6).enumerate() {
-        let id = 100 + i as u64;
-        expect_ok(client.call(&balance(id, seed + 500_000)).unwrap(), id);
+    expect_ok(client.call(&balance(1, 1)).unwrap(), 1);
+    // The stray bytes arrive about 20 ms after the reply.
+    std::thread::sleep(Duration::from_millis(120));
+    for id in 2..6u64 {
+        expect_ok(client.call(&balance(id, id)).unwrap(), id);
     }
     assert_eq!(
-        router.failover_counters(),
-        (0, 0),
-        "a restart must not trip failover"
+        upstream_stat(&router, "errors"),
+        Some(0),
+        "a failure was charged"
     );
-    assert_eq!(router.alive_ids(), vec![0]);
-    assert!(
-        router.stale_retry_count() >= 1,
-        "at least one stale pooled conn should have been redialed"
-    );
-
+    assert_eq!(upstream_stat(&router, "consecutive_failures"), Some(0));
+    assert_eq!(router.failover_counters(), (0, 0));
     router.shutdown();
-    a2.shutdown();
 }
 
 #[test]
