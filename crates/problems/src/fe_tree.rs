@@ -24,12 +24,11 @@ use std::sync::Arc;
 use gb_core::problem::Bisectable;
 use gb_core::rng::Xoshiro256StarStar;
 
-use crate::fragment::{Fragment, Tour};
+use crate::fragment::{Fragment, Tour, NO_PARENT};
 
 /// An immutable FE-tree shared by all problems derived from it.
 #[derive(Debug)]
 pub struct FeTree {
-    parent: Vec<Option<u32>>,
     tour: Tour,
 }
 
@@ -49,11 +48,9 @@ impl FeTree {
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
         let n_nodes = 2 * refinements + 1;
         let mut cost = Vec::with_capacity(n_nodes);
-        let mut parent: Vec<Option<u32>> = Vec::with_capacity(n_nodes);
-        let mut children: Vec<Option<(u32, u32)>> = Vec::with_capacity(n_nodes);
+        let mut parent = Vec::with_capacity(n_nodes);
         cost.push(rng.range_f64(0.5, 1.5));
-        parent.push(None);
-        children.push(None);
+        parent.push(NO_PARENT);
         let mut leaves: Vec<u32> = vec![0];
         for _ in 0..refinements {
             let pick = if rng.next_f64() < bias {
@@ -65,14 +62,12 @@ impl FeTree {
             let l = cost.len() as u32;
             for _ in 0..2 {
                 cost.push(rng.range_f64(0.5, 1.5));
-                parent.push(Some(v));
-                children.push(None);
+                parent.push(v);
             }
-            children[v as usize] = Some((l, l + 1));
             leaves.push(l);
             leaves.push(l + 1);
         }
-        Arc::new(Self::finish(cost, parent, children))
+        Arc::new(Self::finish(cost, parent))
     }
 
     /// Builds a perfectly balanced FE-tree of the given depth with unit
@@ -80,18 +75,11 @@ impl FeTree {
     pub fn balanced(depth: u32) -> Arc<Self> {
         let n_nodes = (1usize << (depth + 1)) - 1;
         let cost = vec![1.0; n_nodes];
-        let mut parent = vec![None; n_nodes];
-        let mut children = vec![None; n_nodes];
-        #[allow(clippy::needless_range_loop)] // v indexes three arrays at once
-        for v in 0..n_nodes {
-            let l = 2 * v + 1;
-            if l + 1 < n_nodes {
-                children[v] = Some((l as u32, l as u32 + 1));
-                parent[l] = Some(v as u32);
-                parent[l + 1] = Some(v as u32);
-            }
+        let mut parent = vec![NO_PARENT; n_nodes];
+        for (v, p) in parent.iter_mut().enumerate().skip(1) {
+            *p = ((v - 1) / 2) as u32;
         }
-        Arc::new(Self::finish(cost, parent, children))
+        Arc::new(Self::finish(cost, parent))
     }
 
     /// Builds a maximally unbalanced "caterpillar" FE-tree: a spine of
@@ -101,66 +89,44 @@ impl FeTree {
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
         let n_nodes = 2 * spine + 1;
         let mut cost = Vec::with_capacity(n_nodes);
-        let mut parent: Vec<Option<u32>> = Vec::with_capacity(n_nodes);
-        let mut children: Vec<Option<(u32, u32)>> = Vec::with_capacity(n_nodes);
+        let mut parent = Vec::with_capacity(n_nodes);
         cost.push(rng.range_f64(0.5, 1.5));
-        parent.push(None);
-        children.push(None);
+        parent.push(NO_PARENT);
         let mut spine_node = 0u32;
         for _ in 0..spine {
             let l = cost.len() as u32;
             for _ in 0..2 {
                 cost.push(rng.range_f64(0.5, 1.5));
-                parent.push(Some(spine_node));
-                children.push(None);
+                parent.push(spine_node);
             }
-            children[spine_node as usize] = Some((l, l + 1));
             spine_node = l + 1; // continue the spine on the right child
         }
-        Arc::new(Self::finish(cost, parent, children))
+        Arc::new(Self::finish(cost, parent))
     }
 
-    /// Completes derived data (subtree sums, Euler tour and its inverse)
-    /// from the raw structure.
-    fn finish(cost: Vec<f64>, parent: Vec<Option<u32>>, children: Vec<Option<(u32, u32)>>) -> Self {
-        let n = cost.len();
-        let mut subtree_cost = vec![0.0; n];
-        let mut subtree_size = vec![0u32; n];
-        let mut tin = vec![0u32; n];
-        let mut tout = vec![0u32; n];
-        // Iterative post-order: (node, expanded?).
-        let mut timer = 0u32;
-        let mut stack: Vec<(u32, bool)> = vec![(0, false)];
-        while let Some((v, expanded)) = stack.pop() {
-            let vi = v as usize;
-            if expanded {
-                let (mut c, mut s) = (cost[vi], 1u32);
-                if let Some((l, r)) = children[vi] {
-                    c += subtree_cost[l as usize] + subtree_cost[r as usize];
-                    s += subtree_size[l as usize] + subtree_size[r as usize];
-                }
-                subtree_cost[vi] = c;
-                subtree_size[vi] = s;
-                tout[vi] = timer;
-            } else {
-                tin[vi] = timer;
-                timer += 1;
-                stack.push((v, true));
-                if let Some((l, r)) = children[vi] {
-                    stack.push((r, false));
-                    stack.push((l, false));
-                }
+    /// Completes the derived tables. Every builder gives a node no
+    /// children or two, numbered consecutively after it; an FE-tree sums
+    /// a subtree as own cost plus the sum of its two children's. Falling
+    /// id order does exactly that: the right child's sum lands on the
+    /// parent first, the left one's is added to it, and the parent's own
+    /// cost last.
+    fn finish(cost: Vec<f64>, parent: Vec<u32>) -> Self {
+        let mut sums = vec![0.0; cost.len()];
+        for v in (0..cost.len()).rev() {
+            sums[v] += cost[v];
+            if v > 0 {
+                let p = parent[v] as usize;
+                sums[p] += sums[v];
             }
         }
         Self {
-            parent,
-            tour: Tour::new(cost, subtree_cost, subtree_size, tin, tout),
+            tour: Tour::new(cost, parent, Some(sums)),
         }
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.tour.cost.len()
+        self.tour.len()
     }
 
     /// `true` if the tree has no nodes (never, by construction).
@@ -170,7 +136,7 @@ impl FeTree {
 
     /// Total cost of all nodes.
     pub fn total_cost(&self) -> f64 {
-        self.tour.subtree_cost[0]
+        self.tour.subtree_cost(0)
     }
 
     /// `true` iff `a` is an ancestor of `b` or equal to it.
@@ -180,7 +146,7 @@ impl FeTree {
 
     /// The parent of `v`, if any.
     pub fn parent_of(&self, v: u32) -> Option<u32> {
-        self.parent[v as usize]
+        self.tour.parent(v)
     }
 
     /// Wraps the whole tree into the root problem.
@@ -269,7 +235,7 @@ mod tests {
         assert_eq!(t.len(), 201);
         assert!(t.total_cost() > 0.0);
         // Subtree sizes are consistent: root covers everything.
-        assert_eq!(t.tour.subtree_size[0] as usize, t.len());
+        assert_eq!(t.tour.size(0) as usize, t.len());
     }
 
     #[test]

@@ -4,48 +4,121 @@
 //! A fragment is `subtree(root)` minus the subtrees rooted at its cut
 //! nodes. Its bisection removes the edge above the non-root node whose
 //! fragment-restricted ("effective") subtree cost is closest to half the
-//! fragment's weight. Everything here works on the tree's Euler tour: a
-//! subtree is the entry-index interval `tin[v]..tout[v]`, so a fragment is
-//! its root's interval with the cut intervals taken out, and one backward
-//! sweep over that range yields every effective cost.
+//! fragment's weight, ties to the smallest Euler entry index.
+//!
+//! Only the proper ancestors of cut nodes have an effective cost other
+//! than their whole subtree's, so a bisection refolds just those, then
+//! descends from the root into the children whose effective cost reaches
+//! half the weight. Costs are non-negative, so no node below a lighter
+//! child can come closer to half than that child, and none wins a tie
+//! against it (its entry index is larger): the descent finds the split a
+//! full sweep of the fragment would, and pays for the path to its cut.
 
-/// Euler-tour tables of a tree, indexed by node id except `order`.
+use std::cell::RefCell;
+
+/// The parent entry of a tree's root.
+pub(crate) const NO_PARENT: u32 = u32::MAX;
+
+/// Per-node tables of a tree, indexed by node id except `order`.
 #[derive(Debug)]
 pub(crate) struct Tour {
     /// Own cost of each node.
     pub(crate) cost: Vec<f64>,
-    /// Cost of each node's whole subtree.
-    pub(crate) subtree_cost: Vec<f64>,
-    /// Node count of each node's whole subtree.
-    pub(crate) subtree_size: Vec<u32>,
+    /// Each node's whole-subtree cost folded as a bisection folds it: own
+    /// cost, then each child's fold in tour order.
+    fold: Vec<f64>,
+    /// Each node's whole-subtree cost as its class sums it, where that
+    /// differs from `fold`; fragment weights subtract these.
+    sums: Option<Vec<f64>>,
+    /// Parent of each node, [`NO_PARENT`] for the root.
+    parent: Vec<u32>,
     /// Euler-tour entry index; `tin[v]..tout[v]` spans v's subtree.
-    pub(crate) tin: Vec<u32>,
-    pub(crate) tout: Vec<u32>,
+    tin: Vec<u32>,
+    tout: Vec<u32>,
     /// Inverse of `tin`: the node entered at each index.
     order: Vec<u32>,
 }
 
 impl Tour {
-    /// Bundles the per-node tables and builds the inverse Euler array.
-    pub(crate) fn new(
-        cost: Vec<f64>,
-        subtree_cost: Vec<f64>,
-        subtree_size: Vec<u32>,
-        tin: Vec<u32>,
-        tout: Vec<u32>,
-    ) -> Self {
-        let mut order = vec![0u32; tin.len()];
+    /// Builds the tables of the tree with the given own costs and parents:
+    /// node 0 is the root (`parent[0] == NO_PARENT`), every other node's
+    /// parent has a smaller id, and siblings are entered in id order.
+    /// `sums` gives the class's whole-subtree costs when it adds them up
+    /// in another order than `fold`.
+    ///
+    /// # Panics
+    /// Panics if a cost is negative or not finite, or a parent does not
+    /// precede its child.
+    pub(crate) fn new(cost: Vec<f64>, parent: Vec<u32>, sums: Option<Vec<f64>>) -> Self {
+        let n = cost.len();
+        assert!(n > 0 && parent.len() == n && parent[0] == NO_PARENT);
+        assert!(
+            cost.iter().all(|c| c.is_finite() && *c >= 0.0),
+            "tree costs must be finite and non-negative"
+        );
+        assert!(sums.as_ref().is_none_or(|s| s.len() == n));
+        // `span[v]` first counts v's subtree; then, once v is entered, it
+        // is the entry index where v's next child starts, which ends as
+        // v's `tout`. Children follow their parent and their elder
+        // siblings, so each one starts where the one before it ended.
+        let mut span = vec![1u32; n];
+        for v in (1..n).rev() {
+            let p = parent[v] as usize;
+            assert!(p < v, "node {v} does not follow its parent {p}");
+            span[p] += span[v];
+        }
+        let mut tin = vec![0u32; n];
+        span[0] = 1;
+        for v in 1..n {
+            let p = parent[v] as usize;
+            tin[v] = span[p];
+            span[p] += span[v];
+            span[v] = tin[v] + 1;
+        }
+        let mut order = vec![0u32; n];
         for (v, &t) in tin.iter().enumerate() {
             order[t as usize] = v as u32;
         }
-        Self {
+        let mut tour = Self {
+            fold: Vec::new(),
             cost,
-            subtree_cost,
-            subtree_size,
+            sums,
+            parent,
             tin,
-            tout,
+            tout: span,
             order,
+        };
+        // Children have larger ids, so each fold is final before its parent's.
+        let mut fold = vec![0.0; n];
+        for v in (0..n).rev() {
+            let mut sum = tour.cost[v];
+            for c in tour.children(v as u32) {
+                sum += fold[c as usize];
+            }
+            fold[v] = sum;
         }
+        tour.fold = fold;
+        tour
+    }
+
+    /// Number of nodes.
+    pub(crate) fn len(&self) -> usize {
+        self.cost.len()
+    }
+
+    /// Cost of `v`'s whole subtree, as the class sums it.
+    pub(crate) fn subtree_cost(&self, v: u32) -> f64 {
+        self.sums.as_ref().unwrap_or(&self.fold)[v as usize]
+    }
+
+    /// Node count of `v`'s whole subtree.
+    pub(crate) fn size(&self, v: u32) -> u32 {
+        self.tout[v as usize] - self.tin[v as usize]
+    }
+
+    /// The parent of `v`, if any.
+    pub(crate) fn parent(&self, v: u32) -> Option<u32> {
+        Some(self.parent[v as usize]).filter(|&p| p != NO_PARENT)
     }
 
     /// `true` iff `b` lies in the subtree rooted at `a` (or is `a`).
@@ -53,6 +126,45 @@ impl Tour {
         self.tin[a as usize] <= self.tin[b as usize]
             && self.tout[b as usize] <= self.tout[a as usize]
     }
+
+    /// Children of `v`, in tour order.
+    fn children(&self, v: u32) -> impl Iterator<Item = u32> + '_ {
+        let end = self.tout[v as usize];
+        let mut i = self.tin[v as usize] + 1;
+        std::iter::from_fn(move || {
+            (i < end).then(|| {
+                let c = self.order[i as usize];
+                i = self.tout[c as usize];
+                c
+            })
+        })
+    }
+}
+
+/// A cut root (`eff: None`) or a proper ancestor of one with its
+/// effective cost, in a list sorted by entry index.
+struct Known {
+    tin: u32,
+    /// The list index just past this node's subtree.
+    end: u32,
+    eff: Option<f64>,
+}
+
+/// Buffers a bisection reuses, so that it allocates nothing once warm.
+struct Scratch {
+    cuts: Vec<u32>,
+    known: Vec<Known>,
+    todo: Vec<(u32, u32)>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = const {
+        RefCell::new(Scratch {
+            cuts: Vec::new(),
+            known: Vec::new(),
+            todo: Vec::new(),
+        })
+    };
 }
 
 /// `subtree(root)` minus the (disjoint) subtrees rooted at `cut`, with
@@ -82,11 +194,11 @@ impl Fragment {
     }
 
     pub(crate) fn new(tour: &Tour, root: u32, cut: Vec<u32>) -> Self {
-        let mut weight = tour.subtree_cost[root as usize];
-        let mut nodes = tour.subtree_size[root as usize];
+        let mut weight = tour.subtree_cost(root);
+        let mut nodes = tour.size(root);
         for &c in &cut {
-            weight -= tour.subtree_cost[c as usize];
-            nodes -= tour.subtree_size[c as usize];
+            weight -= tour.subtree_cost(c);
+            nodes -= tour.size(c);
         }
         Self {
             root,
@@ -100,58 +212,110 @@ impl Fragment {
     /// the fragment weight, ties to the smallest Euler index; `None` for
     /// a single-node fragment.
     pub(crate) fn best_split(&self, tour: &Tour) -> Option<u32> {
-        let half = self.weight / 2.0;
-        let mut best: Option<(f64, u32)> = None; // (|eff − half|, entry index)
-        self.effective_costs(tour, |i, eff| {
-            // Indices fall, so an equal key replaces: the smaller index wins.
-            let key = (eff - half).abs();
-            if best.is_none_or(|(k, _)| key <= k) {
-                best = Some((key, i));
-            }
-        });
-        best.map(|(_, i)| tour.order[i as usize])
+        SCRATCH.with_borrow_mut(|s| {
+            self.known_costs(tour, &mut s.cuts, &mut s.known);
+            self.descend(tour, &s.known, &mut s.todo)
+        })
     }
 
-    /// Calls `visit(entry index, effective cost)` for every non-root node
-    /// of the fragment, in falling entry order.
+    /// Fills `known` with the cut roots and their proper ancestors below
+    /// the fragment root, in entry order, each ancestor with its
+    /// effective cost.
     ///
-    /// Sweeps the root's Euler range from its end back to the root,
-    /// jumping over each cut interval, so every node is seen after all of
-    /// its descendants. Completed subtree values wait on a stack tagged
-    /// with their entry index; a node folds off the entries inside its own
-    /// interval, which are exactly its children, first child on top. The
-    /// sum is therefore own cost, then each child in order — a cut child
-    /// contributing a `0.0` placeholder — the same additions a recursive
-    /// post-order fold makes. O(|F| + |cut| log |cut|) time; the stack
-    /// holds one entry per pending sibling along the current path.
-    fn effective_costs(&self, tour: &Tour, mut visit: impl FnMut(u32, f64)) {
-        let mut cuts = self.cut_intervals(tour);
-        let mut pending: Vec<(u32, f64)> = Vec::new();
-        let first = tour.tin[self.root as usize] + 1; // the root is never cut off
-        let mut i = tour.tout[self.root as usize];
-        while i > first {
-            i -= 1;
-            if let Some(&(start, end)) = cuts.last() {
-                if end == i + 1 {
-                    pending.push((start, 0.0));
-                    cuts.pop();
-                    i = start;
-                    continue;
-                }
+    /// The ancestors are the union of the cuts' root paths. Taken in entry
+    /// order, each cut's walk up stops at the first ancestor of the
+    /// previous cut, which is already listed (an interval holding an
+    /// earlier cut and this one holds every cut between); what the walk
+    /// finds lies between the two cuts in entry order. The list is then
+    /// refolded deepest first, as the fold sums: own cost, then each child
+    /// in tour order, a cut child adding `0.0`. A node with a listed
+    /// descendant is listed itself, so a node's listed children are the
+    /// entries after it, each skipping to its `end`. O(c log c + k·degree)
+    /// for c cuts and k listed nodes.
+    fn known_costs(&self, tour: &Tour, cuts: &mut Vec<u32>, known: &mut Vec<Known>) {
+        cuts.clear();
+        cuts.extend(self.cut.iter().map(|&c| tour.tin[c as usize]));
+        cuts.sort_unstable();
+        known.clear();
+        let mut prev: Option<u32> = None;
+        for &tin in cuts.iter() {
+            let c = tour.order[tin as usize];
+            let from = known.len();
+            let mut v = tour.parent[c as usize];
+            while v != self.root && prev.is_none_or(|p| !tour.in_subtree(p, v)) {
+                known.push(Known {
+                    tin: tour.tin[v as usize],
+                    end: 0,
+                    eff: Some(0.0),
+                });
+                v = tour.parent[v as usize];
             }
-            let v = tour.order[i as usize] as usize;
-            let end = tour.tout[v];
-            let mut eff = tour.cost[v];
-            while let Some(&(at, value)) = pending.last() {
-                if at >= end {
-                    break;
-                }
-                eff += value;
-                pending.pop();
-            }
-            pending.push((i, eff));
-            visit(i, eff);
+            known[from..].reverse();
+            known.push(Known {
+                tin,
+                end: 0,
+                eff: None,
+            });
+            prev = Some(c);
         }
+        for i in (0..known.len()).rev() {
+            let mut end = i + 1;
+            if known[i].eff.is_some() {
+                let v = tour.order[known[i].tin as usize];
+                let mut eff = tour.cost[v as usize];
+                for c in tour.children(v) {
+                    match known.get(end) {
+                        Some(k) if k.tin == tour.tin[c as usize] => {
+                            eff += k.eff.unwrap_or(0.0);
+                            end = k.end as usize;
+                        }
+                        _ => eff += tour.fold[c as usize],
+                    }
+                }
+                known[i].eff = Some(eff);
+            }
+            known[i].end = end as u32;
+        }
+    }
+
+    /// Scores every active child of the root, and of each node whose
+    /// effective cost is at least half the weight, by `(|eff − half|,
+    /// entry index)`, and returns the least. A child lighter than half is
+    /// scored but not entered: every node below it weighs at most as much
+    /// (a sum of non-negative terms is at least each term), so it sits at
+    /// least as far from half, and enters later.
+    ///
+    /// Each node waits in `todo` with the index of the first `known`
+    /// entry that could be one of its children.
+    fn descend(&self, tour: &Tour, known: &[Known], todo: &mut Vec<(u32, u32)>) -> Option<u32> {
+        let half = self.weight / 2.0;
+        let mut best: Option<(f64, u32)> = None; // (|eff − half|, entry index)
+        todo.clear();
+        todo.push((self.root, 0));
+        while let Some((u, mut next)) = todo.pop() {
+            for c in tour.children(u) {
+                let tin = tour.tin[c as usize];
+                let (eff, below) = match known.get(next as usize) {
+                    Some(k) if k.tin == tin => {
+                        let below = next + 1;
+                        next = k.end;
+                        match k.eff {
+                            Some(eff) => (eff, below),
+                            None => continue,
+                        }
+                    }
+                    _ => (tour.fold[c as usize], next),
+                };
+                let key = (eff - half).abs();
+                if best.is_none_or(|(k, t)| key < k || (key == k && tin < t)) {
+                    best = Some((key, tin));
+                }
+                if eff >= half {
+                    todo.push((c, below));
+                }
+            }
+        }
+        best.map(|(_, t)| tour.order[t as usize])
     }
 
     /// Splits off `subtree(v)` (for an active non-root `v`): returns that
@@ -169,7 +333,12 @@ impl Fragment {
 
     /// Calls `f` on every node of the fragment in Euler (pre-)order.
     pub(crate) fn for_each_node<F: FnMut(u32)>(&self, tour: &Tour, mut f: F) {
-        let cuts = self.cut_intervals(tour);
+        let mut cuts: Vec<(u32, u32)> = self
+            .cut
+            .iter()
+            .map(|&c| (tour.tin[c as usize], tour.tout[c as usize]))
+            .collect();
+        cuts.sort_unstable();
         let mut next_cut = cuts.iter().peekable();
         let mut i = tour.tin[self.root as usize];
         let end = tour.tout[self.root as usize];
@@ -185,22 +354,11 @@ impl Fragment {
             i += 1;
         }
     }
-
-    /// The cut subtrees as Euler intervals, in tour order.
-    fn cut_intervals(&self, tour: &Tour) -> Vec<(u32, u32)> {
-        let mut spans: Vec<(u32, u32)> = self
-            .cut
-            .iter()
-            .map(|&c| (tour.tin[c as usize], tour.tout[c as usize]))
-            .collect();
-        spans.sort_unstable();
-        spans
-    }
 }
 
 /// The bisector as first written — a post-order walk per call that keeps
 /// effective costs in a `HashMap` and looks each node up in the cut list —
-/// kept as the reference the Euler sweep must match bit for bit.
+/// kept as the reference the descent must match bit for bit.
 #[cfg(test)]
 pub(crate) mod oracle {
     use std::collections::HashMap;
@@ -220,14 +378,7 @@ pub(crate) mod oracle {
 
     /// Children of `v` in tour order.
     fn children(tour: &Tour, v: u32) -> Vec<u32> {
-        let mut out = Vec::new();
-        let mut i = tour.tin[v as usize] + 1;
-        while i < tour.tout[v as usize] {
-            let c = tour.order[i as usize];
-            out.push(c);
-            i = tour.tout[c as usize];
-        }
-        out
+        tour.children(v).collect()
     }
 
     fn effective_costs(tour: &Tour, frag: &Fragment) -> Vec<(u32, f64)> {
@@ -256,18 +407,17 @@ pub(crate) mod oracle {
     }
 
     pub(crate) fn weight(tour: &Tour, frag: &Fragment) -> f64 {
-        let mut w = tour.subtree_cost[frag.root as usize];
+        let mut w = tour.subtree_cost(frag.root);
         for &c in &frag.cut {
-            w -= tour.subtree_cost[c as usize];
+            w -= tour.subtree_cost(c);
         }
         w
     }
 
+    /// Counts the fragment's nodes one by one.
     pub(crate) fn node_count(tour: &Tour, frag: &Fragment) -> u32 {
-        let mut n = tour.subtree_size[frag.root as usize];
-        for &c in &frag.cut {
-            n -= tour.subtree_size[c as usize];
-        }
+        let mut n = 0;
+        frag.for_each_node(tour, |_| n += 1);
         n
     }
 
@@ -325,24 +475,42 @@ pub(crate) mod oracle {
         }
     }
 
-    /// Asserts that `p`'s cached weight and node count, its effective
-    /// costs and its next cut agree with the oracle exactly.
+    /// Asserts that `p`'s cached weight and node count, every effective
+    /// cost the descent reads and its next cut agree with the oracle
+    /// exactly.
     pub(crate) fn assert_matches<P: TreeFragment>(p: &P) {
         let (tour, frag) = (p.tour(), p.fragment());
         assert_eq!(frag.weight.to_bits(), weight(tour, frag).to_bits());
         assert_eq!(frag.nodes, node_count(tour, frag));
-        let mut swept = Vec::new();
-        frag.effective_costs(tour, |i, eff| {
-            swept.push((tour.order[i as usize], eff.to_bits()))
+        let mut known = Vec::new();
+        frag.known_costs(tour, &mut Vec::new(), &mut known);
+        for (i, k) in known.iter().enumerate() {
+            let v = tour.order[k.tin as usize];
+            let past = known.partition_point(|j| j.tin < tour.tout[v as usize]);
+            assert_eq!(k.end as usize, past, "list end of node {v}");
+            assert!(
+                i == 0 || known[i - 1].tin < k.tin,
+                "list out of entry order"
+            );
+        }
+        let mut read: Vec<(u32, u64)> = Vec::new();
+        frag.for_each_node(tour, |v| {
+            if v != frag.root {
+                let eff = match known.binary_search_by_key(&tour.tin[v as usize], |k| k.tin) {
+                    Ok(i) => known[i].eff.expect("an active node is not cut away"),
+                    Err(_) => tour.fold[v as usize],
+                };
+                read.push((v, eff.to_bits()));
+            }
         });
-        swept.sort_unstable();
+        read.sort_unstable();
         let mut walked: Vec<(u32, u64)> = effective_costs(tour, frag)
             .into_iter()
             .filter(|&(v, _)| v != frag.root)
             .map(|(v, eff)| (v, eff.to_bits()))
             .collect();
         walked.sort_unstable();
-        assert_eq!(swept, walked, "root {} cut {:?}", frag.root, frag.cut);
+        assert_eq!(read, walked, "root {} cut {:?}", frag.root, frag.cut);
         assert_eq!(
             frag.best_split(tour),
             best_split(tour, frag),
@@ -410,6 +578,135 @@ pub(crate) mod oracle {
             assert_matches(&b);
             live.push(a);
             live.push(b);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use gb_core::problem::Bisectable;
+    use proptest::prelude::*;
+
+    use super::oracle::{self, TreeFragment};
+    use super::{Fragment, Tour, NO_PARENT};
+
+    /// A whole tree given by explicit parents and small integer costs, so
+    /// that effective costs tie exactly and often sit exactly at half a
+    /// fragment's weight.
+    #[derive(Debug, Clone)]
+    struct Plain {
+        tour: Arc<Tour>,
+        frag: Fragment,
+    }
+
+    impl Plain {
+        /// Node `v ≥ 1` hangs under `parents[v − 1] % v`, so any list
+        /// makes a tree; nodes without a listed parent hang under the root.
+        fn new(costs: &[u32], parents: &[u32]) -> Self {
+            let parent = (0..costs.len() as u32)
+                .map(|v| match v {
+                    0 => NO_PARENT,
+                    _ => parents.get(v as usize - 1).map_or(0, |p| p % v),
+                })
+                .collect();
+            let cost = costs.iter().map(|&c| f64::from(c)).collect();
+            let tour = Arc::new(Tour::new(cost, parent, None));
+            let frag = Fragment::new(&tour, 0, Vec::new());
+            Self { tour, frag }
+        }
+    }
+
+    impl Bisectable for Plain {
+        fn weight(&self) -> f64 {
+            self.frag.weight()
+        }
+
+        fn bisect(&self) -> (Self, Self) {
+            let v = self
+                .frag
+                .best_split(&self.tour)
+                .expect("a non-atomic fragment");
+            let (below, rest) = self.frag.split_at(&self.tour, v);
+            (self.with_fragment(below), self.with_fragment(rest))
+        }
+
+        fn can_bisect(&self) -> bool {
+            self.frag.nodes() >= 2
+        }
+    }
+
+    impl TreeFragment for Plain {
+        fn tour(&self) -> &Tour {
+            &self.tour
+        }
+
+        fn fragment(&self) -> &Fragment {
+            &self.frag
+        }
+
+        fn with_fragment(&self, frag: Fragment) -> Self {
+            Self {
+                tour: Arc::clone(&self.tour),
+                frag,
+            }
+        }
+    }
+
+    #[test]
+    fn a_child_at_exactly_half_wins_over_its_subtree() {
+        // 0 ─ 1 ─ 2 ─ 3, costs 1, 0, 0, 1: nodes 1, 2 and 3 each weigh
+        // exactly half of 2; 1 enters first.
+        let p = Plain::new(&[1, 0, 0, 1], &[0, 1, 2]);
+        assert_eq!(p.frag.best_split(&p.tour), Some(1));
+        oracle::assert_random_bisections_match(p, &[0, 1, 2]);
+    }
+
+    #[test]
+    fn zero_cost_trees_tie_everywhere() {
+        let p = Plain::new(&[0; 12], &[0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5]);
+        oracle::assert_random_bisections_match(p, &[3, 1, 4, 1, 5, 9, 2, 6, 5, 3]);
+    }
+
+    #[test]
+    fn effective_costs_fold_as_the_walk_does_not_as_the_class_sums() {
+        // Node 1 folds to (1 + e) + e = 1 with e = 2^-53, but sums to
+        // 1 + (e + e) = 1 + 2e, which is exactly half the weight, and so
+        // is node 4. Only the fold keeps node 1 off the split.
+        let e = 2f64.powi(-53);
+        let half = 1.0 + 2.0 * e;
+        let tour = Tour::new(
+            vec![0.0, 1.0, e, e, half],
+            vec![NO_PARENT, 0, 1, 1, 0],
+            Some(vec![2.0 * half, half, e, e, half]),
+        );
+        let frag = Fragment::new(&tour, 0, Vec::new());
+        assert_eq!(frag.best_split(&tour), Some(4));
+        assert_eq!(oracle::best_split(&tour, &frag), Some(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn tour_rejects_a_negative_cost() {
+        Tour::new(vec![1.0, -0.5], vec![NO_PARENT, 0], None);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn tour_rejects_a_cost_that_is_not_a_number() {
+        Tour::new(vec![1.0, f64::NAN], vec![NO_PARENT, 0], None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn prop_descent_picks_the_oracles_split_on_tied_costs(
+            costs in proptest::collection::vec(0u32..4, 1..80),
+            parents in proptest::collection::vec(any::<u32>(), 0..80),
+            picks in proptest::collection::vec(any::<u64>(), 1..100),
+        ) {
+            oracle::assert_random_bisections_match(Plain::new(&costs, &parents), &picks);
         }
     }
 }

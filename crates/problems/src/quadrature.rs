@@ -245,50 +245,73 @@ impl Integrand {
     /// width `min_width`.
     pub fn unit_region(self: &Arc<Self>, min_width: f64) -> Region {
         let d = self.dims();
-        let mut lo = [0.0; MAX_DIMS];
+        let lo = [0.0; MAX_DIMS];
         let mut hi = [0.0; MAX_DIMS];
-        for i in 0..d {
-            lo[i] = 0.0;
-            hi[i] = 1.0;
-        }
+        hi[..d].fill(1.0);
         let alpha = self.alpha_bound(&lo[..d], &hi[..d]);
-        Region {
+        let class = Arc::new(RegionClass {
             integrand: Arc::clone(self),
-            lo,
-            hi,
             alpha,
             min_width,
-        }
+        });
+        Region::new(class, lo, hi)
     }
+
+    /// The exact integral of the density over the box `lo × hi`.
+    fn integral(&self, lo: &[f64; MAX_DIMS], hi: &[f64; MAX_DIMS]) -> f64 {
+        let mut w = 1.0;
+        for (d, f) in self.factors.iter().enumerate() {
+            w *= f.integral(lo[d], hi[d]);
+        }
+        w
+    }
+}
+
+/// What every region cut from one root box shares.
+#[derive(Debug)]
+struct RegionClass {
+    integrand: Arc<Integrand>,
+    /// Class α, computed once on the root box (valid for all subregions).
+    alpha: f64,
+    min_width: f64,
 }
 
 /// An axis-aligned box with an attached work density; the problem type of
 /// the quadrature class.
 #[derive(Debug, Clone)]
 pub struct Region {
-    integrand: Arc<Integrand>,
+    class: Arc<RegionClass>,
     lo: [f64; MAX_DIMS],
     hi: [f64; MAX_DIMS],
-    /// Class α, computed once on the root box (valid for all subregions).
-    alpha: f64,
-    min_width: f64,
+    /// The integral over the box, computed when the box is made.
+    weight: f64,
 }
 
 impl Region {
+    fn new(class: Arc<RegionClass>, lo: [f64; MAX_DIMS], hi: [f64; MAX_DIMS]) -> Self {
+        let weight = class.integrand.integral(&lo, &hi);
+        Self {
+            class,
+            lo,
+            hi,
+            weight,
+        }
+    }
+
     /// The box bounds of dimension `d`.
     pub fn bounds(&self, d: usize) -> (f64, f64) {
-        assert!(d < self.integrand.dims());
+        assert!(d < self.class.integrand.dims());
         (self.lo[d], self.hi[d])
     }
 
     /// Number of dimensions.
     pub fn dims(&self) -> usize {
-        self.integrand.dims()
+        self.class.integrand.dims()
     }
 
     /// The dimension the next bisection will split (widest; ties lowest).
     pub fn widest_dim(&self) -> usize {
-        let d = self.integrand.dims();
+        let d = self.class.integrand.dims();
         let mut best = 0;
         let mut best_w = self.hi[0] - self.lo[0];
         for i in 1..d {
@@ -309,39 +332,39 @@ impl Region {
 
 impl PartialEq for Region {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.integrand, &other.integrand) && self.lo == other.lo && self.hi == other.hi
+        Arc::ptr_eq(&self.class.integrand, &other.class.integrand)
+            && self.lo == other.lo
+            && self.hi == other.hi
     }
 }
 
 impl Bisectable for Region {
     fn weight(&self) -> f64 {
-        let mut w = 1.0;
-        for (d, f) in self.integrand.factors.iter().enumerate() {
-            w *= f.integral(self.lo[d], self.hi[d]);
-        }
-        w
+        self.weight
     }
 
     fn bisect(&self) -> (Self, Self) {
         debug_assert!(self.can_bisect());
         let d = self.widest_dim();
         let mid = 0.5 * (self.lo[d] + self.hi[d]);
-        let mut a = self.clone();
-        let mut b = self.clone();
-        a.hi[d] = mid;
-        b.lo[d] = mid;
-        (a, b)
+        let (mut a_hi, mut b_lo) = (self.hi, self.lo);
+        a_hi[d] = mid;
+        b_lo[d] = mid;
+        (
+            Self::new(Arc::clone(&self.class), self.lo, a_hi),
+            Self::new(Arc::clone(&self.class), b_lo, self.hi),
+        )
     }
 
     fn can_bisect(&self) -> bool {
         let d = self.widest_dim();
-        self.hi[d] - self.lo[d] > self.min_width
+        self.hi[d] - self.lo[d] > self.class.min_width
     }
 }
 
 impl AlphaBisectable for Region {
     fn alpha(&self) -> f64 {
-        self.alpha
+        self.class.alpha
     }
 }
 

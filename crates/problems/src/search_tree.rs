@@ -21,7 +21,7 @@ use std::sync::Arc;
 use gb_core::problem::Bisectable;
 use gb_core::rng::Xoshiro256StarStar;
 
-use crate::fragment::{Fragment, Tour};
+use crate::fragment::{Fragment, Tour, NO_PARENT};
 
 /// An immutable search tree shared by all problems derived from it.
 #[derive(Debug)]
@@ -44,12 +44,11 @@ impl SearchTree {
         assert!(max_branch >= 2, "need branching >= 2");
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
         let mut cost = vec![rng.range_f64(0.5, 1.5)];
-        let mut children: Vec<Vec<u32>> = vec![Vec::new()];
-        let mut frontier = std::collections::VecDeque::from([0u32]);
-        while let Some(v) = frontier.pop_front() {
-            if cost.len() >= target_nodes {
-                break;
-            }
+        let mut parent = vec![NO_PARENT];
+        // Breadth first: nodes are expanded in the order they were made,
+        // which is id order, and each one's children get consecutive ids.
+        let mut v = 0;
+        while v < cost.len() && cost.len() < target_nodes {
             // Between 0 and max_branch children, biased towards bushiness
             // early (so the tree does not die out).
             let max_kids = max_branch.min(target_nodes - cost.len());
@@ -59,53 +58,20 @@ impl SearchTree {
                 rng.range_usize(max_kids + 1)
             };
             for _ in 0..kids {
-                let c = cost.len() as u32;
                 cost.push(rng.range_f64(0.5, 1.5));
-                children.push(Vec::new());
-                children[v as usize].push(c);
-                frontier.push_back(c);
+                parent.push(v as u32);
             }
+            v += 1;
         }
-        Arc::new(Self::finish(cost, children))
-    }
-
-    fn finish(cost: Vec<f64>, children: Vec<Vec<u32>>) -> Self {
-        let n = cost.len();
-        let mut subtree_cost = vec![0.0; n];
-        let mut subtree_size = vec![0u32; n];
-        let mut tin = vec![0u32; n];
-        let mut tout = vec![0u32; n];
-        let mut timer = 0u32;
-        let mut stack: Vec<(u32, bool)> = vec![(0, false)];
-        while let Some((v, expanded)) = stack.pop() {
-            let vi = v as usize;
-            if expanded {
-                let mut c = cost[vi];
-                let mut s = 1u32;
-                for &ch in &children[vi] {
-                    c += subtree_cost[ch as usize];
-                    s += subtree_size[ch as usize];
-                }
-                subtree_cost[vi] = c;
-                subtree_size[vi] = s;
-                tout[vi] = timer;
-            } else {
-                tin[vi] = timer;
-                timer += 1;
-                stack.push((v, true));
-                for &ch in children[vi].iter().rev() {
-                    stack.push((ch, false));
-                }
-            }
-        }
-        Self {
-            tour: Tour::new(cost, subtree_cost, subtree_size, tin, tout),
-        }
+        // A search tree sums a subtree as its fold does.
+        Arc::new(Self {
+            tour: Tour::new(cost, parent, None),
+        })
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.tour.cost.len()
+        self.tour.len()
     }
 
     /// `true` if the tree has no nodes (never, by construction).
@@ -115,7 +81,7 @@ impl SearchTree {
 
     /// Total expansion cost.
     pub fn total_cost(&self) -> f64 {
-        self.tour.subtree_cost[0]
+        self.tour.subtree_cost(0)
     }
 
     /// `true` iff `b` lies in the subtree rooted at `a`.
@@ -192,7 +158,7 @@ mod tests {
     fn generator_hits_the_budget() {
         let t = SearchTree::random(5000, 4, 7);
         assert!(t.len() >= 4000 && t.len() <= 5003, "{} nodes", t.len());
-        assert_eq!(t.tour.subtree_size[0] as usize, t.len());
+        assert_eq!(t.tour.size(0) as usize, t.len());
         assert!(t.total_cost() > 0.0);
     }
 

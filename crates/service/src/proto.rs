@@ -5,8 +5,8 @@
 //! terminated. The JSON layer is hand-rolled (recursive-descent parser +
 //! writer) so the daemon stays free of registry dependencies; the subset
 //! is full JSON except that numbers are split into integer
-//! ([`Json::Int`]) and floating ([`Json::Num`]) forms so `u64`-sized ids
-//! and seeds up to `i64::MAX` round-trip exactly. Floats print as the
+//! ([`Json::Int`], [`Json::UInt`]) and floating ([`Json::Num`]) forms so
+//! every `u64` id, seed and `micros` round-trips exactly. Floats print as the
 //! shortest text that reads back to the same `f64` (the bytes `Display`
 //! writes, found by an in-tree Ryu, see `crate::shortest`), so finite
 //! values round-trip bit-for-bit too. An ok reply, the one message with
@@ -101,6 +101,8 @@ pub enum Json {
     Bool(bool),
     /// An integer literal (no fraction or exponent) within `i64`.
     Int(i64),
+    /// An integer literal above `i64::MAX`, up to `u64::MAX`.
+    UInt(u64),
     /// Any other number.
     Num(f64),
     /// A string.
@@ -109,6 +111,13 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object; insertion order preserved, first key wins on lookup.
     Obj(Vec<(String, Json)>),
+}
+
+impl From<u64> for Json {
+    /// The integer as [`Json::parse`] reads its text back.
+    fn from(v: u64) -> Self {
+        i64::try_from(v).map_or(Json::UInt(v), Json::Int)
+    }
 }
 
 impl Json {
@@ -124,6 +133,7 @@ impl Json {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Int(i) => Some(*i as f64),
+            Json::UInt(u) => Some(*u as f64),
             Json::Num(x) => Some(*x),
             _ => None,
         }
@@ -133,6 +143,7 @@ impl Json {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Int(i) if *i >= 0 => Some(*i as u64),
+            Json::UInt(u) => Some(*u),
             _ => None,
         }
     }
@@ -220,6 +231,7 @@ impl Json {
             Json::Bool(true) => out.extend_from_slice(b"true"),
             Json::Bool(false) => out.extend_from_slice(b"false"),
             Json::Int(i) => push_i64_ascii(out, *i),
+            Json::UInt(u) => push_u64_ascii(out, *u),
             Json::Num(x) => push_json_f64(out, *x),
             Json::Str(s) => write_json_string(s, out),
             Json::Arr(items) => {
@@ -378,6 +390,9 @@ impl<'a> Parser<'a> {
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Json::Int(i));
+            }
+            if let Ok(u) = text.parse::<u64>() {
+                return Ok(Json::UInt(u));
             }
         }
         text.parse::<f64>()
@@ -712,13 +727,13 @@ impl Request {
             Request::Balance(b) => {
                 let mut entries = vec![("op".into(), Json::Str("balance".into()))];
                 if let Some(id) = b.id {
-                    entries.push(("id".into(), Json::Int(id as i64)));
+                    entries.push(("id".into(), Json::from(id)));
                 }
                 entries.push(("algorithm".into(), Json::Str(b.algorithm.name().into())));
                 entries.push(("n".into(), Json::Int(b.n as i64)));
                 entries.push(("theta".into(), Json::Num(b.theta)));
                 if let Some(d) = b.deadline_ms {
-                    entries.push(("deadline_ms".into(), Json::Int(d as i64)));
+                    entries.push(("deadline_ms".into(), Json::from(d)));
                 }
                 if !b.want_pieces {
                     entries.push(("want_pieces".into(), Json::Bool(false)));
@@ -919,11 +934,11 @@ impl Response {
                 out.push(b'{');
                 if let Some(id) = r.id {
                     out.extend_from_slice(b"\"id\":");
-                    push_i64_ascii(out, id as i64);
+                    push_u64_ascii(out, id);
                     out.push(b',');
                 }
                 push_ok_head(out, r.algorithm, r.n, r.cached, r.ratio, r.bound, r.alpha);
-                push_i64_ascii(out, r.micros as i64);
+                push_u64_ascii(out, r.micros);
                 push_ok_rest(out, &r.pieces);
                 return;
             }
@@ -938,7 +953,7 @@ impl Response {
             Response::Error { id, code, message } => {
                 let mut entries = Vec::new();
                 if let Some(id) = id {
-                    entries.push(("id".into(), Json::Int(*id as i64)));
+                    entries.push(("id".into(), Json::from(*id)));
                 }
                 entries.push(("status".into(), Json::Str("error".into())));
                 entries.push(("code".into(), Json::Str(code.name().into())));
@@ -2127,6 +2142,22 @@ mod tests {
         // A float that prints without a fraction re-parses as a float.
         let encoded = Json::Num(5.0).encode();
         assert_eq!(Json::parse(&encoded).unwrap(), Json::Num(5.0));
+    }
+
+    #[test]
+    fn every_u64_reads_back_as_itself() {
+        for v in [0, 1 << 53, i64::MAX as u64, 1 << 63, u64::MAX] {
+            let json = Json::from(v);
+            let back = Json::parse(&json.encode()).unwrap();
+            assert_eq!(back, json, "{v}");
+            assert_eq!(back.as_u64(), Some(v));
+        }
+        assert_eq!(Json::from(1 << 63), Json::UInt(1 << 63));
+        assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
+        assert_eq!(
+            Json::parse("18446744073709551616").unwrap(),
+            Json::Num(18446744073709551616.0)
+        );
     }
 
     #[test]

@@ -122,7 +122,7 @@ impl ProblemSpec {
                 e.push(("weight".into(), Json::Num(weight)));
                 e.push(("lo".into(), Json::Num(lo)));
                 e.push(("hi".into(), Json::Num(hi)));
-                e.push(("seed".into(), Json::Int(seed as i64)));
+                e.push(("seed".into(), Json::from(seed)));
             }
             ProblemSpec::FeTree {
                 refinements,
@@ -131,7 +131,7 @@ impl ProblemSpec {
             } => {
                 e.push(("refinements".into(), Json::Int(refinements as i64)));
                 e.push(("bias".into(), Json::Num(bias)));
-                e.push(("seed".into(), Json::Int(seed as i64)));
+                e.push(("seed".into(), Json::from(seed)));
             }
             ProblemSpec::Grid {
                 rows,
@@ -142,7 +142,7 @@ impl ProblemSpec {
                 e.push(("rows".into(), Json::Int(rows as i64)));
                 e.push(("cols".into(), Json::Int(cols as i64)));
                 e.push(("hotspots".into(), Json::Int(hotspots as i64)));
-                e.push(("seed".into(), Json::Int(seed as i64)));
+                e.push(("seed".into(), Json::from(seed)));
             }
             ProblemSpec::Quadrature {
                 dims,
@@ -153,7 +153,7 @@ impl ProblemSpec {
                 e.push(("dims".into(), Json::Int(dims as i64)));
                 e.push(("sharpness".into(), Json::Num(sharpness)));
                 e.push(("min_width".into(), Json::Num(min_width)));
-                e.push(("seed".into(), Json::Int(seed as i64)));
+                e.push(("seed".into(), Json::from(seed)));
             }
             ProblemSpec::SearchTree {
                 nodes,
@@ -162,12 +162,12 @@ impl ProblemSpec {
             } => {
                 e.push(("nodes".into(), Json::Int(nodes as i64)));
                 e.push(("branch".into(), Json::Int(branch as i64)));
-                e.push(("seed".into(), Json::Int(seed as i64)));
+                e.push(("seed".into(), Json::from(seed)));
             }
             ProblemSpec::TaskList { tasks, heavy, seed } => {
                 e.push(("tasks".into(), Json::Int(tasks as i64)));
                 e.push(("heavy".into(), Json::Bool(heavy)));
-                e.push(("seed".into(), Json::Int(seed as i64)));
+                e.push(("seed".into(), Json::from(seed)));
             }
         }
         Json::Obj(e)
@@ -705,6 +705,15 @@ impl ServiceProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// HF moves pieces by value, so their size is part of a miss's cost.
+    /// The largest is a quadrature `Region`: its box, its cached weight
+    /// and one pointer to what its class shares.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_service_problem_stays_at_120_bytes() {
+        assert_eq!(std::mem::size_of::<ServiceProblem>(), 120);
+    }
 
     fn all_specs() -> Vec<ProblemSpec> {
         vec![
