@@ -14,7 +14,7 @@
 //! * [`load`] — always-on per-vnode load accounting for the serving hot
 //!   path (two relaxed counter bumps per request) plus an EWMA tracker
 //!   that turns the cumulative counters into smoothed per-tick weights.
-//! * [`plan`] — the planner: greedy-LPT bisection of the weighted vnode
+//! * [`plan`](mod@plan) — the planner: greedy-LPT bisection of the weighted vnode
 //!   multiset driven by [`gb_core::hf::hf`], piece→backend matching that
 //!   minimises churn against the current assignment, and hysteresis
 //!   (imbalance trigger + per-tick move budget).

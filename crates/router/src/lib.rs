@@ -52,9 +52,10 @@
 //!   health, plus the max/mean load-imbalance gauge across alive
 //!   upstreams.
 //!
-//! Upstream-side sockets run through the same [`IoShim`]
-//! (gb_service::fault::IoShim) seam as the server's, so the chaos suite
-//! scripts router-to-upstream faults with the same vocabulary.
+//! Upstream-side sockets run through the same
+//! [`IoShim`](gb_service::fault::IoShim) seam as the server's, so the
+//! chaos suite scripts router-to-upstream faults with the same
+//! vocabulary.
 //!
 //! ```no_run
 //! use gb_router::{RouterConfig, RouterServer};

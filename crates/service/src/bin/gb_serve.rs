@@ -44,8 +44,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gb_service::fault::ScriptedShim;
-use gb_service::persist::StoreSettings;
 use gb_service::server::{Server, ServerConfig, Tuning};
+use gb_store::StoreConfig;
 
 fn usage() -> ! {
     eprintln!(
@@ -122,7 +122,7 @@ fn parse_args() -> (ServerConfig, Tuning) {
                 ) as u64)
             }
             "--store-dir" => {
-                tuning.store = Some(StoreSettings::new(value("--store-dir")));
+                tuning.store = Some(StoreConfig::new(value("--store-dir")));
             }
             "--store-segment-bytes" => {
                 let bytes =

@@ -12,11 +12,11 @@ use std::time::{Duration, Instant};
 use gb_core::rng::SplitMix64;
 use gb_service::cache::CacheKey;
 use gb_service::client::Client;
-use gb_service::persist::StoreSettings;
 use gb_service::proto::{Algorithm, BalanceRequest, Json, Request, Response, WireCodec};
 use gb_service::route::Router;
 use gb_service::server::Tuning;
 use gb_service::spec::ProblemSpec;
+use gb_store::StoreConfig;
 
 use crate::fleet::{self, fetch_stats, stat_u64};
 use crate::report::{int, text, Baseline, Fields, Report};
@@ -387,7 +387,7 @@ fn store(smoke: bool) -> Result<Report, String> {
     let restart = |store: Option<&Path>| -> Result<(PhaseStats, Option<Json>), String> {
         let boot = || {
             let tuning = Tuning {
-                store: store.map(StoreSettings::new),
+                store: store.map(StoreConfig::new),
                 ..Tuning::default()
             };
             fleet::start(2, BENCH_QUEUE_CAP, BENCH_CACHE_CAP, 2, tuning)

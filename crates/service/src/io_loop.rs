@@ -30,14 +30,18 @@
 //! and registers nothing.
 //!
 //! The readiness backend is a platform decision, not an option. On
-//! Linux each poller blocks in `epoll_wait` (`epoll_loop`) and services
-//! only the connections the kernel (or a worker's eventfd wakeup)
-//! reports, so idle connections cost nothing. When the epoll or eventfd
-//! setup fails at startup — and on every non-Linux target, where
-//! `gb-sys` reports it as unsupported — the pollers run the portable
-//! sweep loop (`event_loop`) instead, which probes every connection each
-//! pass — and hands the handler every pass to probe its own sockets the
-//! same way. Both run the same `sweep_conn` per connection.
+//! Linux each poller blocks in `epoll_wait` and services only the
+//! connections the kernel (or a worker's eventfd wakeup) reports, so
+//! idle connections cost nothing. When the epoll or eventfd setup fails
+//! at startup — and on every non-Linux target, where `gb-sys` reports it
+//! as unsupported — the pollers fall back to sweeping: every pass probes
+//! every connection, and hands the handler every pass to probe its own
+//! sockets the same way, napping with an adaptive back-off when nothing
+//! moves. Both backends run one loop (`poller_loop`), which consults the
+//! backend at three points only: how a pass waits, which connections are
+//! due, and whether sockets are registered with the kernel. Accept,
+//! hand-off, the handler's sockets and deadline, the per-connection
+//! `sweep_conn`, the drain and the exit test are written once.
 //! [`IoLoop::engine`] names the backend the pollers actually run
 //! (`"epoll"` or `"sweep"`).
 
@@ -81,7 +85,7 @@ pub struct LoopConfig {
     pub pollers: usize,
     /// Timer granularity: how often in-flight and write-stalled
     /// connections are re-checked, the accept backoff after fd
-    /// exhaustion, and the ceiling on the sweep loop's idle backoff.
+    /// exhaustion, and the ceiling on the sweep fallback's idle backoff.
     pub poll_interval: Duration,
     /// How long a socket may refuse bytes with output pending before
     /// the connection is declared dead (the peer stopped reading).
@@ -226,9 +230,9 @@ impl Sockets<'_> {
 }
 
 thread_local! {
-    /// On an epoll poller's thread: its index, and the connection slots
-    /// whose deferred reply was sent from this thread since the poller
-    /// last looked. Such a reply needs no eventfd wakeup.
+    /// On a poller's thread: its index, and the connection slots whose
+    /// deferred reply was sent from this thread since the poller last
+    /// looked. Such a reply needs no eventfd wakeup.
     static ON_POLLER: RefCell<Option<(usize, Vec<usize>)>> = const { RefCell::new(None) };
 }
 
@@ -275,8 +279,7 @@ struct ConnShared {
     inflight: AtomicUsize,
     /// Socket failed on write; the poller drops the connection.
     dead: AtomicBool,
-    /// The owning poller's index, and the connection's slot on it (epoll
-    /// backend only).
+    /// The owning poller's index, and the connection's slot on it.
     poller: usize,
     slot: AtomicUsize,
     /// Wakes the owning epoll poller when worker-side state changes
@@ -552,7 +555,7 @@ pub struct Pollers {
 impl IoLoop {
     /// Takes over a bound listener and decides the readiness backend,
     /// once, for every poller: epoll where the kernel provides it, the
-    /// sweep loop when setup fails (always, off Linux). The pollers
+    /// sweep fallback when setup fails (always, off Linux). The pollers
     /// start with [`Pollers::spawn`], once the handler exists.
     pub fn new(
         listener: TcpListener,
@@ -654,10 +657,7 @@ impl Pollers {
                 let ep = epolls.next();
                 thread::Builder::new()
                     .name(format!("{name}-io-{p}"))
-                    .spawn(move || match ep {
-                        Some(ep) => epoll_loop(&io, &*handler, p, listener, ep),
-                        None => event_loop(&io, &*handler, p, listener),
-                    })
+                    .spawn(move || poller_loop(&io, &*handler, p, listener, ep))
             })
             .collect()
     }
@@ -867,104 +867,7 @@ fn mark_write_dead(io: &IoLoop, conn: &ConnShared, w: &mut ConnWriter) {
 }
 
 // ---------------------------------------------------------------------------
-// Sweep readiness: the portable fallback
-// ---------------------------------------------------------------------------
-
-/// The poller loop: accept (poller 0), adopt handed-off connections,
-/// sweep each connection for readable frames, back off adaptively when
-/// idle. Exits when shutdown is set and every in-flight reply has been
-/// written.
-fn event_loop<H: Handler>(
-    io: &Arc<IoLoop>,
-    handler: &H,
-    index: usize,
-    mut listener: Option<TcpListener>,
-) {
-    let mut local = H::Local::default();
-    let sockets = Sockets { ep: None };
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut accepts = AcceptState::default();
-    let mut idle_spins = 0u32;
-    // Reused across sweeps: inline replies are batched here and written
-    // with one syscall per connection per sweep.
-    let mut replies = Vec::new();
-    loop {
-        let mut progress = false;
-        let draining = io.is_shutting_down();
-        if draining {
-            // Dropping the listener refuses new connections immediately.
-            listener = None;
-        } else if let Some(l) = &listener {
-            progress |= drain_accepts(io, handler, l, &mut accepts, |target, conn| {
-                if target == index {
-                    conns.push(conn);
-                } else {
-                    io.inboxes[target].lock().push(conn);
-                }
-            });
-        }
-        {
-            let mut inbox = io.inboxes[index].lock();
-            if !inbox.is_empty() {
-                progress = true;
-                conns.append(&mut inbox);
-            }
-        }
-        // The handler's sockets get their sweep first, so a reply sent
-        // from them is picked up by this pass's connection sweep.
-        handler.poll_sockets(&mut local, Ready::All, sockets);
-        conns.retain_mut(|conn| {
-            let (local, progress) = (&mut local, &mut progress);
-            sweep_conn(
-                io,
-                handler,
-                local,
-                sockets,
-                conn,
-                draining,
-                progress,
-                &mut replies,
-            )
-        });
-        let deadline = handler.next_deadline(&local);
-        if draining && conns.is_empty() && deadline.is_none() {
-            return;
-        }
-        if progress {
-            idle_spins = 0;
-        } else {
-            idle_spins = idle_spins.saturating_add(1);
-            if idle_spins > 3 {
-                // Exponential backoff from 50 µs. There is no readiness
-                // wakeup — a sleeping poller is blind — so the sleep cap
-                // balances wake latency against sweep cost. A flat 1 ms
-                // cap meant ONE idle connection held the poller at ~1k
-                // full sweeps/sec forever; instead the cap scales with
-                // the sweep's own cost (~20 µs of allowance per
-                // connection), so a near-empty poller naps cheaply while
-                // a loaded one still wakes fast. Only an empty poller
-                // may back off all the way to the poll interval.
-                let exp = (idle_spins - 3).min(12);
-                let backoff = Duration::from_micros(50u64 << exp);
-                let interval = io.config.poll_interval;
-                let cap = if conns.is_empty() {
-                    interval
-                } else {
-                    Duration::from_micros(20 * conns.len() as u64)
-                        .min(interval)
-                        .max(Duration::from_millis(1).min(interval))
-                };
-                // A handler timer must not sleep through its deadline.
-                let until_deadline =
-                    deadline.map_or(cap, |d| d.saturating_duration_since(Instant::now()));
-                thread::sleep(backoff.min(cap).min(until_deadline));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Epoll readiness: wakeups over the same per-connection logic
+// The poller loop, over either readiness backend
 // ---------------------------------------------------------------------------
 
 /// Registration token for the accept listener.
@@ -989,8 +892,8 @@ fn raw_fd<T>(_sock: &T) -> sys::RawFd {
 /// listener registered on poller 0's instance. Any failure — the fault
 /// shim's scripted [`IoShim::readiness_setup`] error, `epoll_create1`
 /// or `eventfd` refusing under fd exhaustion, or `Unsupported` off
-/// Linux — sends every poller to the sweep loop instead: readiness is
-/// an optimisation, not a correctness requirement.
+/// Linux — sends every poller to the sweep fallback instead: readiness
+/// is an optimisation, not a correctness requirement.
 fn open_readiness(
     shim: &dyn IoShim,
     listener: &TcpListener,
@@ -1010,9 +913,9 @@ fn open_readiness(
         .collect()
 }
 
-/// A connection owned by an epoll poller: the sweep loop's [`Conn`]
-/// plus the interest currently registered with the kernel.
-struct EpollConn {
+/// A connection owned by a poller, plus the interest currently
+/// registered for it with the kernel (epoll only).
+struct Slot {
     conn: Conn,
     armed: sys::Interest,
 }
@@ -1021,12 +924,13 @@ fn conn_fd(conn: &Conn) -> sys::RawFd {
     raw_fd(conn.reader.get_ref().get_ref())
 }
 
-/// Adds a connection to the poller's slab and registers its socket for
-/// read readiness. `None` (with `conn_reset` recorded) if the kernel
-/// refuses the registration — the socket died between accept and here.
-fn epoll_insert(
-    ep: &sys::Epoll,
-    slots: &mut Vec<Option<EpollConn>>,
+/// Adds a connection to the poller's slab and, under epoll, registers
+/// its socket for read readiness. `None` (with `conn_reset` recorded) if
+/// the kernel refuses the registration — the socket died between accept
+/// and here.
+fn insert(
+    ep: Option<&sys::Epoll>,
+    slots: &mut Vec<Option<Slot>>,
     free: &mut Vec<usize>,
     io: &IoLoop,
     conn: Conn,
@@ -1035,42 +939,84 @@ fn epoll_insert(
         slots.push(None);
         slots.len() - 1
     });
-    if ep
-        .add(conn_fd(&conn), slot as u64, sys::Interest::READ)
-        .is_err()
-    {
-        free.push(slot);
-        bump(&io.counters.conn_reset);
-        return None;
+    if let Some(ep) = ep {
+        if ep
+            .add(conn_fd(&conn), slot as u64, sys::Interest::READ)
+            .is_err()
+        {
+            free.push(slot);
+            bump(&io.counters.conn_reset);
+            return None;
+        }
     }
     conn.shared.slot.store(slot, Ordering::Relaxed);
-    slots[slot] = Some(EpollConn {
+    slots[slot] = Some(Slot {
         conn,
         armed: sys::Interest::READ,
     });
     Some(slot)
 }
 
-/// The readiness-driven poller. Per-connection semantics are identical
-/// to [`event_loop`] — the work is the same [`sweep_conn`], so the
-/// fault shim, reply arbitration, and write-stall accounting are all
-/// shared — but instead of sweeping every connection every iteration
-/// the poller blocks in `epoll_wait` and services only what the kernel
-/// (or a worker's eventfd wakeup) reports. Idle connections therefore
-/// cost nothing per iteration; that is the whole point of readiness.
+/// How long a sweep poller naps before its next pass, after `idle_spins`
+/// passes in a row made no progress while it owned `conns` connections:
+/// nothing for three passes, then exponentially from 50 µs. There is no
+/// readiness wakeup — a sleeping poller is blind — so the cap balances
+/// wake latency against sweep cost. A flat 1 ms cap meant ONE idle
+/// connection held the poller at ~1k full sweeps/sec forever; instead
+/// the cap scales with the sweep's own cost (~20 µs of allowance per
+/// connection), so a near-empty poller naps cheaply while a loaded one
+/// still wakes fast. Only an empty poller may back off all the way to
+/// the poll interval, and a handler timer caps the nap at its deadline.
+fn sweep_backoff(
+    idle_spins: u32,
+    conns: usize,
+    interval: Duration,
+    deadline: Option<Instant>,
+) -> Option<Duration> {
+    if idle_spins <= 3 {
+        return None;
+    }
+    let backoff = Duration::from_micros(50u64 << (idle_spins - 3).min(12));
+    let cap = if conns == 0 {
+        interval
+    } else {
+        Duration::from_micros(20 * conns as u64)
+            .min(interval)
+            .max(Duration::from_millis(1).min(interval))
+    };
+    let until_deadline = deadline.map_or(cap, |d| d.saturating_duration_since(Instant::now()));
+    Some(backoff.min(cap).min(until_deadline))
+}
+
+/// The poller loop: adopt handed-off connections, accept (on the poller
+/// holding the listener), service the handler's own sockets, then run
+/// [`sweep_conn`] on every due connection — so the fault shim, reply
+/// arbitration and write-stall accounting are the same on either
+/// backend. Exits once shutdown is set, every owned connection has
+/// drained and the handler has no timer pending.
+///
+/// The backend `ep` decides three things, and nothing else:
+/// - how a pass waits: epoll blocks in `epoll_wait` until the kernel, a
+///   worker's eventfd wakeup or a timer needs the poller; the sweep
+///   fallback (`None`) naps by [`sweep_backoff`] after idle passes;
+/// - which connections are due: epoll services the ones the kernel
+///   reported, the ones waiting on a timer or a reply, and the ones with
+///   frames already buffered, so idle connections cost nothing; the
+///   sweep fallback services every connection every pass, as a drain
+///   does on either backend;
+/// - whether sockets are registered with the kernel.
 ///
 /// Level-triggered interest is deliberate: the fault shim may answer a
 /// readable wakeup with an injected `WouldBlock`, and level semantics
-/// re-deliver the event on the next wait instead of losing it.
-///
-/// `ep` comes from [`open_readiness`], with this poller's waker (and,
-/// on the accepting poller, the listener) already registered.
-fn epoll_loop<H: Handler>(
+/// re-deliver the event on the next wait instead of losing it. `ep`
+/// comes from [`open_readiness`], with this poller's waker (and, on the
+/// accepting poller, the listener) already registered.
+fn poller_loop<H: Handler>(
     io: &Arc<IoLoop>,
     handler: &H,
     index: usize,
     mut listener: Option<TcpListener>,
-    mut ep: sys::Epoll,
+    mut ep: Option<sys::Epoll>,
 ) {
     use std::collections::HashSet;
 
@@ -1080,17 +1026,16 @@ fn epoll_loop<H: Handler>(
     let mut deadline: Option<Instant> = None;
     ON_POLLER.with(|on| *on.borrow_mut() = Some((index, Vec::new())));
 
-    let waker = Arc::clone(&io.wakers[index]);
     let interval = io.config.poll_interval;
     let mut listener_armed = listener.is_some();
 
     // Owned connections; the epoll token is the slot index.
-    let mut slots: Vec<Option<EpollConn>> = Vec::new();
+    let mut slots: Vec<Option<Slot>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut live = 0usize;
     // Slots needing periodic timer sweeps (frames in flight, buffered
     // output, or closing): `reply_timeout` and `write_stall` fire at
-    // poll-interval granularity, exactly like the sweep loop.
+    // poll-interval granularity on either backend.
     let mut watched: HashSet<usize> = HashSet::new();
     // Slots with complete frames buffered in the reader while the
     // socket itself is drained: readiness will never fire for those
@@ -1100,6 +1045,10 @@ fn epoll_loop<H: Handler>(
     let mut events: Vec<sys::Event> = Vec::new();
     let mut accepts = AcceptState::default();
     let mut last_timer = Instant::now();
+    // Passes in a row without progress, for the sweep fallback's nap.
+    let mut idle_spins = 0u32;
+    // Reused across passes: inline replies are batched here and written
+    // with one syscall per connection per pass.
     let mut replies = Vec::new();
 
     loop {
@@ -1107,62 +1056,77 @@ fn epoll_loop<H: Handler>(
         if draining {
             if let Some(l) = listener.take() {
                 // Dropping the listener refuses new connections now.
-                let _ = ep.delete(raw_fd(&l));
-                listener_armed = false;
+                if let Some(ep) = &ep {
+                    let _ = ep.delete(raw_fd(&l));
+                }
             }
-        }
-
-        // How long may the wait block? Buffered frames demand an
-        // immediate pass; anything time-driven — timer sweeps, accept
-        // backoff, drain — caps it at the poll interval; a fully idle
-        // poller blocks until the kernel or a worker wakes it.
-        let timeout = if !hot.is_empty() {
-            Some(Duration::ZERO)
-        } else if draining {
-            Some(Duration::from_millis(1).min(interval))
-        } else if !watched.is_empty() || accepts.backoff_until.is_some() {
-            Some(interval)
-        } else {
-            None
-        };
-        // The handler's next timer caps the wait, at its own instant
-        // rather than at the next poll interval.
-        let timeout = match deadline {
-            Some(d) => {
-                let left = d.saturating_duration_since(Instant::now());
-                Some(timeout.map_or(left, |t| t.min(left)))
-            }
-            None => timeout,
-        };
-        if ep.wait(&mut events, timeout).is_err() {
-            // A broken wait must not busy-loop; pace by the interval
-            // and keep sweeping via the timer path below.
-            events.clear();
-            thread::sleep(interval);
         }
 
         due.clear();
-        let mut accept_ready = false;
-        let mut waker_fired = false;
-        for ev in &events {
-            match ev.token {
-                LISTENER_TOKEN => accept_ready = true,
-                WAKER_TOKEN => waker_fired = true,
-                t if t & HANDLER_TOKEN != 0 => ready.push(t & !HANDLER_TOKEN),
-                t => due.push(t as usize),
+        // The sweep fallback tries the listener every pass.
+        let mut accept_ready = ep.is_none();
+        match &mut ep {
+            Some(ep) => {
+                // How long may the wait block? Buffered frames demand an
+                // immediate pass; anything time-driven — timer sweeps,
+                // accept backoff, drain — caps it at the poll interval; a
+                // fully idle poller blocks until the kernel or a worker
+                // wakes it.
+                let timeout = if !hot.is_empty() {
+                    Some(Duration::ZERO)
+                } else if draining {
+                    Some(Duration::from_millis(1).min(interval))
+                } else if !watched.is_empty() || accepts.backoff_until.is_some() {
+                    Some(interval)
+                } else {
+                    None
+                };
+                // The handler's next timer caps the wait, at its own
+                // instant rather than at the next poll interval.
+                let timeout = match deadline {
+                    Some(d) => {
+                        let left = d.saturating_duration_since(Instant::now());
+                        Some(timeout.map_or(left, |t| t.min(left)))
+                    }
+                    None => timeout,
+                };
+                if ep.wait(&mut events, timeout).is_err() {
+                    // A broken wait must not busy-loop; pace by the
+                    // interval and keep sweeping via the timer path.
+                    events.clear();
+                    thread::sleep(interval);
+                }
+                let mut waker_fired = false;
+                for ev in &events {
+                    match ev.token {
+                        LISTENER_TOKEN => accept_ready = true,
+                        WAKER_TOKEN => waker_fired = true,
+                        t if t & HANDLER_TOKEN != 0 => ready.push(t & !HANDLER_TOKEN),
+                        t => due.push(t as usize),
+                    }
+                }
+                if waker_fired {
+                    io.wakers[index].drain();
+                    // A worker finished (or a write died): the affected
+                    // connections are exactly the watched ones.
+                    due.extend(watched.iter().copied());
+                }
+            }
+            None => {
+                if let Some(nap) = sweep_backoff(idle_spins, live, interval, deadline) {
+                    thread::sleep(nap);
+                }
             }
         }
-        if waker_fired {
-            waker.drain();
-            // A worker finished (or a write died): the affected
-            // connections are exactly the watched ones.
-            due.extend(watched.iter().copied());
-        }
+        let ep = ep.as_ref();
+        let sockets = Sockets { ep };
+        let mut progress = false;
 
         // Adopt connections handed over by the accepting poller.
         let adopted = std::mem::take(&mut *io.inboxes[index].lock());
+        progress |= !adopted.is_empty();
         for conn in adopted {
-            if let Some(slot) = epoll_insert(&ep, &mut slots, &mut free, io, conn) {
+            if let Some(slot) = insert(ep, &mut slots, &mut free, io, conn) {
                 live += 1;
                 due.push(slot);
             }
@@ -1173,9 +1137,9 @@ fn epoll_loop<H: Handler>(
         // is deregistered while it lasts.
         if let Some(l) = &listener {
             if accept_ready || accepts.backoff_until.is_some() {
-                drain_accepts(io, handler, l, &mut accepts, |target, conn| {
+                progress |= drain_accepts(io, handler, l, &mut accepts, |target, conn| {
                     if target == index {
-                        if let Some(slot) = epoll_insert(&ep, &mut slots, &mut free, io, conn) {
+                        if let Some(slot) = insert(ep, &mut slots, &mut free, io, conn) {
                             live += 1;
                             due.push(slot);
                         }
@@ -1190,7 +1154,7 @@ fn epoll_loop<H: Handler>(
                 // backlog would otherwise wake the poller continuously
                 // during a backoff it cannot act on.
                 let want = accepts.backoff_until.is_none();
-                if want != listener_armed {
+                if let Some(ep) = ep.filter(|_| want != listener_armed) {
                     let done = if want {
                         ep.add(raw_fd(l), LISTENER_TOKEN, sys::Interest::READ)
                     } else {
@@ -1203,23 +1167,29 @@ fn epoll_loop<H: Handler>(
             }
         }
 
-        // The handler's ready sockets and due timers, then — in this same
+        // The handler's ready sockets and due timers (every socket,
+        // every pass, under the sweep fallback), then — in this same
         // pass — the connections whose replies they sent.
-        if !ready.is_empty() || deadline.is_some_and(|d| d <= Instant::now()) {
-            let sockets = Sockets { ep: Some(&ep) };
-            handler.poll_sockets(&mut local, Ready::Tokens(&ready), sockets);
+        if ep.is_none() || !ready.is_empty() || deadline.is_some_and(|d| d <= Instant::now()) {
+            let which = if ep.is_some() {
+                Ready::Tokens(&ready)
+            } else {
+                Ready::All
+            };
+            handler.poll_sockets(&mut local, which, sockets);
             ready.clear();
         }
         take_released(&mut due);
 
         // Merge time-driven work: reader-buffered slots always, watched
-        // slots at poll-interval cadence, everything during a drain.
+        // slots at poll-interval cadence. A drain, and every pass of the
+        // sweep fallback, services every slot instead — once each.
         due.append(&mut hot);
         if !watched.is_empty() && last_timer.elapsed() >= interval {
             due.extend(watched.iter().copied());
             last_timer = Instant::now();
         }
-        if draining {
+        if draining || ep.is_none() {
             due.clear();
             due.extend(
                 slots
@@ -1230,36 +1200,33 @@ fn epoll_loop<H: Handler>(
         }
 
         for &slot in &due {
-            // A slot may appear twice (event + timer) or have been
-            // dropped earlier in this pass; servicing is idempotent
-            // and empty slots are skipped.
-            let keep = {
-                let Some(ec) = slots.get_mut(slot).and_then(Option::as_mut) else {
-                    continue;
-                };
-                let mut progress = false;
-                let sockets = Sockets { ep: Some(&ep) };
-                sweep_conn(
-                    io,
-                    handler,
-                    &mut local,
-                    sockets,
-                    &mut ec.conn,
-                    draining,
-                    &mut progress,
-                    &mut replies,
-                )
+            // Under epoll a slot may appear twice (event + timer) or
+            // have been dropped earlier in this pass; servicing is
+            // idempotent and empty slots are skipped.
+            let Some(s) = slots.get_mut(slot).and_then(Option::as_mut) else {
+                continue;
             };
+            let keep = sweep_conn(
+                io,
+                handler,
+                &mut local,
+                sockets,
+                &mut s.conn,
+                draining,
+                &mut progress,
+                &mut replies,
+            );
             if !keep {
-                if let Some(ec) = slots[slot].take() {
-                    let _ = ep.delete(conn_fd(&ec.conn));
-                    live -= 1;
+                if let Some(ep) = ep {
+                    let _ = ep.delete(conn_fd(&s.conn));
                 }
+                slots[slot] = None;
+                live -= 1;
                 watched.remove(&slot);
                 free.push(slot);
                 continue;
             }
-            let Some(ec) = slots.get_mut(slot).and_then(Option::as_mut) else {
+            let Some(ep) = ep else {
                 continue;
             };
             // Re-arm for the connection's new state. Read interest is
@@ -1267,22 +1234,22 @@ fn epoll_loop<H: Handler>(
             // level-triggered readiness would spin until a reply frees
             // a turn — and restored once one does; write interest
             // mirrors buffered output, so `EPOLLOUT` re-arming flows
-            // through the same write-stall accounting as the sweep loop.
-            let inflight = ec.conn.shared.inflight.load(Ordering::Acquire);
+            // through the same write-stall accounting as a sweep.
+            let inflight = s.conn.shared.inflight.load(Ordering::Acquire);
             let desired = sys::Interest {
-                readable: !draining && !ec.conn.closing && inflight < WINDOW,
-                writable: ec.conn.shared.writer.lock().has_pending(),
+                readable: !draining && !s.conn.closing && inflight < WINDOW,
+                writable: s.conn.shared.writer.lock().has_pending(),
             };
-            if desired != ec.armed && ep.modify(conn_fd(&ec.conn), slot as u64, desired).is_ok() {
-                ec.armed = desired;
+            if desired != s.armed && ep.modify(conn_fd(&s.conn), slot as u64, desired).is_ok() {
+                s.armed = desired;
             }
-            let needs_timer = inflight > 0 || ec.conn.closing || desired.writable;
+            let needs_timer = inflight > 0 || s.conn.closing || desired.writable;
             if needs_timer {
                 watched.insert(slot);
             } else {
                 watched.remove(&slot);
             }
-            if desired.readable && ec.conn.reader.framer().has_buffered() {
+            if desired.readable && s.conn.reader.framer().has_buffered() {
                 hot.push(slot);
             }
         }
@@ -1295,6 +1262,11 @@ fn epoll_loop<H: Handler>(
         if draining && live == 0 && io.inboxes[index].lock().is_empty() && deadline.is_none() {
             return;
         }
+        idle_spins = if progress {
+            0
+        } else {
+            idle_spins.saturating_add(1)
+        };
     }
 }
 

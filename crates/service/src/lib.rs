@@ -82,7 +82,6 @@ pub mod spec;
 pub use cache::ShardedCache;
 pub use client::{Backoff, Client};
 pub use fault::{IoShim, Passthrough, ReadOp, ScriptedShim, WriteOp};
-pub use persist::StoreSettings;
 pub use proto::{Algorithm, ErrorCode, Request, Response};
 pub use route::{FailoverRing, Router};
 pub use server::{Server, ServerConfig, Tuning};

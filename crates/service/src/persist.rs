@@ -1,5 +1,5 @@
 //! Codec between the typed cache entries and the byte records `gb-store`
-//! persists, plus the [`StoreSettings`] knob bundle.
+//! persists.
 //!
 //! The store is byte-oriented on purpose: this module owns the mapping,
 //! so the wire cache types and the on-disk layout can evolve
@@ -17,8 +17,6 @@
 //! algorithm-tag mismatch yields `None` (counted by the caller as
 //! corruption), never a panic or a wrong entry.
 
-use std::path::PathBuf;
-
 use crate::cache::{CacheKey, CachedResult};
 use crate::proto::Algorithm;
 
@@ -27,46 +25,6 @@ const KEY_LEN: usize = 25;
 
 /// Fixed prefix of an encoded [`CachedResult`] before the pieces.
 const VALUE_FIXED: usize = 8 + 8 + 8 + 4;
-
-/// Persistence knobs carried in [`Tuning`](crate::server::Tuning);
-/// `None` disables the store entirely.
-#[derive(Debug, Clone)]
-pub struct StoreSettings {
-    /// Directory for the segment files.
-    pub dir: PathBuf,
-    /// Segment rotation threshold in bytes.
-    pub segment_bytes: u64,
-    /// Disk budget in bytes (0 = unbounded).
-    pub budget_bytes: u64,
-    /// Spill queue depth (records awaiting the writer thread).
-    pub queue_capacity: usize,
-    /// Durability mode: when to fsync the log (`none` trusts the OS).
-    pub sync: gb_store::SyncMode,
-}
-
-impl StoreSettings {
-    /// Default sizing for a store rooted at `dir`.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        let defaults = gb_store::StoreConfig::new("");
-        Self {
-            dir: dir.into(),
-            segment_bytes: defaults.segment_bytes,
-            budget_bytes: defaults.budget_bytes,
-            queue_capacity: 1024,
-            sync: gb_store::SyncMode::None,
-        }
-    }
-
-    /// The store-level config for these settings.
-    pub fn to_config(&self) -> gb_store::StoreConfig {
-        gb_store::StoreConfig {
-            dir: self.dir.clone(),
-            segment_bytes: self.segment_bytes,
-            budget_bytes: self.budget_bytes,
-            sync: self.sync,
-        }
-    }
-}
 
 /// Encodes a cache key as a store record key.
 pub fn encode_key(key: &CacheKey) -> Vec<u8> {
@@ -184,14 +142,5 @@ mod tests {
         assert!(decode_value(&bad_count).is_none());
         let truncated = encode_value(&sample_value());
         assert!(decode_value(&truncated[..truncated.len() - 3]).is_none());
-    }
-
-    #[test]
-    fn store_settings_defaults_match_store_config() {
-        let settings = StoreSettings::new("/tmp/x");
-        let config = settings.to_config();
-        assert_eq!(config.segment_bytes, 4 * 1024 * 1024);
-        assert_eq!(config.budget_bytes, 256 * 1024 * 1024);
-        assert_eq!(settings.queue_capacity, 1024);
     }
 }

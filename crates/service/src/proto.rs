@@ -20,11 +20,11 @@
 //! connection may interleave codecs, and replies are written in the
 //! codec of the request they answer. The server's request reader
 //! ([`FrameReader`]), the router's reply path and the [`Client`] all
-//! frame through it. Payload layouts live behind the [`Codec`] trait
-//! ([`JsonCodec`], [`BinaryCodec`]); the runtime dispatcher is
-//! [`WireCodec`]. A declared length over the framer's cap is a corrupt
-//! frame ([`FrameError::Corrupt`]): the framer never allocates it, and
-//! resynchronises by a bounded skip to the next newline or magic byte.
+//! frame through it. [`WireCodec`] picks the payload layout, through
+//! the [`Codec`] trait. A declared length over the framer's cap is a
+//! corrupt frame ([`FrameError::Corrupt`]): the framer never allocates
+//! it, and resynchronises by a bounded skip to the next newline or
+//! magic byte.
 //!
 //! [`Client`]: crate::Client
 //!
@@ -1138,6 +1138,20 @@ pub enum WireCodec {
     #[default]
     Json,
     /// Length-prefixed binary frames (`[0xA7][len u32 LE][payload]`).
+    ///
+    /// Request payload: `tag u8` — for `balance` followed by
+    /// `flags u8, [id u64], algorithm u8, n u32, theta f64, [deadline u64],
+    /// problem` (see [`ProblemSpec::encode_binary`]). All integers LE,
+    /// floats as LE IEEE-754 bits, so values round-trip exactly.
+    ///
+    /// Response payload: `tag u8` — `pong` is bare; `stats` carries the
+    /// stats object as JSON text (it is opaque, cold, and human-shaped);
+    /// `error` is `flags u8, [id u64], code u8, message (u32 len + UTF-8)`;
+    /// `ok` is a per-request head `flags u8, [id u64], cached u8,
+    /// micros u64` followed by the invariant tail `algorithm u8, n u32,
+    /// ratio f64, bound f64, alpha f64, count u32, pieces f64×count` — the
+    /// tail layout is shared with the encoded-reply cache, which stores it
+    /// pre-built and splices only the head per hit.
     Binary,
 }
 
@@ -1171,59 +1185,42 @@ impl WireCodec {
 impl Codec for WireCodec {
     fn encode_request(&self, req: &Request, out: &mut Vec<u8>) {
         match self {
-            WireCodec::Json => JsonCodec.encode_request(req, out),
-            WireCodec::Binary => BinaryCodec.encode_request(req, out),
+            WireCodec::Json => {
+                req.to_json().write(out);
+                out.push(b'\n');
+            }
+            WireCodec::Binary => binary_encode_request(req, out),
         }
     }
 
     fn encode_response(&self, resp: &Response, out: &mut Vec<u8>) {
         match self {
-            WireCodec::Json => JsonCodec.encode_response(resp, out),
-            WireCodec::Binary => BinaryCodec.encode_response(resp, out),
+            WireCodec::Json => {
+                resp.write_json(out);
+                out.push(b'\n');
+            }
+            WireCodec::Binary => binary_encode_response(resp, out),
         }
     }
 
     fn decode_request(&self, payload: &[u8]) -> Result<Request, ProtoError> {
         match self {
-            WireCodec::Json => JsonCodec.decode_request(payload),
-            WireCodec::Binary => BinaryCodec.decode_request(payload),
+            WireCodec::Json => Request::decode(utf8_line(payload)?),
+            WireCodec::Binary => binary_decode_request(payload),
         }
     }
 
     fn decode_response(&self, payload: &[u8]) -> Result<Response, ProtoError> {
         match self {
-            WireCodec::Json => JsonCodec.decode_response(payload),
-            WireCodec::Binary => BinaryCodec.decode_response(payload),
+            WireCodec::Json => Response::decode(utf8_line(payload)?),
+            WireCodec::Binary => binary_decode_response(payload),
         }
     }
 }
 
-/// The v1 newline-delimited JSON codec.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct JsonCodec;
-
-impl Codec for JsonCodec {
-    fn encode_request(&self, req: &Request, out: &mut Vec<u8>) {
-        req.to_json().write(out);
-        out.push(b'\n');
-    }
-
-    fn encode_response(&self, resp: &Response, out: &mut Vec<u8>) {
-        resp.write_json(out);
-        out.push(b'\n');
-    }
-
-    fn decode_request(&self, payload: &[u8]) -> Result<Request, ProtoError> {
-        let line = std::str::from_utf8(payload)
-            .map_err(|_| ProtoError::bad("frame is not valid UTF-8"))?;
-        Request::decode(line)
-    }
-
-    fn decode_response(&self, payload: &[u8]) -> Result<Response, ProtoError> {
-        let line = std::str::from_utf8(payload)
-            .map_err(|_| ProtoError::bad("frame is not valid UTF-8"))?;
-        Response::decode(line)
-    }
+/// A JSON payload as text.
+fn utf8_line(payload: &[u8]) -> Result<&str, ProtoError> {
+    std::str::from_utf8(payload).map_err(|_| ProtoError::bad("frame is not valid UTF-8"))
 }
 
 // Binary payload tags. Requests and responses use disjoint spaces only
@@ -1242,24 +1239,6 @@ const FLAG_ID: u8 = 1;
 const FLAG_DEADLINE: u8 = 2;
 const FLAG_WANT_PIECES: u8 = 4;
 
-/// The length-prefixed binary codec.
-///
-/// Request payload: `tag u8` — for `balance` followed by
-/// `flags u8, [id u64], algorithm u8, n u32, theta f64, [deadline u64],
-/// problem` (see [`ProblemSpec::encode_binary`]). All integers LE,
-/// floats as LE IEEE-754 bits, so values round-trip exactly.
-///
-/// Response payload: `tag u8` — `pong` is bare; `stats` carries the
-/// stats object as JSON text (it is opaque, cold, and human-shaped);
-/// `error` is `flags u8, [id u64], code u8, message (u32 len + UTF-8)`;
-/// `ok` is a per-request head `flags u8, [id u64], cached u8,
-/// micros u64` followed by the invariant tail `algorithm u8, n u32,
-/// ratio f64, bound f64, alpha f64, count u32, pieces f64×count` — the
-/// tail layout is shared with the encoded-reply cache, which stores it
-/// pre-built and splices only the head per hit.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BinaryCodec;
-
 /// Reserves a binary frame header in `out`, returning the payload start
 /// offset to pass to [`end_frame`].
 fn begin_frame(out: &mut Vec<u8>) -> usize {
@@ -1274,185 +1253,187 @@ fn end_frame(out: &mut [u8], payload_start: usize) {
     out[payload_start - 4..payload_start].copy_from_slice(&len.to_le_bytes());
 }
 
-impl Codec for BinaryCodec {
-    fn encode_request(&self, req: &Request, out: &mut Vec<u8>) {
-        let start = begin_frame(out);
-        match req {
-            Request::Ping => out.push(REQ_PING),
-            Request::Stats => out.push(REQ_STATS),
-            Request::Shutdown => out.push(REQ_SHUTDOWN),
-            Request::Balance(b) => {
-                out.push(REQ_BALANCE);
-                let mut flags = 0u8;
-                if b.id.is_some() {
-                    flags |= FLAG_ID;
-                }
-                if b.deadline_ms.is_some() {
-                    flags |= FLAG_DEADLINE;
-                }
-                if b.want_pieces {
-                    flags |= FLAG_WANT_PIECES;
-                }
-                out.push(flags);
-                if let Some(id) = b.id {
-                    out.extend_from_slice(&id.to_le_bytes());
-                }
-                out.push(b.algorithm.index() as u8);
-                out.extend_from_slice(&(b.n as u32).to_le_bytes());
-                out.extend_from_slice(&b.theta.to_le_bytes());
-                if let Some(d) = b.deadline_ms {
-                    out.extend_from_slice(&d.to_le_bytes());
-                }
-                b.problem.encode_binary(out);
+/// Appends one complete binary request frame to `out`.
+fn binary_encode_request(req: &Request, out: &mut Vec<u8>) {
+    let start = begin_frame(out);
+    match req {
+        Request::Ping => out.push(REQ_PING),
+        Request::Stats => out.push(REQ_STATS),
+        Request::Shutdown => out.push(REQ_SHUTDOWN),
+        Request::Balance(b) => {
+            out.push(REQ_BALANCE);
+            let mut flags = 0u8;
+            if b.id.is_some() {
+                flags |= FLAG_ID;
             }
+            if b.deadline_ms.is_some() {
+                flags |= FLAG_DEADLINE;
+            }
+            if b.want_pieces {
+                flags |= FLAG_WANT_PIECES;
+            }
+            out.push(flags);
+            if let Some(id) = b.id {
+                out.extend_from_slice(&id.to_le_bytes());
+            }
+            out.push(b.algorithm.index() as u8);
+            out.extend_from_slice(&(b.n as u32).to_le_bytes());
+            out.extend_from_slice(&b.theta.to_le_bytes());
+            if let Some(d) = b.deadline_ms {
+                out.extend_from_slice(&d.to_le_bytes());
+            }
+            b.problem.encode_binary(out);
         }
-        end_frame(out, start);
     }
+    end_frame(out, start);
+}
 
-    fn encode_response(&self, resp: &Response, out: &mut Vec<u8>) {
-        let start = begin_frame(out);
-        match resp {
-            Response::Pong => out.push(RESP_PONG),
-            Response::Stats(stats) => {
-                out.push(RESP_STATS);
-                out.extend_from_slice(stats.encode().as_bytes());
-            }
-            Response::Error { id, code, message } => {
-                out.push(RESP_ERROR);
-                out.push(if id.is_some() { FLAG_ID } else { 0 });
-                if let Some(id) = id {
-                    out.extend_from_slice(&id.to_le_bytes());
-                }
-                out.push(code.index() as u8);
-                out.extend_from_slice(&(message.len() as u32).to_le_bytes());
-                out.extend_from_slice(message.as_bytes());
-            }
-            Response::Ok(r) => {
-                out.push(RESP_OK);
-                out.push(if r.id.is_some() { FLAG_ID } else { 0 });
-                if let Some(id) = r.id {
-                    out.extend_from_slice(&id.to_le_bytes());
-                }
-                out.push(r.cached as u8);
-                out.extend_from_slice(&r.micros.to_le_bytes());
-                binary_ok_tail(r.algorithm, r.n, r.ratio, r.bound, r.alpha, &r.pieces, out);
-            }
+/// Appends one complete binary response frame to `out`.
+fn binary_encode_response(resp: &Response, out: &mut Vec<u8>) {
+    let start = begin_frame(out);
+    match resp {
+        Response::Pong => out.push(RESP_PONG),
+        Response::Stats(stats) => {
+            out.push(RESP_STATS);
+            out.extend_from_slice(stats.encode().as_bytes());
         }
-        end_frame(out, start);
+        Response::Error { id, code, message } => {
+            out.push(RESP_ERROR);
+            out.push(if id.is_some() { FLAG_ID } else { 0 });
+            if let Some(id) = id {
+                out.extend_from_slice(&id.to_le_bytes());
+            }
+            out.push(code.index() as u8);
+            out.extend_from_slice(&(message.len() as u32).to_le_bytes());
+            out.extend_from_slice(message.as_bytes());
+        }
+        Response::Ok(r) => {
+            out.push(RESP_OK);
+            out.push(if r.id.is_some() { FLAG_ID } else { 0 });
+            if let Some(id) = r.id {
+                out.extend_from_slice(&id.to_le_bytes());
+            }
+            out.push(r.cached as u8);
+            out.extend_from_slice(&r.micros.to_le_bytes());
+            binary_ok_tail(r.algorithm, r.n, r.ratio, r.bound, r.alpha, &r.pieces, out);
+        }
     }
+    end_frame(out, start);
+}
 
-    fn decode_request(&self, payload: &[u8]) -> Result<Request, ProtoError> {
-        let mut cur = ByteCursor::new(payload);
-        let req = match cur.u8()? {
-            REQ_PING => Request::Ping,
-            REQ_STATS => Request::Stats,
-            REQ_SHUTDOWN => Request::Shutdown,
-            REQ_BALANCE => {
-                let flags = cur.u8()?;
-                let id = if flags & FLAG_ID != 0 {
-                    Some(cur.u64()?)
-                } else {
-                    None
-                };
-                let algorithm = *Algorithm::ALL
-                    .get(cur.u8()? as usize)
-                    .ok_or_else(|| ProtoError::bad("unknown algorithm tag"))?;
-                let n = cur.u32()? as u64;
-                if n == 0 || n > crate::spec::MAX_PROCESSORS as u64 {
-                    return Err(ProtoError::bad(format!(
-                        "\"n\" must be in 1..={}",
-                        crate::spec::MAX_PROCESSORS
-                    )));
-                }
-                let theta = cur.f64()?;
-                if !theta.is_finite() || theta <= 0.0 {
-                    return Err(ProtoError::bad("\"theta\" must be a positive number"));
-                }
-                let deadline_ms = if flags & FLAG_DEADLINE != 0 {
-                    Some(cur.u64()?)
-                } else {
-                    None
-                };
-                let problem = ProblemSpec::decode_binary(&mut cur)?;
-                Request::Balance(BalanceRequest {
-                    id,
-                    algorithm,
-                    n: n as usize,
-                    theta,
-                    deadline_ms,
-                    want_pieces: flags & FLAG_WANT_PIECES != 0,
-                    problem,
-                })
+/// Decodes a binary request payload (layout on [`WireCodec::Binary`]).
+fn binary_decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
+    let mut cur = ByteCursor::new(payload);
+    let req = match cur.u8()? {
+        REQ_PING => Request::Ping,
+        REQ_STATS => Request::Stats,
+        REQ_SHUTDOWN => Request::Shutdown,
+        REQ_BALANCE => {
+            let flags = cur.u8()?;
+            let id = if flags & FLAG_ID != 0 {
+                Some(cur.u64()?)
+            } else {
+                None
+            };
+            let algorithm = *Algorithm::ALL
+                .get(cur.u8()? as usize)
+                .ok_or_else(|| ProtoError::bad("unknown algorithm tag"))?;
+            let n = cur.u32()? as u64;
+            if n == 0 || n > crate::spec::MAX_PROCESSORS as u64 {
+                return Err(ProtoError::bad(format!(
+                    "\"n\" must be in 1..={}",
+                    crate::spec::MAX_PROCESSORS
+                )));
             }
-            other => return Err(ProtoError::bad(format!("unknown request tag {other}"))),
-        };
-        cur.finish()?;
-        Ok(req)
-    }
+            let theta = cur.f64()?;
+            if !theta.is_finite() || theta <= 0.0 {
+                return Err(ProtoError::bad("\"theta\" must be a positive number"));
+            }
+            let deadline_ms = if flags & FLAG_DEADLINE != 0 {
+                Some(cur.u64()?)
+            } else {
+                None
+            };
+            let problem = ProblemSpec::decode_binary(&mut cur)?;
+            Request::Balance(BalanceRequest {
+                id,
+                algorithm,
+                n: n as usize,
+                theta,
+                deadline_ms,
+                want_pieces: flags & FLAG_WANT_PIECES != 0,
+                problem,
+            })
+        }
+        other => return Err(ProtoError::bad(format!("unknown request tag {other}"))),
+    };
+    cur.finish()?;
+    Ok(req)
+}
 
-    fn decode_response(&self, payload: &[u8]) -> Result<Response, ProtoError> {
-        let mut cur = ByteCursor::new(payload);
-        let resp = match cur.u8()? {
-            RESP_PONG => Response::Pong,
-            RESP_STATS => {
-                let text = std::str::from_utf8(cur.rest())
-                    .map_err(|_| ProtoError::bad("stats payload is not valid UTF-8"))?;
-                let json = Json::parse(text).map_err(|e| ProtoError::bad(e.to_string()))?;
-                return Ok(Response::Stats(json));
+/// Decodes a binary response payload.
+fn binary_decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
+    let mut cur = ByteCursor::new(payload);
+    let resp = match cur.u8()? {
+        RESP_PONG => Response::Pong,
+        RESP_STATS => {
+            let text = std::str::from_utf8(cur.rest())
+                .map_err(|_| ProtoError::bad("stats payload is not valid UTF-8"))?;
+            let json = Json::parse(text).map_err(|e| ProtoError::bad(e.to_string()))?;
+            return Ok(Response::Stats(json));
+        }
+        RESP_ERROR => {
+            let flags = cur.u8()?;
+            let id = if flags & FLAG_ID != 0 {
+                Some(cur.u64()?)
+            } else {
+                None
+            };
+            let code = *ErrorCode::ALL
+                .get(cur.u8()? as usize)
+                .ok_or_else(|| ProtoError::bad("unknown error code tag"))?;
+            let len = cur.u32()? as usize;
+            let message = String::from_utf8(cur.take(len)?.to_vec())
+                .map_err(|_| ProtoError::bad("error message is not valid UTF-8"))?;
+            Response::Error { id, code, message }
+        }
+        RESP_OK => {
+            let flags = cur.u8()?;
+            let id = if flags & FLAG_ID != 0 {
+                Some(cur.u64()?)
+            } else {
+                None
+            };
+            let cached = cur.u8()? != 0;
+            let micros = cur.u64()?;
+            let algorithm = *Algorithm::ALL
+                .get(cur.u8()? as usize)
+                .ok_or_else(|| ProtoError::bad("unknown algorithm tag"))?;
+            let n = cur.u32()? as usize;
+            let ratio = cur.f64()?;
+            let bound = cur.f64()?;
+            let alpha = cur.f64()?;
+            let count = cur.u32()? as usize;
+            let mut pieces = Vec::with_capacity(count.min(MAX_FRAME / 8));
+            for _ in 0..count {
+                pieces.push(cur.f64()?);
             }
-            RESP_ERROR => {
-                let flags = cur.u8()?;
-                let id = if flags & FLAG_ID != 0 {
-                    Some(cur.u64()?)
-                } else {
-                    None
-                };
-                let code = *ErrorCode::ALL
-                    .get(cur.u8()? as usize)
-                    .ok_or_else(|| ProtoError::bad("unknown error code tag"))?;
-                let len = cur.u32()? as usize;
-                let message = String::from_utf8(cur.take(len)?.to_vec())
-                    .map_err(|_| ProtoError::bad("error message is not valid UTF-8"))?;
-                Response::Error { id, code, message }
-            }
-            RESP_OK => {
-                let flags = cur.u8()?;
-                let id = if flags & FLAG_ID != 0 {
-                    Some(cur.u64()?)
-                } else {
-                    None
-                };
-                let cached = cur.u8()? != 0;
-                let micros = cur.u64()?;
-                let algorithm = *Algorithm::ALL
-                    .get(cur.u8()? as usize)
-                    .ok_or_else(|| ProtoError::bad("unknown algorithm tag"))?;
-                let n = cur.u32()? as usize;
-                let ratio = cur.f64()?;
-                let bound = cur.f64()?;
-                let alpha = cur.f64()?;
-                let count = cur.u32()? as usize;
-                let mut pieces = Vec::with_capacity(count.min(MAX_FRAME / 8));
-                for _ in 0..count {
-                    pieces.push(cur.f64()?);
-                }
-                Response::Ok(BalanceResponse {
-                    id,
-                    algorithm,
-                    n,
-                    ratio,
-                    bound,
-                    alpha,
-                    cached,
-                    micros,
-                    pieces,
-                })
-            }
-            other => return Err(ProtoError::bad(format!("unknown response tag {other}"))),
-        };
-        cur.finish()?;
-        Ok(resp)
-    }
+            Response::Ok(BalanceResponse {
+                id,
+                algorithm,
+                n,
+                ratio,
+                bound,
+                alpha,
+                cached,
+                micros,
+                pieces,
+            })
+        }
+        other => return Err(ProtoError::bad(format!("unknown response tag {other}"))),
+    };
+    cur.finish()?;
+    Ok(resp)
 }
 
 /// Bounds-checked little-endian reader over a frame payload.

@@ -146,12 +146,12 @@ impl Router {
 pub struct FailoverRing {
     ids: Vec<u32>,
     alive: Vec<bool>,
-    vnodes: usize,
     /// Ring over the *complete* membership — stable vnode identity for
-    /// load accounting and assignment, independent of liveness.
+    /// load accounting and assignment, independent of liveness. The
+    /// ring over any subset of the ids is this ring filtered, because a
+    /// vnode's position depends only on its id and replica, so routing
+    /// over the alive ids walks it past dead owners.
     full: Router,
-    /// Ring over the currently-alive ids; `None` when everything is dead.
-    current: Option<Router>,
     /// Explicit vnode→backend override, indexed like `full`'s vnodes.
     assignment: Option<Vec<u32>>,
 }
@@ -169,20 +169,9 @@ impl FailoverRing {
         FailoverRing {
             ids,
             alive,
-            vnodes,
-            current: Some(full.clone()),
             full,
             assignment: None,
         }
-    }
-
-    fn rebuild(&mut self) {
-        let alive_ids = self.alive_ids();
-        self.current = if alive_ids.is_empty() {
-            None
-        } else {
-            Some(Router::from_ids(alive_ids, self.vnodes))
-        };
     }
 
     fn index_of(&self, id: u32) -> Option<usize> {
@@ -196,7 +185,7 @@ impl FailoverRing {
 
     /// Virtual nodes per backend.
     pub fn vnodes(&self) -> usize {
-        self.vnodes
+        self.full.vnodes()
     }
 
     /// Whether `id` is currently alive (unknown ids are dead).
@@ -225,7 +214,6 @@ impl FailoverRing {
         match self.index_of(id) {
             Some(at) if self.alive[at] => {
                 self.alive[at] = false;
-                self.rebuild();
                 true
             }
             _ => false,
@@ -238,7 +226,6 @@ impl FailoverRing {
         match self.index_of(id) {
             Some(at) if !self.alive[at] => {
                 self.alive[at] = true;
-                self.rebuild();
                 true
             }
             _ => false,
@@ -297,10 +284,7 @@ impl FailoverRing {
     /// dead: the assigned owner when one is installed and alive, else
     /// the monotone hash ring over the alive subset.
     pub fn route(&self, hash: u64) -> Option<u32> {
-        if let Some(owner) = self.assigned(hash, &[]) {
-            return Some(owner);
-        }
-        self.current.as_ref().map(|r| r.route(hash))
+        self.route_excluding(hash, &[])
     }
 
     /// The backend that would own `hash` if every id in `exclude` were
@@ -311,18 +295,14 @@ impl FailoverRing {
         if let Some(owner) = self.assigned(hash, exclude) {
             return Some(owner);
         }
-        if exclude.is_empty() {
-            return self.current.as_ref().map(|r| r.route(hash));
-        }
-        let rest: Vec<u32> = self
-            .alive_ids()
-            .into_iter()
-            .filter(|id| !exclude.contains(id))
-            .collect();
-        if rest.is_empty() {
-            return None;
-        }
-        Some(Router::from_ids(rest, self.vnodes).route(hash))
+        // The first vnode at or clockwise of `hash` whose owner remains.
+        let ring = self.full.positions();
+        let start = self.full.vnode_of(hash);
+        ring[start..]
+            .iter()
+            .chain(&ring[..start])
+            .map(|&(_, id)| id)
+            .find(|&id| self.is_alive(id) && !exclude.contains(&id))
     }
 }
 

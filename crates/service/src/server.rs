@@ -51,13 +51,13 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use gb_parlb::ThreadPool;
-use gb_store::{SpillHandle, Store};
+use gb_store::{SpillHandle, Store, StoreConfig};
 
 use crate::cache::{CacheKey, CachedResult, ReplyTail, ShardedCache};
 use crate::fault::{IoShim, Passthrough};
 use crate::io_loop::{Dispatch, Handler, IoLoop, LoopConfig, Reply};
 use crate::metrics::{store_json, ServiceMetrics};
-use crate::persist::{self, StoreSettings};
+use crate::persist;
 use crate::proto::{
     binary_hit_reply, binary_ok_tail, json_hit_reply, json_ok_tail, BalanceRequest,
     BalanceResponse, ErrorCode, Json, Request, Response, WireCodec,
@@ -114,7 +114,7 @@ pub struct Tuning {
     pub reply_timeout: Duration,
     /// Timer granularity of the pollers: how often in-flight and
     /// write-stalled connections are re-checked, the accept backoff
-    /// after fd exhaustion, and the ceiling on the sweep loop's idle
+    /// after fd exhaustion, and the ceiling on the sweep fallback's idle
     /// backoff. Default 100 ms.
     pub poll_interval: Duration,
     /// How long a socket may refuse bytes (`WouldBlock` with output
@@ -130,7 +130,7 @@ pub struct Tuning {
     /// spilled write-behind to an append-only segment log and recovered
     /// into the cache on the next boot. `None` (the default) serves
     /// memory-only, exactly as before.
-    pub store: Option<StoreSettings>,
+    pub store: Option<StoreConfig>,
     /// Hard cap on simultaneously open connections (0 = unlimited).
     /// At the cap new accepts are shed with a best-effort `overloaded`
     /// reply and an `accept_shed` count, instead of running the process
@@ -154,6 +154,10 @@ impl Default for Tuning {
         }
     }
 }
+
+/// Cached results that may wait for the store's writer thread before
+/// the spill path starts dropping them (`store.spill_dropped`).
+const SPILL_QUEUE_DEPTH: usize = 1024;
 
 struct Job {
     req: BalanceRequest,
@@ -217,7 +221,7 @@ impl Server {
         let spill = match &tuning.store {
             Some(settings) => {
                 let mut undecodable = 0;
-                let store = Store::open_with(settings.to_config(), |key, value| {
+                let store = Store::open_with(settings.clone(), |key, value| {
                     match (persist::decode_key(key), persist::decode_value(value)) {
                         (Some(key), Some(value)) => cache.warm(key, value),
                         // Checksum-valid but undecodable: codec skew.
@@ -227,7 +231,7 @@ impl Server {
                 for _ in 0..undecodable {
                     store.note_corrupt();
                 }
-                Some(SpillHandle::spawn(store, settings.queue_capacity.max(1)))
+                Some(SpillHandle::spawn(store, SPILL_QUEUE_DEPTH))
             }
             None => None,
         };
@@ -670,6 +674,14 @@ mod tests {
             want_pieces: true,
             problem: synth(seed),
         })
+    }
+
+    #[test]
+    fn store_defaults_keep_their_sizes() {
+        let config = StoreConfig::new("unused");
+        assert_eq!(config.segment_bytes, 4 * 1024 * 1024);
+        assert_eq!(config.budget_bytes, 256 * 1024 * 1024);
+        assert_eq!(SPILL_QUEUE_DEPTH, 1024);
     }
 
     #[test]

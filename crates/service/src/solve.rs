@@ -5,7 +5,7 @@
 //! before the result is cached and sent. α comes from the spec's hint,
 //! else from the class's analytic α, else from an HF run of the problem
 //! itself (the realised split fraction `α̂`, see
-//! [`AlphaRecorder`](gb_core::tree::AlphaRecorder)).
+//! [`AlphaRecorder`]).
 //!
 //! Which path a request takes depends only on the request:
 //!

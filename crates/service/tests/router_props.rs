@@ -186,6 +186,47 @@ proptest! {
         }
     }
 
+    /// Failover and hedging over any dead set and any excluded set route
+    /// exactly like a fresh ring built over the ids that remain — `None`
+    /// when none do — including at vnode positions themselves, where a
+    /// key sits on a boundary.
+    #[test]
+    fn failover_routes_like_a_ring_of_the_remaining_ids(
+        backends in 1usize..8,
+        dead_mask in any::<u8>(),
+        exclude_mask in any::<u8>(),
+        vnodes in 8usize..64,
+        keys in hashes(),
+    ) {
+        let mut ring = FailoverRing::new(backends, vnodes);
+        let ids = 0..backends as u32;
+        for id in ids.clone().filter(|&id| dead_mask & (1 << id) != 0) {
+            prop_assert!(ring.mark_dead(id));
+        }
+        let excluded: Vec<u32> = ids.filter(|&id| exclude_mask & (1 << id) != 0).collect();
+        let ring_of = |skip: &[u32]| {
+            let rest: Vec<u32> = ring
+                .alive_ids()
+                .into_iter()
+                .filter(|id| !skip.contains(id))
+                .collect();
+            (!rest.is_empty()).then(|| Router::from_ids(rest, vnodes))
+        };
+        let (alive, remaining) = (ring_of(&[]), ring_of(&excluded));
+        let boundaries = Router::new(backends, vnodes)
+            .positions()
+            .iter()
+            .flat_map(|&(pos, _)| [pos, pos.wrapping_add(1)])
+            .collect::<Vec<_>>();
+        for &hash in keys.iter().chain(&boundaries) {
+            prop_assert_eq!(ring.route(hash), alive.as_ref().map(|r| r.route(hash)));
+            prop_assert_eq!(
+                ring.route_excluding(hash, &excluded),
+                remaining.as_ref().map(|r| r.route(hash))
+            );
+        }
+    }
+
     /// The recovery re-homing contract: a key that round-trips through
     /// the persist codec routes to the same backend as the original on
     /// any ring — so warm-loading each recovered record into

@@ -18,10 +18,10 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
 use gb_service::client::Client;
-use gb_service::persist::StoreSettings;
 use gb_service::proto::{Algorithm, BalanceRequest, Json, Request, Response};
 use gb_service::server::{Server, ServerConfig, Tuning};
 use gb_service::spec::ProblemSpec;
+use gb_store::StoreConfig;
 
 static NEXT_DIR: AtomicU32 = AtomicU32::new(0);
 
@@ -116,7 +116,7 @@ fn await_store_counter(addr: SocketAddr, name: &str, want: u64) -> u64 {
 
 fn store_tuning(dir: &Path) -> Tuning {
     Tuning {
-        store: Some(StoreSettings::new(dir)),
+        store: Some(StoreConfig::new(dir)),
         ..Tuning::default()
     }
 }

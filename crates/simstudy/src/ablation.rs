@@ -12,7 +12,7 @@
 //!    `1 + ln N / ln(1/(1−α))` rounds, against `N − 1`).
 //! 4. **Weight information** — HF and BA vs the weight-oblivious
 //!    variants of [`gb_core::blind`] (the unknown-weight model of the
-//!    paper's reference [10]).
+//!    paper's reference \[10\]).
 //! 5. **Free-processor managers** (§3.4) — ranges vs randomized probing
 //!    vs a central directory, phase-1 makespan on the simulated machine.
 //!
