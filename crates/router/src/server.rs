@@ -366,11 +366,10 @@ impl Handler for Shared {
         match request {
             Request::Ping => out.reply(&Response::Pong),
             Request::Shutdown => {
-                // Ack first and write it now, so the drain cannot race
-                // it out of the buffer; the forwarding legs keep the
-                // poller's drain waiting until they are answered.
+                // The drain writes the ack before it closes the
+                // connection; the forwarding legs keep the poller's
+                // drain waiting until they are answered.
                 out.reply(&Response::Pong);
-                out.flush();
                 if self.config.forward_shutdown {
                     relay.start_forward(&cx);
                 }

@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -42,10 +42,10 @@ pub trait IoShim: Send + Sync + std::fmt::Debug {
         Ok(())
     }
 
-    /// Called once at startup, before the epoll instances and eventfd
-    /// wakeups are opened. Returning `Err(e)` makes the server treat
-    /// readiness setup as having failed with `e` — e.g. `epoll_create1`
-    /// or `eventfd` hitting `EMFILE` — so the pollers run the sweep
+    /// Called once at startup, before the epoll instances and their
+    /// wakeup channels are opened. Returning `Err(e)` makes the server
+    /// treat readiness setup as having failed with `e` — e.g.
+    /// `epoll_create1` or `socketpair` hitting `EMFILE` — so the pollers run the sweep
     /// fallback, exactly as on a platform without epoll.
     fn readiness_setup(&self) -> io::Result<()> {
         Ok(())
@@ -77,9 +77,9 @@ impl IoShim for Passthrough {}
 
 /// A `TcpStream` with every read/write routed through a shim.
 ///
-/// Clones share the underlying socket (via `TcpStream::try_clone`) and
-/// the same shim + id, mirroring how the server splits a connection
-/// into a reader half and a writer half.
+/// Writes also work through a shared reference (`&ShimStream`, like
+/// `&TcpStream`), so a connection's one descriptor serves its reader
+/// and its writer alike.
 #[derive(Debug)]
 pub struct ShimStream {
     inner: TcpStream,
@@ -97,28 +97,9 @@ impl ShimStream {
         }
     }
 
-    /// The connection's accept-order id.
-    pub fn conn_id(&self) -> u64 {
-        self.conn_id
-    }
-
     /// Access to the raw socket for option calls (timeouts, peer addr).
     pub fn get_ref(&self) -> &TcpStream {
         &self.inner
-    }
-
-    /// Clones the handle; both halves share socket, shim and id.
-    pub fn try_clone(&self) -> io::Result<Self> {
-        Ok(Self {
-            inner: self.inner.try_clone()?,
-            shim: Arc::clone(&self.shim),
-            conn_id: self.conn_id,
-        })
-    }
-
-    /// Shuts down the underlying socket.
-    pub fn shutdown(&self, how: Shutdown) -> io::Result<()> {
-        self.inner.shutdown(how)
     }
 }
 
@@ -130,11 +111,21 @@ impl Read for ShimStream {
 
 impl Write for ShimStream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.shim.write(self.conn_id, &mut self.inner, buf)
+        (&*self).write(buf)
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
+        (&*self).flush()
+    }
+}
+
+impl Write for &ShimStream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.shim.write(self.conn_id, &mut &self.inner, buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        (&self.inner).flush()
     }
 }
 
@@ -258,7 +249,7 @@ impl ScriptedShim {
 
     /// Makes readiness setup fail with `errno` (24 = `EMFILE`) for any
     /// server started with this shim, the way `epoll_create1` or
-    /// `eventfd` fail when the process is out of descriptors. The
+    /// `socketpair` fail when the process is out of descriptors. The
     /// server then runs the sweep fallback.
     pub fn fail_readiness(&self, errno: i32) {
         self.state.lock().unwrap().fail_readiness = Some(errno);

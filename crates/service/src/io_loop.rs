@@ -10,11 +10,19 @@
 //! [`Dispatch`] it is given or takes a [`Reply`] with
 //! [`Dispatch::defer`] and hands it to one of its own worker threads.
 //! The worker later answers with [`Reply::send`], and the loop answers
-//! `internal` itself if the worker never does. A connection keeps
-//! reading while deferred frames are outstanding, up to a window of
-//! [`WINDOW`] frames; replies that finish early, and inline answers read
-//! behind an outstanding frame, wait their turn, so every reply goes out
-//! in request order.
+//! `internal` itself if the worker never does.
+//!
+//! Only the poller that owns a connection reads or writes its socket,
+//! which is one descriptor with no lock around it. A worker encodes its
+//! reply and posts it to that poller's inbox — the same inbox that
+//! carries accepted connections from the accepting poller — and wakes
+//! it; the poller checks that the slot still holds the connection the
+//! reply was meant for, files the reply in its turn, and writes each
+//! connection at most once per pass. A connection keeps reading while
+//! deferred frames are outstanding, up to a window of [`WINDOW`] frames;
+//! replies that finish early, and inline answers read behind an
+//! outstanding frame, wait their turn, so every reply goes out in
+//! request order.
 //!
 //! A handler may also keep state on the poller itself
 //! ([`Handler::Local`], one value per poller, touched only by that
@@ -25,32 +33,33 @@
 //! a handler's timers fire on time instead of at the next
 //! `poll_interval`. A [`Reply`] sent from the poller that owns its
 //! connection — from any of these callbacks — needs no wakeup: the
-//! poller re-arms the connection itself when the callback returns.
+//! poller reads its own inbox before it waits again.
 //! `gb-router` relays upstream this way; `gb-serve` keeps no local state
 //! and registers nothing.
 //!
 //! The readiness backend is a platform decision, not an option. On
-//! Linux each poller blocks in `epoll_wait` and services only the
-//! connections the kernel (or a worker's eventfd wakeup) reports, so
-//! idle connections cost nothing. When the epoll or eventfd setup fails
-//! at startup — and on every non-Linux target, where `gb-sys` reports it
-//! as unsupported — the pollers fall back to sweeping: every pass probes
-//! every connection, and hands the handler every pass to probe its own
-//! sockets the same way, napping with an adaptive back-off when nothing
-//! moves. Both backends run one loop (`poller_loop`), which consults the
-//! backend at three points only: how a pass waits, which connections are
-//! due, and whether sockets are registered with the kernel. Accept,
-//! hand-off, the handler's sockets and deadline, the per-connection
-//! `sweep_conn`, the drain and the exit test are written once.
+//! Linux each poller blocks in `epoll_wait` (mail wakes it through a
+//! socket pair, [`sys::Waker`]) and services only the connections the
+//! kernel reports or a reply names, so idle connections cost nothing.
+//! When the epoll or waker setup fails at startup — and on every non-Linux target, where
+//! `gb-sys` reports it as unsupported — the pollers fall back to
+//! sweeping: every pass probes every connection, and hands the handler
+//! every pass to probe its own sockets the same way, napping with an
+//! adaptive back-off when nothing moves, in `park_timeout` so that mail
+//! cuts the nap short. Both backends run one loop (`poller_loop`), which
+//! consults the backend at three points only: how a pass waits, which
+//! connections are due, and whether sockets are registered with the
+//! kernel. Accept, the inbox, the handler's sockets and deadline, the
+//! per-connection `sweep_conn`, the drain and the exit test are written
+//! once.
 //! [`IoLoop::engine`] names the backend the pollers actually run
 //! (`"epoll"` or `"sweep"`).
 
-use std::cell::RefCell;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 use gb_sys as sys;
@@ -109,8 +118,8 @@ pub struct LoopCounters {
     /// Frames cut off by a peer close, or binary frames with a corrupt
     /// length.
     torn_frame: AtomicU64,
-    /// Finished replies that could not be delivered: the connection was
-    /// dead, or the loop had already answered for the worker.
+    /// Finished replies the loop did not write: abandoned, sent after
+    /// the connection was gone, or beaten by the reply timeout.
     reply_dropped: AtomicU64,
     /// `accept()` failures other than WouldBlock/Interrupted (fd
     /// exhaustion and kindred resource errors).
@@ -229,72 +238,98 @@ impl Sockets<'_> {
     }
 }
 
-thread_local! {
-    /// On a poller's thread: its index, and the connection slots whose
-    /// deferred reply was sent from this thread since the poller last
-    /// looked. Such a reply needs no eventfd wakeup.
-    static ON_POLLER: RefCell<Option<(usize, Vec<usize>)>> = const { RefCell::new(None) };
-}
-
 // ---------------------------------------------------------------------------
 // Connection and reply plumbing
 // ---------------------------------------------------------------------------
 
-/// Write half of a connection: the nonblocking socket plus
-/// the output buffer that survives `WouldBlock` mid-frame.
+/// Where a deferred frame's reply goes: the owning poller, the
+/// connection's slot on it, and the connection's accept-order id, which
+/// tells the connection from a later one that reuses its slot.
+#[derive(Clone, Copy, Debug)]
+struct Address {
+    poller: usize,
+    slot: usize,
+    conn_id: u64,
+}
+
+/// A connection's output: replies in request order, and the bytes the
+/// socket has not yet taken. Only the owning poller touches it.
 ///
-/// Every writer (poller inline replies, worker replies, timeout errors)
-/// appends whole frames to `pending` and then pushes as much as the
-/// socket will take; the unwritten tail stays buffered — never dropped,
-/// never duplicated — and later sweeps retry it. `sent` marks the start
-/// of the unwritten region so retries cannot resend bytes. `order`
-/// decides when a reply may join `pending`.
-struct ConnWriter {
-    sink: ShimStream,
+/// Every reply — inline answers, workers' replies, the loop's own
+/// errors — joins `pending` in its turn (`order` decides when), and the
+/// poller writes as much as the socket will take; the unwritten tail
+/// stays buffered — never dropped, never duplicated — and later passes
+/// retry it. `sent` marks the start of the unwritten region so retries
+/// cannot resend bytes.
+#[derive(Default)]
+struct Output {
+    order: ReplyOrder,
     pending: Vec<u8>,
     sent: usize,
-    order: ReplyOrder,
     /// First `WouldBlock` with output pending; cleared whenever the
     /// socket accepts bytes again.
     stalled_since: Option<Instant>,
+    /// The socket failed on write; the poller drops the connection.
+    dead: bool,
 }
 
-impl ConnWriter {
+impl Output {
     fn has_pending(&self) -> bool {
         self.sent < self.pending.len()
     }
-}
 
-/// Per-connection state shared between the poller that reads requests
-/// and the worker that writes the reply.
-struct ConnShared {
-    /// Accept-order id, the fault shim's addressing scheme.
-    conn_id: u64,
-    /// Buffered write half. Workers and the poller serialise frames
-    /// through this lock.
-    writer: Mutex<ConnWriter>,
-    /// `writer.order.outstanding()`, readable without the lock: frames
-    /// issued a turn and not yet written. While it is 0, inline replies
-    /// skip the lock; at [`WINDOW`] the poller stops reading.
-    inflight: AtomicUsize,
-    /// Socket failed on write; the poller drops the connection.
-    dead: AtomicBool,
-    /// The owning poller's index, and the connection's slot on it.
-    poller: usize,
-    slot: AtomicUsize,
-    /// Wakes the owning epoll poller when worker-side state changes
-    /// (reply delivered, connection marked dead) — a blocked
-    /// `epoll_wait` cannot see an `AtomicBool` flip. `None` under the
-    /// sweep fallback, whose pollers rediscover state by sweeping.
-    waker: Option<Arc<sys::EventFd>>,
-}
-
-impl ConnShared {
-    /// Signals the owning epoll poller, if any.
-    fn wake(&self) {
-        if let Some(w) = &self.waker {
-            w.signal();
+    /// Queues inline replies: straight behind the output with nothing
+    /// outstanding, otherwise in the next turn on the wire.
+    fn inline(&mut self, replies: &mut Vec<u8>) {
+        if !replies.is_empty() {
+            self.order.inline(replies, &mut self.pending);
+            replies.clear();
         }
+    }
+
+    /// Fills deferred frame `seq`'s turn with `frame` (empty when
+    /// nothing is to be written), queueing every reply now due.
+    fn deliver(&mut self, seq: u64, frame: &[u8]) {
+        self.order.deliver(seq, frame, &mut self.pending);
+    }
+
+    /// Writes as much buffered output as the socket accepts, without
+    /// blocking. A socket that refuses all bytes for `write_stall` is a
+    /// peer that stopped reading: the connection is marked dead and the
+    /// buffer discarded.
+    fn write(&mut self, io: &IoLoop, mut sink: &ShimStream) {
+        while !self.dead && self.sent < self.pending.len() {
+            match sink.write(&self.pending[self.sent..]) {
+                Ok(0) => self.die(io),
+                Ok(k) => {
+                    self.sent += k;
+                    self.stalled_since = None;
+                }
+                Err(e) if would_block(&e) => {
+                    let since = *self.stalled_since.get_or_insert_with(Instant::now);
+                    if since.elapsed() >= io.config.write_stall {
+                        self.die(io);
+                    }
+                    break;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => self.die(io),
+            }
+        }
+        if self.sent == self.pending.len() {
+            self.pending.clear();
+            self.sent = 0;
+        } else if self.sent >= OUT_BUF_COMPACT {
+            self.pending.drain(..self.sent);
+            self.sent = 0;
+        }
+    }
+
+    fn die(&mut self, io: &IoLoop) {
+        self.dead = true;
+        bump(&io.counters.conn_reset);
+        self.pending.clear();
+        self.sent = 0;
     }
 }
 
@@ -304,58 +339,76 @@ struct Deferred {
     seq: u64,
     /// When it was deferred.
     since: Instant,
-    /// The reply-arbitration flag shared with its [`Reply`].
-    answered: Arc<AtomicBool>,
     /// Request id and codec, for the timeout error frame.
     id: Option<u64>,
     codec: WireCodec,
 }
 
-/// One connection owned by an I/O poller.
+/// One connection owned by an I/O poller: the one descriptor, read and
+/// written by that poller alone.
 struct Conn {
     reader: FrameReader<ShimStream>,
-    shared: Arc<ConnShared>,
+    to: Address,
+    /// Set when the poller drops the connection; [`Reply::peer_gone`].
+    gone: Arc<AtomicBool>,
+    out: Output,
     /// Deferred frames not yet answered, oldest first (at most
-    /// [`WINDOW`] unanswered; answered ones are pruned each sweep).
+    /// [`WINDOW`]).
     deferred: Vec<Deferred>,
     /// The read side is finished (EOF or torn frame); the connection
-    /// stays around only until buffered replies drain.
+    /// stays around only until owed replies drain.
     closing: bool,
+    /// The interest registered for the socket with the kernel (epoll
+    /// only).
+    armed: sys::Interest,
     /// Open-connection gauge slot, released when the poller drops us.
     _open: SlotToken,
 }
 
 impl Conn {
-    /// Registers an accepted stream. `None` means the socket died
-    /// between `accept` and setup (`fcntl`/`dup` failure, typical under
-    /// fd pressure) — the caller must record the death; a client that
-    /// connected successfully must not vanish without a metric.
+    /// Sets up an accepted stream. `None` means the socket died between
+    /// `accept` and setup (an `fcntl` failure, typical under fd pressure)
+    /// — the caller must record the death; a client that connected
+    /// successfully must not vanish without a metric.
     fn accept(stream: TcpStream, io: &IoLoop, conn_id: u64, poller: usize) -> Option<Conn> {
         let _ = stream.set_nodelay(true);
         stream.set_nonblocking(true).ok()?;
-        let writer = stream.try_clone().ok()?;
-        let shim = &io.config.shim;
         Some(Conn {
-            reader: FrameReader::new(ShimStream::new(stream, Arc::clone(shim), conn_id)),
-            shared: Arc::new(ConnShared {
+            reader: FrameReader::new(ShimStream::new(
+                stream,
+                Arc::clone(&io.config.shim),
                 conn_id,
-                writer: Mutex::new(ConnWriter {
-                    sink: ShimStream::new(writer, Arc::clone(shim), conn_id),
-                    pending: Vec::new(),
-                    sent: 0,
-                    stalled_since: None,
-                    order: ReplyOrder::default(),
-                }),
-                inflight: AtomicUsize::new(0),
-                dead: AtomicBool::new(false),
+            )),
+            to: Address {
                 poller,
-                slot: AtomicUsize::new(0),
-                waker: io.wakers.get(poller).cloned(),
-            }),
+                slot: 0,
+                conn_id,
+            },
+            gone: Arc::default(),
+            out: Output::default(),
             deferred: Vec::new(),
             closing: false,
+            armed: sys::Interest::READ,
             _open: io.open_conns.acquire(),
         })
+    }
+
+    /// Files the reply of deferred frame `seq` (`None`: abandoned).
+    /// Returns whether bytes joined the output; a reply that lost to the
+    /// reply timeout is not written.
+    fn answer(&mut self, seq: u64, frame: Option<Vec<u8>>) -> bool {
+        let Some(i) = self.deferred.iter().position(|d| d.seq == seq) else {
+            return false;
+        };
+        self.deferred.remove(i);
+        self.out.deliver(seq, frame.as_deref().unwrap_or_default());
+        frame.is_some()
+    }
+}
+
+impl Drop for Conn {
+    fn drop(&mut self) {
+        self.gone.store(true, Ordering::Release);
     }
 }
 
@@ -363,10 +416,12 @@ impl Conn {
 /// buffer and the way to defer the answer to a worker.
 pub struct Dispatch<'a> {
     io: &'a Arc<IoLoop>,
-    conn: &'a Arc<ConnShared>,
+    out: &'a mut Output,
+    deferred: &'a mut Vec<Deferred>,
     replies: &'a mut Vec<u8>,
+    to: Address,
+    gone: &'a Arc<AtomicBool>,
     codec: WireCodec,
-    deferred: Option<Deferred>,
     sockets: Sockets<'a>,
 }
 
@@ -388,65 +443,48 @@ impl<'a> Dispatch<'a> {
 
     /// The inline reply buffer, for callers that encode frames
     /// themselves. Everything appended here goes out in order, with
-    /// one write per connection per sweep.
+    /// one write per connection per pass.
     pub fn buf(&mut self) -> &mut Vec<u8> {
         self.replies
     }
 
-    /// Writes the buffered inline replies now instead of at the end of
-    /// the sweep (behind any outstanding deferred frame, as always).
-    pub fn flush(&mut self) {
-        settle_inline(self.io, self.conn, self.replies);
-        flush_replies(self.io, self.conn, self.replies);
-    }
-
     /// Defers this frame's answer (at most once per frame): buffered
-    /// inline replies are written first, the frame takes the next turn
-    /// on the wire, and the returned [`Reply`] fills it. The connection
-    /// keeps reading meanwhile, up to [`WINDOW`] outstanding frames.
-    /// `id` labels the loop's `internal` error should no reply come
-    /// within the reply timeout.
+    /// inline replies go out first, the frame takes the next turn on the
+    /// wire, and the returned [`Reply`] fills it. The connection keeps
+    /// reading meanwhile, up to [`WINDOW`] outstanding frames. `id`
+    /// labels the loop's `internal` error should no reply come within
+    /// the reply timeout.
     pub fn defer(&mut self, id: Option<u64>) -> Reply {
-        self.flush();
-        let answered = Arc::new(AtomicBool::new(false));
-        // Take the turn *before* the hand-off: the worker may answer
-        // before the caller's push even returns.
-        let seq = {
-            let mut w = self.conn.writer.lock();
-            let seq = w.order.issue();
-            self.conn
-                .inflight
-                .store(w.order.outstanding(), Ordering::Release);
-            seq
-        };
-        self.deferred = Some(Deferred {
+        self.out.inline(self.replies);
+        let seq = self.out.order.issue();
+        self.deferred.push(Deferred {
             seq,
             since: Instant::now(),
-            answered: Arc::clone(&answered),
             id,
             codec: self.codec,
         });
         Reply {
             io: Arc::clone(self.io),
-            conn: Arc::clone(self.conn),
-            answered,
+            to: self.to,
             seq,
+            gone: Arc::clone(self.gone),
             _slot: self.io.inflight.acquire(),
         }
     }
 }
 
-/// The right to answer one deferred frame. Whoever holds it writes the
-/// reply with [`send`](Self::send); the loop's reply timeout races it,
-/// and the loser's reply is dropped and counted as `reply_dropped`.
-/// The reply goes out in the frame's turn: after every earlier frame's
-/// answer on the connection, however early it finishes.
+/// The right to answer one deferred frame. Whoever holds it hands the
+/// encoded reply to the connection's poller with [`send`](Self::send),
+/// which writes it in the frame's turn: after every earlier frame's
+/// answer on the connection, however early it finishes. The poller's
+/// reply timeout may answer first; a reply that comes later, or after
+/// the connection is gone, is dropped and counted as `reply_dropped`.
 pub struct Reply {
     io: Arc<IoLoop>,
-    conn: Arc<ConnShared>,
-    answered: Arc<AtomicBool>,
+    to: Address,
     /// The frame's turn on the wire.
     seq: u64,
+    gone: Arc<AtomicBool>,
     /// RAII in-flight slot (`connections.inflight`): released wherever
     /// the reply ends — sent, abandoned, or dropped with its job — so
     /// the gauge cannot leak.
@@ -456,67 +494,112 @@ pub struct Reply {
 impl Reply {
     /// The connection's accept-order id (the fault shim's address).
     pub fn conn_id(&self) -> u64 {
-        self.conn.conn_id
+        self.to.conn_id
     }
 
-    /// Whether the connection already died, so nobody will read a reply.
+    /// Whether the connection already closed, so nobody will read a
+    /// reply.
     pub fn peer_gone(&self) -> bool {
-        self.conn.dead.load(Ordering::Acquire)
+        self.gone.load(Ordering::Acquire)
     }
 
     /// Sends `resp` in `codec`.
     pub fn send(self, codec: WireCodec, resp: &Response) {
         let mut frame = Vec::new();
         codec.encode_response(resp, &mut frame);
-        self.send_bytes(&frame);
+        self.post(Some(frame));
     }
 
     /// Sends one complete, already-encoded reply frame.
     pub fn send_bytes(self, frame: &[u8]) {
-        if claim_reply(&self.answered) {
-            deliver(&self.io, &self.conn, self.seq, frame);
-            self.release();
-        } else {
-            bump(&self.io.counters.reply_dropped);
-        }
+        self.post(Some(frame.to_vec()));
     }
 
     /// Gives up on a reply nobody will read ([`peer_gone`](Self::peer_gone)):
     /// the frame's turn passes without a write, so later replies are not
     /// held behind it.
     pub fn abandon(self) {
-        if claim_reply(&self.answered) {
-            deliver(&self.io, &self.conn, self.seq, &[]);
-            self.release();
-        }
-        bump(&self.io.counters.reply_dropped);
+        self.post(None);
     }
 
-    fn release(&self) {
-        // The owning poller may have dropped read interest on a full
-        // window, and must re-arm write interest for output the socket
-        // did not take. Sent from that poller's own thread, the reply
-        // just leaves the slot for it to re-arm; from any other thread,
-        // wake it — a blocked `epoll_wait` cannot see the atomic change.
-        let local = ON_POLLER.with(|on| match &mut *on.borrow_mut() {
-            Some((poller, released)) if *poller == self.conn.poller => {
-                released.push(self.conn.slot.load(Ordering::Relaxed));
-                true
-            }
-            _ => false,
-        });
-        if !local {
-            self.conn.wake();
-        }
+    fn post(self, frame: Option<Vec<u8>>) {
+        let finished = Finished {
+            to: self.to,
+            seq: self.seq,
+            frame,
+        };
+        self.io.mailboxes[self.to.poller].post(|inbox| inbox.replies.push(finished));
     }
 }
 
-/// Takes ownership of a deferred reply; `false` if the other side
-/// (worker or the loop's reply timeout) already has it.
-fn claim_reply(answered: &AtomicBool) -> bool {
-    answered
-        .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-        .is_ok()
+/// A finished reply on its way to the connection's poller.
+struct Finished {
+    to: Address,
+    seq: u64,
+    /// `None`: abandoned; the frame's turn passes with no bytes.
+    frame: Option<Vec<u8>>,
+}
+
+/// What other threads hand one poller.
+#[derive(Default)]
+struct Inbox {
+    /// Connections accepted for it by the accepting poller.
+    conns: Vec<Conn>,
+    /// Finished replies for its connections.
+    replies: Vec<Finished>,
+}
+
+impl Inbox {
+    fn is_empty(&self) -> bool {
+        self.conns.is_empty() && self.replies.is_empty()
+    }
+}
+
+/// One poller's inbox, and the way to wake it when mail arrives.
+#[derive(Default)]
+struct Mailbox {
+    inbox: Mutex<Inbox>,
+    /// The poller's thread, set as it starts: mail it posts itself needs
+    /// no wakeup, and the sweep fallback naps in `park_timeout`.
+    thread: OnceLock<Thread>,
+    /// Epoll only: the wakeup channel in the poller's epoll set — a
+    /// poller blocked in `epoll_wait` sees nothing else.
+    waker: Option<sys::Waker>,
+}
+
+impl Mailbox {
+    /// Adds mail and wakes the poller. Only mail into an empty inbox
+    /// wakes it: earlier mail already did, or was posted by the poller
+    /// itself, which checks its inbox before it waits.
+    fn post(&self, add: impl FnOnce(&mut Inbox)) {
+        let was_empty = {
+            let mut inbox = self.inbox.lock();
+            let was_empty = inbox.is_empty();
+            add(&mut inbox);
+            was_empty
+        };
+        if was_empty
+            && !self
+                .thread
+                .get()
+                .is_some_and(|t| t.id() == thread::current().id())
+        {
+            self.wake();
+        }
+    }
+
+    fn has_mail(&self) -> bool {
+        !self.inbox.lock().is_empty()
+    }
+
+    fn wake(&self) {
+        match (&self.waker, self.thread.get()) {
+            (Some(waker), _) => waker.signal(),
+            (None, Some(thread)) => thread.unpark(),
+            // Not started yet: its first pass reads the inbox.
+            (None, None) => {}
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -536,12 +619,9 @@ pub struct IoLoop {
     open_conns: SlotGauge,
     /// Deferred frames between [`Dispatch::defer`] and their reply.
     inflight: SlotGauge,
-    /// Accepted connections in transit to their poller.
-    inboxes: Vec<Mutex<Vec<Conn>>>,
-    /// One epoll wakeup channel per poller. Workers signal the owning
-    /// poller after finishing a reply so it can re-arm read interest.
-    /// Empty exactly when the pollers run the sweep fallback.
-    wakers: Vec<Arc<sys::EventFd>>,
+    /// One per poller: accepted connections and finished replies on
+    /// their way to it.
+    mailboxes: Vec<Mailbox>,
 }
 
 /// The listener and readiness instances, waiting for
@@ -568,6 +648,7 @@ impl IoLoop {
             .unwrap_or_default()
             .into_iter()
             .unzip();
+        let mut wakers = wakers.into_iter();
         let io = Arc::new(IoLoop {
             config,
             local_addr,
@@ -576,8 +657,12 @@ impl IoLoop {
             next_conn: AtomicU64::new(0),
             open_conns: SlotGauge::new(),
             inflight: SlotGauge::new(),
-            inboxes: (0..pollers).map(|_| Mutex::new(Vec::new())).collect(),
-            wakers,
+            mailboxes: (0..pollers)
+                .map(|_| Mailbox {
+                    waker: wakers.next(),
+                    ..Mailbox::default()
+                })
+                .collect(),
         });
         let pollers = Pollers {
             io: Arc::clone(&io),
@@ -595,10 +680,10 @@ impl IoLoop {
     /// The readiness backend the pollers run: `"epoll"`, or `"sweep"`
     /// when epoll setup failed or the platform has none.
     pub fn engine(&self) -> &'static str {
-        if self.wakers.is_empty() {
-            "sweep"
-        } else {
+        if self.mailboxes[0].waker.is_some() {
             "epoll"
+        } else {
+            "sweep"
         }
     }
 
@@ -609,10 +694,10 @@ impl IoLoop {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Epoll pollers block in epoll_wait; signal each wakeup channel
-        // so the drain starts now rather than at the next timeout.
-        for waker in &self.wakers {
-            waker.signal();
+        // Wake every poller so the drain starts now rather than at the
+        // end of its wait.
+        for mailbox in &self.mailboxes {
+            mailbox.wake();
         }
     }
 
@@ -649,7 +734,7 @@ impl Pollers {
     ) -> std::io::Result<Vec<thread::JoinHandle<()>>> {
         let mut listener = Some(self.listener);
         let mut epolls = self.epolls.into_iter();
-        (0..self.io.inboxes.len())
+        (0..self.io.mailboxes.len())
             .map(|p| {
                 let io = Arc::clone(&self.io);
                 let handler = Arc::clone(&handler);
@@ -720,7 +805,7 @@ fn drain_accepts(
                     shed_accept(io, handler, stream, max);
                     continue;
                 }
-                let target = state.next_inbox % io.inboxes.len();
+                let target = state.next_inbox % io.mailboxes.len();
                 state.next_inbox = state.next_inbox.wrapping_add(1);
                 match Conn::accept(stream, io, conn_id, target) {
                     Some(conn) => deliver(target, conn),
@@ -768,111 +853,12 @@ fn would_block(e: &std::io::Error) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// The write path
-// ---------------------------------------------------------------------------
-
-/// Moves a sweep's coalesced replies into the connection's output
-/// buffer and flushes what fits. Only called with nothing outstanding
-/// ahead of them: [`settle_inline`] has taken any that must wait.
-fn flush_replies(io: &IoLoop, conn: &ConnShared, replies: &mut Vec<u8>) {
-    if !replies.is_empty() {
-        write_frames(io, conn, |w| w.pending.extend_from_slice(replies));
-        replies.clear();
-    }
-}
-
-/// Inline replies answered while a deferred frame is outstanding take
-/// the next turn on the wire instead of going out with the sweep. With
-/// nothing outstanding — one atomic load — they stay in `replies`, and
-/// the sweep writes them once, without taking the lock per frame.
-fn settle_inline(io: &IoLoop, conn: &ConnShared, replies: &mut Vec<u8>) {
-    if replies.is_empty() || conn.inflight.load(Ordering::Acquire) == 0 {
-        return;
-    }
-    write_frames(io, conn, |w| w.order.inline(replies, &mut w.pending));
-    replies.clear();
-}
-
-/// Fills deferred frame `seq`'s turn with `frame` (empty when nothing
-/// is to be written), writing every reply now due.
-fn deliver(io: &IoLoop, conn: &ConnShared, seq: u64, frame: &[u8]) {
-    write_frames(io, conn, |w| w.order.deliver(seq, frame, &mut w.pending));
-}
-
-/// Lets `add` append frames to the connection's output buffer, then
-/// drives the socket. Never blocks and never drops accepted bytes: on
-/// `WouldBlock` the tail stays in the buffer for later flushes. A dead
-/// connection discards what was added; its turns still advance.
-fn write_frames(io: &IoLoop, conn: &ConnShared, add: impl FnOnce(&mut ConnWriter)) {
-    let mut w = conn.writer.lock();
-    add(&mut w);
-    conn.inflight
-        .store(w.order.outstanding(), Ordering::Release);
-    if conn.dead.load(Ordering::Acquire) {
-        w.pending.clear();
-        w.sent = 0;
-        return;
-    }
-    drive_writer(io, conn, &mut w);
-}
-
-/// Retries any buffered output without blocking. Returns `true` while
-/// unwritten bytes remain.
-fn flush_pending(io: &IoLoop, conn: &ConnShared) -> bool {
-    let mut w = conn.writer.lock();
-    drive_writer(io, conn, &mut w);
-    w.has_pending()
-}
-
-/// Writes as much buffered output as the socket accepts. A socket that
-/// refuses all bytes for `write_stall` is a peer that stopped reading:
-/// the connection is marked dead and the buffer discarded.
-fn drive_writer(io: &IoLoop, conn: &ConnShared, w: &mut ConnWriter) {
-    while w.sent < w.pending.len() {
-        match w.sink.write(&w.pending[w.sent..]) {
-            Ok(0) => return mark_write_dead(io, conn, w),
-            Ok(k) => {
-                w.sent += k;
-                w.stalled_since = None;
-            }
-            Err(e) if would_block(&e) => {
-                let since = *w.stalled_since.get_or_insert_with(Instant::now);
-                if since.elapsed() >= io.config.write_stall {
-                    return mark_write_dead(io, conn, w);
-                }
-                break;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return mark_write_dead(io, conn, w),
-        }
-    }
-    if w.sent == w.pending.len() {
-        w.pending.clear();
-        w.sent = 0;
-    } else if w.sent >= OUT_BUF_COMPACT {
-        w.pending.drain(..w.sent);
-        w.sent = 0;
-    }
-}
-
-fn mark_write_dead(io: &IoLoop, conn: &ConnShared, w: &mut ConnWriter) {
-    conn.dead.store(true, Ordering::Release);
-    bump(&io.counters.conn_reset);
-    w.pending.clear();
-    w.sent = 0;
-    w.stalled_since = None;
-    // A dead connection must be reaped; an epoll poller blocked in
-    // `wait` would otherwise not notice until its timeout.
-    conn.wake();
-}
-
-// ---------------------------------------------------------------------------
 // The poller loop, over either readiness backend
 // ---------------------------------------------------------------------------
 
 /// Registration token for the accept listener.
 const LISTENER_TOKEN: u64 = u64::MAX;
-/// Registration token for the poller's eventfd wakeup channel.
+/// Registration token for the poller's wakeup channel.
 const WAKER_TOKEN: u64 = u64::MAX - 1;
 
 /// The descriptor epoll registers for a socket.
@@ -891,19 +877,19 @@ fn raw_fd<T>(_sock: &T) -> sys::RawFd {
 /// Opens one epoll instance and wakeup channel per poller, with the
 /// listener registered on poller 0's instance. Any failure — the fault
 /// shim's scripted [`IoShim::readiness_setup`] error, `epoll_create1`
-/// or `eventfd` refusing under fd exhaustion, or `Unsupported` off
+/// or `socketpair` refusing under fd exhaustion, or `Unsupported` off
 /// Linux — sends every poller to the sweep fallback instead: readiness
 /// is an optimisation, not a correctness requirement.
 fn open_readiness(
     shim: &dyn IoShim,
     listener: &TcpListener,
     pollers: usize,
-) -> std::io::Result<Vec<(sys::Epoll, Arc<sys::EventFd>)>> {
+) -> std::io::Result<Vec<(sys::Epoll, sys::Waker)>> {
     shim.readiness_setup()?;
     (0..pollers)
         .map(|p| {
             let ep = sys::Epoll::new()?;
-            let waker = Arc::new(sys::EventFd::new()?);
+            let waker = sys::Waker::new()?;
             ep.add(waker.raw_fd(), WAKER_TOKEN, sys::Interest::READ)?;
             if p == 0 {
                 ep.add(raw_fd(listener), LISTENER_TOKEN, sys::Interest::READ)?;
@@ -911,13 +897,6 @@ fn open_readiness(
             Ok((ep, waker))
         })
         .collect()
-}
-
-/// A connection owned by a poller, plus the interest currently
-/// registered for it with the kernel (epoll only).
-struct Slot {
-    conn: Conn,
-    armed: sys::Interest,
 }
 
 fn conn_fd(conn: &Conn) -> sys::RawFd {
@@ -930,10 +909,10 @@ fn conn_fd(conn: &Conn) -> sys::RawFd {
 /// and here.
 fn insert(
     ep: Option<&sys::Epoll>,
-    slots: &mut Vec<Option<Slot>>,
+    slots: &mut Vec<Option<Conn>>,
     free: &mut Vec<usize>,
     io: &IoLoop,
-    conn: Conn,
+    mut conn: Conn,
 ) -> Option<usize> {
     let slot = free.pop().unwrap_or_else(|| {
         slots.push(None);
@@ -949,24 +928,22 @@ fn insert(
             return None;
         }
     }
-    conn.shared.slot.store(slot, Ordering::Relaxed);
-    slots[slot] = Some(Slot {
-        conn,
-        armed: sys::Interest::READ,
-    });
+    conn.to.slot = slot;
+    slots[slot] = Some(conn);
     Some(slot)
 }
 
 /// How long a sweep poller naps before its next pass, after `idle_spins`
 /// passes in a row made no progress while it owned `conns` connections:
-/// nothing for three passes, then exponentially from 50 µs. There is no
-/// readiness wakeup — a sleeping poller is blind — so the cap balances
-/// wake latency against sweep cost. A flat 1 ms cap meant ONE idle
-/// connection held the poller at ~1k full sweeps/sec forever; instead
-/// the cap scales with the sweep's own cost (~20 µs of allowance per
-/// connection), so a near-empty poller naps cheaply while a loaded one
-/// still wakes fast. Only an empty poller may back off all the way to
-/// the poll interval, and a handler timer caps the nap at its deadline.
+/// nothing for three passes, then exponentially from 50 µs. Mail — a
+/// finished reply or a handed-off connection — cuts the nap short, but
+/// sockets have no readiness wakeup, so the cap balances wake latency
+/// against sweep cost. A flat 1 ms cap meant ONE idle connection held
+/// the poller at ~1k full sweeps/sec forever; instead the cap scales
+/// with the sweep's own cost (~20 µs of allowance per connection), so a
+/// near-empty poller naps cheaply while a loaded one still wakes fast.
+/// Only an empty poller may back off all the way to the poll interval,
+/// and a handler timer caps the nap at its deadline.
 fn sweep_backoff(
     idle_spins: u32,
     conns: usize,
@@ -988,29 +965,31 @@ fn sweep_backoff(
     Some(backoff.min(cap).min(until_deadline))
 }
 
-/// The poller loop: adopt handed-off connections, accept (on the poller
-/// holding the listener), service the handler's own sockets, then run
-/// [`sweep_conn`] on every due connection — so the fault shim, reply
-/// arbitration and write-stall accounting are the same on either
-/// backend. Exits once shutdown is set, every owned connection has
-/// drained and the handler has no timer pending.
+/// The poller loop: read the inbox (adopting handed-off connections and
+/// filing finished replies), accept (on the poller holding the
+/// listener), service the handler's own sockets, then run [`sweep_conn`]
+/// once on every due connection — so the fault shim, the reply timeout
+/// and write-stall accounting are the same on either backend. Exits once
+/// shutdown is set, every owned connection has drained, the inbox is
+/// empty and the handler has no timer pending.
 ///
 /// The backend `ep` decides three things, and nothing else:
-/// - how a pass waits: epoll blocks in `epoll_wait` until the kernel, a
-///   worker's eventfd wakeup or a timer needs the poller; the sweep
-///   fallback (`None`) naps by [`sweep_backoff`] after idle passes;
+/// - how a pass waits: epoll blocks in `epoll_wait` until the kernel,
+///   mail (the waker) or a timer needs the poller; the sweep fallback
+///   (`None`) naps by [`sweep_backoff`] after idle passes, in
+///   `park_timeout` so mail cuts the nap short;
 /// - which connections are due: epoll services the ones the kernel
-///   reported, the ones waiting on a timer or a reply, and the ones with
-///   frames already buffered, so idle connections cost nothing; the
-///   sweep fallback services every connection every pass, as a drain
-///   does on either backend;
+///   reported, the ones a reply was filed for, the ones waiting on a
+///   timer, and the ones with frames already buffered, so idle
+///   connections cost nothing; the sweep fallback services every
+///   connection every pass, as a drain does on either backend;
 /// - whether sockets are registered with the kernel.
 ///
 /// Level-triggered interest is deliberate: the fault shim may answer a
 /// readable wakeup with an injected `WouldBlock`, and level semantics
 /// re-deliver the event on the next wait instead of losing it. `ep`
-/// comes from [`open_readiness`], with this poller's waker (and, on the
-/// accepting poller, the listener) already registered.
+/// comes from [`open_readiness`], with this poller's waker (and, on
+/// the accepting poller, the listener) already registered.
 fn poller_loop<H: Handler>(
     io: &Arc<IoLoop>,
     handler: &H,
@@ -1020,17 +999,19 @@ fn poller_loop<H: Handler>(
 ) {
     use std::collections::HashSet;
 
+    let mailbox = &io.mailboxes[index];
+    let _ = mailbox.thread.set(thread::current());
+    let mut mail = Inbox::default();
     let mut local = H::Local::default();
     // Ready handler-socket tokens, and the handler's next timer.
     let mut ready: Vec<u64> = Vec::new();
     let mut deadline: Option<Instant> = None;
-    ON_POLLER.with(|on| *on.borrow_mut() = Some((index, Vec::new())));
 
     let interval = io.config.poll_interval;
     let mut listener_armed = listener.is_some();
 
     // Owned connections; the epoll token is the slot index.
-    let mut slots: Vec<Option<Slot>> = Vec::new();
+    let mut slots: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut live = 0usize;
     // Slots needing periodic timer sweeps (frames in flight, buffered
@@ -1047,8 +1028,8 @@ fn poller_loop<H: Handler>(
     let mut last_timer = Instant::now();
     // Passes in a row without progress, for the sweep fallback's nap.
     let mut idle_spins = 0u32;
-    // Reused across passes: inline replies are batched here and written
-    // with one syscall per connection per pass.
+    // Reused across frames: a frame's inline replies, before they take
+    // their turn in the connection's output.
     let mut replies = Vec::new();
 
     loop {
@@ -1063,16 +1044,19 @@ fn poller_loop<H: Handler>(
         }
 
         due.clear();
+        // Mail this poller posted itself (a reply sent from a handler
+        // callback) woke nobody: it must not wait.
+        let has_mail = mailbox.has_mail();
         // The sweep fallback tries the listener every pass.
         let mut accept_ready = ep.is_none();
         match &mut ep {
             Some(ep) => {
-                // How long may the wait block? Buffered frames demand an
-                // immediate pass; anything time-driven — timer sweeps,
-                // accept backoff, drain — caps it at the poll interval; a
-                // fully idle poller blocks until the kernel or a worker
-                // wakes it.
-                let timeout = if !hot.is_empty() {
+                // How long may the wait block? Mail and buffered frames
+                // demand an immediate pass; anything time-driven — timer
+                // sweeps, accept backoff, drain — caps it at the poll
+                // interval; a fully idle poller blocks until the kernel
+                // or mail wakes it.
+                let timeout = if has_mail || !hot.is_empty() {
                     Some(Duration::ZERO)
                 } else if draining {
                     Some(Duration::from_millis(1).min(interval))
@@ -1096,41 +1080,31 @@ fn poller_loop<H: Handler>(
                     events.clear();
                     thread::sleep(interval);
                 }
-                let mut waker_fired = false;
                 for ev in &events {
                     match ev.token {
                         LISTENER_TOKEN => accept_ready = true,
-                        WAKER_TOKEN => waker_fired = true,
+                        WAKER_TOKEN => {
+                            // The mail itself is read below, every pass.
+                            if let Some(waker) = &mailbox.waker {
+                                waker.drain();
+                            }
+                        }
                         t if t & HANDLER_TOKEN != 0 => ready.push(t & !HANDLER_TOKEN),
                         t => due.push(t as usize),
                     }
                 }
-                if waker_fired {
-                    io.wakers[index].drain();
-                    // A worker finished (or a write died): the affected
-                    // connections are exactly the watched ones.
-                    due.extend(watched.iter().copied());
-                }
             }
             None => {
-                if let Some(nap) = sweep_backoff(idle_spins, live, interval, deadline) {
-                    thread::sleep(nap);
+                if let Some(nap) =
+                    sweep_backoff(idle_spins, live, interval, deadline).filter(|_| !has_mail)
+                {
+                    thread::park_timeout(nap);
                 }
             }
         }
         let ep = ep.as_ref();
         let sockets = Sockets { ep };
         let mut progress = false;
-
-        // Adopt connections handed over by the accepting poller.
-        let adopted = std::mem::take(&mut *io.inboxes[index].lock());
-        progress |= !adopted.is_empty();
-        for conn in adopted {
-            if let Some(slot) = insert(ep, &mut slots, &mut free, io, conn) {
-                live += 1;
-                due.push(slot);
-            }
-        }
 
         // Accept: level-triggered, so gating on readiness loses
         // nothing; backoff expiry must retry even though the listener
@@ -1144,10 +1118,7 @@ fn poller_loop<H: Handler>(
                             due.push(slot);
                         }
                     } else {
-                        io.inboxes[target].lock().push(conn);
-                        if let Some(w) = io.wakers.get(target) {
-                            w.signal();
-                        }
+                        io.mailboxes[target].post(|inbox| inbox.conns.push(conn));
                     }
                 });
                 // Keep the registration in step with backoff: a waiting
@@ -1168,8 +1139,8 @@ fn poller_loop<H: Handler>(
         }
 
         // The handler's ready sockets and due timers (every socket,
-        // every pass, under the sweep fallback), then — in this same
-        // pass — the connections whose replies they sent.
+        // every pass, under the sweep fallback); the replies they send
+        // are filed just below, in this same pass.
         if ep.is_none() || !ready.is_empty() || deadline.is_some_and(|d| d <= Instant::now()) {
             let which = if ep.is_some() {
                 Ready::Tokens(&ready)
@@ -1179,11 +1150,38 @@ fn poller_loop<H: Handler>(
             handler.poll_sockets(&mut local, which, sockets);
             ready.clear();
         }
-        take_released(&mut due);
+
+        // The inbox: adopt handed-off connections, and file each reply
+        // with its connection — unless the slot no longer holds it.
+        std::mem::swap(&mut *mailbox.inbox.lock(), &mut mail);
+        progress |= !mail.is_empty();
+        for conn in mail.conns.drain(..) {
+            if let Some(slot) = insert(ep, &mut slots, &mut free, io, conn) {
+                live += 1;
+                due.push(slot);
+            }
+        }
+        for reply in mail.replies.drain(..) {
+            let slot = reply.to.slot;
+            let written = match slots
+                .get_mut(slot)
+                .and_then(Option::as_mut)
+                .filter(|conn| conn.to.conn_id == reply.to.conn_id)
+            {
+                Some(conn) => {
+                    due.push(slot);
+                    conn.answer(reply.seq, reply.frame)
+                }
+                None => false,
+            };
+            if !written {
+                bump(&io.counters.reply_dropped);
+            }
+        }
 
         // Merge time-driven work: reader-buffered slots always, watched
         // slots at poll-interval cadence. A drain, and every pass of the
-        // sweep fallback, services every slot instead — once each.
+        // sweep fallback, services every slot instead.
         due.append(&mut hot);
         if !watched.is_empty() && last_timer.elapsed() >= interval {
             due.extend(watched.iter().copied());
@@ -1197,13 +1195,15 @@ fn poller_loop<H: Handler>(
                     .enumerate()
                     .filter_map(|(i, s)| s.as_ref().map(|_| i)),
             );
+        } else {
+            // Once each: a slot may be due for several reasons.
+            due.sort_unstable();
+            due.dedup();
         }
 
         for &slot in &due {
-            // Under epoll a slot may appear twice (event + timer) or
-            // have been dropped earlier in this pass; servicing is
-            // idempotent and empty slots are skipped.
-            let Some(s) = slots.get_mut(slot).and_then(Option::as_mut) else {
+            // A slot dropped earlier (a failed insert) is skipped.
+            let Some(conn) = slots.get_mut(slot).and_then(Option::as_mut) else {
                 continue;
             };
             let keep = sweep_conn(
@@ -1211,14 +1211,14 @@ fn poller_loop<H: Handler>(
                 handler,
                 &mut local,
                 sockets,
-                &mut s.conn,
+                conn,
                 draining,
                 &mut progress,
                 &mut replies,
             );
             if !keep {
                 if let Some(ep) = ep {
-                    let _ = ep.delete(conn_fd(&s.conn));
+                    let _ = ep.delete(conn_fd(conn));
                 }
                 slots[slot] = None;
                 live -= 1;
@@ -1235,31 +1235,27 @@ fn poller_loop<H: Handler>(
             // a turn — and restored once one does; write interest
             // mirrors buffered output, so `EPOLLOUT` re-arming flows
             // through the same write-stall accounting as a sweep.
-            let inflight = s.conn.shared.inflight.load(Ordering::Acquire);
+            let outstanding = conn.out.order.outstanding();
             let desired = sys::Interest {
-                readable: !draining && !s.conn.closing && inflight < WINDOW,
-                writable: s.conn.shared.writer.lock().has_pending(),
+                readable: !draining && !conn.closing && outstanding < WINDOW,
+                writable: conn.out.has_pending(),
             };
-            if desired != s.armed && ep.modify(conn_fd(&s.conn), slot as u64, desired).is_ok() {
-                s.armed = desired;
+            if desired != conn.armed && ep.modify(conn_fd(conn), slot as u64, desired).is_ok() {
+                conn.armed = desired;
             }
-            let needs_timer = inflight > 0 || s.conn.closing || desired.writable;
+            let needs_timer = outstanding > 0 || conn.closing || desired.writable;
             if needs_timer {
                 watched.insert(slot);
             } else {
                 watched.remove(&slot);
             }
-            if desired.readable && s.conn.reader.framer().has_buffered() {
+            if desired.readable && conn.reader.framer().has_buffered() {
                 hot.push(slot);
             }
         }
 
-        // Replies sent while the connections were swept (a handler that
-        // answered another connection's frame) re-arm on the next pass,
-        // which must not block.
-        take_released(&mut hot);
         deadline = handler.next_deadline(&local);
-        if draining && live == 0 && io.inboxes[index].lock().is_empty() && deadline.is_none() {
+        if draining && live == 0 && !mailbox.has_mail() && deadline.is_none() {
             return;
         }
         idle_spins = if progress {
@@ -1268,15 +1264,6 @@ fn poller_loop<H: Handler>(
             idle_spins.saturating_add(1)
         };
     }
-}
-
-/// Moves the slots whose replies this poller sent itself into `into`.
-fn take_released(into: &mut Vec<usize>) {
-    ON_POLLER.with(|on| {
-        if let Some((_, released)) = &mut *on.borrow_mut() {
-            into.append(released);
-        }
-    });
 }
 
 // ---------------------------------------------------------------------------
@@ -1294,36 +1281,33 @@ fn protocol_error(handler: &impl Handler, replies: &mut Vec<u8>, codec: WireCode
     codec.encode_response(&resp, replies);
 }
 
-/// Prunes the connection's answered deferred frames and answers
-/// `internal` for those whose worker outlived the reply timeout.
+/// Answers `internal` for the connection's deferred frames whose worker
+/// outlived the reply timeout; their late replies are dropped.
 fn expire_deferred(io: &IoLoop, handler: &impl Handler, conn: &mut Conn, progress: &mut bool) {
-    let shared = &conn.shared;
+    let out = &mut conn.out;
     conn.deferred.retain(|d| {
-        if !d.answered.load(Ordering::Acquire) {
-            if d.since.elapsed() <= io.config.reply_timeout {
-                return true;
-            }
-            // The worker never answered; claim the reply ourselves.
-            if claim_reply(&d.answered) {
-                handler.loop_error(ErrorCode::Internal);
-                let mut frame = Vec::new();
-                d.codec.encode_response(
-                    &Response::Error {
-                        id: d.id,
-                        code: ErrorCode::Internal,
-                        message: "worker did not answer".into(),
-                    },
-                    &mut frame,
-                );
-                deliver(io, shared, d.seq, &frame);
-            }
+        if d.since.elapsed() <= io.config.reply_timeout {
+            return true;
         }
+        handler.loop_error(ErrorCode::Internal);
+        let mut frame = Vec::new();
+        d.codec.encode_response(
+            &Response::Error {
+                id: d.id,
+                code: ErrorCode::Internal,
+                message: "worker did not answer".into(),
+            },
+            &mut frame,
+        );
+        out.deliver(d.seq, &frame);
         *progress = true;
         false
     });
 }
 
-/// One sweep over one connection. Returns `false` to drop it.
+/// One pass over one connection: time out overdue frames, read and
+/// dispatch what the window allows, then write once. Returns `false` to
+/// drop the connection.
 #[allow(clippy::too_many_arguments)]
 fn sweep_conn<H: Handler>(
     io: &Arc<IoLoop>,
@@ -1335,29 +1319,38 @@ fn sweep_conn<H: Handler>(
     progress: &mut bool,
     replies: &mut Vec<u8>,
 ) -> bool {
-    replies.clear();
-    if conn.shared.dead.load(Ordering::Acquire) {
-        return false;
-    }
     expire_deferred(io, handler, conn, progress);
-    // Retry output a previous sweep (or a worker) could not finish —
-    // the partial-write tail must drain before anything else is read.
-    let has_pending = flush_pending(io, &conn.shared);
-    if conn.shared.dead.load(Ordering::Acquire) {
+    let reading = !(draining || conn.closing);
+    if reading && !read_frames(io, handler, local, sockets, conn, progress, replies) {
         return false;
     }
-    if draining || conn.closing {
-        // Read side is done (shutdown drain, EOF, or torn frame): hold
-        // the connection open only until every owed reply is written. A
-        // worker that never answers is timed out above, and a peer that
-        // will not take the bytes is killed by the write-stall timer, so
-        // this cannot wedge the poller.
-        return has_pending || conn.shared.inflight.load(Ordering::Acquire) > 0;
+    conn.out.write(io, conn.reader.get_ref());
+    if conn.out.dead {
+        return false;
     }
-    let mut keep = true;
+    // Once the read side is done (shutdown drain, EOF, or torn frame)
+    // the connection stays open only until every owed reply is written.
+    // A worker that never answers is timed out above, and a peer that
+    // will not take the bytes is killed by the write-stall timer, so
+    // this cannot wedge the poller.
+    !(draining || conn.closing) || conn.out.has_pending() || conn.out.order.outstanding() > 0
+}
+
+/// Reads and dispatches up to [`MAX_LINES_PER_SWEEP`] frames while the
+/// window has room, queueing their inline replies. Returns `false` when
+/// the socket failed on read.
+fn read_frames<H: Handler>(
+    io: &Arc<IoLoop>,
+    handler: &H,
+    local: &mut H::Local,
+    sockets: Sockets<'_>,
+    conn: &mut Conn,
+    progress: &mut bool,
+    replies: &mut Vec<u8>,
+) -> bool {
     for _ in 0..MAX_LINES_PER_SWEEP {
-        if conn.shared.inflight.load(Ordering::Acquire) >= WINDOW {
-            // The window is full: the rest waits in the socket (and the
+        if conn.closing || conn.out.order.outstanding() >= WINDOW {
+            // A full window leaves the rest in the socket (and the
             // reader) until a reply frees a turn.
             break;
         }
@@ -1391,15 +1384,11 @@ fn sweep_conn<H: Handler>(
                     }
                     FrameError::Io(_) => {
                         bump(&io.counters.conn_reset);
-                        keep = false;
-                        break;
+                        return false;
                     }
                 };
                 protocol_error(handler, replies, conn.reader.framer().codec(), message);
-                settle_inline(io, &conn.shared, replies);
-                if conn.closing {
-                    break;
-                }
+                conn.out.inline(replies);
                 continue;
             }
         };
@@ -1408,43 +1397,24 @@ fn sweep_conn<H: Handler>(
             Ok(request) => request,
             Err(e) => {
                 protocol_error(handler, replies, codec, &e.message);
-                settle_inline(io, &conn.shared, replies);
+                conn.out.inline(replies);
                 continue;
             }
         };
         let mut out = Dispatch {
             io,
-            conn: &conn.shared,
+            out: &mut conn.out,
+            deferred: &mut conn.deferred,
             replies,
+            to: conn.to,
+            gone: &conn.gone,
             codec,
-            deferred: None,
             sockets,
         };
         handler.handle(local, request, conn.reader.framer().frame(), &mut out);
-        if let Some(deferred) = out.deferred {
-            // A reply already sent (a fast worker, or a hand-off the
-            // handler answered itself) leaves nothing to time out.
-            if !deferred.answered.load(Ordering::Acquire) {
-                conn.deferred.push(deferred);
-            }
-        }
-        settle_inline(io, &conn.shared, replies);
-        if conn.shared.dead.load(Ordering::Acquire) {
-            keep = false;
-            break;
-        }
+        conn.out.inline(replies);
     }
-    flush_replies(io, &conn.shared, replies);
-    if conn.shared.dead.load(Ordering::Acquire) {
-        return false;
-    }
-    if conn.closing {
-        // Keep only while owed replies remain — buffered, or a late
-        // worker's; they drain on subsequent sweeps.
-        return conn.shared.writer.lock().has_pending()
-            || conn.shared.inflight.load(Ordering::Acquire) > 0;
-    }
-    keep
+    true
 }
 
 #[cfg(test)]

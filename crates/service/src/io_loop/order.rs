@@ -10,8 +10,8 @@
 //! ([`inline`](ReplyOrder::inline)); with nothing outstanding it goes
 //! straight out.
 //!
-//! The type does no I/O and takes no lock: the connection's writer lock
-//! serialises it, and `out` is the connection's output buffer.
+//! The type does no I/O and takes no lock: only the connection's poller
+//! touches it, and `out` is the connection's output buffer.
 
 use std::collections::VecDeque;
 

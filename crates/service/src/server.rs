@@ -18,7 +18,7 @@
 //!                                           ▼
 //!                              ShardedCache (TinyLFU admission)
 //!                                           │
-//!                                           ▼ Reply::send to the socket
+//!                                           ▼ Reply::send to the poller's inbox
 //! ```
 //!
 //! The loop owns accept, readiness (epoll on Linux, the sweep loop as
@@ -135,7 +135,7 @@ pub struct Tuning {
     /// At the cap new accepts are shed with a best-effort `overloaded`
     /// reply and an `accept_shed` count, instead of running the process
     /// into its fd limit — where *every* accept fails and existing
-    /// connections start losing `dup`/`fcntl` calls too.
+    /// connections start losing `fcntl` calls too.
     pub max_conns: usize,
 }
 
@@ -355,10 +355,9 @@ impl Handler for Shared {
             }
             Request::Shutdown => {
                 self.metrics.record_control();
+                // The drain writes the acknowledgement before it closes
+                // the connection.
                 out.reply(&Response::Pong);
-                // The drain must not race the acknowledgement out of the
-                // buffer: write it now.
-                out.flush();
                 trigger_shutdown(self);
             }
             Request::Balance(req) => self.dispatch_balance(req, out),
@@ -396,9 +395,10 @@ impl Shared {
             encode_hit(out.buf(), codec, &req, &hit, latency);
             return;
         }
-        // The worker writes its reply directly to the socket; deferring
-        // writes any buffered inline replies first, so the connection's
-        // frames stay in request order.
+        // The worker hands its encoded reply to this poller, which
+        // writes it in the frame's turn; deferring queues any buffered
+        // inline replies first, so the connection's frames stay in
+        // request order.
         let job = Job {
             req,
             received,

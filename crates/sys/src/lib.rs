@@ -1,7 +1,7 @@
 //! # gb-sys — Linux readiness syscalls behind a safe API
 //!
 //! The serving engine's epoll backend needs `epoll_create1` / `epoll_ctl` /
-//! `epoll_wait` plus an `eventfd` wakeup, the router's relay needs a
+//! `epoll_wait` plus a socket-pair wakeup, the router's relay needs a
 //! nonblocking `connect` it can finish on readiness, and the connection
 //! soak needs
 //! `setrlimit(RLIMIT_NOFILE)` and per-thread CPU readings from
@@ -75,12 +75,13 @@ pub struct Event {
 #[cfg(target_os = "linux")]
 mod imp {
     use super::{Event, Interest, RawFd};
-    use std::io;
+    use std::io::{self, Read, Write};
     use std::net::{SocketAddr, TcpStream};
     use std::os::fd::{AsRawFd, FromRawFd};
+    use std::os::unix::net::UnixStream;
     use std::time::Duration;
 
-    use std::os::raw::{c_int, c_long, c_uint, c_void};
+    use std::os::raw::{c_int, c_long, c_void};
 
     // epoll_event is packed on x86-64 (the kernel ABI predates natural
     // alignment there); other architectures use natural layout.
@@ -106,8 +107,6 @@ mod imp {
     const EPOLLOUT: u32 = 0x004;
     const EPOLLERR: u32 = 0x008;
     const EPOLLHUP: u32 = 0x010;
-    const EFD_CLOEXEC: c_int = 0o2000000;
-    const EFD_NONBLOCK: c_int = 0o4000;
     const RLIMIT_NOFILE: c_int = 7;
     const SC_CLK_TCK: c_int = 2;
     const AF_INET: u16 = 2;
@@ -148,9 +147,6 @@ mod imp {
             maxevents: c_int,
             timeout: c_int,
         ) -> c_int;
-        fn eventfd(initval: c_uint, flags: c_int) -> c_int;
-        fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
         fn close(fd: c_int) -> c_int;
         fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
         fn setrlimit(resource: c_int, rlim: *const RLimit) -> c_int;
@@ -288,46 +284,43 @@ mod imp {
         }
     }
 
-    /// A cross-thread wakeup channel: workers `signal()` after finishing
-    /// a reply, the owning poller drains it from its wait loop.
+    /// A cross-thread wakeup channel: other threads `signal()` after
+    /// handing a poller work, the poller drains it from its wait loop.
+    ///
+    /// It is a Unix socket pair rather than an `eventfd`: a socket write
+    /// wakes the epoll waiter as a synchronous wakeup, so the scheduler
+    /// may run the poller on the signalling thread's CPU once that
+    /// thread blocks, instead of queueing it behind a busy one.
     #[derive(Debug)]
-    pub struct EventFd {
-        fd: Fd,
+    pub struct Waker {
+        rx: UnixStream,
+        tx: UnixStream,
     }
 
-    impl EventFd {
-        /// Creates a nonblocking eventfd.
-        pub fn new() -> io::Result<EventFd> {
-            #[allow(unsafe_code)]
-            let fd = unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) };
-            if fd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(EventFd { fd: Fd(fd) })
+    impl Waker {
+        /// Creates a nonblocking wakeup channel.
+        pub fn new() -> io::Result<Waker> {
+            let (rx, tx) = UnixStream::pair()?;
+            rx.set_nonblocking(true)?;
+            tx.set_nonblocking(true)?;
+            Ok(Waker { rx, tx })
         }
 
         /// The descriptor to register with [`Epoll`].
         pub fn raw_fd(&self) -> RawFd {
-            self.fd.0
+            self.rx.as_raw_fd()
         }
 
-        /// Wakes the poller. Never blocks; a saturated counter is
-        /// already readable, so the failure needs no handling.
+        /// Wakes the poller. Never blocks; a full socket is already
+        /// readable, so the failure needs no handling.
         pub fn signal(&self) {
-            let one: u64 = 1;
-            #[allow(unsafe_code)]
-            unsafe {
-                write(self.fd.0, (&one as *const u64).cast(), 8);
-            }
+            let _ = (&self.tx).write(&[1]);
         }
 
         /// Consumes pending wakeups so level-triggered polling settles.
         pub fn drain(&self) {
-            let mut count: u64 = 0;
-            #[allow(unsafe_code)]
-            unsafe {
-                read(self.fd.0, (&mut count as *mut u64).cast(), 8);
-            }
+            let mut buf = [0u8; 64];
+            while matches!((&self.rx).read(&mut buf), Ok(n) if n == buf.len()) {}
         }
     }
 
@@ -585,13 +578,13 @@ mod imp {
         }
     }
 
-    /// Stub wakeup handle; [`EventFd::new`] always fails off Linux.
+    /// Stub wakeup handle; [`Waker::new`] always fails off Linux.
     #[derive(Debug)]
-    pub struct EventFd {}
+    pub struct Waker {}
 
-    impl EventFd {
+    impl Waker {
         /// Always `Unsupported` off Linux.
-        pub fn new() -> io::Result<EventFd> {
+        pub fn new() -> io::Result<Waker> {
             Err(unsupported())
         }
 
@@ -646,7 +639,7 @@ mod imp {
 
 pub use imp::{
     connect_nonblocking, connect_result, process_cpu_seconds, raise_nofile_limit,
-    thread_cpu_seconds, trim_heap, Epoll, EventFd,
+    thread_cpu_seconds, trim_heap, Epoll, Waker,
 };
 
 /// Whether an I/O error is the resource-exhaustion shape an accept loop
@@ -686,14 +679,14 @@ mod tests {
 
     #[cfg(target_os = "linux")]
     #[test]
-    fn epoll_reports_eventfd_readiness() {
+    fn epoll_reports_waker_readiness() {
         let mut ep = Epoll::new().expect("epoll_create1");
-        let wake = EventFd::new().expect("eventfd");
+        let wake = Waker::new().expect("socket pair");
         ep.add(wake.raw_fd(), 7, Interest::READ).expect("add");
         let mut events = Vec::new();
         ep.wait(&mut events, Some(Duration::from_millis(0)))
             .expect("wait");
-        assert!(events.is_empty(), "unsignalled eventfd must not wake");
+        assert!(events.is_empty(), "an unsignalled waker must not wake");
         wake.signal();
         ep.wait(&mut events, Some(Duration::from_millis(1000)))
             .expect("wait");
@@ -703,7 +696,7 @@ mod tests {
         wake.drain();
         ep.wait(&mut events, Some(Duration::from_millis(0)))
             .expect("wait");
-        assert!(events.is_empty(), "drained eventfd must settle");
+        assert!(events.is_empty(), "a drained waker must settle");
         ep.delete(wake.raw_fd()).expect("delete");
     }
 

@@ -16,14 +16,14 @@
 //! failures).
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use gb_service::client::Client;
 use gb_service::fault::{ReadOp, ScriptedShim, WriteOp};
-use gb_service::io_loop::WINDOW;
+use gb_service::io_loop::{Dispatch, Handler, IoLoop, LoopConfig, Reply, WINDOW};
 use gb_service::proto::{
     Algorithm, BalanceRequest, Codec, ErrorCode, Json, Request, Response, WireCodec, BIN_HDR,
     MAGIC, MAX_FRAME,
@@ -1078,6 +1078,149 @@ fn a_stalled_frame_times_out_alone_and_its_neighbours_answer_in_order() {
         h.await_fault_counter("reply_dropped", 1);
         h.assert_never_wedged();
         h.shutdown();
+    });
+}
+
+/// Scenario 24: a read error drops a connection whose miss is stalled
+/// at a worker. The socket closes at once — the client sees EOF before
+/// the stall ends, and never a reply — the reset is counted, and the
+/// worker's answer is dropped and counted as `reply_dropped`.
+#[test]
+fn a_dropped_connection_closes_at_once() {
+    for_all(|setup| {
+        let h = Harness::start(setup);
+        let stall = Duration::from_millis(1500);
+        h.shim.stall_nth_job(0, 0, stall);
+        let started = Instant::now();
+        let mut conn = RawConn::open(h.addr());
+        conn.send(&request_line(&balance_request(cold_seed(), None)));
+        assert_eq!(h.await_inflight(1), 1, "[{}]", setup.name());
+        // The connection's next read fails; closing our write half makes
+        // it readable.
+        h.shim.plan_reads(0, [ReadOp::Error]);
+        conn.close_write();
+        let mut rest = Vec::new();
+        conn.reader
+            .read_to_end(&mut rest)
+            .unwrap_or_else(|e| panic!("[{}] no EOF: {e}", setup.name()));
+        assert!(
+            started.elapsed() < stall,
+            "[{}] the close waited {:?} for the stalled worker",
+            setup.name(),
+            started.elapsed()
+        );
+        assert!(
+            rest.is_empty(),
+            "[{}] a dropped connection got {:?}",
+            setup.name(),
+            String::from_utf8_lossy(&rest)
+        );
+        h.await_fault_counter("reply_dropped", 1);
+        assert_eq!(h.fault_counter("conn_reset"), 1, "[{}]", setup.name());
+        assert_eq!(h.fault_counter("reply_dropped"), 1, "[{}]", setup.name());
+        h.assert_never_wedged();
+        h.shutdown();
+    });
+}
+
+/// Defers every frame and hands its [`Reply`] to the test.
+struct HandOver(std::sync::Mutex<mpsc::Sender<Reply>>);
+
+impl Handler for HandOver {
+    type Local = ();
+
+    fn handle(&self, _: &mut (), _: Request, _: &[u8], out: &mut Dispatch<'_>) {
+        let reply = out.defer(None);
+        self.0.lock().unwrap().send(reply).unwrap();
+    }
+
+    fn loop_error(&self, _: ErrorCode) {}
+}
+
+/// Scenario 25: one poller; a connection dies with a frame deferred, and
+/// a new connection takes its slot before the old reply is sent. The
+/// new connection gets only its own reply, and the stale one is dropped
+/// and counted as `reply_dropped`.
+#[test]
+fn a_late_reply_never_reaches_a_reused_slot() {
+    for_all(|setup| {
+        let shim = ScriptedShim::new();
+        if setup.sweep_fallback {
+            shim.fail_readiness(EMFILE);
+        }
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let (io, pollers) = IoLoop::new(
+            listener,
+            LoopConfig {
+                pollers: 1,
+                poll_interval: Duration::from_millis(100),
+                write_stall: Duration::from_secs(5),
+                reply_timeout: Duration::from_secs(60),
+                max_conns: 0,
+                shim: Arc::new(shim.clone()),
+            },
+        )
+        .expect("loop");
+        assert_eq!(io.engine(), setup.engine(), "[{}]", setup.name());
+        let (tx, rx) = mpsc::channel();
+        let threads = pollers
+            .spawn(Arc::new(HandOver(std::sync::Mutex::new(tx))), "reuse")
+            .expect("spawn");
+        let ping = b"{\"op\":\"ping\"}\n";
+        let wait = Duration::from_secs(10);
+
+        // Connection 0 defers a frame, then dies on a read error.
+        let mut old = RawConn::open(io.local_addr());
+        old.send(ping);
+        let stale = rx.recv_timeout(wait).expect("old frame deferred");
+        shim.plan_reads(0, [ReadOp::Error]);
+        old.close_write();
+        let mut rest = Vec::new();
+        old.reader
+            .read_to_end(&mut rest)
+            .expect("old connection EOF");
+        assert!(rest.is_empty(), "[{}]", setup.name());
+        assert!(stale.peer_gone(), "[{}]", setup.name());
+
+        // Connection 1 takes the freed slot and defers a frame too.
+        let mut new = RawConn::open(io.local_addr());
+        new.send(ping);
+        let fresh = rx.recv_timeout(wait).expect("new frame deferred");
+        stale.send(
+            WireCodec::Json,
+            &Response::Error {
+                id: Some(0),
+                code: ErrorCode::Internal,
+                message: "stale".into(),
+            },
+        );
+        fresh.send(WireCodec::Json, &Response::Pong);
+        match new.read_reply() {
+            Some(Response::Pong) => {}
+            other => panic!("[{}] new connection got {other:?}", setup.name()),
+        }
+        new.close_write();
+        let mut rest = Vec::new();
+        new.reader
+            .read_to_end(&mut rest)
+            .expect("new connection EOF");
+        assert!(
+            rest.is_empty(),
+            "[{}] new connection got {:?}",
+            setup.name(),
+            String::from_utf8_lossy(&rest)
+        );
+        let dropped = io
+            .counters()
+            .faults_json()
+            .get("reply_dropped")
+            .and_then(|v| v.as_u64());
+        assert_eq!(dropped, Some(1), "[{}]", setup.name());
+
+        io.trigger_shutdown();
+        for t in threads {
+            t.join().expect("poller exits");
+        }
     });
 }
 
