@@ -28,7 +28,8 @@
 //! * [`par_ba`](mod@par_ba) — BA and BA-HF executing with real parallelism on the
 //!   pool, bit-identical to their sequential counterparts;
 //! * [`par_phf`](mod@par_phf) — the PHF scheme on real threads: HF's (instance-optimal)
-//!   partition with parallel batch bisection.
+//!   partition with parallel batch bisection, and its rounds on the
+//!   calling thread for callers that are parallel already.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -48,7 +49,7 @@ pub use bahf_machine::{ba_hf_on_machine, TailAlgorithm};
 pub use hf_machine::hf_on_machine;
 pub use managers::{cascade_with_manager, compare_managers, Manager, ManagerComparison};
 pub use par_ba::{par_ba, par_ba_hf};
-pub use par_phf::par_phf;
+pub use par_phf::{inline_phf, par_phf};
 pub use par_process::{balance_and_process, Balancer};
 pub use phf::{phf, phf_on_range, PhfReport};
 pub use pool::{PoolHandle, ThreadPool, WaitGroup};

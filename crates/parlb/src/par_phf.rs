@@ -18,6 +18,7 @@
 //!
 //! The result is bit-identical to [`gb_core::hf::hf`] for the same
 //! reasons PHF's is (Theorem 3), which the tests verify.
+//! [`inline_phf`] runs the same cascade and rounds on the calling thread.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -40,31 +41,74 @@ pub fn par_phf<P>(pool: &ThreadPool, p: P, n: usize, alpha: f64) -> Partition<P>
 where
     P: Bisectable + Send + 'static,
 {
+    phf_with(
+        p,
+        n,
+        alpha,
+        |p, threshold| {
+            let settled: Arc<Mutex<Vec<P>>> = Arc::new(Mutex::new(Vec::with_capacity(n)));
+            let wg = Arc::new(WaitGroup::new());
+            wg.add(1);
+            cascade(
+                pool.handle(),
+                p,
+                threshold,
+                Arc::clone(&settled),
+                Arc::clone(&wg),
+            );
+            wg.wait();
+            let pieces = std::mem::take(&mut *settled.lock());
+            pieces
+        },
+        |batch| bisect_round(pool, batch),
+    )
+}
+
+/// [`par_phf`]'s phase-1 cascade and window rounds on the calling
+/// thread: the same partition, with no pool and no `Send` bound.
+///
+/// With a valid α this is HF's partition (Theorem 3), which
+/// [`gb_core::hf::hf`] computes more cheaply; this is for an α that may
+/// exceed the problem's smallest split, where the rounds, not HF, define
+/// the answer.
+///
+/// # Panics
+/// Panics if `n == 0` or `alpha ∉ (0, 1/2]`.
+pub fn inline_phf<P: Bisectable>(p: P, n: usize, alpha: f64) -> Partition<P> {
+    phf_with(
+        p,
+        n,
+        alpha,
+        |p, threshold| settle(p, threshold, Some),
+        |batch| batch.iter().map(Bisectable::bisect).collect(),
+    )
+}
+
+/// The PHF scheme with its two parallel steps supplied by the caller:
+/// `cascade(p, threshold)` returns the pieces phase 1 leaves (every piece
+/// heavier than `threshold` bisected, in any order), and `round(batch)`
+/// bisects one phase-2 batch, returning the pairs in batch order.
+fn phf_with<P: Bisectable>(
+    p: P,
+    n: usize,
+    alpha: f64,
+    cascade: impl FnOnce(P, f64) -> Vec<P>,
+    mut round: impl FnMut(Vec<P>) -> Vec<(P, P)>,
+) -> Partition<P> {
     check_alpha(alpha).expect("invalid alpha");
-    assert!(n > 0, "par_phf needs at least one processor");
+    assert!(n > 0, "PHF needs at least one processor");
     let total = p.weight();
     if n == 1 {
         return Partition::new(vec![p], total, 1);
     }
     let threshold = phf_phase1_threshold(total, alpha, n);
 
-    // ---- Phase 1: parallel cascade over the > threshold region ----------
-    let settled: Arc<Mutex<Vec<P>>> = Arc::new(Mutex::new(Vec::with_capacity(n)));
-    let wg = Arc::new(WaitGroup::new());
-    wg.add(1);
-    cascade(
-        pool.handle(),
-        p,
-        threshold,
-        Arc::clone(&settled),
-        Arc::clone(&wg),
-    );
-    wg.wait();
-    let pieces = std::mem::take(&mut *settled.lock());
+    // ---- Phase 1: cascade over the > threshold region --------------------
+    let pieces = cascade(p, threshold);
 
     // ---- Phase 2: synchronised window rounds ------------------------------
-    // The sequential coordinator picks each round's batch; the bisections
-    // themselves run in parallel on the pool.
+    // The sequential coordinator picks each round's batch; `round` bisects
+    // it.
     let mut live = Live::new(n);
     for q in pieces {
         live.place(q, None);
@@ -86,7 +130,7 @@ where
         debug_assert!(!popped.is_empty());
         count += popped.len();
         let batch = popped.iter().map(|&i| live.take(i)).collect();
-        for (i, (a, b)) in popped.into_iter().zip(bisect_round(pool, batch)) {
+        for (i, (a, b)) in popped.into_iter().zip(round(batch)) {
             let free = live.place(a, Some(i));
             live.place(b, free);
         }
@@ -231,8 +275,35 @@ impl<P: Bisectable> Round<P> {
 /// too small to pay for handing children to other workers.
 const LOCAL_GRAIN: f64 = 32.0;
 
-/// Phase 1: recursively bisect everything heavier than `threshold`,
-/// spawning the right child as a new task while the piece is heavy.
+/// Bisects `p` and its descendants until every piece weighs at most
+/// `threshold` or is atomic, returning those pieces. The right child of a
+/// piece heavier than `LOCAL_GRAIN` times the threshold goes to
+/// `hand_off`, which keeps it (`None`) or gives it back to be settled
+/// here.
+fn settle<P: Bisectable>(p: P, threshold: f64, mut hand_off: impl FnMut(P) -> Option<P>) -> Vec<P> {
+    let mut pieces = Vec::new();
+    let mut local = vec![p];
+    while let Some(mut q) = local.pop() {
+        loop {
+            if q.weight() <= threshold || !q.can_bisect() {
+                pieces.push(q);
+                break;
+            }
+            let inline = q.weight() <= LOCAL_GRAIN * threshold;
+            let (a, b) = q.bisect();
+            if inline {
+                local.push(b);
+            } else if let Some(b) = hand_off(b) {
+                local.push(b);
+            }
+            q = a;
+        }
+    }
+    pieces
+}
+
+/// Phase 1 on the pool: one task settles `p`, spawning the right child
+/// of every heavy piece as a new task.
 fn cascade<P>(
     handle: PoolHandle,
     p: P,
@@ -244,31 +315,17 @@ fn cascade<P>(
 {
     let respawn = handle.clone();
     handle.spawn(move || {
-        let mut pieces = Vec::new();
-        let mut local = vec![p];
-        while let Some(mut q) = local.pop() {
-            loop {
-                if q.weight() <= threshold || !q.can_bisect() {
-                    pieces.push(q);
-                    break;
-                }
-                let inline = q.weight() <= LOCAL_GRAIN * threshold;
-                let (a, b) = q.bisect();
-                if inline {
-                    local.push(b);
-                } else {
-                    wg.add(1);
-                    cascade(
-                        respawn.clone(),
-                        b,
-                        threshold,
-                        Arc::clone(&settled),
-                        Arc::clone(&wg),
-                    );
-                }
-                q = a;
-            }
-        }
+        let pieces = settle(p, threshold, |b| {
+            wg.add(1);
+            cascade(
+                respawn.clone(),
+                b,
+                threshold,
+                Arc::clone(&settled),
+                Arc::clone(&wg),
+            );
+            None
+        });
         settled.lock().extend(pieces);
         wg.done();
     });

@@ -57,7 +57,6 @@ fn start_upstream(addr: &str) -> Server {
     Server::start(ServerConfig {
         addr: addr.into(),
         workers: 2,
-        pool_threads: 2,
         ..ServerConfig::default()
     })
     .expect("upstream start")
@@ -70,7 +69,6 @@ fn start_stalled_upstream(stall: Duration) -> Server {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 2,
-            pool_threads: 2,
             ..ServerConfig::default()
         },
         Tuning {

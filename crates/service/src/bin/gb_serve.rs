@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! gb-serve [--addr HOST:PORT] [--workers K] [--queue-cap Q]
-//!          [--cache-cap C] [--pool-threads T] [--io-threads I]
-//!          [--max-conns N] [--cache-shards S] [--admission on|off]
+//!          [--cache-cap C] [--io-threads I] [--max-conns N]
+//!          [--cache-shards S] [--admission on|off]
 //!          [--reply-timeout-ms MS] [--poll-interval-ms MS]
 //!          [--write-stall-ms MS] [--stall-ms MS]
 //!          [--store-dir PATH] [--store-segment-bytes N]
@@ -25,7 +25,8 @@
 //! One process is one queue, one cache and one store. To shard a hot
 //! class away from the rest, or to rebalance skewed traffic, run several
 //! `gb-serve` processes behind `gb-router` (its `--rebalance-ms` tick
-//! re-places vnodes with HF over the load it observes).
+//! re-places vnodes with HF over the load it observes). A `--workers`
+//! thread solves each miss it takes itself; there is no solver pool.
 //!
 //! `--stall-ms MS` injects a sleep before every job execution (via the
 //! fault-injection shim) — a deliberately slow-but-alive upstream for
@@ -50,7 +51,7 @@ use gb_store::StoreConfig;
 fn usage() -> ! {
     eprintln!(
         "usage: gb-serve [--addr HOST:PORT] [--workers K] [--queue-cap Q] \
-         [--cache-cap C] [--pool-threads T] [--io-threads I] \
+         [--cache-cap C] [--io-threads I] \
          [--max-conns N] [--cache-shards S] [--admission on|off] \
          [--reply-timeout-ms MS] [--poll-interval-ms MS] [--write-stall-ms MS] \
          [--stall-ms MS] \
@@ -82,9 +83,6 @@ fn parse_args() -> (ServerConfig, Tuning) {
             }
             "--cache-cap" => {
                 config.cache_capacity = parse_usize(&value("--cache-cap"), "--cache-cap")
-            }
-            "--pool-threads" => {
-                config.pool_threads = parse_usize(&value("--pool-threads"), "--pool-threads")
             }
             "--max-conns" => tuning.max_conns = parse_usize(&value("--max-conns"), "--max-conns"),
             "--io-threads" => {

@@ -103,7 +103,6 @@ const BENCH_WORKERS: usize = 8;
 const BENCH_CLIENTS: usize = 64;
 const BENCH_QUEUE_CAP: usize = 256;
 const BENCH_CACHE_CAP: usize = 1024;
-const BENCH_POOL_THREADS: usize = 2;
 const BENCH_DISTINCT: u64 = 16;
 /// Requests per hot-hit round; smoke rounds stop at [`BENCH_SMOKE_CAP`].
 const BENCH_REQUESTS: u64 = 24_000;
@@ -168,7 +167,6 @@ fn hot_hit_config(report: &mut Report, smoke: bool) {
         ("clients", int(BENCH_CLIENTS)),
         ("queue_capacity", int(BENCH_QUEUE_CAP)),
         ("cache_capacity", int(BENCH_CACHE_CAP)),
-        ("pool_threads", int(BENCH_POOL_THREADS)),
         ("n", int(BENCH_N)),
         ("distinct", int(BENCH_DISTINCT)),
         ("requests", int(BENCH_REQUESTS)),
@@ -192,7 +190,6 @@ fn hot_hits(codec: WireCodec, smoke: bool) -> Result<(PhaseStats, Fields), Strin
             BENCH_WORKERS,
             BENCH_QUEUE_CAP,
             BENCH_CACHE_CAP,
-            BENCH_POOL_THREADS,
             Tuning::default(),
         )?;
         let addr = server.local_addr();
@@ -237,7 +234,7 @@ fn hitrate_phase(distinct: u64, admission: bool) -> Result<(PhaseStats, Fields),
         admission,
         ..Tuning::default()
     };
-    let server = fleet::start(2, BENCH_QUEUE_CAP, HITRATE_CACHE_CAP as usize, 1, tuning)?;
+    let server = fleet::start(2, BENCH_QUEUE_CAP, HITRATE_CACHE_CAP as usize, tuning)?;
     let addr = server.local_addr();
     // More warm passes when the working set fits the cache (reuse is
     // what earns admission); a set larger than the cache gets one.
@@ -390,7 +387,7 @@ fn store(smoke: bool) -> Result<Report, String> {
                 store: store.map(StoreConfig::new),
                 ..Tuning::default()
             };
-            fleet::start(2, BENCH_QUEUE_CAP, BENCH_CACHE_CAP, 2, tuning)
+            fleet::start(2, BENCH_QUEUE_CAP, BENCH_CACHE_CAP, tuning)
         };
         // Life 1 computes the hot set and shuts down gracefully (with a
         // store this drains the spill queue to disk).
@@ -444,7 +441,7 @@ fn spawn_fleet(
     router_extra: &str,
 ) -> Result<(Vec<fleet::ChildProc>, fleet::ChildProc), String> {
     let flags = format!(
-        "--workers {} --queue-cap {} --cache-cap {} --pool-threads 1 {extra}",
+        "--workers {} --queue-cap {} --cache-cap {} {extra}",
         FLEET_WORKERS / upstreams,
         FLEET_QUEUE_CAP / upstreams,
         FLEET_CACHE_CAP / upstreams,

@@ -18,7 +18,6 @@ pub fn start(
     workers: usize,
     queue_capacity: usize,
     cache_capacity: usize,
-    pool_threads: usize,
     tuning: Tuning,
 ) -> Result<Server, String> {
     let config = ServerConfig {
@@ -26,7 +25,6 @@ pub fn start(
         workers,
         queue_capacity,
         cache_capacity,
-        pool_threads,
     };
     Server::start_tuned(config, tuning).map_err(|e| format!("in-process server: {e}"))
 }
@@ -170,14 +168,10 @@ impl Drop for ChildProc {
     }
 }
 
-/// A `gb-serve` child with 4 workers and 2 pool threads, plus `extra`
-/// flags.
+/// A `gb-serve` child with 4 workers, plus `extra` flags.
 pub fn serve_child(extra: &str) -> Result<ChildProc, String> {
     let bin = sibling_binary("gb-serve", "gb-service")?;
-    ChildProc::spawn(
-        &bin,
-        &format!("--addr 127.0.0.1:0 --workers 4 --pool-threads 2 {extra}"),
-    )
+    ChildProc::spawn(&bin, &format!("--addr 127.0.0.1:0 --workers 4 {extra}"))
 }
 
 /// A `gb-router` child over `upstreams`, plus `extra` flags. `hedge_ms`

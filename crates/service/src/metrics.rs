@@ -244,7 +244,7 @@ impl ServiceMetrics {
     }
 
     /// Full JSON snapshot (the `requests`/`solver`/`load`/`latency`
-    /// sections of the stats response; cache/queue/pool figures are
+    /// sections of the stats response; cache/queue/connection figures are
     /// merged in by the server). `load` is the cumulative pair a fleet
     /// weighs an upstream by: answers served and compute µs spent.
     pub fn to_json(&self) -> Json {

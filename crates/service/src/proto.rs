@@ -631,7 +631,7 @@ impl<'a> Parser<'a> {
 pub enum Algorithm {
     /// Sequential Heaviest-First (instance optimal).
     Hf,
-    /// Best Approximation on the work-stealing pool.
+    /// Best Approximation (Algorithm BA).
     Ba,
     /// BA with sequential-HF tails (Algorithm BA-HF).
     BaHf,

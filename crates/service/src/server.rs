@@ -13,8 +13,8 @@
 //!                                   StealQueue: one deque per worker
 //!                                           │ pop own shard / steal
 //!                                           ▼
-//!                                    worker threads ─▶ gb-parlb pool
-//!                                           │   (BA / BA-HF / PHF)
+//!                                    worker threads: solve the miss
+//!                                           │   (HF / BA / BA-HF / PHF)
 //!                                           ▼
 //!                              ShardedCache (TinyLFU admission)
 //!                                           │
@@ -50,7 +50,6 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use gb_parlb::ThreadPool;
 use gb_store::{SpillHandle, Store, StoreConfig};
 
 use crate::cache::{CacheKey, CachedResult, ReplyTail, ShardedCache};
@@ -76,9 +75,6 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// LRU result-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
-    /// Threads in the work-stealing pool running BA/BA-HF/PHF
-    /// (0 = available parallelism).
-    pub pool_threads: usize,
 }
 
 impl Default for ServerConfig {
@@ -88,7 +84,6 @@ impl Default for ServerConfig {
             workers: 0,
             queue_capacity: 256,
             cache_capacity: 1024,
-            pool_threads: 0,
         }
     }
 }
@@ -172,7 +167,6 @@ struct Shared {
     queue: StealQueue<Job>,
     cache: ShardedCache,
     metrics: ServiceMetrics,
-    pool: ThreadPool,
     /// The connection loop: accept, pollers, write path, fault counters.
     io: Arc<IoLoop>,
     tuning: Tuning,
@@ -203,11 +197,6 @@ impl Server {
             (thread::available_parallelism().map_or(4, |n| n.get()) / 2).max(2)
         } else {
             config.workers
-        };
-        let pool_threads = if config.pool_threads == 0 {
-            thread::available_parallelism().map_or(4, |n| n.get())
-        } else {
-            config.pool_threads
         };
         let cache_shards = if tuning.cache_shards == 0 {
             8
@@ -252,7 +241,6 @@ impl Server {
             queue: StealQueue::new(workers, config.queue_capacity.max(1)),
             cache,
             metrics: ServiceMetrics::new(),
-            pool: ThreadPool::new(pool_threads),
             io,
             tuning: tuning.clone(),
             spill,
@@ -533,7 +521,7 @@ fn execute(shared: &Shared, job: &Job) -> Response {
     let compute_started = Instant::now();
     // Without a known α, the HF run that measures α̂ is also the tree the
     // algorithm walks: no second pass (`crate::solve`).
-    let solved = crate::solve::solve(&req.problem, req.algorithm, req.n, req.theta, &shared.pool);
+    let solved = crate::solve::solve(&req.problem, req.algorithm, req.n, req.theta);
     let bound_violated = solved.ratio > solved.bound;
     let (bisections, tree_reused) = (solved.bisections, solved.tree_reused);
     let result = CachedResult::new(solved.pieces, solved.ratio, solved.bound, solved.alpha);
@@ -612,15 +600,6 @@ fn stats_json(shared: &Shared) -> Json {
             ]),
         ));
         entries.push(("connections".into(), shared.io.connections_json()));
-        let pool = &shared.pool;
-        entries.push((
-            "pool".into(),
-            Json::Obj(vec![
-                ("workers".into(), int(pool.workers() as u64)),
-                ("injector_depth".into(), int(pool.injector_depth() as u64)),
-                ("queued".into(), int(pool.queued() as u64)),
-            ]),
-        ));
         if let Some(spill) = &shared.spill {
             let mut store = store_json(&spill.stats());
             if let Json::Obj(fields) = &mut store {
@@ -649,7 +628,6 @@ mod tests {
             workers: 2,
             queue_capacity: 64,
             cache_capacity: 64,
-            pool_threads: 2,
             ..ServerConfig::default()
         })
         .expect("bind ephemeral port")

@@ -7,27 +7,33 @@
 //! itself (the realised split fraction `α̂`, see
 //! [`AlphaRecorder`]).
 //!
-//! Which path a request takes depends only on the request:
+//! Every path runs on the calling thread: a server's request workers
+//! already keep its cores busy, so a miss gains nothing from a second
+//! pool. Which path a request takes depends only on the request:
 //!
 //! * `hf` runs HF once and reads `α̂` off that run when it needs it.
-//! * With α known, `ba`, `bahf` and `phf` run `par_ba`, `par_ba_hf` and
-//!   `par_phf` on the pool.
+//! * With α known, `ba` and `bahf` run BA and BA-HF on the problem, and
+//!   `phf` runs HF: PHF with the class's own α returns HF's partition
+//!   (Theorem 3).
 //! * Without it they run HF over a [`BisectionMemo`] of the problem for
 //!   `α̂`, and the algorithm then walks the same tree: PHF's answer *is*
-//!   that run's partition (Theorem 3), and BA or BA-HF bisect only the
-//!   nodes HF did not. The exception is PHF when `α̂` falls below
-//!   [`MIN_ALPHA`]: the α it runs with is then not `α̂`, Theorem 3 no
-//!   longer ties it to HF, and it runs `par_phf` on the problem as is.
+//!   that run's partition, and BA or BA-HF bisect only the nodes HF did
+//!   not.
 //!
-//! The answer is the same whichever path computes it: every algorithm
-//! bisects the same tree, and the sequential walks return the partitions
-//! the pool versions do.
+//! The exception is PHF when the α it runs with was clamped up to
+//! [`MIN_ALPHA`]: that α is not the problem's own, Theorem 3 no longer
+//! ties PHF to HF, and it runs PHF's cascade and window rounds
+//! ([`inline_phf`]) on the problem as is.
+//!
+//! The answer is the same whichever path computes it, and the same as
+//! `gb_parlb`'s pool versions return: every algorithm bisects the same
+//! tree.
 
 use gb_core::memo::BisectionMemo;
 use gb_core::partition::Partition;
 use gb_core::problem::Bisectable;
 use gb_core::tree::AlphaRecorder;
-use gb_parlb::ThreadPool;
+use gb_parlb::inline_phf;
 
 use crate::proto::Algorithm;
 use crate::spec::ProblemSpec;
@@ -54,13 +60,7 @@ pub struct Solved {
 }
 
 /// Solves one balance request; see the [module docs](self).
-pub fn solve(
-    spec: &ProblemSpec,
-    algorithm: Algorithm,
-    n: usize,
-    theta: f64,
-    pool: &ThreadPool,
-) -> Solved {
+pub fn solve(spec: &ProblemSpec, algorithm: Algorithm, n: usize, theta: f64) -> Solved {
     let problem = spec.build();
     let known = spec.alpha_hint().or_else(|| problem.analytic_alpha());
     let settle = |alpha: Option<f64>| alpha.unwrap_or(0.25).clamp(MIN_ALPHA, 0.5);
@@ -80,7 +80,7 @@ pub fn solve(
                 // (Theorem 3); a clamped α̂ is not the tree's own.
                 Algorithm::Phf if rec.alpha() == Some(alpha) => Outcome::over(&from_hf, &memo),
                 Algorithm::Phf => {
-                    let raw = Outcome::of(&gb_parlb::par_phf(pool, spec.build(), n, alpha));
+                    let raw = Outcome::of(&inline_phf(spec.build(), n, alpha));
                     Outcome {
                         bisections: raw.bisections + memo.bisections(),
                         ..raw
@@ -91,14 +91,15 @@ pub fn solve(
             };
             (outcome, alpha)
         }
-        (_, Some(alpha)) => {
-            let alpha = settle(Some(alpha));
+        (_, Some(known)) => {
+            let alpha = settle(Some(known));
             let outcome = match algorithm {
-                Algorithm::Ba => Outcome::of(&gb_parlb::par_ba(pool, problem, n)),
-                Algorithm::BaHf => {
-                    Outcome::of(&gb_parlb::par_ba_hf(pool, problem, n, alpha, theta))
-                }
-                _ => Outcome::of(&gb_parlb::par_phf(pool, problem, n, alpha)),
+                Algorithm::Ba => Outcome::of(&gb_core::ba::ba(problem, n)),
+                Algorithm::BaHf => Outcome::of(&gb_core::bahf::ba_hf(problem, n, alpha, theta)),
+                // PHF run with the class's own α returns HF's partition
+                // (Theorem 3); a clamped α is not the class's own.
+                _ if known == alpha => Outcome::of(&gb_core::hf::hf(problem, n)),
+                _ => Outcome::of(&inline_phf(problem, n, alpha)),
             };
             (outcome, alpha)
         }

@@ -38,7 +38,6 @@ fn idle_poller_share(sweep: bool) -> f64 {
     let server = Server::start_tuned(
         ServerConfig {
             workers: 1,
-            pool_threads: 1,
             ..ServerConfig::default()
         },
         Tuning {

@@ -21,7 +21,6 @@ fn open_fds() -> usize {
 fn each_accepted_connection_holds_one_descriptor() {
     let server = Server::start(ServerConfig {
         workers: 2,
-        pool_threads: 1,
         ..ServerConfig::default()
     })
     .expect("start server");

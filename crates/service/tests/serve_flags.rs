@@ -1,7 +1,8 @@
 //! The `gb-serve` binary's command line: one process is one queue, one
 //! cache and one store. Sharding and rebalancing across backends belong
 //! to `gb-router`, so gb-serve refuses their flags and its `stats` carry
-//! no per-backend or rebalance sections.
+//! no per-backend or rebalance sections. Its workers solve every miss
+//! themselves, so there is no pool flag or `pool` section either.
 
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
@@ -14,6 +15,21 @@ fn gb_serve() -> Command {
     Command::new(env!("CARGO_BIN_EXE_gb-serve"))
 }
 
+/// Runs gb-serve with `flag 2` and checks it exits 2 naming the flag.
+fn assert_unknown(flag: &str) {
+    let out = gb_serve()
+        .args(["--addr", "127.0.0.1:0", flag, "2"])
+        .stdout(Stdio::null())
+        .output()
+        .expect("run gb-serve");
+    assert_eq!(out.status.code(), Some(2), "{flag} must be a usage error");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("unknown flag {flag}")),
+        "{flag}: {stderr}"
+    );
+}
+
 #[test]
 fn sharding_and_rebalance_flags_are_unknown() {
     for flag in [
@@ -23,18 +39,14 @@ fn sharding_and_rebalance_flags_are_unknown() {
         "--rebalance-trigger",
         "--rebalance-budget",
     ] {
-        let out = gb_serve()
-            .args(["--addr", "127.0.0.1:0", flag, "2"])
-            .stdout(Stdio::null())
-            .output()
-            .expect("run gb-serve");
-        assert_eq!(out.status.code(), Some(2), "{flag} must be a usage error");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains(&format!("unknown flag {flag}")),
-            "{flag}: {stderr}"
-        );
+        assert_unknown(flag);
     }
+}
+
+/// Workers solve the misses they take: there is no solver pool to size.
+#[test]
+fn pool_threads_is_unknown() {
+    assert_unknown("--pool-threads");
 }
 
 #[test]
@@ -68,6 +80,7 @@ fn stats_report_one_queue_and_no_backend_sections() {
     };
     assert!(stats.get("backends").is_none(), "{stats:?}");
     assert!(stats.get("rebal").is_none(), "{stats:?}");
+    assert!(stats.get("pool").is_none(), "{stats:?}");
     let queue = stats.get("queue").expect("queue section");
     assert_eq!(queue.get("capacity").and_then(|v| v.as_u64()), Some(37));
     assert_eq!(queue.get("shards").and_then(|v| v.as_u64()), Some(2));

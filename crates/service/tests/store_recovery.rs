@@ -127,7 +127,6 @@ fn small_config() -> ServerConfig {
         workers: 2,
         queue_capacity: 16,
         cache_capacity: 256,
-        pool_threads: 2,
     }
 }
 

@@ -43,12 +43,12 @@ impl Fnv {
 /// Hashes `gb_service::solve` over every served class at `n`, under all
 /// four algorithms and seeds 0–3, plus HF's pieces on the same problems
 /// in the order HF returns them.
-fn served_hash(n: usize, pool: &ThreadPool) -> u64 {
+fn served_hash(n: usize) -> u64 {
     let mut h = Fnv::new();
     for seed in 0..4 {
         for spec in common::served_specs(n, seed) {
             for algorithm in Algorithm::ALL {
-                let solved = gb_service::solve(&spec, algorithm, n, 1.0, pool);
+                let solved = gb_service::solve(&spec, algorithm, n, 1.0);
                 h.weights(solved.pieces.iter().copied());
                 h.f64(solved.ratio);
                 h.f64(solved.bound);
@@ -84,7 +84,7 @@ fn answers(sizes: &[usize]) -> Vec<(usize, u64, u64)> {
     let pool = ThreadPool::new(2);
     sizes
         .iter()
-        .map(|&n| (n, served_hash(n, &pool), kernel_hash(n, &pool)))
+        .map(|&n| (n, served_hash(n), kernel_hash(n, &pool)))
         .collect()
 }
 

@@ -37,7 +37,6 @@ fn spawn_server() -> Server {
         workers: 4,
         queue_capacity: 512,
         cache_capacity: 256,
-        pool_threads: 2,
     })
     .expect("bind ephemeral port")
 }
@@ -164,7 +163,6 @@ fn load_shedding_answers_overloaded_instead_of_queueing_forever() {
         workers: 1,
         queue_capacity: 2,
         cache_capacity: 0, // force real work on every request
-        pool_threads: 1,
     })
     .expect("bind");
     let addr = server.local_addr();
@@ -316,7 +314,7 @@ fn solve_matches_the_two_pass_reference(n: usize) {
     for spec in common::served_specs(n, n as u64 + 5) {
         for algorithm in [Algorithm::Ba, Algorithm::BaHf, Algorithm::Phf] {
             let (partition, bound, alpha) = two_pass_reference(&spec, algorithm, n, 1.0, &pool);
-            let solved = gb_service::solve(&spec, algorithm, n, 1.0, &pool);
+            let solved = gb_service::solve(&spec, algorithm, n, 1.0);
             let what = format!("{} {algorithm:?} n={n}", spec.class());
             assert_eq!(solved.pieces, partition.sorted_weights(), "{what}");
             assert_eq!(
@@ -358,7 +356,7 @@ fn phf_below_the_alpha_clamp_runs_on_the_problem() {
         let measured = gb_problems::empirical_alpha(&spec.build(), n).expect("bisectable");
         assert!(measured < MIN_ALPHA, "n={n}: α̂ = {measured}");
         let (partition, bound, alpha) = two_pass_reference(&spec, Algorithm::Phf, n, 1.0, &pool);
-        let solved = gb_service::solve(&spec, Algorithm::Phf, n, 1.0, &pool);
+        let solved = gb_service::solve(&spec, Algorithm::Phf, n, 1.0);
         assert_eq!(solved.alpha, MIN_ALPHA);
         assert_eq!(solved.pieces, partition.sorted_weights(), "n={n}");
         assert_eq!(solved.ratio.to_bits(), partition.ratio().to_bits(), "n={n}");
@@ -456,7 +454,14 @@ fn stats_shape_is_stable_json() {
         Response::Stats(stats) => stats,
         other => panic!("unexpected {other:?}"),
     };
-    for key in ["uptime_ms", "requests", "latency", "cache", "queue", "pool"] {
+    for key in [
+        "uptime_ms",
+        "requests",
+        "latency",
+        "cache",
+        "queue",
+        "connections",
+    ] {
         assert!(stats.get(key).is_some(), "stats missing {key:?}");
     }
     // Round-trips through its own encoding.
@@ -472,7 +477,6 @@ fn graceful_shutdown_drains_inflight_work() {
         workers: 2,
         queue_capacity: 64,
         cache_capacity: 0,
-        pool_threads: 1,
     })
     .expect("bind");
     let addr = server.local_addr();
@@ -558,7 +562,6 @@ fn pipelined_misses_hits_and_a_malformed_frame_answer_in_order() {
             workers: 4,
             queue_capacity: 64,
             cache_capacity: 256,
-            pool_threads: 2,
         },
         Tuning {
             shim: Arc::new(shim),

@@ -119,7 +119,6 @@ impl Harness {
                 workers: 2,
                 queue_capacity: 16,
                 cache_capacity: 64,
-                pool_threads: 2,
             },
             tuning,
         )
@@ -1307,7 +1306,7 @@ struct ServeChild {
 impl ServeChild {
     fn spawn(addr: &str, extra: &[&str]) -> ServeChild {
         let mut child = Command::new(gb_serve_binary())
-            .args(["--addr", addr, "--workers", "2", "--pool-threads", "2"])
+            .args(["--addr", addr, "--workers", "2"])
             .args(extra)
             .stdout(Stdio::piped())
             .stderr(Stdio::null())

@@ -49,7 +49,6 @@ fn sharded_queue_sheds_overloaded_at_aggregate_capacity() {
             workers: 1,
             queue_capacity: 2,
             cache_capacity: 0, // force real work on every request
-            pool_threads: 1,
         },
         Tuning::default(),
     )
@@ -106,7 +105,6 @@ fn expired_deadline_times_out_on_event_path() {
             workers: 1,
             queue_capacity: 8,
             cache_capacity: 0,
-            pool_threads: 1,
         },
         Tuning::default(),
     )
@@ -136,7 +134,6 @@ fn graceful_drain_answers_queued_work_on_event_path() {
             workers: 2,
             queue_capacity: 64,
             cache_capacity: 0,
-            pool_threads: 1,
         },
         Tuning::default(),
     )
@@ -197,7 +194,6 @@ fn tightened_reply_timeout_surfaces_internal_error() {
             workers: 1,
             queue_capacity: 8,
             cache_capacity: 0,
-            pool_threads: 1,
         },
         Tuning {
             reply_timeout: Duration::from_millis(10),
@@ -224,7 +220,6 @@ fn stats_expose_fast_path_steals_and_shard_layout() {
             workers: 3,
             queue_capacity: 64,
             cache_capacity: 64,
-            pool_threads: 1,
         },
         Tuning {
             cache_shards: 4,
@@ -312,7 +307,6 @@ fn sweep_fallback_matches_wire_semantics() {
             workers: 1,
             queue_capacity: 2,
             cache_capacity: 0,
-            pool_threads: 1,
         },
         sweep_fallback(),
     )
@@ -364,7 +358,6 @@ fn cold_request_counts_one_miss_and_repeat_one_hit() {
                 workers: 2,
                 queue_capacity: 16,
                 cache_capacity: 64,
-                pool_threads: 1,
             },
             tuning,
         )
