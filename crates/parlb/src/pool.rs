@@ -88,22 +88,6 @@ impl PoolHandle {
     pub fn workers(&self) -> usize {
         self.shared.stealers.len()
     }
-
-    /// Number of tasks sitting in the shared injector — work submitted
-    /// from outside the pool that no worker has picked up yet. A sustained
-    /// nonzero depth means the pool is saturated; serving layers export
-    /// this as a backlog signal.
-    pub fn injector_depth(&self) -> usize {
-        self.shared.injector.len()
-    }
-
-    /// Total tasks waiting anywhere in the pool: the injector plus every
-    /// worker's deque. Unlike [`injector_depth`](Self::injector_depth),
-    /// this also sees depth-first work spawned from inside workers, so it
-    /// is the right saturation signal for serving layers.
-    pub fn queued(&self) -> usize {
-        self.shared.injector.len() + self.shared.stealers.iter().map(|s| s.len()).sum::<usize>()
-    }
 }
 
 /// The work-stealing pool. Dropping it waits for all queued tasks.
@@ -185,16 +169,6 @@ impl ThreadPool {
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.shared.stealers.len()
-    }
-
-    /// Injector backlog (see [`PoolHandle::injector_depth`]).
-    pub fn injector_depth(&self) -> usize {
-        self.shared.injector.len()
-    }
-
-    /// Total queued tasks (see [`PoolHandle::queued`]).
-    pub fn queued(&self) -> usize {
-        self.handle().queued()
     }
 }
 
