@@ -124,7 +124,6 @@ impl Extend<f64> for Welford {
 
 /// Frozen summary statistics of a sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Summary {
     /// Number of observations.
     pub count: u64,

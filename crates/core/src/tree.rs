@@ -17,7 +17,6 @@ use crate::problem::AlphaObserver;
 
 /// Identifier of a node inside a [`BisectionTree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -33,7 +32,6 @@ impl NodeId {
 
 /// One node of a bisection tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Node {
     /// Weight of the (sub)problem this node represents.
     pub weight: f64,
@@ -117,7 +115,6 @@ impl Recorder for AlphaRecorder {
 
 /// The bisection tree of an algorithm run.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BisectionTree {
     nodes: Vec<Node>,
 }

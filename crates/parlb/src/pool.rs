@@ -24,7 +24,6 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 use crossbeam_deque::{Injector, Steal, Stealer, Worker};
 use parking_lot::{Condvar, Mutex};
@@ -81,6 +80,9 @@ impl PoolHandle {
         if let Some(job) = job {
             self.shared.injector.push(job);
         }
+        // Taking the idle lock orders the push against a worker's last
+        // look for work (see `worker_loop`).
+        drop(self.shared.idle_lock.lock());
         self.shared.idle_cv.notify_one();
     }
 
@@ -175,6 +177,7 @@ impl ThreadPool {
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
+        drop(self.shared.idle_lock.lock());
         self.shared.idle_cv.notify_all();
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -189,14 +192,21 @@ fn worker_loop(shared: Arc<Shared>, index: usize, deque: Worker<Job>) {
             job();
             continue;
         }
+        // Look once more under the idle lock, then sleep until notified.
+        // `spawn` and `Drop` take this lock before they notify, so work
+        // or shutdown published before we took it is seen here, and
+        // anything published after it finds us waiting: no wakeup is
+        // lost, and an idle worker does not poll.
+        let mut guard = shared.idle_lock.lock();
+        if let Some(job) = find_job(&shared, index) {
+            drop(guard);
+            job();
+            continue;
+        }
         if shared.shutdown.load(Ordering::Acquire) {
             break;
         }
-        // Short timed sleep: a lost wakeup only costs 1 ms of latency.
-        let mut guard = shared.idle_lock.lock();
-        shared
-            .idle_cv
-            .wait_for(&mut guard, Duration::from_millis(1));
+        shared.idle_cv.wait(&mut guard);
     }
     LOCAL.with(|l| *l.borrow_mut() = None);
 }

@@ -531,10 +531,9 @@ impl RouterServer {
             ));
         }
         let listener = TcpListener::bind(&config.addr)?;
-        let (io, pollers) = IoLoop::new(
+        let (io, poller) = IoLoop::new(
             listener,
             LoopConfig {
-                pollers: 1,
                 poll_interval: config.poll_interval,
                 write_stall: config.reply_timeout,
                 // Past the relay's own timeout reply, so the loop's
@@ -587,7 +586,7 @@ impl RouterServer {
                 .name(name)
                 .spawn(move || run(&shared))
         };
-        let mut threads = pollers.spawn(Arc::clone(&shared), "gb-router")?;
+        let mut threads = vec![poller.spawn(Arc::clone(&shared), "gb-router")?];
         threads.push(spawn("gb-router-health".into(), health_loop)?);
         // With a single upstream every assignment is the trivial one;
         // skip the tick thread entirely.

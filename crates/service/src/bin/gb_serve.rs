@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! gb-serve [--addr HOST:PORT] [--workers K] [--queue-cap Q]
-//!          [--cache-cap C] [--io-threads I] [--max-conns N]
-//!          [--cache-shards S] [--admission on|off]
+//!          [--cache-cap C] [--max-conns N] [--admission on|off]
 //!          [--reply-timeout-ms MS] [--poll-interval-ms MS]
 //!          [--write-stall-ms MS] [--stall-ms MS]
 //!          [--store-dir PATH] [--store-segment-bytes N]
@@ -13,16 +12,17 @@
 //! Prints the bound address on stdout (useful with `--addr 127.0.0.1:0`)
 //! and serves until a client sends a `shutdown` frame.
 //!
-//! On Linux the I/O pollers block in `epoll_wait`: idle connections
-//! cost nothing, so tens of thousands of mostly-idle peers leave the
-//! pollers near 0% CPU. Where epoll is unavailable (setup fails, or a
-//! non-Linux target) they fall back to sweeping every connection; the
-//! startup line and `stats.engine` name the backend in use.
+//! One I/O poller accepts and serves every connection. On Linux it
+//! blocks in `epoll_wait`: idle connections cost nothing, so tens of
+//! thousands of mostly-idle peers leave it near 0% CPU. Where epoll is
+//! unavailable (setup fails, or a non-Linux target) it falls back to
+//! sweeping every connection; the startup line and `stats.engine` name
+//! the backend in use.
 //! `--max-conns N` caps live connections; peers past the cap get a
 //! best-effort `overloaded` reply and an immediate close instead of
 //! driving the process into fd exhaustion.
 //!
-//! One process is one queue, one cache and one store. To shard a hot
+//! One process is one poller, one queue, one cache and one store. To shard a hot
 //! class away from the rest, or to rebalance skewed traffic, run several
 //! `gb-serve` processes behind `gb-router` (its `--rebalance-ms` tick
 //! re-places vnodes with HF over the load it observes). A `--workers`
@@ -51,8 +51,7 @@ use gb_store::StoreConfig;
 fn usage() -> ! {
     eprintln!(
         "usage: gb-serve [--addr HOST:PORT] [--workers K] [--queue-cap Q] \
-         [--cache-cap C] [--io-threads I] \
-         [--max-conns N] [--cache-shards S] [--admission on|off] \
+         [--cache-cap C] [--max-conns N] [--admission on|off] \
          [--reply-timeout-ms MS] [--poll-interval-ms MS] [--write-stall-ms MS] \
          [--stall-ms MS] \
          [--store-dir PATH] [--store-segment-bytes N] [--store-budget-bytes N] \
@@ -85,12 +84,6 @@ fn parse_args() -> (ServerConfig, Tuning) {
                 config.cache_capacity = parse_usize(&value("--cache-cap"), "--cache-cap")
             }
             "--max-conns" => tuning.max_conns = parse_usize(&value("--max-conns"), "--max-conns"),
-            "--io-threads" => {
-                tuning.io_threads = parse_usize(&value("--io-threads"), "--io-threads")
-            }
-            "--cache-shards" => {
-                tuning.cache_shards = parse_usize(&value("--cache-shards"), "--cache-shards")
-            }
             "--admission" => {
                 tuning.admission = match value("--admission").as_str() {
                     "on" => true,

@@ -1120,7 +1120,7 @@ fn router(smoke: bool) -> Result<Report, String> {
 /// Interval between requests on each active connection: slow enough
 /// that the herd stays >99% idle, fast enough for a real p99 sample.
 const SOAK_PACE: Duration = Duration::from_millis(100);
-/// Gates: over the window the epoll pollers must burn at most this
+/// Gates: over the window the epoll poller must burn at most this
 /// fraction of the committed sweep poller's CPU share, without giving
 /// back active-path latency.
 const SOAK_MAX_CPU_RATIO: f64 = 0.2;
@@ -1188,14 +1188,13 @@ fn soak(smoke: bool) -> Result<Report, String> {
         ("active", int(base.active)),
         ("window_ms", int(ms(base.window))),
         ("pace_ms", int(ms(SOAK_PACE))),
-        ("io_threads", int(1usize)),
         ("upstream_workers", int(4usize)),
     ]);
     // Client-side fd headroom for the herd (best-effort: the child
     // server raises its own limit the same way).
     let _ = gb_sys::raise_nofile_limit(base.conns as u64 + 4096);
 
-    let mut server = fleet::serve_child("--io-threads 1")?;
+    let mut server = fleet::serve_child("")?;
     let (addr, pid) = (server.addr, server.pid());
     let engine = fetch_stats(addr)
         .and_then(|s| Some(s.get("engine")?.as_str()?.to_string()))

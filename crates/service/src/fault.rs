@@ -42,11 +42,11 @@ pub trait IoShim: Send + Sync + std::fmt::Debug {
         Ok(())
     }
 
-    /// Called once at startup, before the epoll instances and their
-    /// wakeup channels are opened. Returning `Err(e)` makes the server
+    /// Called once at startup, before the epoll instance and its wakeup
+    /// channel are opened. Returning `Err(e)` makes the server
     /// treat readiness setup as having failed with `e` — e.g.
-    /// `epoll_create1` or `socketpair` hitting `EMFILE` — so the pollers run the sweep
-    /// fallback, exactly as on a platform without epoll.
+    /// `epoll_create1` or `socketpair` hitting `EMFILE` — so the poller
+    /// runs the sweep fallback, exactly as on a platform without epoll.
     fn readiness_setup(&self) -> io::Result<()> {
         Ok(())
     }

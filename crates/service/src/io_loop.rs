@@ -12,10 +12,10 @@
 //! The worker later answers with [`Reply::send`], and the loop answers
 //! `internal` itself if the worker never does.
 //!
-//! Only the poller that owns a connection reads or writes its socket,
-//! which is one descriptor with no lock around it. A worker encodes its
-//! reply and posts it to that poller's inbox — the same inbox that
-//! carries accepted connections from the accepting poller — and wakes
+//! One poller thread owns the listener and every connection: it accepts
+//! each connection straight into its slab, and only it reads or writes a
+//! client socket, which is one descriptor with no lock around it. A
+//! worker encodes its reply and posts it to the poller's inbox and wakes
 //! it; the poller checks that the slot still holds the connection the
 //! reply was meant for, files the reply in its turn, and writes each
 //! connection at most once per pass. A connection keeps reading while
@@ -25,35 +25,39 @@
 //! request order.
 //!
 //! A handler may also keep state on the poller itself
-//! ([`Handler::Local`], one value per poller, touched only by that
-//! poller's thread) and drive sockets of its own there: it registers
+//! ([`Handler::Local`], the poller's state, touched only by its thread)
+//! and drive sockets of its own there: it registers
 //! them through [`Sockets`] under tokens of its choosing, the loop calls
 //! [`Handler::poll_sockets`] with the tokens the kernel reported ready,
 //! and [`Handler::next_deadline`] caps how long the poller may block, so
 //! a handler's timers fire on time instead of at the next
-//! `poll_interval`. A [`Reply`] sent from the poller that owns its
-//! connection — from any of these callbacks — needs no wakeup: the
-//! poller reads its own inbox before it waits again.
+//! `poll_interval`. A [`Reply`] sent from the poller — from any of these
+//! callbacks — needs no wakeup: the poller reads its own inbox before it
+//! waits again.
 //! `gb-router` relays upstream this way; `gb-serve` keeps no local state
 //! and registers nothing.
 //!
 //! The readiness backend is a platform decision, not an option. On
-//! Linux each poller blocks in `epoll_wait` (mail wakes it through a
+//! Linux the poller blocks in `epoll_wait` (mail wakes it through a
 //! socket pair, [`sys::Waker`]) and services only the connections the
 //! kernel reports or a reply names, so idle connections cost nothing.
-//! When the epoll or waker setup fails at startup — and on every non-Linux target, where
-//! `gb-sys` reports it as unsupported — the pollers fall back to
-//! sweeping: every pass probes every connection, and hands the handler
-//! every pass to probe its own sockets the same way, napping with an
-//! adaptive back-off when nothing moves, in `park_timeout` so that mail
-//! cuts the nap short. Both backends run one loop (`poller_loop`), which
-//! consults the backend at three points only: how a pass waits, which
-//! connections are due, and whether sockets are registered with the
-//! kernel. Accept, the inbox, the handler's sockets and deadline, the
-//! per-connection `sweep_conn`, the drain and the exit test are written
-//! once.
-//! [`IoLoop::engine`] names the backend the pollers actually run
+//! When the epoll or waker setup fails at startup — and on every
+//! non-Linux target, where `gb-sys` reports it as unsupported — the
+//! poller falls back to sweeping: every pass probes every connection,
+//! and hands the handler every pass to probe its own sockets the same
+//! way, napping with an adaptive back-off when nothing moves, in
+//! `park_timeout` so that mail cuts the nap short. Both backends run one
+//! loop (`poller_loop`), which consults the backend at three points
+//! only: how a pass waits, which connections are due, and whether
+//! sockets are registered with the kernel. Accept, the inbox, the
+//! handler's sockets and deadline, the per-connection `sweep_conn`, the
+//! drain and the exit test are written once.
+//! [`IoLoop::engine`] names the backend the poller actually runs
 //! (`"epoll"` or `"sweep"`).
+//!
+//! A process runs one poller: framing and replying are cheap next to a
+//! solve, and a deployment that needs more runs more `gb-serve`
+//! processes behind `gb-router`.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -79,7 +83,7 @@ pub use order::WINDOW;
 pub use gb_sys::Interest;
 
 /// Frames dispatched from one connection per poller sweep, so one
-/// pipelining client cannot starve its siblings on the same poller.
+/// pipelining client cannot starve its siblings.
 const MAX_LINES_PER_SWEEP: usize = 32;
 
 /// Compaction threshold for a connection's output buffer: once this many
@@ -90,8 +94,6 @@ const OUT_BUF_COMPACT: usize = 64 * 1024;
 /// configuration.
 #[derive(Clone, Debug)]
 pub struct LoopConfig {
-    /// I/O poller threads (clamped to 1..=16).
-    pub pollers: usize,
     /// Timer granularity: how often in-flight and write-stalled
     /// connections are re-checked, the accept backoff after fd
     /// exhaustion, and the ceiling on the sweep fallback's idle backoff.
@@ -149,15 +151,15 @@ impl LoopCounters {
 
 /// What a tier does with each decoded frame.
 pub trait Handler: Send + Sync + 'static {
-    /// State each poller keeps for the handler, created on and touched
-    /// only by that poller's thread (`()` when the handler keeps none).
+    /// The poller's state for the handler, created on and touched only
+    /// by the poller's thread (`()` when the handler keeps none).
     type Local: Default;
 
     /// Serves one decoded request. `raw` is the whole frame exactly as
     /// received: the JSON line with its newline, or the binary payload
     /// with its header. Answer inline through `out`, or take
     /// [`out.defer`](Dispatch::defer) and answer from a worker — or from
-    /// this poller, through `local` and the sockets it registers.
+    /// the poller, through `local` and the sockets it registers.
     fn handle(&self, local: &mut Self::Local, request: Request, raw: &[u8], out: &mut Dispatch<'_>);
 
     /// The loop answered with `code` itself: a frame that did not
@@ -199,7 +201,7 @@ pub enum Ready<'a> {
 /// it, and the listener and waker tokens are matched first.
 const HANDLER_TOKEN: u64 = 1 << 62;
 
-/// A poller's registry for the handler's own sockets. Registrations are
+/// The poller's registry for the handler's own sockets. Registrations are
 /// level-triggered, exactly like the loop's connections. Under the sweep
 /// backend every call is a no-op: [`Handler::poll_sockets`] is then
 /// called every pass instead.
@@ -242,18 +244,17 @@ impl Sockets<'_> {
 // Connection and reply plumbing
 // ---------------------------------------------------------------------------
 
-/// Where a deferred frame's reply goes: the owning poller, the
-/// connection's slot on it, and the connection's accept-order id, which
-/// tells the connection from a later one that reuses its slot.
+/// Where a deferred frame's reply goes: the connection's slot, and its
+/// accept-order id, which tells the connection from a later one that
+/// reuses the slot.
 #[derive(Clone, Copy, Debug)]
 struct Address {
-    poller: usize,
     slot: usize,
     conn_id: u64,
 }
 
 /// A connection's output: replies in request order, and the bytes the
-/// socket has not yet taken. Only the owning poller touches it.
+/// socket has not yet taken. Only the poller touches it.
 ///
 /// Every reply — inline answers, workers' replies, the loop's own
 /// errors — joins `pending` in its turn (`order` decides when), and the
@@ -344,8 +345,8 @@ struct Deferred {
     codec: WireCodec,
 }
 
-/// One connection owned by an I/O poller: the one descriptor, read and
-/// written by that poller alone.
+/// One connection owned by the I/O poller: the one descriptor, read and
+/// written by the poller alone.
 struct Conn {
     reader: FrameReader<ShimStream>,
     to: Address,
@@ -370,7 +371,7 @@ impl Conn {
     /// `accept` and setup (an `fcntl` failure, typical under fd pressure)
     /// — the caller must record the death; a client that connected
     /// successfully must not vanish without a metric.
-    fn accept(stream: TcpStream, io: &IoLoop, conn_id: u64, poller: usize) -> Option<Conn> {
+    fn accept(stream: TcpStream, io: &IoLoop, conn_id: u64) -> Option<Conn> {
         let _ = stream.set_nodelay(true);
         stream.set_nonblocking(true).ok()?;
         Some(Conn {
@@ -379,11 +380,7 @@ impl Conn {
                 Arc::clone(&io.config.shim),
                 conn_id,
             )),
-            to: Address {
-                poller,
-                slot: 0,
-                conn_id,
-            },
+            to: Address { slot: 0, conn_id },
             gone: Arc::default(),
             out: Output::default(),
             deferred: Vec::new(),
@@ -474,7 +471,7 @@ impl<'a> Dispatch<'a> {
 }
 
 /// The right to answer one deferred frame. Whoever holds it hands the
-/// encoded reply to the connection's poller with [`send`](Self::send),
+/// encoded reply to the poller with [`send`](Self::send),
 /// which writes it in the frame's turn: after every earlier frame's
 /// answer on the connection, however early it finishes. The poller's
 /// reply timeout may answer first; a reply that comes later, or after
@@ -528,11 +525,11 @@ impl Reply {
             seq: self.seq,
             frame,
         };
-        self.io.mailboxes[self.to.poller].post(|inbox| inbox.replies.push(finished));
+        self.io.mailbox.post(finished);
     }
 }
 
-/// A finished reply on its way to the connection's poller.
+/// A finished reply on its way to the poller.
 struct Finished {
     to: Address,
     seq: u64,
@@ -540,25 +537,11 @@ struct Finished {
     frame: Option<Vec<u8>>,
 }
 
-/// What other threads hand one poller.
-#[derive(Default)]
-struct Inbox {
-    /// Connections accepted for it by the accepting poller.
-    conns: Vec<Conn>,
-    /// Finished replies for its connections.
-    replies: Vec<Finished>,
-}
-
-impl Inbox {
-    fn is_empty(&self) -> bool {
-        self.conns.is_empty() && self.replies.is_empty()
-    }
-}
-
-/// One poller's inbox, and the way to wake it when mail arrives.
+/// The poller's inbox of finished replies, and the way to wake it when
+/// one arrives.
 #[derive(Default)]
 struct Mailbox {
-    inbox: Mutex<Inbox>,
+    inbox: Mutex<Vec<Finished>>,
     /// The poller's thread, set as it starts: mail it posts itself needs
     /// no wakeup, and the sweep fallback naps in `park_timeout`.
     thread: OnceLock<Thread>,
@@ -568,14 +551,14 @@ struct Mailbox {
 }
 
 impl Mailbox {
-    /// Adds mail and wakes the poller. Only mail into an empty inbox
+    /// Adds a reply and wakes the poller. Only mail into an empty inbox
     /// wakes it: earlier mail already did, or was posted by the poller
     /// itself, which checks its inbox before it waits.
-    fn post(&self, add: impl FnOnce(&mut Inbox)) {
+    fn post(&self, reply: Finished) {
         let was_empty = {
             let mut inbox = self.inbox.lock();
             let was_empty = inbox.is_empty();
-            add(&mut inbox);
+            inbox.push(reply);
             was_empty
         };
         if was_empty
@@ -606,7 +589,7 @@ impl Mailbox {
 // The loop handle
 // ---------------------------------------------------------------------------
 
-/// Loop-wide state shared by the pollers, the tier's handler and its
+/// Loop-wide state shared by the poller, the tier's handler and its
 /// workers' [`Reply`]s.
 pub struct IoLoop {
     config: LoopConfig,
@@ -619,36 +602,30 @@ pub struct IoLoop {
     open_conns: SlotGauge,
     /// Deferred frames between [`Dispatch::defer`] and their reply.
     inflight: SlotGauge,
-    /// One per poller: accepted connections and finished replies on
-    /// their way to it.
-    mailboxes: Vec<Mailbox>,
+    /// Finished replies on their way to the poller.
+    mailbox: Mailbox,
 }
 
-/// The listener and readiness instances, waiting for
-/// [`spawn`](Pollers::spawn) to hand them to poller threads.
-pub struct Pollers {
+/// The listener and the readiness instance, waiting for
+/// [`spawn`](Poller::spawn) to hand them to the poller thread.
+pub struct Poller {
     io: Arc<IoLoop>,
     listener: TcpListener,
-    epolls: Vec<sys::Epoll>,
+    ep: Option<sys::Epoll>,
 }
 
 impl IoLoop {
     /// Takes over a bound listener and decides the readiness backend,
-    /// once, for every poller: epoll where the kernel provides it, the
-    /// sweep fallback when setup fails (always, off Linux). The pollers
-    /// start with [`Pollers::spawn`], once the handler exists.
+    /// once: epoll where the kernel provides it, the sweep fallback when
+    /// setup fails (always, off Linux). The poller starts with
+    /// [`Poller::spawn`], once the handler exists.
     pub fn new(
         listener: TcpListener,
         config: LoopConfig,
-    ) -> std::io::Result<(Arc<IoLoop>, Pollers)> {
+    ) -> std::io::Result<(Arc<IoLoop>, Poller)> {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let pollers = config.pollers.clamp(1, 16);
-        let (epolls, wakers): (Vec<_>, Vec<_>) = open_readiness(&*config.shim, &listener, pollers)
-            .unwrap_or_default()
-            .into_iter()
-            .unzip();
-        let mut wakers = wakers.into_iter();
+        let (ep, waker) = open_readiness(&*config.shim, &listener).ok().unzip();
         let io = Arc::new(IoLoop {
             config,
             local_addr,
@@ -657,19 +634,17 @@ impl IoLoop {
             next_conn: AtomicU64::new(0),
             open_conns: SlotGauge::new(),
             inflight: SlotGauge::new(),
-            mailboxes: (0..pollers)
-                .map(|_| Mailbox {
-                    waker: wakers.next(),
-                    ..Mailbox::default()
-                })
-                .collect(),
+            mailbox: Mailbox {
+                waker,
+                ..Mailbox::default()
+            },
         });
-        let pollers = Pollers {
+        let poller = Poller {
             io: Arc::clone(&io),
             listener,
-            epolls,
+            ep,
         };
-        Ok((io, pollers))
+        Ok((io, poller))
     }
 
     /// The bound address.
@@ -677,10 +652,10 @@ impl IoLoop {
         self.local_addr
     }
 
-    /// The readiness backend the pollers run: `"epoll"`, or `"sweep"`
+    /// The readiness backend the poller runs: `"epoll"`, or `"sweep"`
     /// when epoll setup failed or the platform has none.
     pub fn engine(&self) -> &'static str {
-        if self.mailboxes[0].waker.is_some() {
+        if self.mailbox.waker.is_some() {
             "epoll"
         } else {
             "sweep"
@@ -688,17 +663,15 @@ impl IoLoop {
     }
 
     /// Starts the drain: the listener closes, idle connections drop,
-    /// and the pollers exit once every deferred reply is written. Safe
+    /// and the poller exits once every deferred reply is written. Safe
     /// to call more than once.
     pub fn trigger_shutdown(&self) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Wake every poller so the drain starts now rather than at the
-        // end of its wait.
-        for mailbox in &self.mailboxes {
-            mailbox.wake();
-        }
+        // Wake the poller so the drain starts now rather than at the end
+        // of its wait.
+        self.mailbox.wake();
     }
 
     /// Whether [`trigger_shutdown`](Self::trigger_shutdown) was called.
@@ -724,27 +697,18 @@ impl IoLoop {
     }
 }
 
-impl Pollers {
-    /// Spawns the poller threads, named `{name}-io-{index}`. Poller 0
-    /// accepts and deals connections round-robin to every poller.
+impl Poller {
+    /// Spawns the poller thread, named `{name}-io-0`. It accepts every
+    /// connection and serves it until the drain.
     pub fn spawn<H: Handler>(
         self,
         handler: Arc<H>,
         name: &str,
-    ) -> std::io::Result<Vec<thread::JoinHandle<()>>> {
-        let mut listener = Some(self.listener);
-        let mut epolls = self.epolls.into_iter();
-        (0..self.io.mailboxes.len())
-            .map(|p| {
-                let io = Arc::clone(&self.io);
-                let handler = Arc::clone(&handler);
-                let listener = listener.take();
-                let ep = epolls.next();
-                thread::Builder::new()
-                    .name(format!("{name}-io-{p}"))
-                    .spawn(move || poller_loop(&io, &*handler, p, listener, ep))
-            })
-            .collect()
+    ) -> std::io::Result<thread::JoinHandle<()>> {
+        let Poller { io, listener, ep } = self;
+        thread::Builder::new()
+            .name(format!("{name}-io-0"))
+            .spawn(move || poller_loop(&io, &*handler, listener, ep))
     }
 }
 
@@ -752,36 +716,26 @@ impl Pollers {
 // Accept
 // ---------------------------------------------------------------------------
 
-/// Accept-side state an accepting poller carries across iterations.
-#[derive(Default)]
-struct AcceptState {
-    /// Round-robin cursor over poller inboxes.
-    next_inbox: usize,
-    /// Set after a resource-exhaustion accept error: no accept attempts
-    /// until this instant. Retrying `EMFILE` hot frees nothing and
-    /// starves the connections that already exist.
-    backoff_until: Option<Instant>,
-}
-
 /// Drains the listener's accept queue, triaging errors: `Interrupted`
 /// retries immediately, `WouldBlock` ends the batch, resource
 /// exhaustion counts `faults.accept_errors` and backs accepts off for
-/// one poll interval, and the `max_conns` cap sheds with a best-effort
-/// `overloaded` reply before close. Accepted connections are handed to
-/// `deliver` with their target poller index. Returns true if any were
-/// accepted.
+/// one poll interval (`backoff_until`: retrying `EMFILE` hot frees
+/// nothing and starves the connections that already exist), and the
+/// `max_conns` cap sheds with a best-effort `overloaded` reply before
+/// close. Accepted connections are handed to `add`. Returns true if any
+/// were accepted.
 fn drain_accepts(
     io: &IoLoop,
     handler: &impl Handler,
     listener: &TcpListener,
-    state: &mut AcceptState,
-    mut deliver: impl FnMut(usize, Conn),
+    backoff_until: &mut Option<Instant>,
+    mut add: impl FnMut(Conn),
 ) -> bool {
-    if let Some(until) = state.backoff_until {
+    if let Some(until) = *backoff_until {
         if Instant::now() < until {
             return false;
         }
-        state.backoff_until = None;
+        *backoff_until = None;
     }
     let mut progress = false;
     loop {
@@ -805,10 +759,8 @@ fn drain_accepts(
                     shed_accept(io, handler, stream, max);
                     continue;
                 }
-                let target = state.next_inbox % io.mailboxes.len();
-                state.next_inbox = state.next_inbox.wrapping_add(1);
-                match Conn::accept(stream, io, conn_id, target) {
-                    Some(conn) => deliver(target, conn),
+                match Conn::accept(stream, io, conn_id) {
+                    Some(conn) => add(conn),
                     None => bump(&io.counters.conn_reset),
                 }
             }
@@ -817,7 +769,7 @@ fn drain_accepts(
             Err(e) => {
                 bump(&io.counters.accept_errors);
                 if sys::is_resource_exhaustion(&e) {
-                    state.backoff_until = Some(Instant::now() + io.config.poll_interval);
+                    *backoff_until = Some(Instant::now() + io.config.poll_interval);
                 }
                 break;
             }
@@ -874,39 +826,32 @@ fn raw_fd<T>(_sock: &T) -> sys::RawFd {
     -1
 }
 
-/// Opens one epoll instance and wakeup channel per poller, with the
-/// listener registered on poller 0's instance. Any failure — the fault
-/// shim's scripted [`IoShim::readiness_setup`] error, `epoll_create1`
-/// or `socketpair` refusing under fd exhaustion, or `Unsupported` off
-/// Linux — sends every poller to the sweep fallback instead: readiness
-/// is an optimisation, not a correctness requirement.
+/// Opens the poller's epoll instance and wakeup channel, with both the
+/// waker and the listener registered. Any failure — the fault shim's
+/// scripted [`IoShim::readiness_setup`] error, `epoll_create1` or
+/// `socketpair` refusing under fd exhaustion, or `Unsupported` off
+/// Linux — sends the poller to the sweep fallback instead: readiness is
+/// an optimisation, not a correctness requirement.
 fn open_readiness(
     shim: &dyn IoShim,
     listener: &TcpListener,
-    pollers: usize,
-) -> std::io::Result<Vec<(sys::Epoll, sys::Waker)>> {
+) -> std::io::Result<(sys::Epoll, sys::Waker)> {
     shim.readiness_setup()?;
-    (0..pollers)
-        .map(|p| {
-            let ep = sys::Epoll::new()?;
-            let waker = sys::Waker::new()?;
-            ep.add(waker.raw_fd(), WAKER_TOKEN, sys::Interest::READ)?;
-            if p == 0 {
-                ep.add(raw_fd(listener), LISTENER_TOKEN, sys::Interest::READ)?;
-            }
-            Ok((ep, waker))
-        })
-        .collect()
+    let ep = sys::Epoll::new()?;
+    let waker = sys::Waker::new()?;
+    ep.add(waker.raw_fd(), WAKER_TOKEN, sys::Interest::READ)?;
+    ep.add(raw_fd(listener), LISTENER_TOKEN, sys::Interest::READ)?;
+    Ok((ep, waker))
 }
 
 fn conn_fd(conn: &Conn) -> sys::RawFd {
     raw_fd(conn.reader.get_ref().get_ref())
 }
 
-/// Adds a connection to the poller's slab and, under epoll, registers
-/// its socket for read readiness. `None` (with `conn_reset` recorded) if
-/// the kernel refuses the registration — the socket died between accept
-/// and here.
+/// Adds an accepted connection to the poller's slab and, under epoll,
+/// registers its socket for read readiness. `None` (with `conn_reset`
+/// recorded) if the kernel refuses the registration — the socket died
+/// between accept and here.
 fn insert(
     ep: Option<&sys::Epoll>,
     slots: &mut Vec<Option<Conn>>,
@@ -936,12 +881,12 @@ fn insert(
 /// How long a sweep poller naps before its next pass, after `idle_spins`
 /// passes in a row made no progress while it owned `conns` connections:
 /// nothing for three passes, then exponentially from 50 µs. Mail — a
-/// finished reply or a handed-off connection — cuts the nap short, but
-/// sockets have no readiness wakeup, so the cap balances wake latency
-/// against sweep cost. A flat 1 ms cap meant ONE idle connection held
-/// the poller at ~1k full sweeps/sec forever; instead the cap scales
-/// with the sweep's own cost (~20 µs of allowance per connection), so a
-/// near-empty poller naps cheaply while a loaded one still wakes fast.
+/// finished reply — cuts the nap short, but sockets have no readiness
+/// wakeup, so the cap balances wake latency against sweep cost. A flat
+/// 1 ms cap meant ONE idle connection held the poller at ~1k full
+/// sweeps/sec forever; instead the cap scales with the sweep's own cost
+/// (~20 µs of allowance per connection), so a near-empty poller naps
+/// cheaply while a loaded one still wakes fast.
 /// Only an empty poller may back off all the way to the poll interval,
 /// and a handler timer caps the nap at its deadline.
 fn sweep_backoff(
@@ -965,13 +910,12 @@ fn sweep_backoff(
     Some(backoff.min(cap).min(until_deadline))
 }
 
-/// The poller loop: read the inbox (adopting handed-off connections and
-/// filing finished replies), accept (on the poller holding the
-/// listener), service the handler's own sockets, then run [`sweep_conn`]
-/// once on every due connection — so the fault shim, the reply timeout
-/// and write-stall accounting are the same on either backend. Exits once
-/// shutdown is set, every owned connection has drained, the inbox is
-/// empty and the handler has no timer pending.
+/// The poller loop: accept (until the drain drops the listener), service
+/// the handler's own sockets, file the inbox's finished replies, then
+/// run [`sweep_conn`] once on every due connection — so the fault shim,
+/// the reply timeout and write-stall accounting are the same on either
+/// backend. Exits once shutdown is set, every connection has drained,
+/// the inbox is empty and the handler has no timer pending.
 ///
 /// The backend `ep` decides three things, and nothing else:
 /// - how a pass waits: epoll blocks in `epoll_wait` until the kernel,
@@ -988,27 +932,28 @@ fn sweep_backoff(
 /// Level-triggered interest is deliberate: the fault shim may answer a
 /// readable wakeup with an injected `WouldBlock`, and level semantics
 /// re-deliver the event on the next wait instead of losing it. `ep`
-/// comes from [`open_readiness`], with this poller's waker (and, on
-/// the accepting poller, the listener) already registered.
+/// comes from [`open_readiness`], with the waker and the listener
+/// already registered.
 fn poller_loop<H: Handler>(
     io: &Arc<IoLoop>,
     handler: &H,
-    index: usize,
-    mut listener: Option<TcpListener>,
+    listener: TcpListener,
     mut ep: Option<sys::Epoll>,
 ) {
     use std::collections::HashSet;
 
-    let mailbox = &io.mailboxes[index];
+    let mailbox = &io.mailbox;
     let _ = mailbox.thread.set(thread::current());
-    let mut mail = Inbox::default();
+    let mut mail = Vec::new();
     let mut local = H::Local::default();
     // Ready handler-socket tokens, and the handler's next timer.
     let mut ready: Vec<u64> = Vec::new();
     let mut deadline: Option<Instant> = None;
 
     let interval = io.config.poll_interval;
-    let mut listener_armed = listener.is_some();
+    // Dropped when the drain starts.
+    let mut listener = Some(listener);
+    let mut listener_armed = true;
 
     // Owned connections; the epoll token is the slot index.
     let mut slots: Vec<Option<Conn>> = Vec::new();
@@ -1024,7 +969,8 @@ fn poller_loop<H: Handler>(
     let mut hot: Vec<usize> = Vec::new();
     let mut due: Vec<usize> = Vec::new();
     let mut events: Vec<sys::Event> = Vec::new();
-    let mut accepts = AcceptState::default();
+    // Set after a resource-exhaustion accept error (`drain_accepts`).
+    let mut accept_backoff: Option<Instant> = None;
     let mut last_timer = Instant::now();
     // Passes in a row without progress, for the sweep fallback's nap.
     let mut idle_spins = 0u32;
@@ -1044,7 +990,7 @@ fn poller_loop<H: Handler>(
         }
 
         due.clear();
-        // Mail this poller posted itself (a reply sent from a handler
+        // Mail the poller posted itself (a reply sent from a handler
         // callback) woke nobody: it must not wait.
         let has_mail = mailbox.has_mail();
         // The sweep fallback tries the listener every pass.
@@ -1060,7 +1006,7 @@ fn poller_loop<H: Handler>(
                     Some(Duration::ZERO)
                 } else if draining {
                     Some(Duration::from_millis(1).min(interval))
-                } else if !watched.is_empty() || accepts.backoff_until.is_some() {
+                } else if !watched.is_empty() || accept_backoff.is_some() {
                     Some(interval)
                 } else {
                     None
@@ -1110,21 +1056,17 @@ fn poller_loop<H: Handler>(
         // nothing; backoff expiry must retry even though the listener
         // is deregistered while it lasts.
         if let Some(l) = &listener {
-            if accept_ready || accepts.backoff_until.is_some() {
-                progress |= drain_accepts(io, handler, l, &mut accepts, |target, conn| {
-                    if target == index {
-                        if let Some(slot) = insert(ep, &mut slots, &mut free, io, conn) {
-                            live += 1;
-                            due.push(slot);
-                        }
-                    } else {
-                        io.mailboxes[target].post(|inbox| inbox.conns.push(conn));
+            if accept_ready || accept_backoff.is_some() {
+                progress |= drain_accepts(io, handler, l, &mut accept_backoff, |conn| {
+                    if let Some(slot) = insert(ep, &mut slots, &mut free, io, conn) {
+                        live += 1;
+                        due.push(slot);
                     }
                 });
                 // Keep the registration in step with backoff: a waiting
                 // backlog would otherwise wake the poller continuously
                 // during a backoff it cannot act on.
-                let want = accepts.backoff_until.is_none();
+                let want = accept_backoff.is_none();
                 if let Some(ep) = ep.filter(|_| want != listener_armed) {
                     let done = if want {
                         ep.add(raw_fd(l), LISTENER_TOKEN, sys::Interest::READ)
@@ -1151,17 +1093,11 @@ fn poller_loop<H: Handler>(
             ready.clear();
         }
 
-        // The inbox: adopt handed-off connections, and file each reply
-        // with its connection — unless the slot no longer holds it.
+        // The inbox: file each reply with its connection — unless the
+        // slot no longer holds it.
         std::mem::swap(&mut *mailbox.inbox.lock(), &mut mail);
         progress |= !mail.is_empty();
-        for conn in mail.conns.drain(..) {
-            if let Some(slot) = insert(ep, &mut slots, &mut free, io, conn) {
-                live += 1;
-                due.push(slot);
-            }
-        }
-        for reply in mail.replies.drain(..) {
+        for reply in mail.drain(..) {
             let slot = reply.to.slot;
             let written = match slots
                 .get_mut(slot)

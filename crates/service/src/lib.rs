@@ -11,10 +11,10 @@
 //!
 //! * newline-delimited JSON protocol with explicit frame limits
 //!   ([`proto`]),
-//! * bounded admission with load shedding through per-worker stealing
-//!   deques under one capacity ([`shed`]),
+//! * bounded admission with load shedding through one FIFO queue
+//!   ([`shed`]),
 //! * one connection loop ([`io_loop`]) shared with `gb-router`:
-//!   nonblocking accept, I/O pollers on epoll readiness (a portable
+//!   nonblocking accept, one I/O poller on epoll readiness (a portable
 //!   sweep loop where epoll is unavailable), write buffering and the
 //!   reply timeout; `gb-serve` plugs in its inline cache fast path and
 //!   worker hand-off ([`server`]),

@@ -1,17 +1,18 @@
 //! The partition-serving daemon.
 //!
 //! `gb-serve` is one [`Handler`] on the shared connection loop
-//! ([`crate::io_loop`]) plus worker threads behind one steal queue.
-//! Sharding across processes is `gb-router`'s job: one `gb-serve` is one
-//! queue, one cache and one write-behind spill channel.
+//! ([`crate::io_loop`]) plus worker threads behind one bounded FIFO
+//! queue. Sharding across processes is `gb-router`'s job: one `gb-serve`
+//! is one poller, one queue, one cache and one write-behind spill
+//! channel.
 //!
 //! ```text
-//!  clients ──TCP──▶ io_loop: accept, I/O pollers (FrameReader)
+//!  clients ──TCP──▶ io_loop: accept, one I/O poller (FrameReader)
 //!                                           │ cache hit? ─▶ reply inline
 //!                                           │   (fast path, no hand-off)
 //!                                           ▼ miss: try_push (shed if full)
-//!                                   StealQueue: one deque per worker
-//!                                           │ pop own shard / steal
+//!                                   BoundedQueue: one FIFO
+//!                                           │ pop: oldest first
 //!                                           ▼
 //!                                    worker threads: solve the miss
 //!                                           │   (HF / BA / BA-HF / PHF)
@@ -23,11 +24,11 @@
 //!
 //! The loop owns accept, readiness (epoll on Linux, the sweep loop as
 //! its fallback), framing, write buffering and the reply timeout;
-//! `stats.engine` names the readiness backend the pollers run.
+//! `stats.engine` names the readiness backend the poller runs.
 //!
 //! * **Admission** — each cache miss is pushed to a bounded queue; when
 //!   it is full the connection answers `overloaded` immediately
-//!   ([`crate::shed`]). The steal queue sheds on its total depth.
+//!   ([`crate::shed`]).
 //! * **Deadlines** — `deadline_ms` is checked at dispatch and again when
 //!   a worker dequeues the job; an expired request gets a `timeout`
 //!   error instead of burning a core on an answer nobody is waiting for.
@@ -61,7 +62,7 @@ use crate::proto::{
     binary_hit_reply, binary_ok_tail, json_hit_reply, json_ok_tail, BalanceRequest,
     BalanceResponse, ErrorCode, Json, Request, Response, WireCodec,
 };
-use crate::shed::{PushError, StealQueue};
+use crate::shed::{BoundedQueue, PushError};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -70,8 +71,7 @@ pub struct ServerConfig {
     pub addr: String,
     /// Balance worker threads (0 = half the available parallelism, ≥ 2).
     pub workers: usize,
-    /// Bounded request-queue capacity (load shed beyond this; the steal
-    /// queue enforces it on its total depth across per-worker shards).
+    /// Bounded request-queue capacity (load shed beyond this).
     pub queue_capacity: usize,
     /// LRU result-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
@@ -88,26 +88,21 @@ impl Default for ServerConfig {
     }
 }
 
-/// Hot-path tuning: the connection loop's settings, cache
-/// sharding/admission and persistence.
+/// Hot-path tuning: the connection loop's settings, cache admission and
+/// persistence.
 ///
 /// Kept separate from [`ServerConfig`] so exhaustive `ServerConfig`
 /// literals in existing callers and tests keep compiling; pass it via
 /// [`Server::start_tuned`]. [`Server::start`] uses the defaults.
 #[derive(Clone, Debug)]
 pub struct Tuning {
-    /// I/O poller threads (0 = 1). One is right for
-    /// anything up to a few thousand connections; parsing is cheap.
-    pub io_threads: usize,
-    /// Cache shard count, rounded up to a power of two (0 = 8).
-    pub cache_shards: usize,
     /// TinyLFU admission filter on the cache (`admission: off` knob).
     pub admission: bool,
     /// Hard cap on how long a connection waits for a worker to answer
     /// one job before giving up with an `internal` error (a worker
     /// died). Default 120 s.
     pub reply_timeout: Duration,
-    /// Timer granularity of the pollers: how often in-flight and
+    /// Timer granularity of the poller: how often in-flight and
     /// write-stalled connections are re-checked, the accept backoff
     /// after fd exhaustion, and the ceiling on the sweep fallback's idle
     /// backoff. Default 100 ms.
@@ -137,8 +132,6 @@ pub struct Tuning {
 impl Default for Tuning {
     fn default() -> Self {
         Self {
-            io_threads: 0,
-            cache_shards: 0,
             admission: true,
             reply_timeout: Duration::from_secs(120),
             poll_interval: Duration::from_millis(100),
@@ -149,6 +142,10 @@ impl Default for Tuning {
         }
     }
 }
+
+/// Result-cache shards (`stats.cache.shards`): each is one lock, and the
+/// poller and the workers touch the cache concurrently.
+const CACHE_SHARDS: usize = 8;
 
 /// Cached results that may wait for the store's writer thread before
 /// the spill path starts dropping them (`store.spill_dropped`).
@@ -164,10 +161,10 @@ struct Job {
 }
 
 struct Shared {
-    queue: StealQueue<Job>,
+    queue: BoundedQueue<Job>,
     cache: ShardedCache,
     metrics: ServiceMetrics,
-    /// The connection loop: accept, pollers, write path, fault counters.
+    /// The connection loop: accept, poller, write path, fault counters.
     io: Arc<IoLoop>,
     tuning: Tuning,
     /// Write-behind persistence. Dropped with the last `Shared` ref,
@@ -179,7 +176,7 @@ struct Shared {
 /// A running daemon. Dropping the handle shuts the server down.
 pub struct Server {
     shared: Arc<Shared>,
-    pollers: Vec<thread::JoinHandle<()>>,
+    poller: Option<thread::JoinHandle<()>>,
     workers: Vec<thread::JoinHandle<()>>,
 }
 
@@ -198,12 +195,7 @@ impl Server {
         } else {
             config.workers
         };
-        let cache_shards = if tuning.cache_shards == 0 {
-            8
-        } else {
-            tuning.cache_shards
-        };
-        let cache = ShardedCache::new(config.cache_capacity, cache_shards, tuning.admission);
+        let cache = ShardedCache::new(config.cache_capacity, CACHE_SHARDS, tuning.admission);
         // Warm restart: recovery replays each persisted record, as it is
         // read, through the cache (and admission sketch); then the store
         // goes to its writer thread.
@@ -226,10 +218,9 @@ impl Server {
         };
         // The loop (and its readiness backend) must exist before the
         // workers: their replies go out through it.
-        let (io, pollers) = IoLoop::new(
+        let (io, poller) = IoLoop::new(
             listener,
             LoopConfig {
-                pollers: tuning.io_threads,
                 poll_interval: tuning.poll_interval,
                 write_stall: tuning.write_stall,
                 reply_timeout: tuning.reply_timeout,
@@ -238,7 +229,7 @@ impl Server {
             },
         )?;
         let shared = Arc::new(Shared {
-            queue: StealQueue::new(workers, config.queue_capacity.max(1)),
+            queue: BoundedQueue::new(config.queue_capacity.max(1)),
             cache,
             metrics: ServiceMetrics::new(),
             io,
@@ -251,16 +242,16 @@ impl Server {
                 let shared = Arc::clone(&shared);
                 thread::Builder::new()
                     .name(format!("gb-serve-worker-{w}"))
-                    .spawn(move || worker_loop(&shared, w))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn balance worker")
             })
             .collect();
 
-        let pollers = pollers.spawn(Arc::clone(&shared), "gb-serve")?;
+        let poller = poller.spawn(Arc::clone(&shared), "gb-serve")?;
 
         Ok(Server {
             shared,
-            pollers,
+            poller: Some(poller),
             workers: worker_handles,
         })
     }
@@ -270,14 +261,14 @@ impl Server {
         self.shared.io.local_addr()
     }
 
-    /// The readiness backend the pollers run: `"epoll"`, or `"sweep"`
+    /// The readiness backend the poller runs: `"epoll"`, or `"sweep"`
     /// when epoll setup failed or the platform has none.
     pub fn engine(&self) -> &'static str {
         self.shared.io.engine()
     }
 
     /// Initiates shutdown without blocking: refuses new work, wakes the
-    /// pollers. Safe to call more than once.
+    /// poller. Safe to call more than once.
     pub fn trigger_shutdown(&self) {
         trigger_shutdown(&self.shared);
     }
@@ -296,10 +287,10 @@ impl Server {
     }
 
     fn join_all(&mut self) {
-        // The pollers exit once shutdown is set and their in-flight
+        // The poller exits once shutdown is set and its in-flight
         // replies have been written. The queue is closed by now, so
         // workers drain and stop.
-        for p in self.pollers.drain(..) {
+        if let Some(p) = self.poller.take() {
             let _ = p.join();
         }
         for w in self.workers.drain(..) {
@@ -470,9 +461,9 @@ fn encode_hit(
 /// 0.3 ms there, some 4 µs per answer.
 const TRIM_EVERY: u32 = 64;
 
-fn worker_loop(shared: &Shared, index: usize) {
+fn worker_loop(shared: &Shared) {
     let mut answered = 0u32;
-    while let Some(job) = shared.queue.pop(index) {
+    while let Some(job) = shared.queue.pop() {
         // Fault injection: a scripted stall models a wedged worker.
         if let Some(stall) = shared.tuning.shim.before_execute(job.reply.conn_id()) {
             thread::sleep(stall);
@@ -595,8 +586,6 @@ fn stats_json(shared: &Shared) -> Json {
             Json::Obj(vec![
                 ("depth".into(), int(queue.depth() as u64)),
                 ("capacity".into(), int(queue.capacity() as u64)),
-                ("shards".into(), int(queue.workers() as u64)),
-                ("steals".into(), int(queue.steals())),
             ]),
         ));
         entries.push(("connections".into(), shared.io.connections_json()));

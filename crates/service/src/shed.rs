@@ -1,6 +1,6 @@
-//! Load shedding: bounded queues that fail fast when full.
+//! Load shedding: a bounded queue that fails fast when full.
 //!
-//! The admission policy is deliberately *non-blocking*: when a queue is
+//! The admission policy is deliberately *non-blocking*: when the queue is
 //! at capacity, `try_push` returns the job to the caller immediately so
 //! the connection layer can answer `overloaded` instead of stacking
 //! latency on every queued request behind it. Consumers block on `pop`
@@ -8,15 +8,12 @@
 //! how graceful shutdown lets in-flight requests finish while refusing
 //! new ones.
 //!
-//! [`StealQueue`] keeps one bounded deque *per worker* plus stealing, in
-//! the idiom of `gb_parlb::pool`: producers round-robin across shards, a
-//! worker pops its own shard first and steals from siblings when empty.
-//! Capacity is enforced by a single depth counter over every shard, so
-//! `overloaded` and `shutting_down` behave exactly as with one global
-//! queue — only the lock hand-off contention is gone.
+//! [`BoundedQueue`] is one FIFO under one lock. A `gb-serve` process
+//! has one poller, the queue's only producer, and K workers popping it;
+//! scaling out is `gb-router`'s job, not the queue's.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
@@ -82,143 +79,93 @@ impl Drop for SlotToken {
 }
 
 // ---------------------------------------------------------------------------
-// StealQueue: per-worker deques + stealing
+// BoundedQueue: one FIFO under one lock
 // ---------------------------------------------------------------------------
 
-/// A bounded MPMC queue decomposed into one deque per consumer.
+/// A bounded multi-consumer FIFO: the poller pushes, the workers pop.
 ///
-/// Producers pick a shard round-robin (one cheap, rarely contended lock
-/// each); consumer `i` pops shard `i` first and steals FIFO from
-/// siblings otherwise, mirroring `gb_parlb::pool`'s worker/stealer
-/// split. A single [`depth`](Self::depth) counter preserves the
-/// *global* load-shedding contract: `try_push` sheds when the sum across
-/// all shards reaches capacity.
-///
-/// Idle consumers sleep on a condvar until a push or `close` wakes
-/// them. Both take the sleep lock before notifying, so a wakeup cannot
-/// fall between a consumer's last emptiness check and its sleep.
-pub struct StealQueue<T> {
-    shards: Vec<Mutex<VecDeque<T>>>,
-    depth: AtomicUsize,
-    capacity: usize,
-    closed: AtomicBool,
-    sleep_lock: Mutex<()>,
+/// `try_push` sheds at capacity instead of blocking; `pop` sleeps on a
+/// condvar until an item arrives or the queue is closed. Items, the
+/// closed flag and the sleepers' condition share one lock, so a push or
+/// `close` cannot slip between a worker's emptiness check and its wait.
+pub struct BoundedQueue<T> {
+    state: Mutex<QueueState<T>>,
     available: Condvar,
-    next_shard: AtomicUsize,
-    steals: AtomicU64,
+    capacity: usize,
 }
 
-impl<T> StealQueue<T> {
-    /// Creates a queue with one shard per `workers` consumer, admitting
-    /// at most `capacity` items in total.
-    pub fn new(workers: usize, capacity: usize) -> Self {
+struct QueueState<T> {
+    items: VecDeque<T>,
+    closed: bool,
+}
+
+impl<T> BoundedQueue<T> {
+    /// Creates a queue admitting at most `capacity` items.
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
-        let workers = workers.max(1);
         Self {
-            shards: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            depth: AtomicUsize::new(0),
-            capacity,
-            closed: AtomicBool::new(false),
-            sleep_lock: Mutex::new(()),
+            state: Mutex::new(QueueState {
+                items: VecDeque::new(),
+                closed: false,
+            }),
             available: Condvar::new(),
-            next_shard: AtomicUsize::new(0),
-            steals: AtomicU64::new(0),
+            capacity,
         }
     }
 
-    /// Attempts to enqueue without blocking; sheds when the total depth
-    /// is at capacity.
+    /// Enqueues without blocking; sheds when the queue is at capacity.
     pub fn try_push(&self, item: T) -> Result<(), (T, PushError)> {
-        if self.closed.load(Ordering::Acquire) {
-            return Err((item, PushError::Closed));
+        {
+            let mut state = self.state.lock();
+            if state.closed {
+                return Err((item, PushError::Closed));
+            }
+            if state.items.len() >= self.capacity {
+                return Err((item, PushError::Full));
+            }
+            state.items.push_back(item);
         }
-        // Reserve a slot first; back out on overflow. This keeps the
-        // check-and-insert race window from ever over-admitting.
-        if self.depth.fetch_add(1, Ordering::AcqRel) >= self.capacity {
-            self.depth.fetch_sub(1, Ordering::AcqRel);
-            return Err((item, PushError::Full));
-        }
-        // Closed may have been set between the first check and the
-        // reservation; re-check so shutdown never loses a shed.
-        if self.closed.load(Ordering::Acquire) {
-            self.depth.fetch_sub(1, Ordering::AcqRel);
-            return Err((item, PushError::Closed));
-        }
-        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        self.shards[shard].lock().push_back(item);
-        drop(self.sleep_lock.lock());
         self.available.notify_one();
         Ok(())
     }
 
-    fn try_pop(&self, worker: usize) -> Option<T> {
-        let n = self.shards.len();
-        // Own shard first, then steal from siblings in ring order.
-        for k in 0..n {
-            let shard = (worker + k) % n;
-            let item = self.shards[shard].lock().pop_front();
-            if let Some(item) = item {
-                self.depth.fetch_sub(1, Ordering::AcqRel);
-                if k != 0 {
-                    self.steals.fetch_add(1, Ordering::Relaxed);
-                }
-                return Some(item);
-            }
-        }
-        None
-    }
-
-    /// Blocks until an item is available (popping the worker's own shard
-    /// first, stealing otherwise) or the queue is closed *and* drained.
-    pub fn pop(&self, worker: usize) -> Option<T> {
+    /// Blocks until an item is available — the oldest comes first — or
+    /// the queue is closed *and* drained.
+    pub fn pop(&self) -> Option<T> {
+        let mut state = self.state.lock();
         loop {
-            if let Some(item) = self.try_pop(worker) {
+            if let Some(item) = state.items.pop_front() {
                 return Some(item);
             }
-            if self.closed.load(Ordering::Acquire) && self.depth.load(Ordering::Acquire) == 0 {
+            if state.closed {
                 return None;
             }
-            let mut guard = self.sleep_lock.lock();
-            // Re-check under the sleep lock: a push or close after this
-            // check must take the lock, so it notifies only once we wait.
-            if self.depth.load(Ordering::Acquire) == 0 && !self.closed.load(Ordering::Acquire) {
-                self.available.wait(&mut guard);
-            }
+            self.available.wait(&mut state);
         }
     }
 
     /// Closes the queue: future pushes fail with [`PushError::Closed`],
     /// consumers drain what is left and then observe `None`.
     pub fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-        drop(self.sleep_lock.lock());
+        self.state.lock().closed = true;
         self.available.notify_all();
     }
 
-    /// Number of items currently queued across all shards.
+    /// Number of items currently queued.
     pub fn depth(&self) -> usize {
-        self.depth.load(Ordering::Acquire)
+        self.state.lock().items.len()
     }
 
-    /// Configured capacity over all shards.
+    /// Configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Number of per-worker shards.
-    pub fn workers(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Pops that had to steal from a sibling shard.
-    pub fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
     use std::thread;
@@ -254,51 +201,29 @@ mod tests {
     }
 
     #[test]
-    fn steal_queue_sheds_on_aggregate_depth() {
-        let q = StealQueue::new(4, 3);
+    fn queue_sheds_at_capacity() {
+        let q = BoundedQueue::new(3);
         assert!(q.try_push(1).is_ok());
         assert!(q.try_push(2).is_ok());
         assert!(q.try_push(3).is_ok());
-        // Items landed on 3 different shards, but the total depth is
-        // what sheds — identical contract to the single queue.
         match q.try_push(4) {
             Err((item, PushError::Full)) => assert_eq!(item, 4),
             other => panic!("expected Full, got {other:?}"),
         }
         assert_eq!(q.depth(), 3);
         assert_eq!(q.capacity(), 3);
-        assert_eq!(q.workers(), 4);
     }
 
     #[test]
-    fn steal_queue_worker_steals_from_siblings() {
-        let q = StealQueue::new(4, 16);
-        // Round-robin spreads these over shards 0..4.
-        for i in 0..4 {
-            q.try_push(i).unwrap();
-        }
-        // Worker 2 drains everything: one own pop, three steals.
-        let mut got = Vec::new();
-        for _ in 0..4 {
-            got.push(q.pop(2).unwrap());
-        }
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2, 3]);
-        assert_eq!(q.steals(), 3);
-        assert_eq!(q.depth(), 0);
-    }
-
-    #[test]
-    fn steal_queue_close_drains_then_stops() {
-        let q = StealQueue::new(2, 8);
+    fn queue_close_drains_then_stops() {
+        let q = BoundedQueue::new(8);
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
         q.close();
-        let mut got = vec![q.pop(0).unwrap(), q.pop(1).unwrap()];
-        got.sort_unstable();
-        assert_eq!(got, vec![1, 2]);
-        assert_eq!(q.pop(0), None);
-        assert_eq!(q.pop(1), None);
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.pop(), None);
         match q.try_push(3) {
             Err((_, PushError::Closed)) => {}
             other => panic!("expected Closed, got {other:?}"),
@@ -306,25 +231,35 @@ mod tests {
     }
 
     #[test]
-    fn steal_queue_blocked_pop_sees_later_push() {
-        let q = Arc::new(StealQueue::new(3, 8));
+    fn queue_blocked_pop_sees_later_push() {
+        let q = Arc::new(BoundedQueue::new(8));
         let q2 = Arc::clone(&q);
-        let consumer = thread::spawn(move || q2.pop(1));
+        let consumer = thread::spawn(move || q2.pop());
         thread::sleep(Duration::from_millis(30));
         q.try_push(42).unwrap();
         assert_eq!(consumer.join().unwrap(), Some(42));
     }
 
     #[test]
-    fn steal_queue_many_producers_many_consumers() {
-        let q = Arc::new(StealQueue::new(4, 4096));
+    fn queue_blocked_pop_sees_close() {
+        let q = Arc::new(BoundedQueue::<u32>::new(8));
+        let q2 = Arc::clone(&q);
+        let consumer = thread::spawn(move || q2.pop());
+        thread::sleep(Duration::from_millis(30));
+        q.close();
+        assert_eq!(consumer.join().unwrap(), None);
+    }
+
+    #[test]
+    fn queue_many_producers_many_consumers() {
+        let q = Arc::new(BoundedQueue::new(64));
         let seen = Arc::new(AtomicUsize::new(0));
         let consumers: Vec<_> = (0..4)
-            .map(|w| {
+            .map(|_| {
                 let q = Arc::clone(&q);
                 let seen = Arc::clone(&seen);
                 thread::spawn(move || {
-                    while q.pop(w).is_some() {
+                    while q.pop().is_some() {
                         seen.fetch_add(1, Ordering::SeqCst);
                     }
                 })
@@ -345,14 +280,81 @@ mod tests {
         for p in producers {
             p.join().unwrap();
         }
-        // Wait for the queue to drain before closing so nothing is lost.
-        while q.depth() > 0 {
-            thread::yield_now();
-        }
+        // Closing drains what is queued before the consumers stop.
         q.close();
         for c in consumers {
             c.join().unwrap();
         }
         assert_eq!(seen.load(Ordering::SeqCst), 1000);
+    }
+
+    /// One step of the model check: push (the value is the step index),
+    /// pop (of an item the model says is there), or close.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Push,
+        Pop,
+        Close,
+    }
+
+    fn op(k: u8) -> Op {
+        match k % 8 {
+            0..=3 => Op::Push,
+            4..=6 => Op::Pop,
+            _ => Op::Close,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Random pushes, pops and closes against a `VecDeque` model:
+        /// items leave in strict FIFO order, `Full` comes exactly at
+        /// capacity, `Closed` after close, and a closed queue hands out
+        /// what it holds and then `None`.
+        #[test]
+        fn prop_queue_matches_a_fifo_model(
+            capacity in 1usize..6,
+            ops in prop::collection::vec(0u8..8, 0..96),
+        ) {
+            let q = BoundedQueue::new(capacity);
+            let mut model = VecDeque::new();
+            let mut closed = false;
+            for (i, k) in ops.into_iter().enumerate() {
+                match op(k) {
+                    Op::Push => {
+                        let got = q.try_push(i).map_err(|(item, e)| {
+                            assert_eq!(item, i, "a refused push returns its item");
+                            e
+                        });
+                        let want = if closed {
+                            Err(PushError::Closed)
+                        } else if model.len() == capacity {
+                            Err(PushError::Full)
+                        } else {
+                            model.push_back(i);
+                            Ok(())
+                        };
+                        prop_assert_eq!(got, want);
+                    }
+                    // `pop` blocks on an empty open queue: pop only what
+                    // the model holds, or a closed queue.
+                    Op::Pop if !model.is_empty() || closed => {
+                        prop_assert_eq!(q.pop(), model.pop_front());
+                    }
+                    Op::Pop => {}
+                    Op::Close => {
+                        q.close();
+                        closed = true;
+                    }
+                }
+                prop_assert_eq!(q.depth(), model.len());
+            }
+            q.close();
+            while let Some(want) = model.pop_front() {
+                prop_assert_eq!(q.pop(), Some(want));
+            }
+            prop_assert_eq!(q.pop(), None);
+        }
     }
 }

@@ -1,15 +1,17 @@
-//! The `gb-serve` binary's command line: one process is one queue, one
-//! cache and one store. Sharding and rebalancing across backends belong
-//! to `gb-router`, so gb-serve refuses their flags and its `stats` carry
-//! no per-backend or rebalance sections. Its workers solve every miss
-//! themselves, so there is no pool flag or `pool` section either.
+//! The `gb-serve` binary's command line: one process is one poller, one
+//! queue, one cache and one store. Sharding and rebalancing across
+//! backends belong to `gb-router`, so gb-serve refuses their flags and
+//! its `stats` carry no per-backend or rebalance sections. Its workers
+//! solve every miss themselves, so there is no pool flag or `pool`
+//! section either; the poller count and the cache's shard count are
+//! fixed, so there are no flags for them.
 
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
 use std::process::{Command, Stdio};
 
 use gb_service::client::Client;
-use gb_service::proto::{Request, Response};
+use gb_service::proto::{Json, Request, Response};
 
 fn gb_serve() -> Command {
     Command::new(env!("CARGO_BIN_EXE_gb-serve"))
@@ -49,6 +51,18 @@ fn pool_threads_is_unknown() {
     assert_unknown("--pool-threads");
 }
 
+/// One poller and one FIFO queue: neither is a setting.
+#[test]
+fn poller_count_flag_is_unknown() {
+    assert_unknown("--io-threads");
+}
+
+/// The cache runs a fixed eight shards.
+#[test]
+fn cache_shard_flag_is_unknown() {
+    assert_unknown("--cache-shards");
+}
+
 #[test]
 fn stats_report_one_queue_and_no_backend_sections() {
     let mut child = gb_serve()
@@ -83,7 +97,14 @@ fn stats_report_one_queue_and_no_backend_sections() {
     assert!(stats.get("pool").is_none(), "{stats:?}");
     let queue = stats.get("queue").expect("queue section");
     assert_eq!(queue.get("capacity").and_then(|v| v.as_u64()), Some(37));
-    assert_eq!(queue.get("shards").and_then(|v| v.as_u64()), Some(2));
+    // One FIFO: no per-worker shard count, no steal counter.
+    let Json::Obj(fields) = queue else {
+        panic!("queue section is not an object: {queue:?}")
+    };
+    let keys: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
+    assert_eq!(keys, ["depth", "capacity"]);
+    let cache = stats.get("cache").expect("cache section");
+    assert_eq!(cache.get("shards").and_then(|v| v.as_u64()), Some(8));
     let load = stats.get("load").expect("load section");
     assert_eq!(load.get("served").and_then(|v| v.as_u64()), Some(0));
     assert_eq!(load.get("micros").and_then(|v| v.as_u64()), Some(0));

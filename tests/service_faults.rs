@@ -2,7 +2,7 @@
 //!
 //! Every scenario runs against two server shapes: the default `epoll`
 //! readiness backend, and the same server with readiness setup scripted
-//! to fail (`ScriptedShim::fail_readiness(EMFILE)`), so the pollers run
+//! to fail (`ScriptedShim::fail_readiness(EMFILE)`), so the poller runs
 //! the sweep fallback. The fault shim intercepts reads and writes
 //! identically on both, so every injected fault exercises both
 //! readiness backends. Each scenario ends with the same "never wedges"
@@ -1148,10 +1148,9 @@ fn a_late_reply_never_reaches_a_reused_slot() {
             shim.fail_readiness(EMFILE);
         }
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let (io, pollers) = IoLoop::new(
+        let (io, poller) = IoLoop::new(
             listener,
             LoopConfig {
-                pollers: 1,
                 poll_interval: Duration::from_millis(100),
                 write_stall: Duration::from_secs(5),
                 reply_timeout: Duration::from_secs(60),
@@ -1162,7 +1161,7 @@ fn a_late_reply_never_reaches_a_reused_slot() {
         .expect("loop");
         assert_eq!(io.engine(), setup.engine(), "[{}]", setup.name());
         let (tx, rx) = mpsc::channel();
-        let threads = pollers
+        let thread = poller
             .spawn(Arc::new(HandOver(std::sync::Mutex::new(tx))), "reuse")
             .expect("spawn");
         let ping = b"{\"op\":\"ping\"}\n";
@@ -1217,9 +1216,7 @@ fn a_late_reply_never_reaches_a_reused_slot() {
         assert_eq!(dropped, Some(1), "[{}]", setup.name());
 
         io.trigger_shutdown();
-        for t in threads {
-            t.join().expect("poller exits");
-        }
+        thread.join().expect("poller exits");
     });
 }
 

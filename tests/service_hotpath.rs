@@ -1,17 +1,17 @@
-//! Contract tests for the contention-free serving hot path: the serving
-//! engine (nonblocking pollers + per-worker stealing queues + sharded
-//! TinyLFU cache) must keep the wire-visible semantics — `overloaded`
-//! at capacity, `timeout` on expired deadlines, graceful drain on
-//! shutdown — on both readiness backends, while exposing its machinery
-//! (steal counters, fast-path hits, the backend in use, cache counters
-//! that mean what they say) through `stats`.
+//! Contract tests for the serving hot path: the serving engine (one
+//! nonblocking poller + one bounded FIFO queue + sharded TinyLFU cache)
+//! must keep the wire-visible semantics — `overloaded` at capacity,
+//! `timeout` on expired deadlines, graceful drain on shutdown — on both
+//! readiness backends, while exposing its machinery (queue depth and
+//! capacity, fast-path hits, the backend in use, cache counters that
+//! mean what they say) through `stats`.
 
 use std::thread;
 use std::time::Duration;
 
 use gb_service::client::Client;
 use gb_service::fault::ScriptedShim;
-use gb_service::proto::{Algorithm, BalanceRequest, ErrorCode, Request, Response};
+use gb_service::proto::{Algorithm, BalanceRequest, ErrorCode, Json, Request, Response};
 use gb_service::server::{Server, ServerConfig, Tuning};
 use gb_service::spec::ProblemSpec;
 
@@ -38,11 +38,10 @@ fn heavy_request(id: u64) -> Request {
 }
 
 #[test]
-fn sharded_queue_sheds_overloaded_at_aggregate_capacity() {
+fn queue_sheds_overloaded_at_capacity() {
     // One worker, queue capacity 2: a burst of 12 concurrent heavy
     // requests must answer `ok` for the admitted few and `overloaded`
-    // for the rest — the aggregate depth counter, not any per-shard
-    // depth, is the shedding contract.
+    // for the rest.
     let server = Server::start_tuned(
         ServerConfig {
             addr: "127.0.0.1:0".into(),
@@ -213,19 +212,13 @@ fn tightened_reply_timeout_surfaces_internal_error() {
 }
 
 #[test]
-fn stats_expose_fast_path_steals_and_shard_layout() {
-    let server = Server::start_tuned(
-        ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            workers: 3,
-            queue_capacity: 64,
-            cache_capacity: 64,
-        },
-        Tuning {
-            cache_shards: 4,
-            ..Tuning::default()
-        },
-    )
+fn stats_expose_fast_path_queue_and_cache_layout() {
+    let server = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 3,
+        queue_capacity: 64,
+        cache_capacity: 64,
+    })
     .expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
     let request = Request::Balance(BalanceRequest {
@@ -252,7 +245,7 @@ fn stats_expose_fast_path_steals_and_shard_layout() {
         Response::Stats(stats) => stats,
         other => panic!("unexpected {other:?}"),
     };
-    // The backend the pollers really run: epoll wherever the kernel has
+    // The backend the poller really runs: epoll wherever the kernel has
     // it, the sweep loop elsewhere.
     let engine = if cfg!(target_os = "linux") {
         "epoll"
@@ -261,14 +254,16 @@ fn stats_expose_fast_path_steals_and_shard_layout() {
     };
     assert_eq!(stats.get("engine").and_then(|e| e.as_str()), Some(engine));
     let queue = stats.get("queue").expect("queue section");
-    assert_eq!(
-        queue.get("shards").and_then(|v| v.as_u64()),
-        Some(3),
-        "one queue shard per worker"
-    );
-    assert!(queue.get("steals").and_then(|v| v.as_u64()).is_some());
+    assert_eq!(queue.get("depth").and_then(|v| v.as_u64()), Some(0));
+    assert_eq!(queue.get("capacity").and_then(|v| v.as_u64()), Some(64));
+    // One FIFO: no per-worker shard count, no steal counter.
+    let Json::Obj(fields) = queue else {
+        panic!("queue section is not an object: {queue:?}")
+    };
+    let keys: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
+    assert_eq!(keys, ["depth", "capacity"]);
     let cache = stats.get("cache").expect("cache section");
-    assert_eq!(cache.get("shards").and_then(|v| v.as_u64()), Some(4));
+    assert_eq!(cache.get("shards").and_then(|v| v.as_u64()), Some(8));
     assert_eq!(cache.get("admission").and_then(|v| v.as_bool()), Some(true));
     assert!(cache
         .get("admission_rejects")
@@ -287,7 +282,7 @@ fn stats_expose_fast_path_steals_and_shard_layout() {
 }
 
 /// Tuning whose fault shim makes readiness setup fail with `EMFILE`, so
-/// the pollers run the sweep fallback.
+/// the poller runs the sweep fallback.
 fn sweep_fallback() -> Tuning {
     let shim = ScriptedShim::new();
     shim.fail_readiness(24);
